@@ -746,8 +746,13 @@ func (e *Engine) Detach() error {
 	// materialization expansions) executes before a realignment point.
 	for i := 0; i < 1024; i++ {
 		pc := e.p.PC()
-		if e.p.Exited() || pc < e.cacheBase || pc >= e.cacheEnd {
+		if pc < e.cacheBase || pc >= e.cacheEnd {
 			return nil
+		}
+		if e.p.Exited() {
+			// The exit retired in the cache (possibly on one of the steps
+			// below): realign the PC it left behind like any other.
+			return e.realignExit(pc)
 		}
 		for _, t := range e.trans {
 			if pc < t.cache || pc >= t.cacheEnd {
@@ -778,8 +783,6 @@ func (e *Engine) Detach() error {
 			return err
 		}
 		switch ev.Kind {
-		case proc.EventExit:
-			return nil
 		case proc.EventCodeWrite:
 			if err := e.invalidateRange(ev.Addr, ev.Len, true); err != nil {
 				return err
@@ -793,4 +796,21 @@ func (e *Engine) Detach() error {
 		}
 	}
 	return fmt.Errorf("dbi: detach could not realign pc %#x to an instruction boundary", e.p.PC())
+}
+
+// realignExit maps the cache PC an exit syscall left behind to the original
+// address a native exit leaves. Translation copies ecall verbatim and never
+// ends a group on it, so the PC sits one past the copy: on the next group's
+// bound, or on the accumulator of the block-cap stub that continues at the
+// next original address.
+func (e *Engine) realignExit(pc uint64) error {
+	if orig, ok := e.OrigPC(pc); ok {
+		e.p.SetPC(orig)
+		return nil
+	}
+	if st := e.exits[pc+4]; st != nil && st.kind == stubDirect && st.accAddr == pc {
+		e.p.SetPC(st.resume)
+		return nil
+	}
+	return fmt.Errorf("dbi: exit left pc %#x off a translation-group bound", pc)
 }

@@ -76,7 +76,7 @@ type bodyInst struct {
 }
 
 // Terminator kinds. tkExec is the generic fallback through CPU.exec
-// (ecall, csr ops, fence.i, ebreak, invalid).
+// (ecall, counter and FP csr ops, fence.i, ebreak, invalid).
 const (
 	tkExec = iota
 	tkBranch
@@ -84,6 +84,7 @@ const (
 	tkJALR
 	tkCmpBranch // fused compare+branch: cmp is block.cmp, branch is term
 	tkAuipcJalr // fused auipc+jalr rung: auipc folded into the terminator
+	tkDBIJT     // DBI inline-lookup transfer, retired through CPU.dbiJT
 )
 
 // blockLink caches one resolved successor of a block. hits counts how many
@@ -241,7 +242,7 @@ func (c *CPU) buildBlock(pc uint64) *block {
 			}
 			break // fall through; the next dispatch traps at a
 		}
-		fn := handlerFor(inst.Mn)
+		fn := handlerFor(&inst)
 		if fn == nil { // control transfer or system: terminator
 			b.term = inst
 			b.hasTerm = true
@@ -300,10 +301,10 @@ func (c *CPU) prepareTerm(b *block) {
 	t := &b.term
 	b.termCost = c.Model.Cost(t.Mn)
 	// dbi.jt is CatJALR by nature (an indirect jump) but takes its target
-	// from DBI scratch state, not rs1+imm — dispatch it by value through
-	// exec rather than the jalr fast path.
+	// from DBI scratch state, not rs1+imm — it gets its own kind rather
+	// than the jalr fast path.
 	if t.Mn == riscv.MnDBIJT {
-		b.termKind = tkExec
+		b.termKind = tkDBIJT
 		return
 	}
 	switch t.Cat() {
@@ -476,8 +477,18 @@ func (c *CPU) runBlock(b *block) (retired uint64, stop StopReason) {
 		c.Cycles += b.cmpCost + b.termCost
 		c.Instret += 2
 		return n + 2, stopNone
+	case tkDBIJT:
+		target, err := c.dbiJT(&b.term)
+		if err != nil {
+			c.lastTrap = &Trap{PC: c.PC, Why: "execute " + b.term.String(), Wrap: err}
+			return n, StopTrap
+		}
+		c.PC = target
+		c.Cycles += b.termCost
+		c.Instret++
+		return n + 1, stopNone
 	}
-	exited, err := c.exec(b.term)
+	exited, err := c.exec(&b.term)
 	if err != nil {
 		c.lastTrap = &Trap{PC: c.PC, Why: "execute " + b.term.String(), Wrap: err}
 		return n, StopTrap
@@ -508,20 +519,26 @@ func (c *CPU) evalBranch(mn riscv.Mnemonic, rs1, rs2 uint64) bool {
 	return false
 }
 
-// handlerFor returns the body handler for a mnemonic, or nil when the
-// instruction must terminate a block: control transfers (the block is over),
-// ecall/ebreak (stop state, syscalls), fence.i (invalidates the very cache
-// the block lives in), and CSR ops (they read the live cycle/instret
-// counters, which are only up to date at block boundaries).
-func handlerFor(mn riscv.Mnemonic) instFn {
-	switch mn.Cat() {
+// handlerFor returns the body handler for an instruction, or nil when it
+// must terminate a block: control transfers (the block is over), ecall/
+// ebreak (stop state, syscalls), fence.i (invalidates the very cache the
+// block lives in), and CSR ops on the counter and FP CSRs (counter reads
+// see the live cycle/instret counters, which are only up to date at block
+// boundaries). CSR ops on the DBI scratch CSRs touch neither, so the
+// inline-lookup stubs that save and restore through them stay in-block.
+func handlerFor(in *riscv.Inst) instFn {
+	switch in.Mn.Cat() {
 	case riscv.CatBranch, riscv.CatJAL, riscv.CatJALR:
 		return nil
 	}
-	switch mn {
-	case riscv.MnInvalid, riscv.MnECALL, riscv.MnEBREAK, riscv.MnFENCEI,
-		riscv.MnCSRRW, riscv.MnCSRRS, riscv.MnCSRRC,
+	switch in.Mn {
+	case riscv.MnInvalid, riscv.MnECALL, riscv.MnEBREAK, riscv.MnFENCEI:
+		return nil
+	case riscv.MnCSRRW, riscv.MnCSRRS, riscv.MnCSRRC,
 		riscv.MnCSRRWI, riscv.MnCSRRSI, riscv.MnCSRRCI:
+		if isDBIScratchCSR(in.CSR) {
+			return fnCSR
+		}
 		return nil
 
 	// Dedicated handlers for the hot mnemonics skip the generic dispatch
@@ -660,6 +677,8 @@ func (c *CPU) tryFuse(p *bodyInst, inst riscv.Inst) bool {
 // equivalence test in block_test.go enforces this).
 
 func fnStraight(c *CPU, bi *bodyInst) error { return c.execStraight(&bi.inst) }
+
+func fnCSR(c *CPU, bi *bodyInst) error { return c.csrOp(&bi.inst) }
 
 func fnADDI(c *CPU, bi *bodyInst) error {
 	i := &bi.inst

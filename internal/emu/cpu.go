@@ -444,15 +444,20 @@ func (c *CPU) SampleDrain() int {
 // Run executes until exit, breakpoint, trap, or maxInst instructions
 // (0 = unlimited).
 //
-// Two dispatch engines sit behind Run. The superblock fast path executes
-// whole pre-decoded straight-line blocks per dispatch (block.go), following
-// cached block→block successor links so loop-heavy code never re-probes the
-// block map; it is selected automatically whenever nothing needs
+// Three dispatch tiers sit behind Run. The trace tier (trace.go) runs a hot
+// chain of superblocks flattened into one op stream, looping whole passes
+// per dispatch. The superblock tier executes whole pre-decoded
+// straight-line blocks per dispatch (block.go), following cached
+// block→block successor links so loop-heavy code never re-probes the block
+// map. Both are selected automatically whenever nothing needs
 // per-instruction visibility. The per-instruction slow path is used when a
 // Trace hook is installed (tools, oracle lockstep stepping), when
 // SlowDispatch is set, or when the remaining instruction budget is smaller
-// than the next block — so budget exhaustion stops at exactly the same
-// instruction on both paths.
+// than the next block or trace pass — so budget exhaustion stops at exactly
+// the same instruction on every tier. Code a DBI engine translated into its
+// code cache (see DBIComp) runs through the same three tiers: its lookup
+// stubs' scratch-CSR ops are ordinary body ops and its dbi.jt transfers a
+// block terminator.
 func (c *CPU) Run(maxInst uint64) StopReason {
 	if c.Obs != nil {
 		// Sync the hot-path counters into obs on return; the architectural
@@ -573,7 +578,7 @@ func (c *CPU) stepOne() StopReason {
 	if inst.Mn == riscv.MnEBREAK {
 		return StopBreakpoint
 	}
-	if stop, err := c.exec(inst); err != nil {
+	if stop, err := c.exec(&inst); err != nil {
 		c.lastTrap = &Trap{PC: c.PC, Why: "execute " + inst.String(), Wrap: err}
 		return StopTrap
 	} else if stop {
@@ -602,7 +607,7 @@ func (c *CPU) setX(r riscv.Reg, v uint64) {
 // program exited via syscall. Control transfer and system instructions are
 // handled here; everything straight-line is in execStraight so the
 // superblock engine can reuse it (block.go).
-func (c *CPU) exec(inst riscv.Inst) (stop bool, err error) {
+func (c *CPU) exec(inst *riscv.Inst) (stop bool, err error) {
 	cost := c.Model.Cost(inst.Mn)
 	next := inst.Next()
 	rs1 := c.X[inst.Rs1&31]
@@ -618,29 +623,11 @@ func (c *CPU) exec(inst riscv.Inst) (stop bool, err error) {
 		c.setX(inst.Rd, next)
 		next = t
 	case riscv.MnDBIJT:
-		// Inline-lookup transfer (xdbi): jump to the translated cache
-		// address the stub stashed in scratch CSR 0x7C3, applying the
-		// stub's compensation delta. Only valid inside a DBI code cache.
-		dc := c.DBIComp
-		if dc == nil {
-			return false, fmt.Errorf("emu: dbi.jt outside DBI-attached CPU at %#x", inst.Addr)
+		t, e := c.dbiJT(inst)
+		if e != nil {
+			return false, e
 		}
-		if !dc.apply(inst.Imm + 2048) {
-			return false, fmt.Errorf("emu: dbi.jt with unallocated delta %d at %#x", inst.Imm, inst.Addr)
-		}
-		if dc.Deltas[inst.Imm+2048].JT == DBIJTIBC {
-			dc.IBCHits++
-		} else {
-			dc.IBLHits++
-		}
-		// The rd/rs1 fields carry the site's inline-cache slot index (the
-		// registers themselves are dead here — the stub restored the guest
-		// set before the dbi.jt); tagged sites feed the target profile.
-		if site := uint16(inst.Rd&31) | uint16(inst.Rs1&31)<<5; site != 0 {
-			dc.JTProf[dc.JTProfN%JTProfSize] = JTSample{Site: site, Cache: dc.Scratch[3]}
-			dc.JTProfN++
-		}
-		next = dc.Scratch[3]
+		next = t
 	case riscv.MnBEQ:
 		if rs1 == rs2 {
 			next = inst.Addr + uint64(inst.Imm)
@@ -693,7 +680,7 @@ func (c *CPU) exec(inst riscv.Inst) (stop bool, err error) {
 		}
 
 	default:
-		if e := c.execStraight(&inst); e != nil {
+		if e := c.execStraight(inst); e != nil {
 			return false, e
 		}
 	}
@@ -702,6 +689,35 @@ func (c *CPU) exec(inst riscv.Inst) (stop bool, err error) {
 	c.Cycles += cost
 	c.Instret++
 	return false, nil
+}
+
+// dbiJT retires an inline-lookup transfer (xdbi dbi.jt) and returns its
+// target: the translated cache address the lookup stub stashed in scratch
+// CSR 0x7C3. It applies the stub's compensation delta, buckets the hit as
+// IBC or IBL, and feeds the site's target profile. Only valid inside a DBI
+// code cache. Every dispatch tier retires dbi.jt through here, so its
+// semantics live in one place.
+func (c *CPU) dbiJT(inst *riscv.Inst) (uint64, error) {
+	dc := c.DBIComp
+	if dc == nil {
+		return 0, fmt.Errorf("emu: dbi.jt outside DBI-attached CPU at %#x", inst.Addr)
+	}
+	if !dc.apply(inst.Imm + 2048) {
+		return 0, fmt.Errorf("emu: dbi.jt with unallocated delta %d at %#x", inst.Imm, inst.Addr)
+	}
+	if dc.Deltas[inst.Imm+2048].JT == DBIJTIBC {
+		dc.IBCHits++
+	} else {
+		dc.IBLHits++
+	}
+	// The rd/rs1 fields carry the site's inline-cache slot index (the
+	// registers themselves are dead here — the stub restored the guest set
+	// before the dbi.jt); tagged sites feed the target profile.
+	if site := uint16(inst.Rd&31) | uint16(inst.Rs1&31)<<5; site != 0 {
+		dc.JTProf[dc.JTProfN%JTProfSize] = JTSample{Site: site, Cache: dc.Scratch[3]}
+		dc.JTProfN++
+	}
+	return dc.Scratch[3], nil
 }
 
 // execStraight executes one straight-line (non-control-flow, non-system)
@@ -965,7 +981,10 @@ func (c *CPU) execStraight(inst *riscv.Inst) error {
 			return e
 		}
 		if !handled {
-			return fmt.Errorf("emu: unimplemented instruction %v", inst)
+			// Format a copy so the pointer never escapes: the hot path must
+			// not heap-allocate its instruction.
+			v := *inst
+			return fmt.Errorf("emu: unimplemented instruction %v", v)
 		}
 	}
 
@@ -1017,7 +1036,7 @@ func (c *CPU) CodeWatch() (lo, hi uint64) { return c.watchLo, c.watchHi }
 // recent StopCodeWrite.
 func (c *CPU) CodeWrite() (addr, n uint64) { return c.watchAddr, c.watchLen }
 
-func (c *CPU) csrOp(inst riscv.Inst) error {
+func (c *CPU) csrOp(inst *riscv.Inst) error {
 	csr := inst.CSR
 	var old uint64
 	switch csr {
@@ -1039,11 +1058,6 @@ func (c *CPU) csrOp(inst riscv.Inst) error {
 		if c.CounterFn != nil {
 			old = c.CounterFn(csr)
 		}
-	case 0x7C0, 0x7C1, 0x7C2, 0x7C3: // DBI scratch (custom read/write)
-		if c.DBIComp == nil {
-			return fmt.Errorf("emu: access to unimplemented CSR %#x", csr)
-		}
-		old = c.DBIComp.Scratch[csr-0x7C0]
 	case 0x001: // fflags
 		old = uint64(c.FCSR & 0x1f)
 	case 0x002: // frm
@@ -1051,7 +1065,10 @@ func (c *CPU) csrOp(inst riscv.Inst) error {
 	case 0x003: // fcsr
 		old = uint64(c.FCSR & 0xff)
 	default:
-		return fmt.Errorf("emu: access to unimplemented CSR %#x", csr)
+		if !isDBIScratchCSR(csr) || c.DBIComp == nil {
+			return fmt.Errorf("emu: access to unimplemented CSR %#x", csr)
+		}
+		old = c.DBIComp.Scratch[csr-dbiScratchBase] // DBI scratch (custom read/write)
 	}
 	var src uint64
 	switch inst.Mn {
@@ -1082,8 +1099,8 @@ func (c *CPU) csrOp(inst riscv.Inst) error {
 			c.FCSR = uint32(nv) & 0xff
 		case 0xC00, 0xC01, 0xC02:
 			// counters are read-only; writes are ignored
-		case 0x7C0, 0x7C1, 0x7C2, 0x7C3:
-			c.DBIComp.Scratch[csr-0x7C0] = nv
+		default: // DBI scratch, checked above
+			c.DBIComp.Scratch[csr-dbiScratchBase] = nv
 		}
 	}
 	c.setX(inst.Rd, old)

@@ -87,6 +87,16 @@ type JTSample struct {
 	Cache uint64
 }
 
+// dbiScratchBase is the first DBI scratch CSR: DBIComp.Scratch[i] backs
+// CSR dbiScratchBase+i.
+const dbiScratchBase = 0x7C0
+
+// isDBIScratchCSR reports whether csr is one of the DBI scratch CSRs
+// (0x7C0–0x7C3).
+func isDBIScratchCSR(csr uint16) bool {
+	return csr >= dbiScratchBase && csr < dbiScratchBase+uint16(len(DBIComp{}.Scratch))
+}
+
 // apply accumulates the delta at idx; it reports false when idx is out of
 // range (a translation bug — the engine only emits indices it allocated).
 func (dc *DBIComp) apply(idx int64) bool {

@@ -40,9 +40,11 @@ import (
 // exactly like runBlock's retire-prefix protocol), and a stale trace is
 // severed at dispatch.
 //
-// Traces contain no syscalls, CSR reads, fence.i, or ebreaks — blocks
-// terminated by those (tkExec) end the walk — so Exited and the counters
-// visible to CSR reads cannot change mid-trace.
+// Traces contain no syscalls, counter-CSR reads, fence.i, or ebreaks —
+// blocks terminated by those (tkExec) end the walk — so Exited and the
+// counters visible to CSR reads cannot change mid-trace. Scratch-CSR ops
+// (DBI lookup stubs) run as ordinary body ops, and a dbi.jt ends the trace
+// the way an indirect jalr does.
 
 // Trace build limits and the hotness trigger: a chain link must be taken
 // traceHotMask+1 times before its target is considered a trace head.
@@ -87,6 +89,7 @@ const (
 	otJal        // constant-target jump+link, trace continues at the target
 	otAuipcJalr  // fused auipc+jalr (constant target), trace continues
 	otJalrEnd    // indirect jump: dynamic target, always a trace end
+	otDBIJTEnd   // DBI inline-lookup transfer: dynamic target, trace end
 )
 
 // traceOp is one flattened constituent, fused pair, superop, or terminator
@@ -149,9 +152,9 @@ func (c *CPU) maybeTrace(b *block, pc uint64) {
 // compiles it into a flattened trace, attaching it to head (or marking the
 // head untraceable). The walk follows constant-target terminators and the
 // profiled-likely side of conditional branches, and stops at indirect
-// jumps, unpredictable branches, tkExec blocks (syscalls/CSRs/ebreak), a
-// revisited PC, or the build caps. A walk that returns to entry makes a
-// looping trace.
+// jumps (jalr, dbi.jt), unpredictable branches, tkExec blocks (syscalls/
+// counter CSRs/ebreak), a revisited PC, or the build caps. A walk that
+// returns to entry makes a looping trace.
 func (c *CPU) buildTrace(head *block, entry uint64) {
 	t := &trace{gen: c.icGen, entry: entry}
 	visited := map[uint64]bool{entry: true}
@@ -225,6 +228,10 @@ func (c *CPU) buildTrace(head *block, entry uint64) {
 				op.rd, op.rs1 = uint8(b.term.Rd&31), uint8(b.term.Rs1&31)
 				op.imm = b.term.Imm
 				op.n, op.cost, op.cost1 = 1, b.termCost, b.termCost
+				done = true
+			case tkDBIJT:
+				op.kind = otDBIJTEnd
+				op.n, op.cost = 1, b.termCost
 				done = true
 			}
 			t.ops = append(t.ops, op)
@@ -664,6 +671,21 @@ func (c *CPU) runTrace(t *trace, budget uint64, limited bool) (retired uint64, s
 				}
 				c.PC = target
 				c.Cycles += op.cumC + op.cost1
+				c.Instret += op.cumN + 1
+				return retired + op.cumN + 1, stopNone
+			case otDBIJTEnd:
+				term := &op.b.term
+				target, err := c.dbiJT(term)
+				if err != nil {
+					// Like runBlock: the prefix retired, the dbi.jt did not.
+					c.PC = term.Addr
+					c.Cycles += op.cumC
+					c.Instret += op.cumN
+					c.lastTrap = &Trap{PC: c.PC, Why: "execute " + term.String(), Wrap: err}
+					return retired + op.cumN, StopTrap
+				}
+				c.PC = target
+				c.Cycles += op.cumC + op.cost
 				c.Instret += op.cumN + 1
 				return retired + op.cumN + 1, stopNone
 			}
