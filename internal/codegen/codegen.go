@@ -68,7 +68,10 @@ func Generate(sn snippet.Snippet, opts Options) (*Result, error) {
 	if opts.Arch == 0 {
 		opts.Arch = riscv.RV64GC
 	}
-	g := &gen{opts: opts}
+	// Most snippets, counter increments among them, lower to at most 8
+	// instructions; starting there skips the 1→2→4→8 regrowth of the
+	// instruction slice on every snippet.
+	g := &gen{opts: opts, insts: make([]riscv.Inst, 0, 8)}
 	if err := g.plan(sn); err != nil {
 		return nil, err
 	}

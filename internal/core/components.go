@@ -23,15 +23,16 @@ func Components() []Component {
 		{Name: "semantics", Role: "SAIL-pipeline instruction semantics", Uses: []string{"riscv"}},
 		{Name: "asm", Role: "assembler (gcc substitute)", Uses: []string{"elfrv", "riscv"}, Substrate: true},
 		{Name: "obs", Role: "observability: metrics registry + trace_event spans", Uses: nil},
+		{Name: "par", Role: "bounded worker pool shared by the parallel analysis and rewrite phases", Uses: nil},
 		{Name: "emu", Role: "RV64GC emulator (SiFive P550 substitute)", Uses: []string{"elfrv", "obs", "riscv"}, Substrate: true},
 		{Name: "workload", Role: "benchmark programs (paper Section 4.1)", Uses: []string{"asm", "elfrv"}, Substrate: true},
 		{Name: "symtab", Role: "SymtabAPI", Uses: []string{"elfrv", "riscv"}},
 		{Name: "instruction", Role: "InstructionAPI", Uses: []string{"riscv"}},
-		{Name: "parse", Role: "ParseAPI", Uses: []string{"riscv", "semantics", "symtab"}},
+		{Name: "parse", Role: "ParseAPI", Uses: []string{"par", "riscv", "semantics", "symtab"}},
 		{Name: "dataflow", Role: "DataflowAPI", Uses: []string{"parse", "riscv"}},
 		{Name: "snippet", Role: "snippet ASTs and points", Uses: []string{"parse"}},
 		{Name: "codegen", Role: "CodeGenAPI", Uses: []string{"riscv", "snippet"}},
-		{Name: "patch", Role: "PatchAPI / binary rewriter", Uses: []string{"codegen", "dataflow", "elfrv", "obs", "parse", "riscv", "snippet", "symtab"}},
+		{Name: "patch", Role: "PatchAPI / binary rewriter", Uses: []string{"codegen", "dataflow", "elfrv", "obs", "par", "parse", "riscv", "snippet", "symtab"}},
 		{Name: "proc", Role: "ProcControlAPI", Uses: []string{"elfrv", "emu", "obs", "riscv"}},
 		{Name: "stackwalk", Role: "StackwalkerAPI", Uses: []string{"dataflow", "parse", "riscv"}},
 		{Name: "core", Role: "mutator facade (BPatch layer)", Uses: []string{
@@ -44,7 +45,7 @@ func Components() []Component {
 		{Name: "profile", Role: "instrumentation-based function profiler (performance-tool layer)", Uses: []string{
 			"codegen", "core", "dbi", "elfrv", "emu", "obs", "proc", "snippet"}},
 		{Name: "pipeline", Role: "concurrent analyze→instrument worker pool", Uses: []string{
-			"asm", "codegen", "elfrv", "obs", "parse", "patch", "snippet", "symtab", "workload"}},
+			"asm", "codegen", "elfrv", "obs", "par", "parse", "patch", "snippet", "symtab", "workload"}},
 		{Name: "server", Role: "instrumentation-as-a-service daemon with content-addressed artifact cache", Uses: []string{
 			"asm", "codegen", "core", "elfrv", "obs", "patch", "snippet"}},
 	}

@@ -1,6 +1,7 @@
 package dataflow
 
 import (
+	"fmt"
 	"testing"
 
 	"rvdyn/internal/asm"
@@ -411,5 +412,46 @@ k:
 			t.Logf("  %v", n.Inst())
 		}
 		t.Errorf("slice should be empty after kill, got %d nodes", len(nodes))
+	}
+}
+
+// TestLiveBeforeBlockStart checks LiveBefore's block-entry shortcut: at
+// every block start it must return LiveIn[b], and both must equal the
+// backward walk over the whole block from LiveOut[b] that LiveBefore runs
+// for any other address.
+func TestLiveBeforeBlockStart(t *testing.T) {
+	srcs := map[string]string{}
+	for _, p := range workload.Programs() {
+		srcs[p.Name] = p.Source
+	}
+	for seed := int64(0); seed < 8; seed++ {
+		srcs[fmt.Sprintf("random-%d", seed)] = workload.RandomProgram(seed, 10+int(seed)*5)
+	}
+	for name, src := range srcs {
+		f, err := asm.Assemble(src, asm.Options{})
+		if err != nil {
+			t.Fatalf("%s: assemble: %v", name, err)
+		}
+		st, err := symtab.FromFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := parse.Parse(st, parse.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fn := range cfg.Funcs {
+			lv := Liveness(fn)
+			for _, b := range fn.Blocks {
+				walk := lv.LiveOut[b]
+				for i := len(b.Insts) - 1; i >= 0; i-- {
+					walk = stepInstBackward(b, i, walk)
+				}
+				if got := lv.LiveBefore(b.Start); !got.Equal(walk) || !lv.LiveIn[b].Equal(walk) {
+					t.Errorf("%s: %s %v: LiveBefore(start) %v, LiveIn %v, walk %v",
+						name, fn.Name, b, got, lv.LiveIn[b], walk)
+				}
+			}
+		}
 	}
 }

@@ -165,6 +165,11 @@ func (res *LivenessResult) LiveBefore(addr uint64) riscv.RegSet {
 	if !ok {
 		return allRegs
 	}
+	if addr == b.Start {
+		// The fixpoint left LiveIn[b] equal to the walk below over the
+		// whole block.
+		return res.LiveIn[b]
+	}
 	live := res.LiveOut[b]
 	for i := len(b.Insts) - 1; i >= 0; i-- {
 		if b.Insts[i].Addr < addr {

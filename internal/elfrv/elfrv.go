@@ -187,8 +187,10 @@ type strtab struct {
 	off map[string]uint32
 }
 
-func newStrtab() *strtab {
-	t := &strtab{off: map[string]uint32{}}
+// newStrtab returns a table sized for count strings of size bytes in all.
+func newStrtab(count, size int) *strtab {
+	t := &strtab{off: make(map[string]uint32, count)}
+	t.buf.Grow(1 + size + count)
 	t.buf.WriteByte(0)
 	return t
 }
@@ -215,8 +217,7 @@ func (f *File) Write() ([]byte, error) {
 		index   int
 	}
 
-	shstr := newStrtab()
-	symstr := newStrtab()
+	shstr := newStrtab(0, 0)
 
 	// Section order: null, user sections, .symtab, .strtab, .shstrtab.
 	// Alignment sanity first: a corrupt input file (this File may have come
@@ -281,7 +282,13 @@ func (f *File) Write() ([]byte, error) {
 	sort.SliceStable(syms, func(i, j int) bool {
 		return syms[i].Bind == STBLocal && syms[j].Bind != STBLocal
 	})
+	names := 0
+	for _, s := range syms {
+		names += len(s.Name)
+	}
+	symstr := newStrtab(len(syms), names)
 	var symBuf bytes.Buffer
+	symBuf.Grow(24 * (1 + len(syms)))
 	writeSym := func(nameOff uint32, info, other byte, shndx uint16, value, size uint64) {
 		var b [24]byte
 		binary.LittleEndian.PutUint32(b[0:], nameOff)
@@ -335,11 +342,13 @@ func (f *File) Write() ([]byte, error) {
 	// page-aligned loadable sections whose zero-fill would balloon the
 	// output to gigabytes. Bound the total layout instead of writing it.
 	const maxWriteSize = 1 << 30
-	if end := shoff + uint64(shnum)*shentsize; end > maxWriteSize {
+	end := shoff + uint64(shnum)*shentsize
+	if end > maxWriteSize {
 		return nil, fmt.Errorf("elfrv: refusing to write %d-byte layout (cap %d)", end, uint64(maxWriteSize))
 	}
 
 	var out bytes.Buffer
+	out.Grow(int(end))
 	// ELF header.
 	ident := [16]byte{0x7f, 'E', 'L', 'F', 2 /*64-bit*/, 1 /*LE*/, 1 /*version*/}
 	out.Write(ident[:])

@@ -2,7 +2,8 @@ package parse
 
 import (
 	"sort"
-	"sync"
+
+	"rvdyn/internal/par"
 )
 
 // Loop is one natural loop of a function's CFG.
@@ -130,18 +131,9 @@ func dominators(fn *Function) *domSets {
 // that reaches the back edge source without passing through the header.
 // Functions are independent, so the work fans out like the parse itself.
 func (p *parser) computeLoops() {
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, p.workers)
-	for _, fn := range p.cfg.Funcs {
-		wg.Add(1)
-		go func(fn *Function) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			fn.Loops = findLoops(fn)
-		}(fn)
-	}
-	wg.Wait()
+	par.ForEach(p.workers, len(p.cfg.Funcs), func(_, i int) {
+		p.cfg.Funcs[i].Loops = findLoops(p.cfg.Funcs[i])
+	})
 }
 
 func findLoops(fn *Function) []*Loop {

@@ -1,10 +1,13 @@
 package parse
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
+	"rvdyn/internal/par"
 	"rvdyn/internal/riscv"
 	"rvdyn/internal/semantics"
 	"rvdyn/internal/symtab"
@@ -63,18 +66,9 @@ func Parse(st *symtab.Symtab, opts Options) (*CFG, error) {
 	}
 	for len(frontier) > 0 {
 		results := make([]*funcResult, len(frontier))
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for i, s := range frontier {
-			wg.Add(1)
-			go func(i int, s seed) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				results[i] = p.parseFunction(s.entry, s.name, false)
-			}(i, s)
-		}
-		wg.Wait()
+		par.ForEach(workers, len(frontier), func(_, i int) {
+			results[i] = p.parseFunction(frontier[i].entry, frontier[i].name, false)
+		})
 
 		var next []seed
 		for _, r := range results {
@@ -170,6 +164,13 @@ type fparse struct {
 	fn *Function
 	// pending maps intra-function edge targets to edges awaiting a block.
 	pending map[uint64][]*Edge
+	// arena holds the function's decoded instructions. Each block's Insts
+	// is a window of it with capacity equal to its length, so one append
+	// per instruction replaces per-block slice growth, and appending to a
+	// block's Insts copies instead of overwriting the next block. It is
+	// not pre-sized from the symbol's size, which comes unchecked from the
+	// file; blocks made before it grows keep windows of the old array.
+	arena []riscv.Inst
 }
 
 // edge records an out-edge, linking it immediately if the target block
@@ -234,6 +235,7 @@ func (p *parser) parseFunction(entry uint64, name string, speculative bool) *fun
 		}
 
 		b := &Block{Start: addr, Func: fn}
+		first := len(s.arena)
 		cur := addr
 		var term riscv.Inst
 		hasTerm := false
@@ -250,16 +252,17 @@ func (p *parser) parseFunction(entry uint64, name string, speculative bool) *fun
 			if err != nil {
 				break // undecodable: end the block here
 			}
-			b.Insts = append(b.Insts, inst)
+			s.arena = append(s.arena, inst)
 			cur = inst.Next()
 			if inst.IsControlFlow() && inst.Mn != riscv.MnEBREAK {
 				term, hasTerm = inst, true
 				break
 			}
 		}
-		if len(b.Insts) == 0 {
+		if len(s.arena) == first {
 			continue
 		}
+		b.Insts = s.arena[first:len(s.arena):len(s.arena)]
 		b.End = cur
 		s.insertBlock(b)
 
@@ -469,8 +472,9 @@ func uniqueIntraPred(b *Block) *Block {
 func (s *fparse) insertBlock(b *Block) {
 	fn := s.fn
 	fn.blockMap[b.Start] = b
-	fn.Blocks = append(fn.Blocks, b)
-	sort.Slice(fn.Blocks, func(i, j int) bool { return fn.Blocks[i].Start < fn.Blocks[j].Start })
+	i, _ := slices.BinarySearchFunc(fn.Blocks, b.Start,
+		func(x *Block, start uint64) int { return cmp.Compare(x.Start, start) })
+	fn.Blocks = slices.Insert(fn.Blocks, i, b)
 	s.linkPending(b)
 }
 
@@ -507,7 +511,7 @@ func (s *fparse) splitBlock(b *Block, addr uint64) {
 	for _, e := range tail.Out {
 		e.From = tail
 	}
-	b.Insts = b.Insts[:cut]
+	b.Insts = b.Insts[:cut:cut]
 	b.End = addr
 	b.Out = nil
 	b.Purpose = PurposeNone

@@ -10,6 +10,7 @@ package parse_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"rvdyn/internal/asm"
@@ -259,4 +260,28 @@ func cfgFingerprint(cfg *parse.CFG) string {
 		}
 	}
 	return out
+}
+
+// TestBlockInstsAppendIsolated checks that every block's Insts ends at its
+// capacity: the blocks of a function share one instruction arena, and
+// appending to one block must copy rather than overwrite the instructions
+// of the block that follows it there.
+func TestBlockInstsAppendIsolated(t *testing.T) {
+	for _, p := range workload.Programs() {
+		cfg := parseSource(t, p.Source, 1)
+		for _, fn := range cfg.Funcs {
+			before := map[*parse.Block][]riscv.Inst{}
+			for _, b := range fn.Blocks {
+				before[b] = slices.Clone(b.Insts)
+			}
+			for _, b := range fn.Blocks {
+				_ = append(b.Insts, riscv.Inst{Mn: riscv.MnEBREAK})
+			}
+			for _, b := range fn.Blocks {
+				if !slices.Equal(b.Insts, before[b]) {
+					t.Errorf("%s: %s %v: instructions changed by an append to another block", p.Name, fn.Name, b)
+				}
+			}
+		}
+	}
 }

@@ -1,7 +1,9 @@
 package parse
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"rvdyn/internal/elfrv"
@@ -46,6 +48,51 @@ func TestParseRandomBytesNeverPanics(t *testing.T) {
 			}
 			cfg.FuncContaining(0x10080)
 		}()
+	}
+}
+
+// TestParseHugeSymbolSizes: a function symbol's st_size comes unchecked from
+// the file, and rvdynd parses uploaded binaries, so a size the file cannot
+// back must not turn into an allocation: not a panic (1<<62 instructions is
+// out of range for make), not a fatal out-of-memory (1<<33), and not a
+// silent many-megabyte reservation per symbol.
+func TestParseHugeSymbolSizes(t *testing.T) {
+	const nFuncs = 16
+	ret := []byte{0x67, 0x80, 0x00, 0x00} // jalr x0, 0(ra)
+	var text []byte
+	var syms []elfrv.Symbol
+	sizes := []uint64{1 << 62, 1 << 33, 1 << 24, ^uint64(0)}
+	for i := 0; i < nFuncs; i++ {
+		syms = append(syms, elfrv.Symbol{Name: fmt.Sprintf("f%d", i),
+			Value: 0x10000 + uint64(len(text)), Size: sizes[i%len(sizes)],
+			Bind: elfrv.STBGlobal, Type: elfrv.STTFunc, Section: ".text"})
+		text = append(text, ret...)
+	}
+	f := &elfrv.File{
+		Entry: 0x10000,
+		Sections: []*elfrv.Section{
+			{Name: ".text", Type: elfrv.SHTProgbits,
+				Flags: elfrv.SHFAlloc | elfrv.SHFExecinstr,
+				Addr:  0x10000, Data: text, Align: 4},
+		},
+		Symbols: syms,
+	}
+	st, err := symtab.FromFile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	cfg, err := Parse(st, Options{Workers: 2})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cfg.Funcs) < nFuncs {
+		t.Errorf("parsed %d functions, want at least %d", len(cfg.Funcs), nFuncs)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 4<<20 {
+		t.Errorf("parsing %d bytes of code allocated %d bytes", len(text), got)
 	}
 }
 

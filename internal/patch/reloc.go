@@ -1,8 +1,11 @@
 package patch
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 
 	"rvdyn/internal/parse"
 	"rvdyn/internal/riscv"
@@ -15,6 +18,14 @@ import (
 // and intra-function control flow retargeted to the relocated copies — the
 // "safe transformations of the program's CFG" of Bernat & Miller that the
 // paper's PatchAPI builds on.
+//
+// It runs in two steps. PlanRelocation lays the copy out and encodes it as
+// if placed at address 0: a target inside the copy is an offset difference,
+// so only instructions that leave the function (calls, tail calls, branches
+// out of it) depend on where the copy lands, and the plan keeps those as
+// fixups. Encode copies the code, re-encodes the fixups for the real base,
+// and builds the address map from the plan's (original address, offset)
+// pairs.
 
 // Insertion asks for code to run immediately before the original
 // instruction at Addr.
@@ -52,12 +63,21 @@ type itemKind uint8
 const (
 	itemOrig itemKind = iota
 	itemSnippet
+	// itemCont continues the expansion of the preceding original
+	// instruction (the tail of an auipc materialization): it neither maps
+	// an original address nor captures incoming control flow.
+	itemCont
 )
 
+// rItem is one instruction of a relocation while PlanRelocation lays it out.
+// Items live only in the planner's local slice; the plan keeps their
+// encoding, not the items.
 type rItem struct {
 	kind     itemKind
 	inst     riscv.Inst
 	origAddr uint64 // for itemOrig
+	off      uint64 // offset in the relocated copy
+	size     uint64
 	// intraTarget is the original address of an intra-function control-flow
 	// target needing remapping; externTarget is an absolute target outside
 	// the relocated set (calls, tail calls).
@@ -65,15 +85,19 @@ type rItem struct {
 	externTarget uint64
 	hasIntra     bool
 	hasExtern    bool
-	size         uint64
 	// attach marks snippet items that belong to the next original
 	// instruction: control flow targeting that instruction must enter
 	// through them. Edge-specific code does not attach.
 	attach bool
 	// stubID, when non-zero, redirects this item's control-flow target to
-	// the identified edge stub instead of intraTarget.
+	// stub stubID-1 instead of intraTarget.
 	stubID int
 }
+
+// itemBufs recycles PlanRelocation's item slices, which are otherwise about
+// a quarter of the bytes a whole-binary rewrite allocates. Items never
+// outlive the call and hold no pointers, so a pooled slice pins nothing.
+var itemBufs = sync.Pool{New: func() any { return new([]rItem) }}
 
 // Relocate produces the instrumented copy of fn at newBase.
 func Relocate(fn *parse.Function, st *symtab.Symtab, insertions []Insertion,
@@ -91,12 +115,14 @@ func RelocateWithEdges(fn *parse.Function, st *symtab.Symtab, insertions []Inser
 	return plan.Encode(newBase)
 }
 
-// RelocPlan is the base-independent half of a function relocation: the item
-// sequence with fixed sizes, built before the function's patch-area address
-// is known. Item sizes never depend on the eventual base, so plans for many
-// functions can be built concurrently and their bases assigned afterwards by
-// a serial prefix sum — the key to a parallel rewrite pipeline whose output
-// is byte-identical to the serial one.
+// RelocPlan is the base-independent half of a function relocation, built
+// before the function's patch-area address is known: the relocated code
+// encoded at offset 0, a fixup for each instruction whose target lies
+// outside the copy, and each original instruction's offset in the copy.
+// Its size never depends on the base, so plans for many functions can be
+// built concurrently and their bases assigned afterwards by a serial prefix
+// sum — the key to a parallel rewrite pipeline whose output is
+// byte-identical to the serial one.
 type RelocPlan struct {
 	Func *parse.Function
 	// Size is the total byte size the encoded relocation will occupy.
@@ -104,34 +130,37 @@ type RelocPlan struct {
 	// InstrumentationBytes counts the bytes of inserted snippet code.
 	InstrumentationBytes int
 
-	items        []*rItem
-	stubStartIdx map[int]int // stub id -> index of first stub item
+	code   []byte    // the relocated copy encoded at base 0
+	fixups []fixup   // 4-byte instructions targeting absolute addresses
+	addrs  []addrOff // relocated offset of each original address, by address
 }
 
-// PlanRelocation validates the request and builds the relocation item
-// sequence for fn without assigning addresses.
+// fixup is an instruction at offset off of the copy whose target is the
+// absolute address target; Encode fills in its bytes once the base is known.
+type fixup struct {
+	off    uint64
+	target uint64
+	inst   riscv.Inst
+}
+
+// addrOff is where control flow aimed at original address orig enters the
+// copy: the instruction itself, or the attached snippet code in front of it.
+type addrOff struct{ orig, off uint64 }
+
+// PlanRelocation validates the request, lays out the relocated copy of fn
+// and encodes it, leaving only targets outside the copy to Encode.
 func PlanRelocation(fn *parse.Function, st *symtab.Symtab, insertions []Insertion,
 	edges []EdgeInsertion, arch riscv.ExtSet) (*RelocPlan, error) {
 
-	insByAddr := map[uint64][][]riscv.Inst{}
-	for _, ins := range insertions {
-		insByAddr[ins.Addr] = append(insByAddr[ins.Addr], ins.Code)
-	}
-
-	// Validate insertion addresses.
+	// Validate insertion addresses, then order them by address (stably, so
+	// code inserted at one address keeps its request order).
 	for _, ins := range insertions {
 		if _, ok := fn.BlockContaining(ins.Addr); !ok {
 			return nil, fmt.Errorf("patch: insertion at %#x is outside function %s", ins.Addr, fn.Name)
 		}
 	}
-
-	blocks := append([]*parse.Block(nil), fn.Blocks...)
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].Start < blocks[j].Start })
-
-	intraStarts := map[uint64]bool{}
-	for _, b := range blocks {
-		intraStarts[b.Start] = true
-	}
+	insertions = slices.Clone(insertions)
+	slices.SortStableFunc(insertions, func(a, b Insertion) int { return cmp.Compare(a.Addr, b.Addr) })
 
 	// Group edge requests by block.
 	type edgeReq struct {
@@ -173,29 +202,42 @@ func PlanRelocation(fn *parse.Function, st *symtab.Symtab, insertions []Insertio
 	// any address in the original body; relocating around it would silently
 	// split execution between the two copies. Refuse, as Dyninst refuses
 	// unsafe transformations.
-	for _, b := range blocks {
+	nInsts := 0
+	for _, b := range fn.Blocks {
 		if b.Purpose == parse.PurposeUnresolved {
 			return nil, fmt.Errorf("patch: function %s has an unresolvable indirect jump at %#x; refusing to relocate",
 				fn.Name, b.Last().Addr)
 		}
+		nInsts += len(b.Insts)
 	}
-
-	var items []*rItem
+	// Lay out the copy: original instructions in block order, each behind
+	// the snippet code inserted at its address, then the edge stubs.
 	type stub struct {
-		id     int
 		code   [][]riscv.Inst
 		target uint64 // original address the stub jumps on to
+		start  int    // index of the stub's first item
 	}
-	var stubs []*stub
+	var stubs []stub
+	buf := itemBufs.Get().(*[]rItem)
+	items := (*buf)[:0]
+	defer func() {
+		*buf = items
+		itemBufs.Put(buf)
+	}()
 	instBytes := 0
-	for _, b := range blocks {
+	snippet := func(code []riscv.Inst, attach bool) {
+		for _, sin := range code {
+			items = append(items, rItem{kind: itemSnippet, inst: sin, size: 4, attach: attach})
+		}
+	}
+	for _, b := range fn.Blocks {
 		req := edgeByBlock[b]
 		for ii, inst := range b.Insts {
-			for _, code := range insByAddr[inst.Addr] {
-				for _, sin := range code {
-					items = append(items, &rItem{kind: itemSnippet, inst: sin, size: 4, attach: true})
-					instBytes += 4
-				}
+			j, _ := slices.BinarySearchFunc(insertions, inst.Addr,
+				func(in Insertion, a uint64) int { return cmp.Compare(in.Addr, a) })
+			for ; j < len(insertions) && insertions[j].Addr == inst.Addr; j++ {
+				snippet(insertions[j].Code, true)
+				instBytes += 4 * len(insertions[j].Code)
 			}
 			isTerm := ii == len(b.Insts)-1
 			// A jalr the classifier proved to be an intra-function jump
@@ -208,164 +250,153 @@ func PlanRelocation(fn *parse.Function, st *symtab.Symtab, insertions []Insertio
 				if !ok {
 					return nil, fmt.Errorf("patch: resolved jalr jump at %#x has no unique target", inst.Addr)
 				}
-				jmp := riscv.Inst{Mn: riscv.MnJAL, Rd: riscv.X0,
-					Rs1: riscv.RegNone, Rs2: riscv.RegNone, Rs3: riscv.RegNone}
-				items = append(items, &rItem{kind: itemOrig, inst: jmp, origAddr: inst.Addr,
+				items = append(items, rItem{kind: itemOrig, inst: plainJump, origAddr: inst.Addr,
 					size: 4, hasIntra: true, intraTarget: target})
 				continue
 			}
-			its, err := relocInst(fn, inst, intraStarts)
-			if err != nil {
-				return nil, err
+			items = relocInst(items, fn, inst)
+			if !isTerm || req == nil {
+				continue
 			}
-			if isTerm && req != nil {
-				// Out-of-line stubs for taken/direct edges: retarget the
-				// terminator through the stub.
-				var stubCode [][]riscv.Inst
-				if inst.Cat() == riscv.CatBranch {
-					stubCode = req.taken
-				} else {
-					stubCode = req.direct
-				}
-				if len(stubCode) > 0 {
-					target := inst.Addr + uint64(inst.Imm)
-					st := &stub{id: len(stubs) + 1, code: stubCode, target: target}
-					stubs = append(stubs, st)
-					its[len(its)-1].stubID = st.id
-					for _, c := range stubCode {
-						instBytes += 4 * len(c)
-					}
-					instBytes += 4 // the stub's trailing jump
-				}
+			// Out-of-line stubs for taken/direct edges: retarget the
+			// terminator through the stub.
+			stubCode := req.direct
+			if inst.Cat() == riscv.CatBranch {
+				stubCode = req.taken
 			}
-			items = append(items, its...)
-			if isTerm && req != nil && len(req.notTaken) > 0 {
-				// Inline code on the fallthrough path only: other
-				// predecessors of the successor block enter past it.
-				for _, code := range req.notTaken {
-					for _, sin := range code {
-						items = append(items, &rItem{kind: itemSnippet, inst: sin, size: 4})
-						instBytes += 4
-					}
+			if len(stubCode) > 0 {
+				stubs = append(stubs, stub{code: stubCode, target: inst.Addr + uint64(inst.Imm)})
+				items[len(items)-1].stubID = len(stubs)
+				for _, c := range stubCode {
+					instBytes += 4 * len(c)
 				}
+				instBytes += 4 // the stub's trailing jump
+			}
+			// Inline code on the fallthrough path only: other predecessors
+			// of the successor block enter past it.
+			for _, code := range req.notTaken {
+				snippet(code, false)
+				instBytes += 4 * len(code)
 			}
 		}
 	}
 	// Append the edge stubs after the function body.
-	stubStartIdx := map[int]int{} // stub id -> index of first stub item
-	for _, st := range stubs {
-		stubStartIdx[st.id] = len(items)
-		for _, code := range st.code {
-			for _, sin := range code {
-				items = append(items, &rItem{kind: itemSnippet, inst: sin, size: 4})
-			}
+	for i := range stubs {
+		stubs[i].start = len(items)
+		for _, code := range stubs[i].code {
+			snippet(code, false)
 		}
-		jmp := riscv.Inst{Mn: riscv.MnJAL, Rd: riscv.X0,
-			Rs1: riscv.RegNone, Rs2: riscv.RegNone, Rs3: riscv.RegNone}
-		items = append(items, &rItem{kind: itemSnippet, inst: jmp, size: 4,
-			hasIntra: true, intraTarget: st.target})
+		items = append(items, rItem{kind: itemSnippet, inst: plainJump, size: 4,
+			hasIntra: true, intraTarget: stubs[i].target})
 	}
 
-	plan := &RelocPlan{
-		Func: fn, InstrumentationBytes: instBytes,
-		items: items, stubStartIdx: stubStartIdx,
+	// Assign offsets, then map each original address to its instruction or
+	// to the start of the *attached* snippet run in front of it (edge-specific
+	// code never captures incoming control flow). The first placement of an
+	// address wins.
+	var size uint64
+	for i := range items {
+		items[i].off = size
+		size += items[i].size
 	}
-	for _, it := range items {
-		plan.Size += it.size
-	}
-	return plan, nil
-}
-
-// Encode lays the plan out at newBase and produces the encoded relocation.
-// Layout is a single pass: sizes are fixed (control flow with intra targets
-// was widened to 4-byte forms; auipc became a materialization sequence), so
-// the output depends only on the plan and the base, never on when or on
-// which goroutine the plan was built. Encode never mutates the plan —
-// addresses live in a local table — so one cached plan may be encoded by
-// any number of goroutines concurrently (the server replays cached plans).
-func (p *RelocPlan) Encode(newBase uint64) (*Relocation, error) {
-	fn, items, stubStartIdx := p.Func, p.items, p.stubStartIdx
-
-	addr := newBase
-	addrMap := map[uint64]uint64{}
-	addrs := make([]uint64, len(items))
-	for i, it := range items {
-		addrs[i] = addr
-		addr += it.size
-	}
-	// Map each original address to the start of its preceding *attached*
-	// snippet run (edge-specific code never captures incoming control flow).
+	addrs := make([]addrOff, 0, nInsts)
 	var pendingStart uint64
 	pendingValid := false
-	for i, it := range items {
+	for _, it := range items {
 		switch {
 		case it.kind == itemSnippet && it.attach:
 			if !pendingValid {
-				pendingStart = addrs[i]
-				pendingValid = true
+				pendingStart, pendingValid = it.off, true
 			}
 		case it.kind == itemSnippet:
 			pendingValid = false
 		case it.kind == itemOrig:
-			target := addrs[i]
+			a := addrOff{it.origAddr, it.off}
 			if pendingValid {
-				target = pendingStart
-				pendingValid = false
+				a.off, pendingValid = pendingStart, false
 			}
-			if _, dup := addrMap[it.origAddr]; !dup {
-				addrMap[it.origAddr] = target
-			}
+			addrs = append(addrs, a)
 		}
 	}
-	// Resolve stub entry addresses for retargeted terminators.
-	stubAddr := map[int]uint64{}
-	for id, idx := range stubStartIdx {
-		stubAddr[id] = addrs[idx]
-	}
+	slices.SortStableFunc(addrs, func(a, b addrOff) int { return cmp.Compare(a.orig, b.orig) })
+	addrs = slices.CompactFunc(addrs, func(a, b addrOff) bool { return a.orig == b.orig })
 
-	// Encode with resolved targets.
-	var code []byte
-	for i, it := range items {
+	// Encode at base 0. Targets inside the copy are offset differences;
+	// targets outside it become fixups with a placeholder in the code.
+	plan := &RelocPlan{
+		Func: fn, Size: size, InstrumentationBytes: instBytes,
+		code: make([]byte, 0, size), addrs: addrs,
+	}
+	for _, it := range items {
 		inst := it.inst
 		switch {
 		case it.stubID != 0:
-			inst.Imm = int64(stubAddr[it.stubID]) - int64(addrs[i])
+			inst.Imm = int64(items[stubs[it.stubID-1].start].off) - int64(it.off)
 		case it.hasIntra:
-			nt, ok := addrMap[it.intraTarget]
+			i, ok := slices.BinarySearchFunc(addrs, it.intraTarget,
+				func(a addrOff, orig uint64) int { return cmp.Compare(a.orig, orig) })
 			if !ok {
 				return nil, fmt.Errorf("patch: intra target %#x of %v not in relocation", it.intraTarget, inst)
 			}
-			inst.Imm = int64(nt) - int64(addrs[i])
+			inst.Imm = int64(addrs[i].off) - int64(it.off)
 		case it.hasExtern:
-			inst.Imm = int64(it.externTarget) - int64(addrs[i])
+			plan.fixups = append(plan.fixups, fixup{off: it.off, target: it.externTarget, inst: inst})
+			plan.code = append(plan.code, 0, 0, 0, 0)
+			continue
 		}
-		var b []byte
-		var err error
-		if it.kind == itemOrig && inst.Compressed && !it.hasIntra && !it.hasExtern {
-			b, err = riscv.EncodeBytes(inst) // keeps the compressed form
+		n := len(plan.code)
+		var half uint16
+		compressed := false
+		if it.kind == itemOrig && inst.Compressed {
+			half, compressed = riscv.Compress(inst) // keeps the compressed form
+		}
+		if compressed {
+			plan.code = binary.LittleEndian.AppendUint16(plan.code, half)
 		} else {
 			inst.Compressed = false
-			w, e := riscv.Encode(inst)
-			if e != nil {
-				err = e
-			} else {
-				b = []byte{byte(w), byte(w >> 8), byte(w >> 16), byte(w >> 24)}
+			w, err := riscv.Encode(inst)
+			if err != nil {
+				return nil, fmt.Errorf("patch: encoding relocated %v at offset %#x: %w", inst, it.off, err)
 			}
+			plan.code = binary.LittleEndian.AppendUint32(plan.code, w)
 		}
-		if err != nil {
-			return nil, fmt.Errorf("patch: encoding relocated %v at %#x: %w", inst, addrs[i], err)
+		if got := uint64(len(plan.code) - n); got != it.size {
+			return nil, fmt.Errorf("patch: relocated %v sized %d, encoded %d", inst, it.size, got)
 		}
-		if uint64(len(b)) != it.size {
-			return nil, fmt.Errorf("patch: relocated %v sized %d, encoded %d", inst, it.size, len(b))
-		}
-		code = append(code, b...)
 	}
+	return plan, nil
+}
 
+// Encode lays the plan out at newBase and produces the encoded relocation:
+// a copy of the plan's code with every fixup re-encoded for its absolute
+// target, and the address map shifted to newBase. The output depends only on
+// the plan and the base, never on when or on which goroutine the plan was
+// built. Encode never mutates the plan, so one cached plan may be encoded by
+// any number of goroutines concurrently (the server replays cached plans).
+func (p *RelocPlan) Encode(newBase uint64) (*Relocation, error) {
+	code := slices.Clone(p.code)
+	for _, f := range p.fixups {
+		inst := f.inst
+		inst.Imm = int64(f.target) - int64(newBase+f.off)
+		w, err := riscv.Encode(inst)
+		if err != nil {
+			return nil, fmt.Errorf("patch: encoding relocated %v at %#x: %w", inst, newBase+f.off, err)
+		}
+		binary.LittleEndian.PutUint32(code[f.off:], w)
+	}
+	addrMap := make(map[uint64]uint64, len(p.addrs))
+	for _, a := range p.addrs {
+		addrMap[a.orig] = newBase + a.off
+	}
 	return &Relocation{
-		Func: fn, NewBase: newBase, Code: code, AddrMap: addrMap,
+		Func: p.Func, NewBase: newBase, Code: code, AddrMap: addrMap,
 		InstrumentationBytes: p.InstrumentationBytes,
 	}, nil
 }
+
+// plainJump is a jal x0 awaiting its offset.
+var plainJump = riscv.Inst{Mn: riscv.MnJAL, Rd: riscv.X0,
+	Rs1: riscv.RegNone, Rs2: riscv.RegNone, Rs3: riscv.RegNone}
 
 // soleIndirectTarget returns the unique intra-function target of a
 // resolved indirect-jump block.
@@ -383,58 +414,40 @@ func soleIndirectTarget(b *parse.Block) (uint64, bool) {
 	return target, found
 }
 
-// relocInst converts one original instruction into relocation items.
-func relocInst(fn *parse.Function, inst riscv.Inst, intraStarts map[uint64]bool) ([]*rItem, error) {
-	switch inst.Cat() {
-	case riscv.CatBranch:
+// relocInst appends the relocation items for one original instruction.
+func relocInst(items []rItem, fn *parse.Function, inst riscv.Inst) []rItem {
+	it := rItem{kind: itemOrig, inst: inst, origAddr: inst.Addr, size: inst.Size()}
+	switch cat := inst.Cat(); {
+	case cat == riscv.CatBranch || cat == riscv.CatJAL:
 		target := inst.Addr + uint64(inst.Imm)
-		it := &rItem{kind: itemOrig, inst: inst, origAddr: inst.Addr, size: 4}
-		it.inst.Compressed = false // may need a wider offset than c.beqz
-		if intraStarts[target] {
+		it.inst.Compressed = false // may need a wider offset than c.beqz or c.j
+		it.size = 4
+		if _, intra := fn.BlockAt(target); intra && (cat == riscv.CatBranch || inst.Rd == riscv.X0) {
 			it.hasIntra, it.intraTarget = true, target
 		} else {
-			// A conditional branch out of the function (pathological but
-			// possible): keep the absolute target.
+			// Calls, tail calls, and conditional branches out of the
+			// function (pathological but possible) keep the absolute target.
 			it.hasExtern, it.externTarget = true, target
 		}
-		return []*rItem{it}, nil
-
-	case riscv.CatJAL:
-		target := inst.Addr + uint64(inst.Imm)
-		it := &rItem{kind: itemOrig, inst: inst, origAddr: inst.Addr, size: 4}
-		it.inst.Compressed = false
-		if inst.Rd == riscv.X0 && intraStarts[target] {
-			it.hasIntra, it.intraTarget = true, target
-		} else {
-			it.hasExtern, it.externTarget = true, target
-		}
-		return []*rItem{it}, nil
-
-	case riscv.CatJALR:
+	case cat == riscv.CatJALR:
 		// Target comes from a register; the value was fixed up where it was
 		// produced (auipc rewriting below, or the patched jump table).
-		return []*rItem{{kind: itemOrig, inst: inst, origAddr: inst.Addr, size: inst.Size()}}, nil
-	}
-
-	if inst.Mn == riscv.MnAUIPC {
+	case inst.Mn == riscv.MnAUIPC:
 		// auipc computes pc-relative values; relocation changes pc, so
 		// rewrite it into an absolute materialization of the original value
 		// (rd ends up with exactly the same bits, so any paired lo12
 		// consumer — jalr, addi, loads — still works unchanged).
 		value := int64(inst.Addr) + inst.Imm<<12
-		seq := materializeAbs(inst.Rd, value)
-		items := make([]*rItem, len(seq))
-		for i, s := range seq {
-			it := &rItem{kind: itemOrig, inst: s, size: 4}
+		for i, s := range materializeAbs(inst.Rd, value) {
+			it := rItem{kind: itemCont, inst: s, size: 4}
 			if i == 0 {
-				it.origAddr = inst.Addr
+				it.kind, it.origAddr = itemOrig, inst.Addr
 			}
-			items[i] = it
+			items = append(items, it)
 		}
-		return items, nil
+		return items
 	}
-
-	return []*rItem{{kind: itemOrig, inst: inst, origAddr: inst.Addr, size: inst.Size()}}, nil
+	return append(items, it)
 }
 
 // MaterializeAbs builds a fixed-width (4-byte instructions) li sequence that

@@ -5,13 +5,14 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"rvdyn/internal/codegen"
 	"rvdyn/internal/dataflow"
 	"rvdyn/internal/elfrv"
 	"rvdyn/internal/obs"
+	"rvdyn/internal/par"
 	"rvdyn/internal/parse"
 	"rvdyn/internal/riscv"
 	"rvdyn/internal/snippet"
@@ -304,37 +305,6 @@ func (rw *Rewriter) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// forEach runs f(0..n-1) across the rewriter's worker pool. With one worker
-// (or one item) it degenerates to a plain loop on the calling goroutine.
-func (rw *Rewriter) forEach(n int, f func(int)) {
-	w := rw.workers()
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				f(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 func firstError(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
@@ -358,12 +328,25 @@ type PlanSet struct {
 // Funcs returns the number of planned functions.
 func (ps *PlanSet) Funcs() int { return len(ps.plans) }
 
-// Size returns the total patch-area bytes the plans will occupy — a stable
-// lower bound on the memory the set retains, used for cache accounting.
+// Size returns the total patch-area bytes the plans will occupy.
 func (ps *PlanSet) Size() uint64 {
 	var n uint64
 	for _, p := range ps.plans {
 		n += p.plan.Size
+	}
+	return n
+}
+
+// Footprint returns the heap bytes the set retains: each plan's code,
+// address pairs and fixups plus the plan headers. The parsed functions the
+// plans point to belong to the analysis and are not counted.
+func (ps *PlanSet) Footprint() uint64 {
+	n := uint64(cap(ps.plans)) * uint64(unsafe.Sizeof(&funcPlan{}))
+	for _, fp := range ps.plans {
+		p := fp.plan
+		n += uint64(unsafe.Sizeof(*fp)+unsafe.Sizeof(*p)) + uint64(cap(p.code)) +
+			uint64(cap(p.addrs))*uint64(unsafe.Sizeof(addrOff{})) +
+			uint64(cap(p.fixups))*uint64(unsafe.Sizeof(fixup{}))
 	}
 	return n
 }
@@ -393,7 +376,7 @@ func (rw *Rewriter) Plan() (*PlanSet, error) {
 	t := obs.StartTimer(rw.Trace, rw.TraceTID, "patch.plan", "patch")
 	plans := make([]*funcPlan, len(entries))
 	errs := make([]error, len(entries))
-	rw.forEach(len(entries), func(i int) {
+	par.ForEach(rw.workers(), len(entries), func(_, i int) {
 		plans[i], errs[i] = rw.planFunc(entries[i])
 	})
 	if err := firstError(errs); err != nil {
@@ -438,7 +421,7 @@ func (rw *Rewriter) RewriteWithPlans(ps *PlanSet) (*elfrv.File, error) {
 
 	trampBase := (imageEnd(rw.st) + 0xfff) &^ 0xfff
 	trampBase += 0x1000
-	var trampCode []byte
+	trampCode := make([]byte, 0, ps.Size())
 
 	// Work on shallow copies: layout and encode fill base and rel, and a
 	// cached PlanSet must stay immutable for concurrent replays.
@@ -463,7 +446,7 @@ func (rw *Rewriter) RewriteWithPlans(ps *PlanSet) (*elfrv.File, error) {
 
 	// Phase 3 — encode (parallel). Every plan now knows its base.
 	t = obs.StartTimer(rw.Trace, rw.TraceTID, "patch.encode", "patch")
-	rw.forEach(len(plans), func(i int) {
+	par.ForEach(rw.workers(), len(plans), func(_, i int) {
 		plans[i].rel, errs[i] = plans[i].plan.Encode(plans[i].base)
 	})
 	if err := firstError(errs); err != nil {

@@ -19,13 +19,13 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 
 	"rvdyn/internal/asm"
 	"rvdyn/internal/codegen"
 	"rvdyn/internal/elfrv"
 	"rvdyn/internal/obs"
+	"rvdyn/internal/par"
 	"rvdyn/internal/parse"
 	"rvdyn/internal/patch"
 	"rvdyn/internal/snippet"
@@ -271,32 +271,13 @@ func BatchAll(jobs []Job, opts Options) ([]*Result, []error, *Stats) {
 	}
 	innerOpts := opts
 	innerOpts.Jobs = inner
-	if width <= 1 {
-		for i, job := range jobs {
-			results[i], errs[i] = Instrument(job, opts, stats)
-		}
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for k := 0; k < width; k++ {
-			wg.Add(1)
-			// Each worker traces onto its own tid so concurrent jobs render
-			// as parallel rows rather than one interleaved mess.
-			workerOpts := innerOpts
-			workerOpts.TraceTID = opts.TraceTID + k
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(jobs) {
-						return
-					}
-					results[i], errs[i] = Instrument(jobs[i], workerOpts, stats)
-				}
-			}()
-		}
-		wg.Wait()
-	}
+	par.ForEach(width, len(jobs), func(k, i int) {
+		// Each worker traces onto its own tid so concurrent jobs render as
+		// parallel rows rather than one interleaved mess.
+		workerOpts := innerOpts
+		workerOpts.TraceTID = opts.TraceTID + k
+		results[i], errs[i] = Instrument(jobs[i], workerOpts, stats)
+	})
 	return results, errs, stats
 }
 

@@ -6,7 +6,8 @@ import "fmt"
 type form uint8
 
 const (
-	formR       form = iota // funct7 | rs2 | rs1 | funct3 | rd | opcode
+	formNone    form = iota // no 32-bit encoding: the zero value of an encTable slot
+	formR                   // funct7 | rs2 | rs1 | funct3 | rd | opcode
 	formR4                  // rs3 | fmt | rs2 | rs1 | rm | rd | opcode
 	formI                   // imm[11:0] | rs1 | funct3 | rd | opcode
 	formIShift              // shift-immediate variant of I (6-bit shamt)
@@ -58,7 +59,10 @@ const (
 	opFNMADD = 0b1001111
 )
 
-var encTable = map[Mnemonic]encSpec{
+// encTable holds each mnemonic's encoding, indexed by mnemonic so Encode
+// reads it without hashing; a slot whose form is formNone has none.
+// Extension modules fill their slots from init (see rva23.go).
+var encTable = [numMnemonics]encSpec{
 	MnLUI:   {form: formU, opcode: opLUI},
 	MnAUIPC: {form: formU, opcode: opAUIPC},
 	MnJAL:   {form: formJ, opcode: opJAL},
@@ -236,15 +240,24 @@ var encTable = map[Mnemonic]encSpec{
 // UnaryRegForm reports whether the mnemonic takes a single register source
 // (its rs2 field is a fixed selector): fsqrt, fcvt, fmv, fclass, lr.
 func UnaryRegForm(m Mnemonic) bool {
-	spec, ok := encTable[m]
+	spec, ok := lookupEnc(m)
 	return ok && spec.rs2fixed
 }
 
 // HasRoundingMode reports whether the mnemonic's funct3 field carries a
 // floating-point rounding mode.
 func HasRoundingMode(m Mnemonic) bool {
-	spec, ok := encTable[m]
+	spec, ok := lookupEnc(m)
 	return ok && spec.hasRM
+}
+
+// lookupEnc returns the encoding of m, if it has one.
+func lookupEnc(m Mnemonic) (encSpec, bool) {
+	if m >= numMnemonics {
+		return encSpec{}, false
+	}
+	spec := encTable[m]
+	return spec, spec.form != formNone
 }
 
 // LookupRoundingMode resolves an assembly rounding-mode name.
@@ -270,7 +283,7 @@ func LookupRoundingMode(name string) (uint8, bool) {
 // an error for unknown mnemonics or immediates that do not fit their field.
 // Compressed encoding is a separate, optional step: see Compress.
 func Encode(i Inst) (uint32, error) {
-	spec, ok := encTable[i.Mn]
+	spec, ok := lookupEnc(i.Mn)
 	if !ok {
 		return 0, fmt.Errorf("riscv: cannot encode %v", i.Mn)
 	}

@@ -162,7 +162,7 @@ func (i Inst) String() string {
 	if i.Rs3 != RegNone && i.Rs3 != 0 && isFMA(i.Mn) {
 		return fmt.Sprintf("%s %s, %s, %s, %s", name, i.Rd, i.Rs1, i.Rs2, i.Rs3)
 	}
-	if spec, ok := encTable[i.Mn]; ok {
+	if spec, ok := lookupEnc(i.Mn); ok {
 		switch spec.form {
 		case formI, formIShift, formIShiftW:
 			return fmt.Sprintf("%s %s, %s, %d", name, i.Rd, i.Rs1, i.Imm)

@@ -5,10 +5,12 @@ import (
 	"mime/multipart"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"sync"
 	"testing"
 
 	"rvdyn/internal/asm"
+	"rvdyn/internal/elfrv"
 	"rvdyn/internal/obs"
 	"rvdyn/internal/workload"
 )
@@ -119,6 +121,21 @@ func FuzzServeRequest(f *testing.F) {
 	}
 	f.Add(binBody(mutated), ctype)
 	f.Add(binBody(make([]byte, 64)), ctype)
+	// Function symbols whose st_size the file cannot back.
+	for _, size := range []uint64{1 << 62, 1 << 33} {
+		huge := *elfFile
+		huge.Symbols = slices.Clone(elfFile.Symbols)
+		for i := range huge.Symbols {
+			if huge.Symbols[i].Type == elfrv.STTFunc {
+				huge.Symbols[i].Size = size
+			}
+		}
+		raw, err := huge.Write()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(binBody(raw), ctype)
+	}
 	// Spec malformations: junk JSON, unknown field, unknown function,
 	// duplicate function, bad modes.
 	for _, spec := range []string{

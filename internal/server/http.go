@@ -96,68 +96,46 @@ func wantsPrometheus(r *http.Request) bool {
 // statusMetrics counts responses by status class and bytes moved.
 func statusMetrics(reg *obs.Registry, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		cw := &countingWriter{ResponseWriter: w, status: http.StatusOK}
+		cw := &countingWriter{ResponseWriter: w, reg: reg}
 		next.ServeHTTP(cw, r)
-		reg.Counter(fmt.Sprintf("server.http.%dxx", cw.status/100)).Inc()
+		if !cw.wroteHeader {
+			cw.WriteHeader(http.StatusOK)
+		}
 		reg.Counter("server.http.bytes_out").Add(uint64(cw.bytes))
 	})
 }
 
+// countingWriter counts the status class as the header goes out, so the
+// count is in place before the client can read the response.
 type countingWriter struct {
 	http.ResponseWriter
-	status int
-	bytes  int
+	reg         *obs.Registry
+	wroteHeader bool
+	bytes       int
 }
 
 func (w *countingWriter) WriteHeader(code int) {
-	w.status = code
+	if !w.wroteHeader {
+		w.wroteHeader = true
+		w.reg.Counter(fmt.Sprintf("server.http.%dxx", code/100)).Inc()
+	}
 	w.ResponseWriter.WriteHeader(code)
 }
 
 func (w *countingWriter) Write(b []byte) (int, error) {
+	if !w.wroteHeader {
+		w.WriteHeader(http.StatusOK)
+	}
 	n, err := w.ResponseWriter.Write(b)
 	w.bytes += n
 	return n, err
 }
 
 func handleInstrument(s *Service, opts HandlerOptions, w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, opts.MaxUploadBytes)
-	// The body cap is enforced by MaxBytesReader; the parse budget only
-	// decides what stays in memory. Passing the full upload cap here would
-	// let every in-flight request pin MaxUploadBytes of heap — parts beyond
-	// the memory budget spill to temp files instead, which RemoveAll below
-	// deletes at the end of the request.
-	if err := r.ParseMultipartForm(opts.MaxMemoryBytes); err != nil {
-		status := http.StatusBadRequest
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			status = http.StatusRequestEntityTooLarge
-		}
-		httpError(w, status, "parse multipart body: %v", err)
+	req, status, err := readInstrumentRequest(opts, w, r)
+	if err != nil {
+		httpError(w, status, "%v", err)
 		return
-	}
-	defer r.MultipartForm.RemoveAll()
-
-	var spec Spec
-	specText := r.FormValue("spec")
-	if specText != "" {
-		dec := json.NewDecoder(strings.NewReader(specText))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
-			httpError(w, http.StatusBadRequest, "decode spec: %v", err)
-			return
-		}
-	}
-
-	req := Request{Spec: spec, Source: r.FormValue("source")}
-	if file, _, err := r.FormFile("binary"); err == nil {
-		data, rerr := io.ReadAll(file)
-		file.Close()
-		if rerr != nil {
-			httpError(w, http.StatusBadRequest, "read binary part: %v", rerr)
-			return
-		}
-		req.Binary = data
 	}
 
 	resp, err := s.Instrument(req)
@@ -199,6 +177,45 @@ func handleInstrument(s *Service, opts HandlerOptions, w http.ResponseWriter, r 
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(resp.ELF)))
 	w.Write(resp.ELF)
+}
+
+// readInstrumentRequest decodes an /instrument multipart body. Parts beyond
+// the memory budget spill to temp files; they are removed before it returns,
+// so none outlives parsing and the cleanup is done before any response is
+// sent. On failure it returns the HTTP status to answer with.
+func readInstrumentRequest(opts HandlerOptions, w http.ResponseWriter, r *http.Request) (Request, int, error) {
+	r.Body = http.MaxBytesReader(w, r.Body, opts.MaxUploadBytes)
+	// The body cap is enforced by MaxBytesReader; the parse budget only
+	// decides what stays in memory. Passing the full upload cap here would
+	// let every in-flight request pin MaxUploadBytes of heap.
+	if err := r.ParseMultipartForm(opts.MaxMemoryBytes); err != nil {
+		status := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		return Request{}, status, fmt.Errorf("parse multipart body: %v", err)
+	}
+	defer r.MultipartForm.RemoveAll()
+
+	var spec Spec
+	if specText := r.FormValue("spec"); specText != "" {
+		dec := json.NewDecoder(strings.NewReader(specText))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(&spec); err != nil {
+			return Request{}, http.StatusBadRequest, fmt.Errorf("decode spec: %v", err)
+		}
+	}
+	req := Request{Spec: spec, Source: r.FormValue("source")}
+	if file, _, err := r.FormFile("binary"); err == nil {
+		data, rerr := io.ReadAll(file)
+		file.Close()
+		if rerr != nil {
+			return Request{}, http.StatusBadRequest, fmt.Errorf("read binary part: %v", rerr)
+		}
+		req.Binary = data
+	}
+	return req, http.StatusOK, nil
 }
 
 func httpError(w http.ResponseWriter, status int, format string, args ...any) {

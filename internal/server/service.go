@@ -424,9 +424,7 @@ func (a *livenessArtifact) CacheBytes() uint64 { return a.size }
 
 type planArtifact struct{ ps *patch.PlanSet }
 
-// CacheBytes scales the encoded patch-area size by the per-item bookkeeping
-// overhead of the plan representation.
-func (a *planArtifact) CacheBytes() uint64 { return a.ps.Size()*16 + 512 }
+func (a *planArtifact) CacheBytes() uint64 { return a.ps.Footprint() + 512 }
 
 type elfArtifact struct {
 	elf      []byte
