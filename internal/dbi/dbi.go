@@ -87,21 +87,12 @@ type Engine struct {
 	comp     *emu.DBIComp
 	deltaIdx map[emu.CompDelta]int
 
-	// iblBase is the inline-lookup table (above the var region); ibcBase
-	// is the per-site inline-cache region above it, ibcNext its slot
-	// cursor. ibcStubs maps a slot index (the dbi.jt site tag) back to
-	// its stub; jtSeen is the drain cursor into comp.JTProfN.
-	iblBase  uint64
-	ibcBase  uint64
-	ibcNext  uint64
-	ibcStubs []*exitStub
-	jtSeen   uint64
+	// iblBase is the inline-lookup table (above the var region).
+	iblBase uint64
 
-	// pubHits/pubIBCHits are the high-water marks of comp.IBLHits and
-	// comp.IBCHits already published to the obs counters (the CPU
-	// increments them; the engine diffs).
-	pubHits    uint64
-	pubIBCHits uint64
+	// pubHits is the high-water mark of comp.IBLHits already published to
+	// the obs counters (the CPU increments it; the engine diffs).
+	pubHits uint64
 
 	// drain is a probe-invalidated translation the PC was inside of when it
 	// died: its source bytes are unchanged, so the stale copy runs to its
@@ -159,8 +150,6 @@ func Attach(p *proc.Process, f *elfrv.File, opts Options) (*Engine, error) {
 		deltaIdx:  map[emu.CompDelta]int{},
 	}
 	e.iblBase = e.varBase + varRegionSize
-	e.ibcBase = e.iblBase + iblRegionSize
-	e.ibcNext = e.ibcBase
 	cpu := p.CPU()
 	comp := cpu.DBIComp
 	if comp == nil {
@@ -173,14 +162,9 @@ func Attach(p *proc.Process, f *elfrv.File, opts Options) (*Engine, error) {
 	comp.Deltas = comp.Deltas[:0]
 	e.comp = comp
 	e.pubHits = comp.IBLHits
-	e.pubIBCHits = comp.IBCHits
 	p.MapRegion(e.cacheBase, opts.CacheSize)
 	p.MapRegion(e.iblBase, iblRegionSize)
-	p.MapRegion(e.ibcBase, ibcRegionSize)
 	if err := e.iblZero(); err != nil {
-		return nil, err
-	}
-	if err := e.ibcZero(); err != nil {
 		return nil, err
 	}
 	return e, nil
@@ -393,12 +377,6 @@ func (e *Engine) run(budget uint64) (proc.Event, error) {
 		if err != nil {
 			return proc.Event{}, err
 		}
-		// Every re-entry drains the CPU-side target profile, so inline
-		// caches re-steer even when the guest never misses again (budget
-		// slices from a sampler are the steady-state drain cadence).
-		if err := e.drainJTProf(); err != nil {
-			return proc.Event{}, err
-		}
 		switch ev.Kind {
 		case proc.EventCodeWrite:
 			// The process stored into bytes some translation was built
@@ -426,66 +404,16 @@ func (e *Engine) run(budget uint64) (proc.Event, error) {
 	}
 }
 
-// publishHits forwards the CPU-side lookup hit counts (incremented by
-// dbi.jt retirements) to the obs counters. A hash-table hit also counts as
-// an inline-cache miss: the site's IBC compare ran and failed on the way
-// to the probe.
+// publishHits forwards the CPU-side lookup hit count (incremented by
+// dbi.jt retirements) to the obs counter.
 func (e *Engine) publishHits() {
 	if e.comp == nil {
 		return
 	}
 	if d := e.comp.IBLHits - e.pubHits; d != 0 {
 		e.obs.IBLHits.Add(d)
-		e.obs.IBCMisses.Add(d)
 		e.pubHits = e.comp.IBLHits
 	}
-	if d := e.comp.IBCHits - e.pubIBCHits; d != 0 {
-		e.obs.IBCHits.Add(d)
-		e.pubIBCHits = e.comp.IBCHits
-	}
-}
-
-// drainJTProf consumes the CPU-side (site, cache-target) samples recorded
-// since the last drain and feeds them to each site's inline-cache policy.
-// Samples whose target translation has since been invalidated (the cache
-// address no longer names a live entry) are dropped; if the ring lapped
-// the cursor, the lost oldest samples are simply forgotten.
-func (e *Engine) drainJTProf() error {
-	dc := e.comp
-	n := dc.JTProfN
-	if n == e.jtSeen {
-		return nil
-	}
-	start := e.jtSeen
-	if n-start > emu.JTProfSize {
-		start = n - emu.JTProfSize
-	}
-	e.jtSeen = n
-	var byCache map[uint64]*translation
-	for i := start; i < n; i++ {
-		s := dc.JTProf[i%emu.JTProfSize]
-		if int(s.Site) >= len(e.ibcStubs) {
-			continue
-		}
-		st := e.ibcStubs[s.Site]
-		if st == nil {
-			continue
-		}
-		if byCache == nil {
-			byCache = make(map[uint64]*translation, len(e.trans))
-			for _, t := range e.trans {
-				byCache[t.cache] = t
-			}
-		}
-		t := byCache[s.Cache]
-		if t == nil {
-			continue
-		}
-		if err := e.ibcNote(st, t.orig, t); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // lookup returns the live translation starting at orig, translating on
@@ -536,9 +464,6 @@ func (e *Engine) handleExit(st *exitStub) (done bool, ev proc.Event, err error) 
 		// next jump to this target hits in-cache.
 		e.obs.IndirectExits.Inc()
 		e.obs.IBLMisses.Inc()
-		if st.ibcSlot != 0 {
-			e.obs.IBCMisses.Inc()
-		}
 		e.comp.ExtraInstret += st.missFix.Insts
 		e.comp.ExtraCycles += st.missFix.Cycles
 		tgt := e.comp.Scratch[3]
@@ -552,9 +477,6 @@ func (e *Engine) handleExit(st *exitStub) (done bool, ev proc.Event, err error) 
 			return false, proc.Event{}, nil
 		}
 		if err := e.iblInsert(tgt, t); err != nil {
-			return false, proc.Event{}, err
-		}
-		if err := e.ibcNote(st, tgt, t); err != nil {
 			return false, proc.Event{}, err
 		}
 		e.p.SetPC(t.cache)
@@ -618,9 +540,6 @@ func (e *Engine) invalidateRange(addr, n uint64, codeWrite bool) error {
 			}
 		}
 		if err := e.iblSever(t); err != nil {
-			return err
-		}
-		if err := e.ibcSever(t); err != nil {
 			return err
 		}
 	}
@@ -708,12 +627,6 @@ func (e *Engine) flushAll() error {
 	if err := e.iblZero(); err != nil {
 		return err
 	}
-	if err := e.ibcZero(); err != nil {
-		return err
-	}
-	// Undrained profile samples reference the stubs that just died (and
-	// slot indices the rewound cursor will reuse): discard the backlog.
-	e.jtSeen = e.comp.JTProfN
 	e.obs.Flushes.Inc()
 	e.rearmWatch()
 	return nil

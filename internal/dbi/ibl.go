@@ -24,18 +24,6 @@ const (
 	iblEntrySize = 16
 	// iblRegionSize is the mapped table region.
 	iblRegionSize = iblEntries * iblEntrySize
-	// ibcEntries caps the per-site inline-cache slots (IBC): each
-	// translated jalr site owns one {orig, cache} pair it compares before
-	// the hash probe. Slot index 0 is reserved — it means "untagged" in
-	// the dbi.jt site field — so ibcEntries-1 sites get slots; sites past
-	// the cap fall back to hash-only lookup. A full flush reclaims every
-	// slot.
-	ibcEntries    = 1024
-	ibcRegionSize = ibcEntries * iblEntrySize
-	// ibcMaxTargets bounds the per-site target profile; targets past the
-	// cap are not counted (a site that polymorphic gains nothing from a
-	// one-entry cache anyway).
-	ibcMaxTargets = 16
 )
 
 // iblScratch picks the three caller-saved temporaries the lookup stub may
@@ -66,18 +54,6 @@ func iblScratch(rs1, rd riscv.Reg) [3]riscv.Reg {
 //	andi  sA, sA, -2                rd may alias rs1)
 //	[li rd, origNext]              link = ORIGINAL return address
 //	csrrw x0, 0x7C3, sA            stash target for the engine/dbi.jt
-//
-//	-- per-site inline cache (IBC), when a slot is available --
-//	li   sB, siteSlot              this jalr's private {orig, cache} pair
-//	ld   sC, 8(sB)                 slot.cache — loaded BEFORE slot.orig
-//	ld   sB, 0(sB)                 slot.orig
-//	bne  sB, sA, probe
-//	csrrw x0, 0x7C3, sC            IBC hit: stash slot.cache
-//	csrrs sA/sB/sC, 0x7C0..2, x0   restore scratch
-//	dbi.jt                          (IBC-marked delta)
-//
-// probe:
-//
 //	srli sB, sA, 1; andi sB, sB, 1023; slli sB, sB, 4
 //	li   sC, tableBase
 //	add  sB, sB, sC
@@ -89,18 +65,6 @@ func iblScratch(rs1, rd riscv.Reg) [3]riscv.Reg {
 //	dbi.jt                          jump to 0x7C3, apply the hit delta
 //
 // miss:	csrrs ×3 restore; ebreak   engine resolves via 0x7C3 + missFix
-//
-// The IBC rung is the profile-guided fast path: the site's slot holds the
-// single hottest observed target, so the hot case pays one direct-addressed
-// compare instead of the hash-index arithmetic. The profile comes from two
-// feeds — the target the engine resolves on each miss round trip, and the
-// DBIComp.JTProf ring the CPU fills on every tagged dbi.jt retirement (both
-// dbi.jt markers of a site carry its slot index in their rd/rs1 fields,
-// which are architecturally dead there). The engine drains the ring at each
-// re-entry and re-steers any slot whose installed target has been outcounted,
-// so a site that warms up on a minority target converges to its majority
-// one. A polymorphic site's other targets miss the IBC compare and resolve
-// through the shared table as before.
 //
 // The cache field is read before the orig field on purpose: a budget stop
 // can park the guest between the two loads, and the engine may sever or
@@ -115,7 +79,7 @@ func iblScratch(rs1, rd riscv.Reg) [3]riscv.Reg {
 // The zero entry makes a jalr to address 0 "hit" with cache address 0 —
 // the next fetch faults at PC 0 exactly as the native wild jump would,
 // with the compensation already exact at that boundary.
-func (e *Engine) emitIBL(in riscv.Inst, emit func(riscv.Inst) error, stub func(exitStub) *exitStub, base func() uint64) error {
+func (e *Engine) emitIBL(in riscv.Inst, emit func(riscv.Inst) error, stub func(exitStub) *exitStub) error {
 	s := iblScratch(in.Rs1, in.Rd)
 	sA, sB, sC := s[0], s[1], s[2]
 	reg := func(mn riscv.Mnemonic, rd, rs1, rs2 riscv.Reg, imm int64) riscv.Inst {
@@ -142,32 +106,14 @@ func (e *Engine) emitIBL(in riscv.Inst, emit func(riscv.Inst) error, stub func(e
 	}
 	pre = append(pre, save(0x7C3, sA))
 
-	// The hit tail (shared shape for both rungs): stash the translated
-	// target and restore scratch; the dbi.jt follows.
+	// The hit tail: stash the translated target and restore scratch; the
+	// dbi.jt follows.
 	hit := []riscv.Inst{
 		save(0x7C3, sC),
 		restore(sA, 0x7C0), restore(sB, 0x7C1), restore(sC, 0x7C2),
 	}
-	// A failed compare hops over the hit tail + dbi.jt to the next rung.
-	hop := int64(len(hit)+2) * 4
 
-	// Per-site inline cache: compare this jalr's private pair first.
-	ibcSlot := e.ibcAlloc()
-	var site uint16 // slot index, the dbi.jt profile tag (0: untagged)
-	if ibcSlot != 0 {
-		site = uint16((ibcSlot - e.ibcBase) / iblEntrySize)
-	}
-	var ibc []riscv.Inst
-	if ibcSlot != 0 {
-		ibc = append(ibc, patch.MaterializeAbs(sB, int64(ibcSlot))...)
-		ibc = append(ibc,
-			reg(riscv.MnLD, sC, sB, riscv.RegNone, 8), // slot.cache first — see above
-			reg(riscv.MnLD, sB, sB, riscv.RegNone, 0), // slot.orig
-			reg(riscv.MnBNE, riscv.RegNone, sB, sA, hop),
-		)
-	}
-
-	// Hash probe rung.
+	// Hash probe; a failed compare hops over the hit tail + dbi.jt.
 	probe := []riscv.Inst{
 		reg(riscv.MnSRLI, sB, sA, riscv.RegNone, 1),
 		reg(riscv.MnANDI, sB, sB, riscv.RegNone, iblEntries-1),
@@ -178,102 +124,41 @@ func (e *Engine) emitIBL(in riscv.Inst, emit func(riscv.Inst) error, stub func(e
 		reg(riscv.MnADD, sB, sB, sC, 0),
 		reg(riscv.MnLD, sC, sB, riscv.RegNone, 8), // entry.cache first — see above
 		reg(riscv.MnLD, sB, sB, riscv.RegNone, 0), // entry.orig
-		reg(riscv.MnBNE, riscv.RegNone, sB, sA, hop),
+		reg(riscv.MnBNE, riscv.RegNone, sB, sA, int64(len(hit)+2)*4),
 	)
 	miss := []riscv.Inst{restore(sA, 0x7C0), restore(sB, 0x7C1), restore(sC, 0x7C2)}
 
 	jalrCost := e.cost(in.Mn)
-	jtCost := e.cost(riscv.MnDBIJT)
-	penalty := int64(e.p.CPU().Model.BranchTakenPenalty)
 	preN, preC := int64(len(pre)), e.sumCost(pre)
-	ibcN, ibcC := int64(len(ibc)), e.sumCost(ibc)
-	hitN, hitC := int64(len(hit)), e.sumCost(hit)
 	probeN, probeC := int64(len(probe)), e.sumCost(probe)
-	missN, missC := int64(len(miss)), e.sumCost(miss)
-	var ibcPen int64
-	if ibcN > 0 {
-		ibcPen = penalty // the IBC bne taken on the way past the site cache
-	}
 
-	// Hash-hit path: pre + a failed IBC compare + probe (bne not taken) +
-	// hit tail + the dbi.jt itself retire against the one native jalr.
-	iblIdx, err := e.allocDelta(emu.CompDelta{
-		Insts:  preN + ibcN + probeN + hitN + 1 - 1,
-		Cycles: preC + ibcC + ibcPen + probeC + hitC + jtCost - jalrCost,
-		JT:     emu.DBIJTIBL,
+	// Hit path: pre + probe (bne not taken) + hit tail + the dbi.jt itself
+	// retire against the one native jalr.
+	hitIdx, err := e.allocDelta(emu.CompDelta{
+		Insts:  preN + probeN + int64(len(hit)) + 1 - 1,
+		Cycles: preC + probeC + e.sumCost(hit) + e.cost(riscv.MnDBIJT) - jalrCost,
 	})
 	if err != nil {
 		return err
 	}
-	// Miss path: both compares taken, then the restore tail; the CPU stops
+	// Miss path: the compare taken, then the restore tail; the CPU stops
 	// before the ebreak and the engine applies this fixup.
 	missFix := emu.CompDelta{
-		Insts:  preN + ibcN + probeN + missN - 1,
-		Cycles: preC + ibcC + ibcPen + probeC + penalty + missC - jalrCost,
+		Insts: preN + probeN + int64(len(miss)) - 1,
+		Cycles: preC + probeC + int64(e.p.CPU().Model.BranchTakenPenalty) +
+			e.sumCost(miss) - jalrCost,
 	}
 
-	emitAll := func(ms []riscv.Inst) error {
-		for _, m := range ms {
+	jt := riscv.Inst{Mn: riscv.MnDBIJT, Rd: riscv.X0, Rs1: riscv.X0,
+		Rs2: riscv.RegNone, Rs3: riscv.RegNone, Imm: int64(hitIdx) - 2048}
+	for _, part := range [][]riscv.Inst{pre, probe, hit, {jt}, miss} {
+		for _, m := range part {
 			if err := emit(m); err != nil {
 				return err
 			}
 		}
-		return nil
 	}
-	jt := func(idx int) error {
-		// rd/rs1 are dead at the dbi.jt (scratch is restored); they carry
-		// the site tag for the CPU-side target profile.
-		return emit(riscv.Inst{Mn: riscv.MnDBIJT,
-			Rd: riscv.Reg(site & 31), Rs1: riscv.Reg(site >> 5),
-			Rs2: riscv.RegNone, Rs3: riscv.RegNone, Imm: int64(idx) - 2048})
-	}
-
-	if err := emitAll(pre); err != nil {
-		return err
-	}
-	var ibcLo, ibcHi uint64
-	if ibcN > 0 {
-		// IBC-hit path: pre + compare (bne not taken) + hit tail + dbi.jt.
-		ibcIdx, err := e.allocDelta(emu.CompDelta{
-			Insts:  preN + ibcN + hitN + 1 - 1,
-			Cycles: preC + ibcC + hitC + jtCost - jalrCost,
-			JT:     emu.DBIJTIBC,
-		})
-		if err != nil {
-			return err
-		}
-		ibcLo = base()
-		if err := emitAll(ibc); err != nil {
-			return err
-		}
-		if err := emitAll(hit); err != nil {
-			return err
-		}
-		if err := jt(ibcIdx); err != nil {
-			return err
-		}
-		ibcHi = base()
-	}
-	if err := emitAll(probe); err != nil {
-		return err
-	}
-	if err := emitAll(hit); err != nil {
-		return err
-	}
-	if err := jt(iblIdx); err != nil {
-		return err
-	}
-	if err := emitAll(miss); err != nil {
-		return err
-	}
-	st := stub(exitStub{kind: stubIndirect})
-	st.missFix = missFix
-	st.ibcSlot = ibcSlot
-	st.ibcIdx = site
-	st.ibcLo, st.ibcHi = ibcLo, ibcHi
-	if site != 0 {
-		e.ibcStubs[site] = st
-	}
+	stub(exitStub{kind: stubIndirect, missFix: missFix})
 	return nil
 }
 
@@ -308,89 +193,4 @@ func (e *Engine) iblSever(t *translation) error {
 // iblZero clears the whole lookup table (attach and full flush).
 func (e *Engine) iblZero() error {
 	return e.p.WriteMem(e.iblBase, make([]byte, iblRegionSize))
-}
-
-// ibcAlloc hands out the next per-site inline-cache slot address, or 0 when
-// the region is exhausted (the site then emits a hash-only stub). Slots of
-// invalidated translations leak until the next full flush — acceptable,
-// since a flush is also the only event that reuses cache addresses.
-func (e *Engine) ibcAlloc() uint64 {
-	if e.ibcNext+iblEntrySize > e.ibcBase+ibcRegionSize {
-		return 0
-	}
-	a := e.ibcNext
-	e.ibcNext += iblEntrySize
-	return a
-}
-
-// ibcNote feeds one resolved (site, target) observation into the site's
-// profile and steers the slot toward the argmax: an empty slot takes the
-// target immediately (count 1 beats nothing); a filled slot is rewritten
-// only when the new target has strictly outcounted the installed one, so a
-// site that warmed up on a minority target (the first return out of a deep
-// recursion, say) converges to its majority target while a genuinely
-// monomorphic site never rewrites at all.
-//
-// The one unsafe moment for a rewrite is the guest parked inside this
-// site's own compare sequence with slot.cache already loaded: replacing
-// the pair would let the resumed compare match the new orig and jump to
-// the stale cache word. Installs are deferred (counts kept) while the PC
-// is in [ibcLo, ibcHi); every other site's compare reads different memory,
-// and sever's zeroing is safe in that window because a zero orig never
-// matches.
-func (e *Engine) ibcNote(st *exitStub, tgt uint64, t *translation) error {
-	if st.ibcSlot == 0 {
-		return nil
-	}
-	if st.ibcCounts == nil {
-		st.ibcCounts = make(map[uint64]uint32, 4)
-	}
-	if _, ok := st.ibcCounts[tgt]; !ok && len(st.ibcCounts) >= ibcMaxTargets {
-		return nil
-	}
-	st.ibcCounts[tgt]++
-	if st.ibcFilled && (tgt == st.ibcTarget || st.ibcCounts[tgt] <= st.ibcCounts[st.ibcTarget]) {
-		return nil
-	}
-	if pc := e.p.PC(); pc >= st.ibcLo && pc < st.ibcHi {
-		return nil
-	}
-	var b [iblEntrySize]byte
-	binary.LittleEndian.PutUint64(b[0:], tgt)
-	binary.LittleEndian.PutUint64(b[8:], t.cache)
-	if err := e.p.WriteMem(st.ibcSlot, b[:]); err != nil {
-		return err
-	}
-	st.ibcFilled = true
-	st.ibcTarget = tgt
-	t.ibcSites = append(t.ibcSites, st)
-	return nil
-}
-
-// ibcSever zeroes every site slot caching t and re-arms those sites for
-// reinstall on their next observation. The target profiles survive, so
-// even if the first reinstall grabs a minority arrival, the standing
-// counts out-vote it as soon as the majority target is observed again.
-func (e *Engine) ibcSever(t *translation) error {
-	var zero [iblEntrySize]byte
-	for _, st := range t.ibcSites {
-		if err := e.p.WriteMem(st.ibcSlot, zero[:]); err != nil {
-			return err
-		}
-		st.ibcFilled = false
-		st.ibcTarget = 0
-	}
-	t.ibcSites = nil
-	return nil
-}
-
-// ibcZero clears the whole site-cache region, rewinds the slot cursor past
-// the reserved index-0 slot, and drops the site registry (attach and full
-// flush — every stub dies with the cache, so no site keeps a stale slot
-// address, and any undrained profile samples are discarded by the caller
-// advancing jtSeen).
-func (e *Engine) ibcZero() error {
-	e.ibcNext = e.ibcBase + iblEntrySize
-	e.ibcStubs = make([]*exitStub, ibcEntries)
-	return e.p.WriteMem(e.ibcBase, make([]byte, ibcRegionSize))
 }

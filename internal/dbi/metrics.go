@@ -30,12 +30,6 @@ type Metrics struct {
 	// severed entry after invalidation) — each one is an engine round trip
 	// that refills the lookup table.
 	IBLMisses *obs.Counter
-	// IBCHits counts indirect jumps resolved by a site's private inline
-	// cache — one direct compare, no hash probe; IBCMisses counts lookups
-	// that fell past the site cache (into the hash table or the engine).
-	// hits/(hits+misses) is the monomorphic hit ratio.
-	IBCHits   *obs.Counter
-	IBCMisses *obs.Counter
 	// ProbeRemovals counts probes detached mid-run; each removal patches
 	// the probe body out of every live translation in place, without a
 	// cache flush.
@@ -59,8 +53,6 @@ func NewMetrics(r *obs.Registry) Metrics {
 		IndirectExits: r.Counter("emu.dbi.indirect_exits"),
 		IBLHits:       r.Counter("emu.dbi.ibl.hits"),
 		IBLMisses:     r.Counter("emu.dbi.ibl.misses"),
-		IBCHits:       r.Counter("emu.dbi.ibc.hits"),
-		IBCMisses:     r.Counter("emu.dbi.ibc.misses"),
 		ProbeRemovals: r.Counter("emu.dbi.probe_removals"),
 		Flushes:       r.Counter("emu.dbi.flushes"),
 		Probes:        r.Counter("emu.dbi.probes"),

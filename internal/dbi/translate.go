@@ -54,23 +54,6 @@ type exitStub struct {
 	// committed it, along with the link register, before the miss exit).
 	resume uint64
 
-	// ibcSlot is the stubIndirect site's private inline-cache pair address
-	// (0: none — the region was exhausted) and ibcIdx its slot index, the
-	// site tag the stub's dbi.jt markers carry into the target profile.
-	// ibcFilled/ibcTarget track what the slot currently holds, host-side,
-	// so the install policy and severing need no guest reads; ibcCounts is
-	// the per-target observation count the profile accumulates (engine
-	// round trips plus drained dbi.jt samples), and the slot is steered to
-	// its argmax. ibcLo/ibcHi bound the emitted compare sequence in the
-	// cache: the engine must not rewrite the slot while the guest is
-	// parked inside it with one of the pair's words already loaded.
-	ibcSlot      uint64
-	ibcIdx       uint16
-	ibcLo, ibcHi uint64
-	ibcFilled    bool
-	ibcTarget    uint64
-	ibcCounts    map[uint64]uint32
-
 	from    *translation
 	chained bool
 }
@@ -103,10 +86,8 @@ type translation struct {
 	incoming []uint64
 	// iblSlots lists lookup-table slots holding entries that target this
 	// translation; invalidation zeroes them (sever) so stale cache
-	// addresses are unreachable. ibcSites lists the jalr sites whose
-	// inline cache pairs point here, severed the same way.
+	// addresses are unreachable.
 	iblSlots []uint64
-	ibcSites []*exitStub
 	dead     bool
 }
 
@@ -312,7 +293,7 @@ func (e *Engine) translate(orig uint64) (*translation, error) {
 					return err
 				}
 			case in.Cat() == riscv.CatJALR:
-				if err := e.emitIBL(in, emit, stub, base); err != nil {
+				if err := e.emitIBL(in, emit, stub); err != nil {
 					return err
 				}
 			case in.Mn == riscv.MnEBREAK:

@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"rvdyn/internal/asm"
+	"rvdyn/internal/elfrv"
 	"rvdyn/internal/emu"
 	"rvdyn/internal/obs"
 	"rvdyn/internal/proc"
+	"rvdyn/internal/riscv"
 	"rvdyn/internal/snippet"
 	"rvdyn/internal/workload"
 )
@@ -156,82 +158,102 @@ func TestDBICounterVirtualizationBudgetStops(t *testing.T) {
 }
 
 // TestDBIIBLHitRatio pins the inline-lookup payoff on the recursive fib
-// workload: at least 90%% of former indirect engine exits must be absorbed
-// by in-cache lookup hits.
+// workload: at least 90% of indirect transfers resolve in-cache, every
+// transfer is exactly one lookup hit or one miss, and every miss is one
+// engine round trip. The run repeats under a single Continue and in budget
+// slices of several lengths (down to single steps, which park the guest
+// inside lookup stubs): neither the lookup counters nor the raw machine
+// counters may depend on where the engine is re-entered.
 func TestDBIIBLHitRatio(t *testing.T) {
 	f, err := asm.Assemble(workload.FibSource, asm.Options{})
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	reg := obs.NewRegistry()
-	o := observeDBI(t, f, nil, reg)
-	if o.ExitCode != workload.FibExpected {
-		t.Fatalf("exit %d, want %d", o.ExitCode, workload.FibExpected)
-	}
-	hits := reg.Counter("emu.dbi.ibl.hits").Load()
-	misses := reg.Counter("emu.dbi.ibl.misses").Load()
-	if hits+misses == 0 {
-		t.Fatal("no indirect branches at all — fib's returns vanished")
-	}
-	if ratio := float64(hits) / float64(hits+misses); ratio < 0.90 {
-		t.Errorf("IBL absorbed %.1f%% of indirect exits (hits=%d misses=%d), want >= 90%%",
-			ratio*100, hits, misses)
-	}
-	if ie := reg.Counter("emu.dbi.indirect_exits").Load(); ie != misses {
-		t.Errorf("indirect_exits=%d != ibl.misses=%d — with inline lookup they must coincide", ie, misses)
-	}
-}
-
-// TestDBIIBCHitRatio pins the per-site inline cache's payoff on fib, whose
-// single ret site is polymorphic (it returns into two recursive call sites
-// plus main). Driven in budget slices — the cadence a sampling profiler
-// imposes — the engine drains the dbi.jt target profile at every re-entry
-// and steers the slot to the majority target, so the one-compare fast path
-// must absorb at least half of all indirect transfers. (First-install
-// instead of profile-guided steering measures ~19% here.)
-func TestDBIIBCHitRatio(t *testing.T) {
-	f, err := asm.Assemble(workload.FibSource, asm.Options{})
-	if err != nil {
-		t.Fatalf("assemble: %v", err)
-	}
-	p, err := proc.Launch(f, emu.P550())
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := obs.NewRegistry()
-	e, err := Attach(p, f, Options{Obs: NewMetrics(reg)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for {
-		ev, err := e.ContinueBudget(500)
+	want := nativeIndirectJumps(t, f)
+	type result struct{ hits, misses, instret, cycles uint64 }
+	var whole result
+	for _, slice := range []uint64{0, 1, 7, 500, 10_000} {
+		p, err := proc.Launch(f, emu.P550())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ev.Kind == proc.EventExit {
-			if ev.ExitCode != workload.FibExpected {
-				t.Fatalf("exit %d, want %d", ev.ExitCode, workload.FibExpected)
+		reg := obs.NewRegistry()
+		e, err := Attach(p, f, Options{Obs: NewMetrics(reg)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for {
+			ev, err := e.ContinueBudget(slice)
+			if err != nil {
+				t.Fatalf("slice %d: %v", slice, err)
 			}
-			break
+			if ev.Kind == proc.EventExit {
+				if ev.ExitCode != workload.FibExpected {
+					t.Fatalf("slice %d: exit %d, want %d", slice, ev.ExitCode, workload.FibExpected)
+				}
+				break
+			}
+			if ev.Kind != proc.EventBudget {
+				t.Fatalf("slice %d: stopped with %+v", slice, ev)
+			}
 		}
-		if ev.Kind != proc.EventBudget {
-			t.Fatalf("slice ended with %+v", ev)
+		r := result{
+			hits:    reg.Counter("emu.dbi.ibl.hits").Load(),
+			misses:  reg.Counter("emu.dbi.ibl.misses").Load(),
+			instret: p.CPU().Instret,
+			cycles:  p.CPU().Cycles,
+		}
+		if r.hits+r.misses != want {
+			t.Errorf("slice %d: ibl.hits+ibl.misses = %d+%d, native run retired %d indirect jumps",
+				slice, r.hits, r.misses, want)
+		}
+		if ratio := float64(r.hits) / float64(want); ratio < 0.90 {
+			t.Errorf("slice %d: IBL absorbed %.1f%% of indirect transfers (hits=%d misses=%d), want >= 90%%",
+				slice, ratio*100, r.hits, r.misses)
+		}
+		if ie := reg.Counter("emu.dbi.indirect_exits").Load(); ie != r.misses {
+			t.Errorf("slice %d: indirect_exits=%d != ibl.misses=%d — with inline lookup they must coincide",
+				slice, ie, r.misses)
+		}
+		if slice == 0 {
+			whole = r
+		} else if r != whole {
+			t.Errorf("slice %d: hits/misses/raw instret/raw cycles %v, single Continue %v", slice, r, whole)
 		}
 	}
-	hits := reg.Counter("emu.dbi.ibc.hits").Load()
-	misses := reg.Counter("emu.dbi.ibc.misses").Load()
-	if hits+misses == 0 {
-		t.Fatal("no indirect branches at all — fib's returns vanished")
+}
+
+// nativeIndirectJumps counts the jalr instructions a native run of f
+// retires, decoding each instruction before stepping it.
+func nativeIndirectJumps(t *testing.T, f *elfrv.File) uint64 {
+	t.Helper()
+	c, err := emu.New(f, emu.P550())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if ratio := float64(hits) / float64(hits+misses); ratio < 0.50 {
-		t.Errorf("IBC absorbed %.1f%% of indirect transfers (hits=%d misses=%d), want >= 50%%",
-			ratio*100, hits, misses)
-	}
-	// Every hash-table hit is by definition an IBC miss that fell through;
-	// the engine round trips are the remainder.
-	if ibl := reg.Counter("emu.dbi.ibl.hits").Load(); ibl+reg.Counter("emu.dbi.ibl.misses").Load() != misses {
-		t.Errorf("ibc.misses=%d != ibl.hits+ibl.misses=%d", misses,
-			ibl+reg.Counter("emu.dbi.ibl.misses").Load())
+	var n uint64
+	for {
+		b, err := c.ReadMem(c.PC, 2)
+		if err == nil && b[0]&3 == 3 {
+			b, err = c.ReadMem(c.PC, 4)
+		}
+		if err != nil {
+			t.Fatalf("fetch at %#x: %v", c.PC, err)
+		}
+		in, err := riscv.Decode(b, c.PC)
+		if err != nil {
+			t.Fatalf("decode at %#x: %v", c.PC, err)
+		}
+		if in.Cat() == riscv.CatJALR {
+			n++
+		}
+		switch r := c.Step(); r {
+		case emu.StopExit:
+			return n
+		case emu.StopMaxInst:
+		default:
+			t.Fatalf("native run stopped with %v (%v)", r, c.LastTrap())
+		}
 	}
 }
 

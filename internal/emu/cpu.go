@@ -693,10 +693,9 @@ func (c *CPU) exec(inst *riscv.Inst) (stop bool, err error) {
 
 // dbiJT retires an inline-lookup transfer (xdbi dbi.jt) and returns its
 // target: the translated cache address the lookup stub stashed in scratch
-// CSR 0x7C3. It applies the stub's compensation delta, buckets the hit as
-// IBC or IBL, and feeds the site's target profile. Only valid inside a DBI
-// code cache. Every dispatch tier retires dbi.jt through here, so its
-// semantics live in one place.
+// CSR 0x7C3. It applies the stub's compensation delta and counts the hash
+// hit. Only valid inside a DBI code cache. Every dispatch tier retires
+// dbi.jt through here, so its semantics live in one place.
 func (c *CPU) dbiJT(inst *riscv.Inst) (uint64, error) {
 	dc := c.DBIComp
 	if dc == nil {
@@ -705,18 +704,7 @@ func (c *CPU) dbiJT(inst *riscv.Inst) (uint64, error) {
 	if !dc.apply(inst.Imm + 2048) {
 		return 0, fmt.Errorf("emu: dbi.jt with unallocated delta %d at %#x", inst.Imm, inst.Addr)
 	}
-	if dc.Deltas[inst.Imm+2048].JT == DBIJTIBC {
-		dc.IBCHits++
-	} else {
-		dc.IBLHits++
-	}
-	// The rd/rs1 fields carry the site's inline-cache slot index (the
-	// registers themselves are dead here — the stub restored the guest set
-	// before the dbi.jt); tagged sites feed the target profile.
-	if site := uint16(inst.Rd&31) | uint16(inst.Rs1&31)<<5; site != 0 {
-		dc.JTProf[dc.JTProfN%JTProfSize] = JTSample{Site: site, Cache: dc.Scratch[3]}
-		dc.JTProfN++
-	}
+	dc.IBLHits++
 	return dc.Scratch[3], nil
 }
 

@@ -9,21 +9,7 @@ package emu
 type CompDelta struct {
 	Insts  int64
 	Cycles int64
-	// JT classifies the dbi.jt this delta belongs to, so the CPU can bucket
-	// in-cache indirect-branch resolutions without extra cache-resident
-	// state: DBIJTIBL for hash-table lookup hits, DBIJTIBC for per-site
-	// inline-cache hits, zero for everything else (dbi.acc deltas). Part of
-	// the comparable key on purpose — otherwise interning could fold an IBC
-	// delta into an IBL one with identical costs.
-	JT uint8
 }
-
-// CompDelta.JT values.
-const (
-	DBIJTNone uint8 = iota
-	DBIJTIBL
-	DBIJTIBC
-)
 
 // DBIComp is the per-CPU counter-compensation state a DBI engine installs
 // at attach time (CPU.DBIComp). It accumulates the translated run's
@@ -49,11 +35,8 @@ type DBIComp struct {
 	ExtraCycles  int64
 
 	// IBLHits counts inline-lookup stubs that resolved their target through
-	// the hash table (dbi.jt retirements with an IBL-marked delta) without
-	// an engine round trip; IBCHits counts resolutions one rung faster —
-	// the per-site inline cache matched and the hash probe never ran.
+	// the hash table (dbi.jt retirements) without an engine round trip.
 	IBLHits uint64
-	IBCHits uint64
 
 	// Scratch backs the custom CSRs 0x7C0..0x7C3. The lookup stubs use
 	// 0x7C0–0x7C2 for register save/restore and 0x7C3 for the original
@@ -63,28 +46,6 @@ type DBIComp struct {
 	// Deltas is the compensation table dbi.acc/dbi.jt index into via their
 	// 12-bit immediate (index = imm + 2048, capacity 4096).
 	Deltas []CompDelta
-
-	// JTProf is a ring of recent inline-resolved indirect transfers, the
-	// profile feed for the engine's per-site inline-cache policy. Every
-	// dbi.jt retirement whose rd/rs1 fields carry a nonzero site tag
-	// appends one sample; the engine drains the ring at each re-entry
-	// (stub miss, budget stop) and steers each site's cached pair toward
-	// its hottest target. JTProfN is monotonic; the ring index is
-	// JTProfN % JTProfSize, and a slow-draining engine simply loses the
-	// oldest samples (the profile is approximate by design).
-	JTProf  [JTProfSize]JTSample
-	JTProfN uint64
-}
-
-// JTProfSize is the JTProf ring capacity.
-const JTProfSize = 256
-
-// JTSample is one JTProf entry: which jalr site resolved (by its inline-
-// cache slot index, 0 = untagged) and the translated cache address it
-// jumped to — the engine maps that back to the target translation.
-type JTSample struct {
-	Site  uint16
-	Cache uint64
 }
 
 // dbiScratchBase is the first DBI scratch CSR: DBIComp.Scratch[i] backs

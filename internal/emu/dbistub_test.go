@@ -32,9 +32,8 @@ jt:
 
 const stubLoopLen = 10
 
-// newStubLoop assembles stubLoopSource, plants the dbi.jt (delta 0, site
-// tag 1 so the target-profile ring is exercised too), and attaches a
-// DBIComp.
+// newStubLoop assembles stubLoopSource, plants the dbi.jt (delta 0), and
+// attaches a DBIComp.
 func newStubLoop(t *testing.T) *CPU {
 	t.Helper()
 	f, err := asm.Assemble(stubLoopSource, asm.Options{NoCompress: true})
@@ -49,7 +48,7 @@ func newStubLoop(t *testing.T) *CPU {
 	if !ok {
 		t.Fatal("no jt symbol")
 	}
-	enc, err := riscv.EncodeBytes(riscv.Inst{Mn: riscv.MnDBIJT, Rd: riscv.X1, Rs1: riscv.X0,
+	enc, err := riscv.EncodeBytes(riscv.Inst{Mn: riscv.MnDBIJT, Rd: riscv.X0, Rs1: riscv.X0,
 		Rs2: riscv.RegNone, Rs3: riscv.RegNone, Imm: -2048})
 	if err != nil {
 		t.Fatalf("encode dbi.jt: %v", err)
@@ -57,7 +56,7 @@ func newStubLoop(t *testing.T) *CPU {
 	if err := c.WriteMem(jt.Value, enc); err != nil {
 		t.Fatal(err)
 	}
-	c.DBIComp = &DBIComp{Deltas: []CompDelta{{Insts: 1, Cycles: 2, JT: DBIJTIBL}}}
+	c.DBIComp = &DBIComp{Deltas: []CompDelta{{Insts: 1, Cycles: 2}}}
 	return c
 }
 

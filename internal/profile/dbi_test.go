@@ -71,19 +71,36 @@ func TestProfileDBIParity(t *testing.T) {
 }
 
 // TestProfileDBIRecursion repeats the recursion count check through the
-// dynamic engine: 465 fib calls, exactly as the static profiler counts.
+// dynamic engine: 465 fib calls, exactly as the static profiler counts. It
+// also pins the totals `rvdyn dbirun fib` and `dbirun -novirt fib` report:
+// the native 4,879 instructions / 7,118 cycles when virtualized, and the
+// raw 21,608 / 43,833 the cache retires (translation, lookup stubs and the
+// probe included). README and EXPERIMENTS.md quote these figures; a change
+// to the translated code shape must update them.
 func TestProfileDBIRecursion(t *testing.T) {
 	f, err := asm.Assemble(workload.FibSource, asm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := RunDBI(f, Options{Funcs: []string{"fib"}, Mode: codegen.ModeDeadRegister})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rep.Rows {
-		if r.Name == "fib" && r.Calls != 465 {
-			t.Errorf("fib calls = %d, want 465", r.Calls)
+	for _, tc := range []struct {
+		raw           bool
+		insts, cycles uint64
+	}{
+		{false, 4879, 7118},
+		{true, 21608, 43833},
+	} {
+		rep, err := RunDBI(f, Options{Funcs: []string{"fib"}, Mode: codegen.ModeDeadRegister, NoCounterVirt: tc.raw})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rep.Rows {
+			if r.Name == "fib" && r.Calls != 465 {
+				t.Errorf("raw=%v: fib calls = %d, want 465", tc.raw, r.Calls)
+			}
+		}
+		if rep.TotalInsts != tc.insts || rep.TotalCycles != tc.cycles {
+			t.Errorf("raw=%v: %d instructions / %d cycles, want %d / %d",
+				tc.raw, rep.TotalInsts, rep.TotalCycles, tc.insts, tc.cycles)
 		}
 	}
 }

@@ -18,6 +18,7 @@ package riscv
 //	    the translated cache address stashed in DBIComp scratch CSR 0x7C3,
 //	    after applying the delta indexed by imm+2048. Classified CatJALR
 //	    (it IS an indirect jump) but dispatched by value in the emulator.
+//	    rd/rs1 are ignored (encoded as x0).
 //
 // Outside a DBI-attached CPU (DBIComp == nil) both instructions fault like
 // any unimplemented custom opcode, so native runs are unaffected.
