@@ -41,7 +41,8 @@ func Components() []Component {
 		{Name: "oracle", Role: "differential-execution oracle (QEMU/hardware cross-check substitute)", Uses: []string{
 			"asm", "codegen", "core", "elfrv", "emu", "riscv", "snippet"}, Substrate: true},
 		{Name: "dbi", Role: "dynamic binary instrumentation engine (code-cache translation on a live process)", Uses: []string{
-			"codegen", "elfrv", "emu", "obs", "parse", "patch", "proc", "riscv", "snippet"}},
+			"codegen", "dataflow", "elfrv", "emu", "obs", "parse", "patch", "proc", "riscv",
+			"snippet", "symtab"}},
 		{Name: "profile", Role: "instrumentation-based function profiler (performance-tool layer)", Uses: []string{
 			"codegen", "core", "dbi", "elfrv", "emu", "obs", "proc", "snippet"}},
 		{Name: "pipeline", Role: "concurrent analyze→instrument worker pool", Uses: []string{

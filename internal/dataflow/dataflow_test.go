@@ -154,6 +154,111 @@ h:
 	}
 }
 
+// TestLivenessIntraFunctionCall pins the linked jump whose resolved target
+// lies inside the calling function. Parse classifies `la t1, L; jalr ra,
+// 0(t1)` as a call, but the code at L reads t0, which the ABI call model
+// would kill: t0 must stay live up to the jalr, and nothing may be
+// reported dead there that L reads. A call to the function's own entry is
+// recursion and keeps the call model.
+func TestLivenessIntraFunctionCall(t *testing.T) {
+	src := `
+	.text
+	.globl _start
+_start:
+	li a7, 93
+	ecall
+
+	.globl g
+	.type g, @function
+g:
+	li t0, 5
+	la t1, g_inner
+	jalr ra, 0(t1)
+	li t0, 9          # skipped: g_inner is where the jalr lands
+g_inner:
+	add a0, a0, t0
+	beqz a0, g_done
+	li t2, 1
+	call g            # recursion: the call model applies
+	add a0, a0, t2
+g_done:
+	ret
+	.size g, .-g
+`
+	fn := parseFunc(t, src, "g")
+	lv := Liveness(fn)
+	var intra, recur uint64
+	for _, b := range fn.Blocks {
+		if b.Purpose != parse.PurposeCall {
+			continue
+		}
+		if last := b.Last(); last.IsJALR() && last.Rs1 == riscv.RegT1 {
+			intra = last.Addr
+		} else {
+			recur = last.Addr
+		}
+	}
+	if intra == 0 || recur == 0 {
+		t.Fatalf("want an intra-function call and a recursive call in g, got %#x / %#x", intra, recur)
+	}
+	live := lv.LiveBefore(intra)
+	for _, r := range []riscv.Reg{riscv.RegT0, riscv.RegT1, riscv.RegA0} {
+		if !live.Contains(r) {
+			t.Errorf("%v not live before the intra-function jalr: %v", r, live)
+		}
+	}
+	for _, r := range lv.DeadScratchX(intra) {
+		if r == riscv.RegT0 {
+			t.Errorf("t0 offered as dead scratch at the jalr although g_inner reads it")
+		}
+	}
+	// The recursive call still kills the caller-saved set: t2 is read after
+	// it returns but clobbered by the call, so it is dead before the call.
+	if live := lv.LiveBefore(recur); live.Contains(riscv.RegT2) {
+		t.Errorf("t2 live before the recursive call: %v", live)
+	}
+
+	// When nothing else in the function reaches the target, no block of the
+	// caller covers it; the code there is unknown, so nothing is dead at the
+	// jalr.
+	src = `
+	.text
+	.globl _start
+_start:
+	li a7, 93
+	ecall
+
+	.globl h
+	.type h, @function
+h:
+	la t1, h_inner
+	jalr ra, 0(t1)
+	j h_done
+h_inner:
+	add a0, a0, t0
+h_done:
+	ret
+	.size h, .-h
+`
+	fn = parseFunc(t, src, "h")
+	if _, ok := fn.BlockContaining(fn.Entry + 16); ok {
+		t.Fatal("h_inner is reachable inside h; the shape needs an unreached target")
+	}
+	lv = Liveness(fn)
+	calls := 0
+	for _, b := range fn.Blocks {
+		if b.Purpose == parse.PurposeCall {
+			calls++
+			if dead := lv.DeadScratchX(b.Last().Addr); len(dead) != 0 {
+				t.Errorf("registers %v dead at a jalr into unparsed code of h", dead)
+			}
+		}
+	}
+	if calls != 1 {
+		t.Errorf("h has %d call blocks, want the one jalr", calls)
+	}
+}
+
 func TestDeadScratchOrdering(t *testing.T) {
 	fn := parseFunc(t, livenessProg, "f")
 	lv := Liveness(fn)
@@ -445,7 +550,7 @@ func TestLiveBeforeBlockStart(t *testing.T) {
 			for _, b := range fn.Blocks {
 				walk := lv.LiveOut[b]
 				for i := len(b.Insts) - 1; i >= 0; i-- {
-					walk = stepInstBackward(b, i, walk)
+					walk = stepInstBackward(lv, b, i, walk)
 				}
 				if got := lv.LiveBefore(b.Start); !got.Equal(walk) || !lv.LiveIn[b].Equal(walk) {
 					t.Errorf("%s: %s %v: LiveBefore(start) %v, LiveIn %v, walk %v",

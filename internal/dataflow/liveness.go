@@ -68,6 +68,8 @@ type LivenessResult struct {
 	Fn      *parse.Function
 	LiveIn  map[*parse.Block]riscv.RegSet
 	LiveOut map[*parse.Block]riscv.RegSet
+
+	lo, hi uint64 // Fn's extent
 }
 
 // Liveness runs the backward may-live analysis over the function.
@@ -77,6 +79,7 @@ func Liveness(fn *parse.Function) *LivenessResult {
 		LiveIn:  make(map[*parse.Block]riscv.RegSet, len(fn.Blocks)),
 		LiveOut: make(map[*parse.Block]riscv.RegSet, len(fn.Blocks)),
 	}
+	res.lo, res.hi = fn.Extent()
 	changed := true
 	for changed {
 		changed = false
@@ -84,7 +87,7 @@ func Liveness(fn *parse.Function) *LivenessResult {
 		for i := len(fn.Blocks) - 1; i >= 0; i-- {
 			b := fn.Blocks[i]
 			out := blockExitLive(res, b)
-			in := stepBlockBackward(b, out)
+			in := stepBlockBackward(res, b, out)
 			if !out.Equal(res.LiveOut[b]) || !in.Equal(res.LiveIn[b]) {
 				res.LiveOut[b] = out
 				res.LiveIn[b] = in
@@ -109,6 +112,12 @@ func blockExitLive(res *LivenessResult, b *parse.Block) riscv.RegSet {
 	case parse.PurposeUnresolved:
 		return allRegs
 	}
+	if t := intraCallTarget(res, b); t != 0 {
+		// A linked jump into our own body: the code at the target reads
+		// what this block leaves, so it flows like a jump. A target no
+		// block of ours covers is unknown code: everything stays live.
+		out = res.LiveBefore(t)
+	}
 	for _, e := range b.Out {
 		if e.To == nil {
 			if !e.Kind.Interprocedural() {
@@ -119,26 +128,47 @@ func blockExitLive(res *LivenessResult, b *parse.Block) riscv.RegSet {
 			continue
 		}
 		if e.Kind == parse.EdgeCall {
-			continue // handled inside stepBlockBackward at the call site
+			continue // a real call is modeled at the call site
 		}
 		out = out.Union(res.LiveIn[e.To])
 	}
 	return out
 }
 
+// intraCallTarget returns the target of b's call edge when it lands
+// strictly inside the function — within its extent, but not its entry —
+// and 0 otherwise. Parse classifies any linked jump to a resolved code
+// address as a call (e.g. `la t1, L; jalr ra, 0(t1)` with L further down
+// the same body), but the ABI call model would kill the caller-saved set
+// that the code at L goes on to read. A call to the function's own entry
+// is recursion and stays a call.
+func intraCallTarget(res *LivenessResult, b *parse.Block) uint64 {
+	if b.Purpose != parse.PurposeCall {
+		return 0
+	}
+	for _, e := range b.Out {
+		if e.Kind == parse.EdgeCall && e.Target != res.Fn.Entry &&
+			e.Target >= res.lo && e.Target < res.hi {
+			return e.Target
+		}
+	}
+	return 0
+}
+
 // stepBlockBackward applies the per-instruction transfer over the block.
-func stepBlockBackward(b *parse.Block, live riscv.RegSet) riscv.RegSet {
+func stepBlockBackward(res *LivenessResult, b *parse.Block, live riscv.RegSet) riscv.RegSet {
 	for i := len(b.Insts) - 1; i >= 0; i-- {
-		live = stepInstBackward(b, i, live)
+		live = stepInstBackward(res, b, i, live)
 	}
 	return live
 }
 
 // stepInstBackward handles one instruction: live = (live - def) ∪ use, with
-// calls modeled by their ABI footprint.
-func stepInstBackward(b *parse.Block, i int, live riscv.RegSet) riscv.RegSet {
+// calls modeled by their ABI footprint. An intra-function call transfers
+// like any other instruction; blockExitLive already added its target.
+func stepInstBackward(res *LivenessResult, b *parse.Block, i int, live riscv.RegSet) riscv.RegSet {
 	inst := b.Insts[i]
-	isCallSite := i == len(b.Insts)-1 && b.Purpose == parse.PurposeCall
+	isCallSite := i == len(b.Insts)-1 && b.Purpose == parse.PurposeCall && intraCallTarget(res, b) == 0
 	if isCallSite {
 		// A call clobbers the caller-saved set and consumes argument
 		// registers (conservatively all of them; without callee prototypes
@@ -175,7 +205,7 @@ func (res *LivenessResult) LiveBefore(addr uint64) riscv.RegSet {
 		if b.Insts[i].Addr < addr {
 			break
 		}
-		live = stepInstBackward(b, i, live)
+		live = stepInstBackward(res, b, i, live)
 	}
 	return live
 }

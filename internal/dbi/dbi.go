@@ -44,10 +44,14 @@ type Options struct {
 	CacheSize uint64
 	// Arch is the mutatee's extension set for probe lowering (zero: RV64GC).
 	Arch riscv.ExtSet
-	// Mode selects probe register allocation (dead-register vs spill-always).
-	// The engine has no liveness information, so ModeDeadRegister lowers
-	// with an empty dead set — i.e. spills — making the two modes equivalent
-	// here; the knob exists for symmetry with the static rewriter.
+	// Mode selects scratch-register allocation. In ModeDeadRegister (the
+	// zero value) the engine parses the attached file and computes
+	// per-function liveness on first need (see live.go): probe snippets
+	// take their scratch from registers dead at the point, and a lookup
+	// stub with three dead registers at its jalr skips the scratch CSR
+	// save and restore. Functions whose bytes in memory no longer match
+	// the file spill. ModeSpillAlways never consults liveness: every probe
+	// spills and every stub saves its scratch through CSRs 0x7C0-0x7C2.
 	Mode codegen.Mode
 	// NoCounterVirt disables counter virtualization: guest rdcycle/rdinstret
 	// reads expose the raw (translation-inflated) counters instead of the
@@ -79,6 +83,12 @@ type Engine struct {
 
 	probes map[uint64]*probeCode // original addr → lowered probe
 
+	// Static analysis of f for dead-register scratch (live.go), built on
+	// first need (live non-nil); cfg stays nil when the file cannot be
+	// parsed.
+	cfg  *parse.CFG
+	live map[*parse.Function]*funcLive
+
 	varBase, varNext uint64
 	varMapped        bool
 
@@ -105,8 +115,9 @@ type Engine struct {
 
 // probeCode is the lowered form of every snippet attached at one address.
 type probeCode struct {
-	code  []byte       // concatenated 4-byte encodings
-	insts []riscv.Inst // for instruction count and cost accounting
+	sns   []snippet.Snippet // attach order, kept for re-lowering
+	code  []byte            // concatenated 4-byte encodings
+	insts []riscv.Inst      // for instruction count and cost accounting
 }
 
 // Attach creates a DBI engine over p, which may be anywhere in its
@@ -201,8 +212,9 @@ func (e *Engine) OrigPC(pc uint64) (uint64, bool) {
 	return 0, false
 }
 
-// Probe attaches sn at fn's entry point. Snippets are lowered once through
-// the same CodeGen layer the static rewriter uses and woven into every
+// Probe attaches sn at fn's entry point. Snippets are lowered through the
+// same CodeGen layer the static rewriter uses, with scratch taken from the
+// registers dead at the point (see Options.Mode), and woven into every
 // future translation of a block starting or passing through the point;
 // translations already covering the point are invalidated so the probe
 // takes effect immediately, even mid-run.
@@ -217,29 +229,44 @@ func (e *Engine) ProbeAt(addr uint64, sn snippet.Snippet) error {
 	if e.detached {
 		return fmt.Errorf("dbi: engine is detached")
 	}
-	res, err := codegen.Generate(sn, codegen.Options{Arch: e.opts.Arch, Mode: e.opts.Mode})
-	if err != nil {
-		return err
-	}
-	var code []byte
-	for _, in := range res.Insts {
-		b, err := riscv.EncodeBytes(in)
-		if err != nil {
-			return fmt.Errorf("dbi: encode probe inst %v: %w", in, err)
-		}
-		code = append(code, b...)
-	}
 	pr := e.probes[addr]
 	if pr == nil {
 		pr = &probeCode{}
-		e.probes[addr] = pr
 	}
-	pr.code = append(pr.code, code...)
-	pr.insts = append(pr.insts, res.Insts...)
+	pr.sns = append(pr.sns, sn)
+	if err := e.lowerProbe(addr, pr); err != nil {
+		pr.sns = pr.sns[:len(pr.sns)-1]
+		return err
+	}
+	e.probes[addr] = pr
 	e.obs.Probes.Inc()
 	// Drop translations that already copied the point, so the probe is
 	// woven in on the next execution.
 	return e.invalidateRange(addr, 1, false)
+}
+
+// lowerProbe (re)generates the code of every snippet attached at addr,
+// taking scratch from the registers dead there.
+func (e *Engine) lowerProbe(addr uint64, pr *probeCode) error {
+	opts := codegen.Options{Arch: e.opts.Arch, Mode: e.opts.Mode, DeadRegs: e.deadAt(addr)}
+	var code []byte
+	var insts []riscv.Inst
+	for _, sn := range pr.sns {
+		res, err := codegen.Generate(sn, opts)
+		if err != nil {
+			return err
+		}
+		for _, in := range res.Insts {
+			b, err := riscv.EncodeBytes(in)
+			if err != nil {
+				return fmt.Errorf("dbi: encode probe inst %v: %w", in, err)
+			}
+			code = append(code, b...)
+		}
+		insts = append(insts, res.Insts...)
+	}
+	pr.code, pr.insts = code, insts
+	return nil
 }
 
 // RemoveProbeAt detaches every probe at addr and patches its body out of
@@ -382,6 +409,9 @@ func (e *Engine) run(budget uint64) (proc.Event, error) {
 			// The process stored into bytes some translation was built
 			// from: drop the stale copies and resume.
 			if err := e.invalidateRange(ev.Addr, ev.Len, true); err != nil {
+				return proc.Event{}, err
+			}
+			if err := e.dropLiveness(ev.Addr, ev.Len); err != nil {
 				return proc.Event{}, err
 			}
 		case proc.EventBreakpoint:
@@ -582,28 +612,29 @@ func (e *Engine) invalidateRange(addr, n uint64, codeWrite bool) error {
 
 // rearmWatch sets the CPU code-write watch to the union of every live
 // translation's source span (plus a draining fragment's — its stale copy
-// must still be abandoned if its source changes under it). Coarse — stores
-// to untranslated bytes between two spans trip a no-op invalidation — but
-// one compare per store.
+// must still be abandoned if its source changes under it) and of every
+// function whose liveness the engine trusts. Coarse — stores to
+// untranslated bytes between two spans trip a no-op invalidation — but one
+// compare per store.
 func (e *Engine) rearmWatch() {
 	var lo, hi uint64
-	span := func(t *translation) {
+	span := func(a, b uint64) {
 		if lo == hi {
-			lo, hi = t.orig, t.origEnd
+			lo, hi = a, b
 			return
 		}
-		if t.orig < lo {
-			lo = t.orig
-		}
-		if t.origEnd > hi {
-			hi = t.origEnd
-		}
+		lo, hi = min(lo, a), max(hi, b)
 	}
 	for _, t := range e.trans {
-		span(t)
+		span(t.orig, t.origEnd)
 	}
 	if e.drain != nil {
-		span(e.drain)
+		span(e.drain.orig, e.drain.origEnd)
+	}
+	for _, fl := range e.live {
+		if fl.lv != nil {
+			span(fl.lo, fl.hi)
+		}
 	}
 	e.p.CPU().SetCodeWatch(lo, hi)
 }

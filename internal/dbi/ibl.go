@@ -26,30 +26,37 @@ const (
 	iblRegionSize = iblEntries * iblEntrySize
 )
 
-// iblScratch picks the three caller-saved temporaries the lookup stub may
-// clobber (it saves and restores them through the DBI scratch CSRs, but
-// they must not alias the jalr's own operands).
-func iblScratch(rs1, rd riscv.Reg) [3]riscv.Reg {
-	cands := [5]riscv.Reg{riscv.X5, riscv.X6, riscv.X7, riscv.X28, riscv.X29}
-	var out [3]riscv.Reg
-	n := 0
-	for _, r := range cands {
-		if r == rs1 || r == rd {
-			continue
+// iblScratch picks the three registers the lookup stub replacing in may
+// clobber; none may alias the jalr's own operands. Registers dead at the
+// jalr need no saving (spill false). Otherwise the stub takes three
+// caller-saved temporaries and saves and restores them through the DBI
+// scratch CSRs.
+func (e *Engine) iblScratch(in riscv.Inst) (s [3]riscv.Reg, spill bool) {
+	pick := func(cands []riscv.Reg) bool {
+		n := 0
+		for _, r := range cands {
+			if r == in.Rs1 || r == in.Rd {
+				continue
+			}
+			s[n] = r
+			if n++; n == 3 {
+				return true
+			}
 		}
-		out[n] = r
-		n++
-		if n == 3 {
-			return out
-		}
+		return false
 	}
-	return out
+	if pick(e.deadAt(in.Addr)) {
+		return s, false
+	}
+	pick([]riscv.Reg{riscv.X5, riscv.X6, riscv.X7, riscv.X28, riscv.X29})
+	return s, true
 }
 
 // emitIBL lays out the inline-lookup stub replacing the jalr in. Shape
-// (sA/sB/sC are the scratch picks, all parcels 4 bytes):
+// (sA/sB/sC are the scratch picks, all parcels 4 bytes; the bracketed save
+// and restores are left out when the picks are dead at the jalr):
 //
-//	csrrw x0, 0x7C0..2, sA/sB/sC   save scratch
+//	[csrrw x0, 0x7C0..2, sA/sB/sC] save scratch
 //	addi  sA, rs1, imm             original target (before the link write —
 //	andi  sA, sA, -2                rd may alias rs1)
 //	[li rd, origNext]              link = ORIGINAL return address
@@ -61,10 +68,10 @@ func iblScratch(rs1, rd riscv.Reg) [3]riscv.Reg {
 //	ld   sB, 0(sB)                 entry.orig
 //	bne  sB, sA, miss
 //	csrrw x0, 0x7C3, sC            hit: stash entry.cache instead
-//	csrrs sA/sB/sC, 0x7C0..2, x0   restore scratch
+//	[csrrs sA/sB/sC, 0x7C0..2, x0] restore scratch
 //	dbi.jt                          jump to 0x7C3, apply the hit delta
 //
-// miss:	csrrs ×3 restore; ebreak   engine resolves via 0x7C3 + missFix
+// miss:	[csrrs ×3 restore]; ebreak  engine resolves via 0x7C3 + missFix
 //
 // The cache field is read before the orig field on purpose: a budget stop
 // can park the guest between the two loads, and the engine may sever or
@@ -80,7 +87,7 @@ func iblScratch(rs1, rd riscv.Reg) [3]riscv.Reg {
 // the next fetch faults at PC 0 exactly as the native wild jump would,
 // with the compensation already exact at that boundary.
 func (e *Engine) emitIBL(in riscv.Inst, emit func(riscv.Inst) error, stub func(exitStub) *exitStub) error {
-	s := iblScratch(in.Rs1, in.Rd)
+	s, spill := e.iblScratch(in)
 	sA, sB, sC := s[0], s[1], s[2]
 	reg := func(mn riscv.Mnemonic, rd, rs1, rs2 riscv.Reg, imm int64) riscv.Inst {
 		return riscv.Inst{Mn: mn, Rd: rd, Rs1: rs1, Rs2: rs2, Rs3: riscv.RegNone, Imm: imm}
@@ -94,24 +101,26 @@ func (e *Engine) emitIBL(in riscv.Inst, emit func(riscv.Inst) error, stub func(e
 			Rs2: riscv.RegNone, Rs3: riscv.RegNone, CSR: csr}
 	}
 
-	// Common prefix: save scratch, compute the original target, commit the
-	// link register, stash the target for the engine/dbi.jt.
-	pre := []riscv.Inst{
-		save(0x7C0, sA), save(0x7C1, sB), save(0x7C2, sC),
+	// Common prefix: save scratch (when spilling), compute the original
+	// target, commit the link register, stash the target for the
+	// engine/dbi.jt. The miss tail is the restores alone.
+	var pre, hit, miss []riscv.Inst
+	if spill {
+		pre = []riscv.Inst{save(0x7C0, sA), save(0x7C1, sB), save(0x7C2, sC)}
+		miss = []riscv.Inst{restore(sA, 0x7C0), restore(sB, 0x7C1), restore(sC, 0x7C2)}
+	}
+	pre = append(pre,
 		reg(riscv.MnADDI, sA, in.Rs1, riscv.RegNone, in.Imm),
 		reg(riscv.MnANDI, sA, sA, riscv.RegNone, -2),
-	}
+	)
 	if in.Rd != riscv.X0 {
 		pre = append(pre, patch.MaterializeAbs(in.Rd, int64(in.Next()))...)
 	}
 	pre = append(pre, save(0x7C3, sA))
 
-	// The hit tail: stash the translated target and restore scratch; the
-	// dbi.jt follows.
-	hit := []riscv.Inst{
-		save(0x7C3, sC),
-		restore(sA, 0x7C0), restore(sB, 0x7C1), restore(sC, 0x7C2),
-	}
+	// The hit tail: stash the translated target, then the same restores;
+	// the dbi.jt follows.
+	hit = append([]riscv.Inst{save(0x7C3, sC)}, miss...)
 
 	// Hash probe; a failed compare hops over the hit tail + dbi.jt.
 	probe := []riscv.Inst{
@@ -126,7 +135,6 @@ func (e *Engine) emitIBL(in riscv.Inst, emit func(riscv.Inst) error, stub func(e
 		reg(riscv.MnLD, sB, sB, riscv.RegNone, 0), // entry.orig
 		reg(riscv.MnBNE, riscv.RegNone, sB, sA, int64(len(hit)+2)*4),
 	)
-	miss := []riscv.Inst{restore(sA, 0x7C0), restore(sB, 0x7C1), restore(sC, 0x7C2)}
 
 	jalrCost := e.cost(in.Mn)
 	preN, preC := int64(len(pre)), e.sumCost(pre)

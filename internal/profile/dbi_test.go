@@ -74,33 +74,38 @@ func TestProfileDBIParity(t *testing.T) {
 // dynamic engine: 465 fib calls, exactly as the static profiler counts. It
 // also pins the totals `rvdyn dbirun fib` and `dbirun -novirt fib` report:
 // the native 4,879 instructions / 7,118 cycles when virtualized, and the
-// raw 21,608 / 43,833 the cache retires (translation, lookup stubs and the
-// probe included). README and EXPERIMENTS.md quote these figures; a change
-// to the translated code shape must update them.
+// raw counts the cache retires (translation, lookup stubs and the probe
+// included) — 15,098 / 23,373 with dead-register scratch from liveness,
+// 21,608 / 43,833 when every probe spills and every lookup stub saves its
+// scratch through CSRs (`-mode spill`). README and EXPERIMENTS.md quote
+// these figures; a change to the translated code shape must update them.
 func TestProfileDBIRecursion(t *testing.T) {
 	f, err := asm.Assemble(workload.FibSource, asm.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
+		mode          codegen.Mode
 		raw           bool
 		insts, cycles uint64
 	}{
-		{false, 4879, 7118},
-		{true, 21608, 43833},
+		{codegen.ModeDeadRegister, false, 4879, 7118},
+		{codegen.ModeDeadRegister, true, 15098, 23373},
+		{codegen.ModeSpillAlways, false, 4879, 7118},
+		{codegen.ModeSpillAlways, true, 21608, 43833},
 	} {
-		rep, err := RunDBI(f, Options{Funcs: []string{"fib"}, Mode: codegen.ModeDeadRegister, NoCounterVirt: tc.raw})
+		rep, err := RunDBI(f, Options{Funcs: []string{"fib"}, Mode: tc.mode, NoCounterVirt: tc.raw})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, r := range rep.Rows {
 			if r.Name == "fib" && r.Calls != 465 {
-				t.Errorf("raw=%v: fib calls = %d, want 465", tc.raw, r.Calls)
+				t.Errorf("%v raw=%v: fib calls = %d, want 465", tc.mode, tc.raw, r.Calls)
 			}
 		}
 		if rep.TotalInsts != tc.insts || rep.TotalCycles != tc.cycles {
-			t.Errorf("raw=%v: %d instructions / %d cycles, want %d / %d",
-				tc.raw, rep.TotalInsts, rep.TotalCycles, tc.insts, tc.cycles)
+			t.Errorf("%v raw=%v: %d instructions / %d cycles, want %d / %d",
+				tc.mode, tc.raw, rep.TotalInsts, rep.TotalCycles, tc.insts, tc.cycles)
 		}
 	}
 }

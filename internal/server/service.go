@@ -23,7 +23,7 @@ import (
 // ToolchainVersion is folded into every cache key: artifacts produced by a
 // different toolchain revision must never satisfy this server's lookups.
 // Bump it whenever the rewriter's output bytes can change.
-const ToolchainVersion = "rvdynd/1"
+const ToolchainVersion = "rvdynd/2"
 
 // Spec is the client-supplied instrumentation request: which functions to
 // instrument with entry counters, at which points, with which register
