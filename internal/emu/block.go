@@ -199,8 +199,8 @@ func (c *CPU) chainNext(b *block) *block {
 // rebuilding) it if needed. It returns nil when pc cannot be fetched; the
 // caller falls back to the slow path, which reports the fault.
 func (c *CPU) blockAt(pc uint64) *block {
-	if pc >= c.icBase && pc < c.icEnd {
-		if b := c.blkSlots[(pc-c.icBase)>>1]; b != nil {
+	if ch := c.chunk(pc, false); ch != nil {
+		if b := ch.blk[chunkSlot(pc)]; b != nil {
 			if b.gen == c.icGen {
 				if c.Obs != nil {
 					c.Obs.BlockHits.Inc()
@@ -212,17 +212,6 @@ func (c *CPU) blockAt(pc uint64) *block {
 				b.trc = nil
 				c.traceSevers++
 			}
-		}
-	} else if b, ok := c.blkMap[pc]; ok {
-		if b.gen == c.icGen {
-			if c.Obs != nil {
-				c.Obs.BlockHits.Inc()
-			}
-			return b
-		}
-		if b.trc != nil {
-			b.trc = nil
-			c.traceSevers++
 		}
 	}
 	return c.buildBlock(pc)
@@ -286,11 +275,7 @@ func (c *CPU) buildBlock(pc uint64) *block {
 	if b.n == 0 {
 		return nil
 	}
-	if pc >= c.icBase && pc < c.icEnd {
-		c.blkSlots[(pc-c.icBase)>>1] = b
-	} else {
-		c.blkMap[pc] = b
-	}
+	c.chunk(pc, true).blk[chunkSlot(pc)] = b
 	return b
 }
 

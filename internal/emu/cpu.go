@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math/bits"
@@ -133,25 +134,20 @@ type CPU struct {
 	brk      uint64
 	mmapNext uint64
 
-	// Decoded-instruction cache: a direct-mapped slice over the executable
-	// window present at load time (slot index (pc-base)/2; Len==0 means
-	// empty), plus an overflow map for code outside it (e.g. trampolines
-	// mapped by dynamic instrumentation).
+	// Decoded-instruction and superblock caches, held in code chunks that
+	// are allocated on first fetch (see codeChunk): a table of chunk
+	// pointers over the executable window present at load time, plus a map
+	// of chunks for code outside it (e.g. trampolines mapped by dynamic
+	// instrumentation).
 	icBase, icEnd uint64
-	icSlots       []riscv.Inst
-	icOverflow    map[uint64]riscv.Inst
+	icChunks      []*codeChunk
+	icFar         map[uint64]*codeChunk
 	// icLo/icHi bound every cached address for cheap invalidation checks.
 	icLo, icHi uint64
 	// icGen is bumped whenever cached code is invalidated (store into code,
 	// WriteMem patch, fence.i). Superblocks record the generation they were
 	// decoded under and are re-decoded when it moves (see block.go).
 	icGen uint64
-
-	// Superblock cache: direct-mapped over the same executable window as
-	// icSlots, keyed by block start address, plus an overflow map for blocks
-	// outside it (trampolines).
-	blkSlots []*block
-	blkMap   map[uint64]*block
 
 	// Hot-path engine counters, kept as plain fields (no atomics) and
 	// synced into Obs at every Run return. chainHits counts block→block
@@ -199,17 +195,17 @@ func New(f *elfrv.File, model *CostModel) (*CPU, error) {
 		model = P550()
 	}
 	c := &CPU{
-		Mem:        NewMemory(),
-		Model:      model,
-		Stdout:     io.Discard,
-		mmapNext:   mmapBase,
-		icOverflow: make(map[uint64]riscv.Inst),
-		icLo:       ^uint64(0),
+		Mem:      NewMemory(),
+		Model:    model,
+		Stdout:   io.Discard,
+		mmapNext: mmapBase,
+		icFar:    make(map[uint64]*codeChunk),
+		icLo:     ^uint64(0),
 	}
 	if err := c.Mem.LoadELF(f); err != nil {
 		return nil, err
 	}
-	// Size the direct-mapped decode cache to the executable image.
+	// Size the chunk table to the executable image.
 	const maxWindow = 4 << 20
 	lo, hi := ^uint64(0), uint64(0)
 	for _, s := range f.Sections {
@@ -225,10 +221,8 @@ func New(f *elfrv.File, model *CostModel) (*CPU, error) {
 	}
 	if lo < hi && hi-lo <= maxWindow {
 		c.icBase, c.icEnd = lo, hi
-		c.icSlots = make([]riscv.Inst, (hi-lo+1)/2)
-		c.blkSlots = make([]*block, (hi-lo+1)/2)
+		c.icChunks = make([]*codeChunk, (hi-1)>>chunkBits-lo>>chunkBits+1)
 	}
-	c.blkMap = make(map[uint64]*block)
 	c.Mem.Map(StackTop-StackSize, StackSize+pageSize)
 	c.PC = f.Entry
 	c.X[riscv.RegSP] = StackTop - 64 // modest arg area, 16-byte aligned
@@ -294,13 +288,8 @@ func (c *CPU) invalidate(addr, n uint64) {
 	}
 	dirtied := false
 	for a := start; a < addr+n; a += 2 {
-		if a >= c.icBase && a < c.icEnd {
-			if c.icSlots[(a-c.icBase)>>1].Len != 0 {
-				c.icSlots[(a-c.icBase)>>1] = riscv.Inst{}
-				dirtied = true
-			}
-		} else if _, ok := c.icOverflow[a]; ok {
-			delete(c.icOverflow, a)
+		if ch := c.chunk(a, false); ch != nil && ch.inst[chunkSlot(a)].Len != 0 {
+			ch.inst[chunkSlot(a)] = riscv.Inst{}
 			dirtied = true
 		}
 	}
@@ -323,29 +312,64 @@ func (c *CPU) invalidate(addr, n uint64) {
 }
 
 // FlushICache drops all cached decodes (fence.i semantics).
+// Window chunks keep their (now stale) superblocks; chunks outside the
+// window are dropped whole.
 func (c *CPU) FlushICache() {
-	for i := range c.icSlots {
-		c.icSlots[i] = riscv.Inst{}
+	for _, ch := range c.icChunks {
+		if ch != nil {
+			ch.inst = [chunkSlots]riscv.Inst{}
+		}
 	}
-	c.icOverflow = make(map[uint64]riscv.Inst)
+	c.icFar = make(map[uint64]*codeChunk)
 	c.icLo, c.icHi = ^uint64(0), 0
 	c.icGen++
-	c.blkMap = make(map[uint64]*block)
 	if c.Obs != nil {
 		c.Obs.BlockInvalidations.Inc()
 	}
 }
 
+// Code-cache chunk geometry: one chunk covers chunkBytes of code, with a
+// decode slot and a superblock slot per 2-byte parcel.
+const (
+	chunkBits  = 8
+	chunkBytes = 1 << chunkBits
+	chunkSlots = chunkBytes / 2
+)
+
+// codeChunk caches the decodes (Len == 0 means empty) and the superblocks
+// starting in one chunkBytes-aligned span of code.
+type codeChunk struct {
+	inst [chunkSlots]riscv.Inst
+	blk  [chunkSlots]*block
+}
+
+func chunkSlot(pc uint64) uint64 { return pc >> 1 & (chunkSlots - 1) }
+
+// chunk returns the cache chunk covering pc, allocating it if create is
+// set; otherwise nil means nothing in the chunk was ever cached.
+func (c *CPU) chunk(pc uint64, create bool) *codeChunk {
+	if pc >= c.icBase && pc < c.icEnd {
+		ch := &c.icChunks[pc>>chunkBits-c.icBase>>chunkBits]
+		if *ch == nil && create {
+			*ch = new(codeChunk)
+		}
+		return *ch
+	}
+	ch := c.icFar[pc>>chunkBits]
+	if ch == nil && create {
+		ch = new(codeChunk)
+		c.icFar[pc>>chunkBits] = ch
+	}
+	return ch
+}
+
 func (c *CPU) fetch() (riscv.Inst, error) { return c.fetchAt(c.PC) }
 
 func (c *CPU) fetchAt(pc uint64) (riscv.Inst, error) {
-	inWindow := pc >= c.icBase && pc < c.icEnd
-	if inWindow {
-		if inst := c.icSlots[(pc-c.icBase)>>1]; inst.Len != 0 {
+	if ch := c.chunk(pc, false); ch != nil {
+		if inst := ch.inst[chunkSlot(pc)]; inst.Len != 0 {
 			return inst, nil
 		}
-	} else if inst, ok := c.icOverflow[pc]; ok {
-		return inst, nil
 	}
 	// Raw fetches go through the fetch TLB: instruction parcels are 2-byte
 	// aligned, so each halfword read stays within one page.
@@ -354,25 +378,21 @@ func (c *CPU) fetchAt(pc uint64) (riscv.Inst, error) {
 	if err != nil {
 		return riscv.Inst{}, err
 	}
-	buf[0], buf[1] = byte(lo), byte(lo>>8)
+	binary.LittleEndian.PutUint16(buf[:], lo)
 	n := 2
 	if buf[0]&3 == 3 {
 		hi, err := c.Mem.Fetch16(pc + 2)
 		if err != nil {
 			return riscv.Inst{}, err
 		}
-		buf[2], buf[3] = byte(hi), byte(hi>>8)
+		binary.LittleEndian.PutUint16(buf[2:], hi)
 		n = 4
 	}
 	inst, err := riscv.Decode(buf[:n], pc)
 	if err != nil {
 		return inst, err
 	}
-	if inWindow {
-		c.icSlots[(pc-c.icBase)>>1] = inst
-	} else {
-		c.icOverflow[pc] = inst
-	}
+	c.chunk(pc, true).inst[chunkSlot(pc)] = inst
 	if pc < c.icLo {
 		c.icLo = pc
 	}

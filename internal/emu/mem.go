@@ -11,6 +11,7 @@
 package emu
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
 
@@ -46,10 +47,13 @@ type TLBStats struct {
 	FetchHits, FetchMisses uint64
 }
 
-// Memory is a sparse paged address space. Address translation (page-index →
-// *page) goes through per-kind direct-mapped software TLBs; the pages map is
-// only consulted on a TLB miss or from the cold management paths (Map,
-// Mapped, Page, LoadELF).
+// Memory is a sparse, demand-zero paged address space. Map only reserves a
+// range: it records each page index with a nil entry in the pages map, and
+// the page itself is allocated, zeroed, on its first access of any kind
+// (read, write, fetch, Page). Address translation (page-index → *page) goes
+// through per-kind direct-mapped software TLBs; the pages map is only
+// consulted on a TLB miss or from the cold management paths (Map, Mapped,
+// Page, LoadELF), so the allocation happens off the hot path.
 type Memory struct {
 	pages map[uint64]*page
 
@@ -84,13 +88,13 @@ func (e *MemFault) Error() string {
 	return fmt.Sprintf("emu: memory fault: %s at unmapped address %#x", op, e.Addr)
 }
 
-// pageFor is the cold translation path: a straight map lookup, optionally
-// creating the page. The TLBs are filled by the per-kind miss handlers, not
-// here, so management callers (Map, Mapped, Page) never pollute them.
-func (m *Memory) pageFor(addr uint64, create bool) *page {
-	idx := addr >> pageBits
-	p := m.pages[idx]
-	if p == nil && create {
+// touch is the cold translation path: it returns the page at index idx,
+// allocating a reserved page on first touch, or nil when idx lies outside
+// every reservation. The TLBs are filled by the per-kind miss handlers, not
+// here, so management callers (Mapped, Page) never pollute them.
+func (m *Memory) touch(idx uint64) *page {
+	p, ok := m.pages[idx]
+	if p == nil && ok {
 		p = new(page)
 		m.pages[idx] = p
 	}
@@ -111,7 +115,7 @@ func (m *Memory) readPage(addr uint64) *page {
 func (m *Memory) readMiss(addr uint64) *page {
 	m.TLB.ReadMisses++
 	idx := addr >> pageBits
-	p := m.pages[idx]
+	p := m.touch(idx)
 	if p != nil {
 		s := idx & tlbMask
 		m.rTag[s], m.rPg[s] = idx+1, p
@@ -133,7 +137,7 @@ func (m *Memory) writePage(addr uint64) *page {
 func (m *Memory) writeMiss(addr uint64) *page {
 	m.TLB.WriteMisses++
 	idx := addr >> pageBits
-	p := m.pages[idx]
+	p := m.touch(idx)
 	if p != nil {
 		s := idx & tlbMask
 		m.wTag[s], m.wPg[s] = idx+1, p
@@ -155,7 +159,7 @@ func (m *Memory) fetchPage(addr uint64) *page {
 func (m *Memory) fetchMiss(addr uint64) *page {
 	m.TLB.FetchMisses++
 	idx := addr >> pageBits
-	p := m.pages[idx]
+	p := m.touch(idx)
 	if p != nil {
 		s := idx & tlbMask
 		m.fTag[s], m.fPg[s] = idx+1, p
@@ -180,21 +184,26 @@ func (m *Memory) Fetch16(addr uint64) (uint16, error) {
 	if p == nil {
 		return 0, &MemFault{Addr: addr}
 	}
-	o := addr & pageMask
-	return uint16(p[o]) | uint16(p[o+1])<<8, nil
+	return binary.LittleEndian.Uint16(p[addr&pageMask:]), nil
 }
 
-// Map ensures [addr, addr+size) is backed by zeroed pages. Mapping over an
-// already-backed range keeps the existing pages (and their contents).
+// Map reserves [addr, addr+size) as zero-filled memory; each page is
+// allocated on its first access. Mapping over an already-mapped range keeps
+// the existing pages (and their contents).
 func (m *Memory) Map(addr, size uint64) {
-	for a := addr &^ pageMask; a < addr+size; a += pageSize {
-		m.pageFor(a, true)
+	for idx := addr >> pageBits; idx<<pageBits < addr+size; idx++ {
+		if _, ok := m.pages[idx]; !ok {
+			m.pages[idx] = nil
+		}
 	}
 	m.FlushTLB()
 }
 
-// Mapped reports whether addr is backed.
-func (m *Memory) Mapped(addr uint64) bool { return m.pageFor(addr, false) != nil }
+// Mapped reports whether addr is mapped (touched or only reserved).
+func (m *Memory) Mapped(addr uint64) bool {
+	_, ok := m.pages[addr>>pageBits]
+	return ok
+}
 
 // PageAddrs returns the base address of every mapped page in ascending
 // order. Differential-testing tools use it to compare two address spaces
@@ -208,10 +217,11 @@ func (m *Memory) PageAddrs() []uint64 {
 	return addrs
 }
 
-// Page returns the 4 KiB page backing addr, or nil if unmapped. The slice
-// aliases live memory; callers must not retain it across writes.
+// Page returns the 4 KiB page backing addr (allocating a reserved page on
+// first use), or nil if unmapped. The slice aliases live memory; callers
+// must not retain it across writes.
 func (m *Memory) Page(addr uint64) []byte {
-	p := m.pageFor(addr, false)
+	p := m.touch(addr >> pageBits)
 	if p == nil {
 		return nil
 	}
@@ -249,7 +259,7 @@ func (m *Memory) WriteBytes(addr uint64, src []byte) error {
 }
 
 // Fixed-width accessors. Reads and writes may straddle a page boundary; the
-// fast path handles the common in-page case.
+// fast path handles the common in-page case with one word-wide access.
 
 func (m *Memory) Read8(addr uint64) (uint8, error) {
 	p := m.readPage(addr)
@@ -274,14 +284,13 @@ func (m *Memory) Read16(addr uint64) (uint16, error) {
 		if p == nil {
 			return 0, &MemFault{Addr: addr}
 		}
-		o := addr & pageMask
-		return uint16(p[o]) | uint16(p[o+1])<<8, nil
+		return binary.LittleEndian.Uint16(p[addr&pageMask:]), nil
 	}
 	var b [2]byte
 	if err := m.ReadBytes(addr, b[:]); err != nil {
 		return 0, err
 	}
-	return uint16(b[0]) | uint16(b[1])<<8, nil
+	return binary.LittleEndian.Uint16(b[:]), nil
 }
 
 func (m *Memory) Write16(addr uint64, v uint16) error {
@@ -290,11 +299,11 @@ func (m *Memory) Write16(addr uint64, v uint16) error {
 		if p == nil {
 			return &MemFault{Addr: addr, Write: true}
 		}
-		o := addr & pageMask
-		p[o], p[o+1] = byte(v), byte(v>>8)
+		binary.LittleEndian.PutUint16(p[addr&pageMask:], v)
 		return nil
 	}
-	var b = [2]byte{byte(v), byte(v >> 8)}
+	var b [2]byte
+	binary.LittleEndian.PutUint16(b[:], v)
 	return m.WriteBytes(addr, b[:])
 }
 
@@ -304,14 +313,13 @@ func (m *Memory) Read32(addr uint64) (uint32, error) {
 		if p == nil {
 			return 0, &MemFault{Addr: addr}
 		}
-		o := addr & pageMask
-		return uint32(p[o]) | uint32(p[o+1])<<8 | uint32(p[o+2])<<16 | uint32(p[o+3])<<24, nil
+		return binary.LittleEndian.Uint32(p[addr&pageMask:]), nil
 	}
 	var b [4]byte
 	if err := m.ReadBytes(addr, b[:]); err != nil {
 		return 0, err
 	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24, nil
+	return binary.LittleEndian.Uint32(b[:]), nil
 }
 
 func (m *Memory) Write32(addr uint64, v uint32) error {
@@ -320,11 +328,11 @@ func (m *Memory) Write32(addr uint64, v uint32) error {
 		if p == nil {
 			return &MemFault{Addr: addr, Write: true}
 		}
-		o := addr & pageMask
-		p[o], p[o+1], p[o+2], p[o+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+		binary.LittleEndian.PutUint32(p[addr&pageMask:], v)
 		return nil
 	}
-	var b = [4]byte{byte(v), byte(v >> 8), byte(v >> 16), byte(v >> 24)}
+	var b [4]byte
+	binary.LittleEndian.PutUint32(b[:], v)
 	return m.WriteBytes(addr, b[:])
 }
 
@@ -334,19 +342,13 @@ func (m *Memory) Read64(addr uint64) (uint64, error) {
 		if p == nil {
 			return 0, &MemFault{Addr: addr}
 		}
-		o := addr & pageMask
-		return uint64(p[o]) | uint64(p[o+1])<<8 | uint64(p[o+2])<<16 | uint64(p[o+3])<<24 |
-			uint64(p[o+4])<<32 | uint64(p[o+5])<<40 | uint64(p[o+6])<<48 | uint64(p[o+7])<<56, nil
+		return binary.LittleEndian.Uint64(p[addr&pageMask:]), nil
 	}
 	var b [8]byte
 	if err := m.ReadBytes(addr, b[:]); err != nil {
 		return 0, err
 	}
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v, nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 func (m *Memory) Write64(addr uint64, v uint64) error {
@@ -355,16 +357,11 @@ func (m *Memory) Write64(addr uint64, v uint64) error {
 		if p == nil {
 			return &MemFault{Addr: addr, Write: true}
 		}
-		o := addr & pageMask
-		for i := uint64(0); i < 8; i++ {
-			p[o+i] = byte(v >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(p[addr&pageMask:], v)
 		return nil
 	}
 	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
+	binary.LittleEndian.PutUint64(b[:], v)
 	return m.WriteBytes(addr, b[:])
 }
 

@@ -1,6 +1,7 @@
 package emu
 
 import (
+	"encoding/binary"
 	"math"
 
 	"rvdyn/internal/riscv"
@@ -515,8 +516,7 @@ func (c *CPU) runTrace(t *trace, budget uint64, limited bool) (retired uint64, s
 				a := c.X[op.rs1&31] + uint64(op.imm)
 				if a>>pageBits+1 == op.pgTag && a&pageMask <= pageSize-8 {
 					p, o := op.pg, a&pageMask
-					c.X[op.rd&31] = uint64(p[o]) | uint64(p[o+1])<<8 | uint64(p[o+2])<<16 | uint64(p[o+3])<<24 |
-						uint64(p[o+4])<<32 | uint64(p[o+5])<<40 | uint64(p[o+6])<<48 | uint64(p[o+7])<<56
+					c.X[op.rd&31] = binary.LittleEndian.Uint64(p[o:])
 				} else {
 					v, err := c.traceRead64(op, a)
 					if err != nil {
@@ -528,7 +528,7 @@ func (c *CPU) runTrace(t *trace, budget uint64, limited bool) (retired uint64, s
 				a := c.X[op.rs1&31] + uint64(op.imm)
 				if a>>pageBits+1 == op.pgTag && a&pageMask <= pageSize-4 {
 					p, o := op.pg, a&pageMask
-					c.X[op.rd&31] = sext32(uint32(p[o]) | uint32(p[o+1])<<8 | uint32(p[o+2])<<16 | uint32(p[o+3])<<24)
+					c.X[op.rd&31] = sext32(binary.LittleEndian.Uint32(p[o:]))
 				} else {
 					v, err := c.traceRead32(op, a)
 					if err != nil {
@@ -554,8 +554,7 @@ func (c *CPU) runTrace(t *trace, budget uint64, limited bool) (retired uint64, s
 				a := c.X[op.rs1&31] + uint64(op.imm)
 				if a>>pageBits+1 == op.pgTag && a&pageMask <= pageSize-8 {
 					p, o := op.pg, a&pageMask
-					c.F[op.rd&31] = uint64(p[o]) | uint64(p[o+1])<<8 | uint64(p[o+2])<<16 | uint64(p[o+3])<<24 |
-						uint64(p[o+4])<<32 | uint64(p[o+5])<<40 | uint64(p[o+6])<<48 | uint64(p[o+7])<<56
+					c.F[op.rd&31] = binary.LittleEndian.Uint64(p[o:])
 				} else {
 					v, err := c.traceRead64(op, a)
 					if err != nil {
@@ -603,8 +602,7 @@ func (c *CPU) runTrace(t *trace, budget uint64, limited bool) (retired uint64, s
 				a := u + uint64(op.imm)
 				if a>>pageBits+1 == op.pgTag && a&pageMask <= pageSize-8 {
 					p, o := op.pg, a&pageMask
-					c.X[op.rs4&31] = uint64(p[o]) | uint64(p[o+1])<<8 | uint64(p[o+2])<<16 | uint64(p[o+3])<<24 |
-						uint64(p[o+4])<<32 | uint64(p[o+5])<<40 | uint64(p[o+6])<<48 | uint64(p[o+7])<<56
+					c.X[op.rs4&31] = binary.LittleEndian.Uint64(p[o:])
 				} else {
 					val, err := c.traceRead64(op, a)
 					if err != nil {
@@ -620,8 +618,7 @@ func (c *CPU) runTrace(t *trace, budget uint64, limited bool) (retired uint64, s
 				a := u + uint64(op.imm)
 				if a>>pageBits+1 == op.pgTag && a&pageMask <= pageSize-8 {
 					p, o := op.pg, a&pageMask
-					c.F[op.rs4&31] = uint64(p[o]) | uint64(p[o+1])<<8 | uint64(p[o+2])<<16 | uint64(p[o+3])<<24 |
-						uint64(p[o+4])<<32 | uint64(p[o+5])<<40 | uint64(p[o+6])<<48 | uint64(p[o+7])<<56
+					c.F[op.rs4&31] = binary.LittleEndian.Uint64(p[o:])
 				} else {
 					val, err := c.traceRead64(op, a)
 					if err != nil {
@@ -805,8 +802,7 @@ func (c *CPU) traceRead64(op *traceOp, a uint64) (uint64, error) {
 			op.pgTag, op.pg = a>>pageBits+1, p
 		}
 		p, o := op.pg, a&pageMask
-		return uint64(p[o]) | uint64(p[o+1])<<8 | uint64(p[o+2])<<16 | uint64(p[o+3])<<24 |
-			uint64(p[o+4])<<32 | uint64(p[o+5])<<40 | uint64(p[o+6])<<48 | uint64(p[o+7])<<56, nil
+		return binary.LittleEndian.Uint64(p[o:]), nil
 	}
 	return c.Mem.Read64(a)
 }
@@ -821,7 +817,7 @@ func (c *CPU) traceRead32(op *traceOp, a uint64) (uint32, error) {
 			op.pgTag, op.pg = a>>pageBits+1, p
 		}
 		p, o := op.pg, a&pageMask
-		return uint32(p[o]) | uint32(p[o+1])<<8 | uint32(p[o+2])<<16 | uint32(p[o+3])<<24, nil
+		return binary.LittleEndian.Uint32(p[o:]), nil
 	}
 	return c.Mem.Read32(a)
 }
@@ -836,9 +832,7 @@ func (c *CPU) traceWrite64(op *traceOp, a, v uint64) error {
 			op.pgTag, op.pg = a>>pageBits+1, p
 		}
 		p, o := op.pg, a&pageMask
-		for i := uint64(0); i < 8; i++ {
-			p[o+i] = byte(v >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(p[o:], v)
 		return c.storeCheck(a, 8, nil)
 	}
 	return c.storeCheck(a, 8, c.Mem.Write64(a, v))
@@ -854,7 +848,7 @@ func (c *CPU) traceWrite32(op *traceOp, a uint64, v uint32) error {
 			op.pgTag, op.pg = a>>pageBits+1, p
 		}
 		p, o := op.pg, a&pageMask
-		p[o], p[o+1], p[o+2], p[o+3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+		binary.LittleEndian.PutUint32(p[o:], v)
 		return c.storeCheck(a, 4, nil)
 	}
 	return c.storeCheck(a, 4, c.Mem.Write32(a, v))

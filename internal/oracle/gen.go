@@ -15,9 +15,10 @@ import (
 // them safe lockstep fodder:
 //
 //   - every load, store, and atomic targets the sandbox (a .data block whose
-//     base lives in gp and s1) or a small window above sp, all mapped in
-//     both engines — except the self-modifying loop production, whose one
-//     store targets a known .text word with a known valid instruction;
+//     base lives in gp and s1), a small window above sp, or a page the
+//     program just mapped with mmap, all mapped in both engines — except the
+//     self-modifying loop production, whose one store targets a known .text
+//     word with a known valid instruction;
 //   - every branch and jump is strictly forward, except the counted-loop
 //     production's single backedge, whose trip count is pinned by an
 //     immediately preceding li into a counter the loop body never writes —
@@ -415,6 +416,23 @@ func (g *progGen) step() {
 	}
 }
 
+// freshPage maps one page with mmap, reads it while it is still untouched
+// (it must read zero), then writes and re-reads it: the demand-zero path of
+// the emulator's address space against the reference's eager mapping.
+// Grouped, so a forward branch skips all of it or none.
+func (g *progGen) freshPage(side *rand.Rand) {
+	g.grouping = true
+	defer func() { g.grouping = false; g.flushDue() }()
+	off := side.Intn(256) * 8
+	g.emit("li a0, 0")
+	g.emit("li a1, 4096")
+	g.emit("li a7, 222")
+	g.emit("ecall")
+	g.emit("ld a1, %d(a0)", off)
+	g.emit("sd a0, %d(a0)", off)
+	g.emit("ld a2, %d(a0)", off)
+}
+
 // loopSafe is the register palette a counted loop's body may write: the
 // counter (t6), the SMC scratch/victim registers (t3-t5), and the pinned
 // bases (gp, s1, sp) are excluded, so a loop can never change its own trip
@@ -437,7 +455,18 @@ func GenerateProgram(seed int64, n int) string {
 	for i, reg := range fpRegs {
 		g.emit("fld %s, %d(gp)", reg, (i*8)%(sandboxReach+8))
 	}
+	// The fresh-page production draws from a stream of its own, so the main
+	// stream, and every program that does not get the production, does not
+	// depend on it.
+	side := rand.New(rand.NewSource(seed ^ 0x6d6d6170))
+	freshAt := -1
+	if side.Intn(4) == 0 {
+		freshAt = side.Intn(n + 1)
+	}
 	for i := 0; i < n; i++ {
+		if i == freshAt {
+			g.freshPage(side)
+		}
 		g.step()
 	}
 	// Retire any still-open forward labels.

@@ -5,6 +5,7 @@ import (
 
 	"rvdyn/internal/emu"
 	"rvdyn/internal/obs"
+	"rvdyn/internal/riscv"
 )
 
 // TestGeneratorEmitsFusablePairs closes the loop between the generator's
@@ -98,5 +99,52 @@ func TestGeneratorEmitsTraces(t *testing.T) {
 		if reg.Counter(k).Load() == 0 {
 			t.Errorf("%s never fired across the generated loop programs", k)
 		}
+	}
+}
+
+// TestGeneratorFreshPage: the seed-fresh-mmap-page corpus program really
+// maps a page and loads from it, reading zero, before any store to it — the
+// emulator's demand-zero path in lockstep against the eager reference.
+func TestGeneratorFreshPage(t *testing.T) {
+	f, err := BuildProgram(4, 80) // FuzzLockstep clamps uint16(60) to 80
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := emu.New(f, emu.P550())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var page uint64
+	c.SyscallTrace = func(num, _, _, _, ret uint64) {
+		if num == 222 {
+			page = ret
+		}
+	}
+	var first string
+	c.Trace = func(c *emu.CPU, in riscv.Inst) {
+		a := c.X[in.Rs1&31] + uint64(in.Imm)
+		if page == 0 || first != "" || a < page || a >= page+4096 {
+			return
+		}
+		switch {
+		case in.Mn == riscv.MnLD:
+			if v, _ := c.Mem.Read64(a); v == 0 {
+				first = "zero load"
+			} else {
+				first = "non-zero load"
+			}
+		case in.IsStore():
+			first = "store"
+		}
+	}
+	if stop := c.Run(1 << 20); stop != emu.StopExit {
+		t.Fatalf("stopped with %v (%v)", stop, c.LastTrap())
+	}
+	if page == 0 || first != "zero load" {
+		t.Fatalf("mmap page %#x, first access %q; want a zero load", page, first)
+	}
+	res, div, err := LockstepSeed(4, 80)
+	if err != nil || div != nil || res.Stop != "exit" {
+		t.Fatalf("lockstep: %+v, %v, %v", res, div, err)
 	}
 }
