@@ -459,7 +459,7 @@ func BenchmarkEmulatorThroughputSlow(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cpu.SlowDispatch = true
+		cpu.Dispatch = emu.DispatchSlow
 		if r := cpu.Run(0); r != emu.StopExit {
 			b.Fatal(r)
 		}

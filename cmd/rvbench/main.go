@@ -96,10 +96,10 @@ func main() {
 		log.Fatalf("build matmul: %v", err)
 	}
 	rep.Workloads = append(rep.Workloads,
-		measure(gateName, gateDispatch, mm, *reps, false, false),
-		measure(gateName, "fast", mm, *reps, false, true),
-		measure(gateName, "slow", mm, *reps, true, true),
-		measureDBI("dbi-matmul", mm, []string{"multiply", "init_matrices"}, *reps, true),
+		measure(gateName, gateDispatch, mm, *reps, emu.DispatchTrace),
+		measure(gateName, "fast", mm, *reps, emu.DispatchBlock),
+		measure(gateName, "slow", mm, *reps, emu.DispatchSlow),
+		measureDBI("dbi-matmul", mm, []string{"multiply", "init_matrices"}, *reps, emu.DispatchBlock),
 	)
 	for _, p := range workload.Programs() {
 		if p.Name == gateName {
@@ -109,7 +109,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("assemble %s: %v", p.Name, err)
 		}
-		rep.Workloads = append(rep.Workloads, measure(p.Name, "fast", f, *reps, false, true))
+		rep.Workloads = append(rep.Workloads, measure(p.Name, "fast", f, *reps, emu.DispatchBlock))
 		if p.Name == "fib" {
 			// fib is the indirect-branch-dense workload (every recursive
 			// return is a jalr): its trace row shows how far return-heavy
@@ -118,9 +118,9 @@ func main() {
 			// translated code), where dbi-matmul mostly exercises chained
 			// direct edges.
 			rep.Workloads = append(rep.Workloads,
-				measure(p.Name, "trace", f, *reps, false, false),
-				measureDBI("dbi-fib", f, p.Funcs, *reps, true),
-				measureDBI("dbi-fib", f, p.Funcs, *reps, false),
+				measure(p.Name, "trace", f, *reps, emu.DispatchTrace),
+				measureDBI("dbi-fib", f, p.Funcs, *reps, emu.DispatchBlock),
+				measureDBI("dbi-fib", f, p.Funcs, *reps, emu.DispatchTrace),
 			)
 		}
 	}
@@ -157,15 +157,14 @@ func main() {
 // (not mean) is the right statistic on shared CI machines: interference only
 // ever slows a run down, so the minimum is the closest observable to the
 // machine's true rate.
-func measure(name, dispatch string, file *elfrv.File, reps int, slow, notrace bool) Result {
-	best := Result{Name: name, Dispatch: dispatch, WallNS: 1<<63 - 1}
+func measure(name, label string, file *elfrv.File, reps int, dispatch emu.Dispatch) Result {
+	best := Result{Name: name, Dispatch: label, WallNS: 1<<63 - 1}
 	for i := 0; i < reps; i++ {
 		cpu, err := emu.New(file, emu.P550())
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}
-		cpu.SlowDispatch = slow
-		cpu.NoTrace = notrace
+		cpu.Dispatch = dispatch
 		start := time.Now()
 		if r := cpu.Run(0); r != emu.StopExit {
 			log.Fatalf("%s stopped with %v (%v)", name, r, cpu.LastTrap())
@@ -190,20 +189,20 @@ func measure(name, dispatch string, file *elfrv.File, reps int, slow, notrace bo
 // guest instructions only (raw Instret minus the DBI overhead the engine's
 // compensation state records), so the rate is comparable with the native
 // rows and cutting overhead raises it. Not gated: the point is the trend of
-// the dbi/fast ratio across the artifact history. notrace controls the trace
-// tier over the translated code ("dbi" vs "dbi-trace" rows).
-func measureDBI(name string, file *elfrv.File, funcs []string, reps int, notrace bool) Result {
-	dispatch := "dbi-trace"
-	if notrace {
-		dispatch = "dbi"
+// the dbi/fast ratio across the artifact history. dispatch selects the tiers
+// over the translated code ("dbi" for DispatchBlock, "dbi-trace" rows).
+func measureDBI(name string, file *elfrv.File, funcs []string, reps int, dispatch emu.Dispatch) Result {
+	label := "dbi-trace"
+	if dispatch == emu.DispatchBlock {
+		label = "dbi"
 	}
-	best := Result{Name: name, Dispatch: dispatch, WallNS: 1<<63 - 1}
+	best := Result{Name: name, Dispatch: label, WallNS: 1<<63 - 1}
 	for i := 0; i < reps; i++ {
 		p, err := proc.Launch(file, emu.P550())
 		if err != nil {
 			log.Fatalf("%s: %v", name, err)
 		}
-		p.CPU().NoTrace = notrace
+		p.CPU().Dispatch = dispatch
 		e, err := dbi.Attach(p, file, dbi.Options{})
 		if err != nil {
 			log.Fatalf("%s: attach: %v", name, err)

@@ -90,6 +90,15 @@ var (
 	obsTr  *obs.Tracer
 )
 
+// guestDispatch maps -notrace onto the emulator's dispatch value for every
+// guest run.
+func guestDispatch() emu.Dispatch {
+	if *notraceFlag {
+		return emu.DispatchBlock
+	}
+	return emu.DispatchTrace
+}
+
 func obsSetup() {
 	if *metricsFlag {
 		obsReg = obs.NewRegistry()
@@ -436,7 +445,7 @@ func cmdRun(args []string) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cpu.NoTrace = *notraceFlag
+		cpu.Dispatch = guestDispatch()
 		cpu.Stdout = os.Stdout
 		if obsReg != nil {
 			cpu.Obs = emu.NewMetrics(obsReg)
@@ -462,7 +471,7 @@ func cmdRun(args []string) {
 			cpu.Run(500)
 			p = b.Attach(cpu)
 		}
-		p.CPU().NoTrace = *notraceFlag
+		p.CPU().Dispatch = guestDispatch()
 		p.CPU().Stdout = os.Stdout
 		if obsReg != nil {
 			p.CPU().Obs = emu.NewMetrics(obsReg)
@@ -707,27 +716,26 @@ func cmdProfile(args []string) {
 	}
 
 	if *doSample {
-		var eng sample.Engine
+		opts := sample.Options{
+			Period: *period, MaxInst: *maxInst,
+			Obs: obsReg, Name: fs.Arg(0), Dispatch: guestDispatch(),
+		}
 		switch *engine {
 		case "fast":
-			eng = sample.EngineFast
 		case "slow":
-			eng = sample.EngineSlow
+			opts.Dispatch = emu.DispatchSlow
 		case "dbi":
-			eng = sample.EngineDBI
+			opts.Engine = sample.EngineDBI
 		default:
 			log.Fatalf("unknown sampling engine %q (want fast, slow, or dbi)", *engine)
 		}
-		runSampled(file, sample.Options{
-			Period: *period, Engine: eng, MaxInst: *maxInst,
-			Obs: obsReg, Name: fs.Arg(0), NoTrace: *notraceFlag,
-		}, *pprofOut, *foldedOut, *topN)
+		runSampled(file, opts, *pprofOut, *foldedOut, *topN)
 		return
 	}
 
 	rep, err := profile.Run(file, profile.Options{
 		Funcs: flist, Mode: parseMode(*mode), MaxInst: *maxInst,
-		Obs: obsReg, Trace: obsTr, TraceTID: 1, NoTrace: *notraceFlag,
+		Obs: obsReg, Trace: obsTr, TraceTID: 1, Dispatch: guestDispatch(),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -810,7 +818,7 @@ func cmdDBIRun(args []string) {
 	if *samplePeriod != 0 {
 		runSampled(file, sample.Options{
 			Period: *samplePeriod, Engine: sample.EngineDBI, MaxInst: *maxInst,
-			Obs: obsReg, NoCounterVirt: *noVirt, Name: fs.Arg(0), NoTrace: *notraceFlag,
+			Obs: obsReg, NoCounterVirt: *noVirt, Name: fs.Arg(0), Dispatch: guestDispatch(),
 		}, *pprofOut, *foldedOut, 10)
 		return
 	}
@@ -821,7 +829,7 @@ func cmdDBIRun(args []string) {
 	}
 	rep, err := profile.RunDBI(file, profile.Options{
 		Funcs: flist, Mode: parseMode(*mode), MaxInst: *maxInst, Obs: reg,
-		NoCounterVirt: *noVirt, NoTrace: *notraceFlag,
+		NoCounterVirt: *noVirt, Dispatch: guestDispatch(),
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -45,6 +45,13 @@ func main() {
 	if flag.NArg() != 1 {
 		log.Fatal("need exactly one ELF file")
 	}
+	dispatch := emu.DispatchTrace
+	if *notrace {
+		dispatch = emu.DispatchBlock
+	}
+	if *slow {
+		dispatch = emu.DispatchSlow
+	}
 	data, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
 		log.Fatal(err)
@@ -69,7 +76,7 @@ func main() {
 		if *trace || *histo {
 			log.Fatal("-pprof is incompatible with -trace and -histo")
 		}
-		runSampled(f, model, *pprofOut, *period, *slow, *notrace, *stats, *maxInst)
+		runSampled(f, model, *pprofOut, *period, dispatch, *stats, *maxInst)
 		return
 	}
 	cpu, err := emu.New(f, model)
@@ -78,8 +85,7 @@ func main() {
 	}
 	cpu.Stdout = os.Stdout
 	cpu.Stderr = os.Stderr
-	cpu.SlowDispatch = *slow
-	cpu.NoTrace = *notrace
+	cpu.Dispatch = dispatch
 	if *trace {
 		cpu.Trace = func(c *emu.CPU, inst riscv.Inst) {
 			fmt.Fprintf(os.Stderr, "%#010x: %v\n", c.PC, inst)
@@ -147,18 +153,14 @@ func main() {
 
 // runSampled runs the binary under the virtual-clock sampling profiler on
 // the chosen dispatch engine and writes the gzipped pprof profile.
-func runSampled(f *elfrv.File, model *emu.CostModel, out string, period uint64, slow, notrace, stats bool, maxInst uint64) {
-	eng := sample.EngineFast
-	if slow {
-		eng = sample.EngineSlow
-	}
+func runSampled(f *elfrv.File, model *emu.CostModel, out string, period uint64, dispatch emu.Dispatch, stats bool, maxInst uint64) {
 	var reg *obs.Registry
 	if stats {
 		reg = obs.NewRegistry()
 	}
 	prof, err := sample.Run(f, sample.Options{
-		Model: model, Period: period, Engine: eng, MaxInst: maxInst, Obs: reg,
-		Name: flag.Arg(0), NoTrace: notrace,
+		Model: model, Period: period, MaxInst: maxInst, Obs: reg,
+		Name: flag.Arg(0), Dispatch: dispatch,
 	})
 	if err != nil {
 		log.Fatal(err)

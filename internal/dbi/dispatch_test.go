@@ -61,7 +61,9 @@ func attachFib(t *testing.T, f *elfrv.File, slow bool) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p.CPU().SlowDispatch = slow
+	if slow {
+		p.CPU().Dispatch = emu.DispatchSlow
+	}
 	e, err := Attach(p, f, Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +108,7 @@ func sameDBIState(a, b *Engine) string {
 }
 
 // TestDBIFastSlowSliceSweep drives a DBI fib(10) run on the fast tiers and
-// on SlowDispatch side by side in budget slices of every length k in
+// on DispatchSlow side by side in budget slices of every length k in
 // 1..N, comparing full state at every slice boundary. Lookup stubs run
 // inside blocks and traces, so slice ends land mid-stub, mid-block and
 // mid-trace-pass; each must leave exactly the per-instruction state.

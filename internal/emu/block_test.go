@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"rvdyn/internal/asm"
+	"rvdyn/internal/obs"
 	"rvdyn/internal/riscv"
 	"rvdyn/internal/workload"
 )
@@ -27,7 +28,7 @@ func runBoth(t *testing.T, src string, opts asm.Options) (fast, slow *CPU) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow.SlowDispatch = true
+	slow.Dispatch = DispatchSlow
 	var fastOut, slowOut bytes.Buffer
 	fast.Stdout, slow.Stdout = &fastOut, &slowOut
 	rf := fast.Run(0)
@@ -180,33 +181,179 @@ patchme:
 }
 
 // TestFastPathBudgetExactness: Run(n) must stop on the same instruction on
-// both paths even when n lands mid-block, and resuming must finish the
-// program identically.
+// both paths even when n lands mid-block, mid-pass, or inside a fused pair
+// or superop, and resuming must finish the program identically — at block
+// and at trace granularity. Small budgets keep slices shorter than most
+// blocks (so the slow path takes the remainder); odd primes land on every
+// op boundary in turn.
 func TestFastPathBudgetExactness(t *testing.T) {
 	f, err := asm.Assemble(workload.MatmulSource(6, 1), asm.Options{})
 	if err != nil {
 		t.Fatalf("assemble: %v", err)
 	}
-	fast, err := New(f, P550())
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow, err := New(f, P550())
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow.SlowDispatch = true
-	// Odd prime budget: guaranteed to land mid-block somewhere.
-	for !fast.Exited {
-		rf := fast.Run(197)
-		rs := slow.Run(197)
-		if rf != rs {
-			t.Fatalf("stop reason after %d retired: fast %v, slow %v", fast.Instret, rf, rs)
+	for _, d := range []struct {
+		name     string
+		dispatch Dispatch
+	}{{"block", DispatchBlock}, {"trace", DispatchTrace}} {
+		for _, n := range []uint64{1, 2, 3, 5, 7, 11, 13, 197} {
+			t.Run(fmt.Sprintf("%s/%d", d.name, n), func(t *testing.T) {
+				fast, err := New(f, P550())
+				if err != nil {
+					t.Fatal(err)
+				}
+				fast.Dispatch = d.dispatch
+				reg := obs.NewRegistry()
+				fast.Obs = NewMetrics(reg)
+				slow, err := New(f, P550())
+				if err != nil {
+					t.Fatal(err)
+				}
+				slow.Dispatch = DispatchSlow
+				for !fast.Exited {
+					rf := fast.Run(n)
+					rs := slow.Run(n)
+					if rf != rs {
+						t.Fatalf("stop reason after %d retired: fast %v, slow %v", fast.Instret, rf, rs)
+					}
+					if fast.PC != slow.PC || fast.Instret != slow.Instret || fast.Cycles != slow.Cycles {
+						t.Fatalf("divergence: fast pc=%#x instret=%d cycles=%d, slow pc=%#x instret=%d cycles=%d",
+							fast.PC, fast.Instret, fast.Cycles, slow.PC, slow.Instret, slow.Cycles)
+					}
+				}
+				requireSameState(t, fast, slow)
+				if n >= 5 && reg.Counter("emu.chain.hits").Load() == 0 {
+					t.Error("no block was dispatched on the fast tier; the budget never reached it")
+				}
+				if d.dispatch == DispatchTrace && n == 197 && reg.Counter("emu.trace.hits").Load() == 0 {
+					t.Error("no trace was dispatched at the largest budget")
+				}
+			})
 		}
-		if fast.PC != slow.PC || fast.Instret != slow.Instret {
-			t.Fatalf("divergence: fast pc=%#x instret=%d, slow pc=%#x instret=%d",
-				fast.PC, fast.Instret, slow.PC, slow.Instret)
-		}
 	}
+}
+
+// TestSelfModifyingCodeStorePair: the first store of a fused sd pair
+// rewrites the pair's own second instruction. The pair must split after
+// the first store so the rewritten bytes are re-decoded: the stale second
+// sd would overwrite the exit sequence.
+func TestSelfModifyingCodeStorePair(t *testing.T) {
+	src := fmt.Sprintf(`
+	.text
+_start:
+	li t1, 0x13           # nop, placed in the high word
+	slli t1, t1, 32
+	li t3, %d             # "addi a0, zero, 42" in the low word
+	or t1, t1, t3
+	li a0, 0
+	la t0, patchme
+	sd t1, 0(t0)          # rewrites patchme and the instruction after it
+patchme:
+	sd t2, 8(t0)          # fused with the sd above; replaced before it runs
+	addi a0, zero, 7      # becomes a nop
+	li a7, 93
+	ecall
+`, patchWord(t))
+	fast, slow := runBoth(t, src, asm.Options{NoCompress: true})
 	requireSameState(t, fast, slow)
+	if fast.ExitCode != 42 {
+		t.Errorf("exit code %d, want 42 (the stale second store ran)", fast.ExitCode)
+	}
+}
+
+// BenchmarkBuildEveryPC builds a block at every instruction address of
+// matmul's text, the pure cost of block compilation.
+func BenchmarkBuildEveryPC(b *testing.B) {
+	f, err := asm.Assemble(workload.MatmulSource(6, 1), asm.Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	c, err := New(f, P550())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var pcs []uint64
+	for a := c.PC; ; {
+		in, err := c.fetchAt(a)
+		if err != nil || !in.Valid() {
+			break
+		}
+		pcs = append(pcs, a)
+		a = in.Next()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, pc := range pcs {
+			c.buildBlock(pc)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pcs)), "ns/build")
+}
+
+// BenchmarkSMCStorm: a loop that stores over a function's code and calls
+// it each iteration, so blocks are rebuilt on every pass — the
+// rebuild-heavy case block compilation cost shows on.
+func BenchmarkSMCStorm(b *testing.B) {
+	const src = `
+	.text
+_start:
+	la s1, victim
+	li s0, 2000
+	li t1, 0x00000013     # nop
+loop:
+	sw t1, 4(s1)
+	jal ra, victim
+	addi s0, s0, -1
+	bnez s0, loop
+	li a0, 0
+	li a7, 93
+	ecall
+victim:
+	addi a2, a2, 1
+	nop
+	li a3, 1
+	slli a4, a3, 3
+	add a4, a4, s1
+	ld a5, 0(a4)
+	ret
+`
+	f, err := asm.Assemble(src, asm.Options{NoCompress: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c, err := New(f, P550())
+		if err != nil {
+			b.Fatal(err)
+		}
+		if r := c.Run(0); r != StopExit {
+			b.Fatalf("stop %v %v", r, c.LastTrap())
+		}
+	}
+}
+
+// BenchmarkColdRun: Run alone on a fresh CPU for each small suite
+// program: every block is built once and run a few times.
+func BenchmarkColdRun(b *testing.B) {
+	for _, p := range workload.Programs() {
+		if p.Name != "tailcall" && p.Name != "farcall" {
+			continue
+		}
+		f, err := asm.Assemble(p.Source, asm.Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.Run(p.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				c, err := New(f, P550())
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				c.Run(0)
+			}
+		})
+	}
 }

@@ -72,7 +72,7 @@ scratch:
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow.SlowDispatch = true
+	slow.Dispatch = DispatchSlow
 	if rf, rs := fast.Run(0), slow.Run(0); rf != rs {
 		t.Fatalf("stop reason: fast %v, slow %v", rf, rs)
 	}
@@ -88,9 +88,12 @@ scratch:
 	}
 }
 
-// fusePairProgram exercises every macro-op fusion kind in one binary:
-// lui+addi, auipc+addi (via la), auipc+ld, slli+add, ld-pair, sd-pair, and
-// the compare+branch / auipc+jalr fused terminators.
+// fusePairProgram exercises every row of the fusion table in one binary:
+// lui+addi, auipc+addi (via la), auipc+ld, slli+add, ld-pair, sd-pair, the
+// compare+branch / auipc+jalr fused terminators, and the superops — mul+add
+// whose other add operand is the product register, slli+add+ld/fld, addi+jal,
+// and addi+branch taken and not taken. Superops form at block build, so they
+// run here outside any hot loop.
 const fusePairProgram = `
 	.text
 _start:
@@ -108,6 +111,19 @@ _start:
 	ld s8, 0(s7)
 	auipc s10, 0          # auipc+addi pair (la emits absolute lui+addi, so
 	addi s10, s10, 8      # the pc-relative form needs spelling out)
+	mul t4, a2, a3        # mul+add superop: the add's other operand is
+	add t5, t4, t4        # the product register itself
+	slli t6, s4, 3        # slli+add+ld superop: loads vals+16, written
+	add t6, t6, t2        # by the sd pair
+	ld a5, 0(t6)
+	slli t6, s4, 2        # slli+add+fld superop: loads vals+8
+	add t6, t6, t2
+	fld fa0, 0(t6)
+	li s11, 3
+	j count               # addi+jal superop
+count:
+	addi s11, s11, -1     # addi+branch superop: taken twice, then not taken
+	bnez s11, count
 	slt t3, a2, a3        # compare+branch fused terminator
 	bne t3, zero, less
 	li s9, 0
@@ -149,7 +165,7 @@ func TestFusedPairsEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow.SlowDispatch = true
+	slow.Dispatch = DispatchSlow
 	if rf, rs := fast.Run(0), slow.Run(0); rf != rs {
 		t.Fatalf("stop reason: fast %v, slow %v (fast trap %v)", rf, rs, fast.LastTrap())
 	}
@@ -158,8 +174,61 @@ func TestFusedPairsEquivalence(t *testing.T) {
 		t.Errorf("exit code %d, want 31", fast.ExitCode)
 	}
 	for k := 0; k < numFuseKinds; k++ {
-		if got := reg.Counter("emu.fuse." + fuseKindNames[k]).Load(); got == 0 {
-			t.Errorf("fuse kind %q never matched; program is meant to exercise all kinds", fuseKindNames[k])
+		if got := reg.Counter("emu.fuse." + fusions[k].name).Load(); got == 0 {
+			t.Errorf("fuse kind %q never matched; program is meant to exercise all kinds", fusions[k].name)
+		}
+	}
+}
+
+// TestFuseIndexedFieldPair pins the fusion choice on an indexed two-field
+// load, slli; add; ld x, 0(t); ld y, 8(t). Fusion is greedy on the op
+// before, so the first ld joins the slli+add as a slli_add_ld superop and
+// the second ld stays unfused: ld_pair does not count here.
+func TestFuseIndexedFieldPair(t *testing.T) {
+	const src = `
+	.text
+_start:
+	la t0, vals
+	li t1, 1
+	slli t2, t1, 3
+	add t2, t2, t0
+	ld a0, 0(t2)
+	ld a1, 8(t2)
+	add a0, a0, a1
+	li a7, 93
+	ecall
+	.data
+	.balign 8
+vals:
+	.dword 1
+	.dword 20
+	.dword 300
+`
+	f, err := asm.Assemble(src, asm.Options{NoCompress: true})
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	fast, err := New(f, P550())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	fast.Obs = NewMetrics(reg)
+	slow, err := New(f, P550())
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow.Dispatch = DispatchSlow
+	if rf, rs := fast.Run(0), slow.Run(0); rf != rs {
+		t.Fatalf("stop reason: fast %v, slow %v (fast trap %v)", rf, rs, fast.LastTrap())
+	}
+	requireSameState(t, fast, slow)
+	if fast.ExitCode != 320 {
+		t.Errorf("exit code %d, want 320", fast.ExitCode)
+	}
+	for name, want := range map[string]uint64{"slli_add": 1, "slli_add_ld": 1, "ld_pair": 0} {
+		if got := reg.Counter("emu.fuse." + name).Load(); got != want {
+			t.Errorf("emu.fuse.%s = %d, want %d", name, got, want)
 		}
 	}
 }
@@ -180,7 +249,7 @@ func runBothTrap(t *testing.T, src string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow.SlowDispatch = true
+	slow.Dispatch = DispatchSlow
 	rf, rs := fast.Run(0), slow.Run(0)
 	if rf != StopTrap || rs != StopTrap {
 		t.Fatalf("stop reason: fast %v, slow %v; want both StopTrap", rf, rs)
@@ -236,6 +305,32 @@ _start:
 	li t1, 1234
 	sd t1, 0(t0)          # mapped
 	sd t1, 8(t0)          # unmapped: faults after the first store lands
+	li a7, 93
+	ecall
+`, edge-8))
+	})
+	t.Run("slli_add_ld_tail_faults", func(t *testing.T) {
+		runBothTrap(t, fmt.Sprintf(`
+	.text
+_start:
+	li t0, %d
+	li t1, 1
+	slli t2, t1, 3        # slli+add+ld superop: the shift and the add
+	add t2, t2, t0        # retire, then the load faults
+	ld a0, 0(t2)
+	li a7, 93
+	ecall
+`, edge-8))
+	})
+	t.Run("slli_add_fld_tail_faults", func(t *testing.T) {
+		runBothTrap(t, fmt.Sprintf(`
+	.text
+_start:
+	li t0, %d
+	li t1, 1
+	slli t2, t1, 3        # slli+add+fld superop, faulting tail
+	add t2, t2, t0
+	fld fa0, 0(t2)
 	li a7, 93
 	ecall
 `, edge-8))

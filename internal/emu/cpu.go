@@ -69,15 +69,9 @@ type CPU struct {
 	// Stdout (the historical behaviour, which conflated the two streams).
 	Stderr io.Writer
 
-	// SlowDispatch forces the per-instruction interpreter loop even when no
-	// Trace hook is installed. Tools use it to compare the superblock fast
-	// path against the reference dispatch (see block.go).
-	SlowDispatch bool
-
-	// NoTrace disables trace compilation and dispatch (trace.go), leaving
-	// the chained superblock fast path as the top dispatch tier. Tools use
-	// it for A/B overhead runs (rvemu/rvdyn -notrace, rvbench's fast rows).
-	NoTrace bool
+	// Dispatch selects the tiers Run may use (see Run); the zero value is
+	// the default, DispatchTrace.
+	Dispatch Dispatch
 
 	// Trace, when non-nil, runs before each instruction executes. Tools
 	// (and the trap-based instrumentation mode) hook here.
@@ -153,7 +147,7 @@ type CPU struct {
 	// synced into Obs at every Run return. chainHits counts block→block
 	// dispatches served from a superblock's successor cache; chainSevers
 	// counts cached successors dropped because their generation went stale.
-	// fuseCount tallies macro-op pairs fused at block-build time, by kind.
+	// fuseCount tallies fusions applied at block build, by fusions row.
 	chainHits   uint64
 	chainSevers uint64
 	fuseCount   [numFuseKinds]uint64
@@ -166,13 +160,6 @@ type CPU struct {
 	tracePasses    uint64
 	traceSideExits uint64
 	traceSevers    uint64
-
-	// blkGen mirrors the generation of the block runBlock is executing, so
-	// fused store-pair handlers can detect a mid-pair code invalidation.
-	// fuseStage is set by a faulting fused handler to the number of
-	// constituents that retired before the fault.
-	blkGen    uint64
-	fuseStage int
 
 	// Code-watch range [watchLo, watchHi): a guest store overlapping it
 	// stops Run with StopCodeWrite *after* the store retires, with
@@ -461,23 +448,37 @@ func (c *CPU) SampleDrain() int {
 	return n
 }
 
+// Dispatch selects the tiers Run may use.
+type Dispatch uint8
+
+const (
+	// DispatchTrace (the default) runs superblocks and compiles hot chains
+	// of them into traces.
+	DispatchTrace Dispatch = iota
+	// DispatchBlock runs superblocks without compiling traces (rvemu/rvdyn
+	// -notrace, for A/B overhead runs).
+	DispatchBlock
+	// DispatchSlow forces the per-instruction interpreter loop, the
+	// reference the fast tier is compared against (rvemu -slow).
+	DispatchSlow
+)
+
 // Run executes until exit, breakpoint, trap, or maxInst instructions
 // (0 = unlimited).
 //
-// Three dispatch tiers sit behind Run. The trace tier (trace.go) runs a hot
-// chain of superblocks flattened into one op stream, looping whole passes
-// per dispatch. The superblock tier executes whole pre-decoded
-// straight-line blocks per dispatch (block.go), following cached
-// block→block successor links so loop-heavy code never re-probes the block
-// map. Both are selected automatically whenever nothing needs
-// per-instruction visibility. The per-instruction slow path is used when a
-// Trace hook is installed (tools, oracle lockstep stepping), when
-// SlowDispatch is set, or when the remaining instruction budget is smaller
-// than the next block or trace pass — so budget exhaustion stops at exactly
-// the same instruction on every tier. Code a DBI engine translated into its
-// code cache (see DBIComp) runs through the same three tiers: its lookup
-// stubs' scratch-CSR ops are ordinary body ops and its dbi.jt transfers a
-// block terminator.
+// Behind Run sit one fast-tier executor at two granularities and the
+// per-instruction slow path. The executor (runStream, trace.go) runs an op
+// stream: a superblock's (block.go), dispatched whole and followed through
+// cached block→block successor links so loop-heavy code never re-probes
+// the block map, or a trace's — a hot chain of superblocks flattened into
+// one stream that loops whole passes per dispatch. The fast tier is used
+// whenever nothing needs per-instruction visibility. The slow path is used
+// when a Trace hook is installed (tools, oracle lockstep stepping), under
+// DispatchSlow, or when the remaining instruction budget is smaller than
+// the next block or trace pass — so budget exhaustion stops at exactly the
+// same instruction on every tier. Code a DBI engine translated into its
+// code cache (see DBIComp) runs through the same tiers: its lookup stubs'
+// scratch-CSR ops are ordinary ops and its dbi.jt ends a stream.
 func (c *CPU) Run(maxInst uint64) StopReason {
 	if c.Obs != nil {
 		// Sync the hot-path counters into obs on return; the architectural
@@ -501,53 +502,41 @@ func (c *CPU) Run(maxInst uint64) StopReason {
 		if maxInst != 0 && budget == 0 {
 			return StopMaxInst
 		}
-		if c.Trace == nil && !c.SlowDispatch {
+		if c.Trace == nil && c.Dispatch != DispatchSlow {
 			b := chained
 			chained = nil
 			if b == nil {
 				b = c.blockAt(c.PC)
 			}
-			if b != nil && !c.NoTrace {
-				if t := b.trc; t != nil {
+			if b != nil {
+				s := &b.stream
+				if t := b.trc; t != nil && c.Dispatch == DispatchTrace {
 					if t.gen != c.icGen {
 						b.trc = nil
 						c.traceSevers++
-					} else if (maxInst == 0 || budget >= t.passN) &&
-						(c.SamplePeriod == 0 || c.SampleClock()+t.maxCost < c.sampleNext) {
-						// Trace tier: the whole flattened chain in one
-						// dispatch, gated exactly like a block — the budget
-						// covers a full pass and even the worst-case pass
-						// cannot cross the pending sample mark.
-						retired, stop := c.runTrace(t, budget, maxInst != 0)
-						if stop != stopNone {
-							return stop
-						}
-						budget -= retired
-						if c.watchHit {
-							c.watchHit = false
-							return StopCodeWrite
-						}
-						continue
+					} else if c.fits(t, budget, maxInst != 0) {
+						s = t
+						c.traceHits++
 					}
 				}
-			}
-			if b != nil && (maxInst == 0 || budget >= b.n) &&
-				(c.SamplePeriod == 0 || c.SampleClock()+b.maxCost < c.sampleNext) {
-				retired, stop := c.runBlock(b)
-				if stop != stopNone {
-					return stop
+				if s.hot || c.fits(s, budget, maxInst != 0) {
+					retired, stop := c.runStream(s, budget, maxInst != 0)
+					if stop != stopNone {
+						return stop
+					}
+					budget -= retired
+					if c.watchHit {
+						// A watched store retired the prefix through a
+						// stopNone exit; surface it here with the PC
+						// already past the store.
+						c.watchHit = false
+						return StopCodeWrite
+					}
+					if !s.hot {
+						chained = c.chainNext(b)
+					}
+					continue
 				}
-				budget -= retired
-				if c.watchHit {
-					// A watched store that also invalidated code (or split a
-					// fused pair) came back through a stopNone retire-prefix
-					// path; surface it here with the PC already past the
-					// store.
-					c.watchHit = false
-					return StopCodeWrite
-				}
-				chained = c.chainNext(b)
-				continue
 			}
 		}
 		budget--
@@ -555,6 +544,13 @@ func (c *CPU) Run(maxInst uint64) StopReason {
 			return r
 		}
 	}
+}
+
+// fits reports whether the dispatch gates admit one pass of s: the budget
+// covers it and even its worst case cannot cross the pending sample mark.
+func (c *CPU) fits(s *stream, budget uint64, limited bool) bool {
+	return (!limited || budget >= s.passN) &&
+		(c.SamplePeriod == 0 || c.SampleClock()+s.maxCost < c.sampleNext)
 }
 
 // syncObs snapshots the hot-path counters at Run entry and returns the
@@ -599,8 +595,7 @@ func (c *CPU) stepOne() StopReason {
 		return StopBreakpoint
 	}
 	if stop, err := c.exec(&inst); err != nil {
-		c.lastTrap = &Trap{PC: c.PC, Why: "execute " + inst.String(), Wrap: err}
-		return StopTrap
+		return c.trap(&inst, err)
 	} else if stop {
 		return StopExit
 	}
@@ -609,6 +604,12 @@ func (c *CPU) stepOne() StopReason {
 		return StopCodeWrite
 	}
 	return stopNone
+}
+
+// trap records a fault executing in, at the current PC.
+func (c *CPU) trap(in *riscv.Inst, err error) StopReason {
+	c.lastTrap = &Trap{PC: c.PC, Why: "execute " + in.String(), Wrap: err}
+	return StopTrap
 }
 
 // Step executes exactly one instruction (used by the software single-step
@@ -626,7 +627,7 @@ func (c *CPU) setX(r riscv.Reg, v uint64) {
 // exec executes one non-ebreak instruction. It returns stop=true when the
 // program exited via syscall. Control transfer and system instructions are
 // handled here; everything straight-line is in execStraight so the
-// superblock engine can reuse it (block.go).
+// fast-tier executor can reuse it (trace.go).
 func (c *CPU) exec(inst *riscv.Inst) (stop bool, err error) {
 	cost := c.Model.Cost(inst.Mn)
 	next := inst.Next()
@@ -730,9 +731,9 @@ func (c *CPU) dbiJT(inst *riscv.Inst) (uint64, error) {
 
 // execStraight executes one straight-line (non-control-flow, non-system)
 // instruction: only register and memory state change, never the PC or the
-// counters. Both dispatch engines funnel through it — the slow path via
-// exec's default case, the superblock fast path as the generic body
-// handler for mnemonics without a dedicated one.
+// counters. Both tiers funnel through it — the slow path via exec's
+// default case, the fast-tier executor for every mnemonic without a
+// dedicated op kind (otStraight).
 func (c *CPU) execStraight(inst *riscv.Inst) error {
 	mn := inst.Mn
 	rs1 := c.X[inst.Rs1&31]
@@ -1010,8 +1011,9 @@ func (c *CPU) storeCheck(addr uint64, width uint64, err error) error {
 	}
 	if addr < c.watchHi && addr+width > c.watchLo {
 		if c.watchHit {
-			// A fused store pair can trip twice before dispatch notices;
-			// widen the recorded span to cover both stores.
+			// One instruction can trip twice before dispatch notices (a
+			// syscall writing both words of a timespec); widen the recorded
+			// span to cover both stores.
 			lo, hi := c.watchAddr, c.watchAddr+c.watchLen
 			if addr < lo {
 				lo = addr

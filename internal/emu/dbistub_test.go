@@ -77,7 +77,9 @@ func TestStepAllocationFree(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := newStubLoop(t)
-			c.SlowDispatch = tc.slow
+			if tc.slow {
+				c.Dispatch = DispatchSlow
+			}
 			iter := func() {
 				if tc.step {
 					for i := 0; i < stubLoopLen; i++ {
@@ -104,9 +106,9 @@ func TestStepAllocationFree(t *testing.T) {
 	}
 }
 
-// TestScratchCSRTrapParity: scratch-CSR ops are block body ops, so without
-// an attached DBIComp the fault surfaces from a body handler rather than a
-// terminator. The trap must match per-instruction dispatch exactly: PC,
+// TestScratchCSRTrapParity: scratch-CSR ops are ordinary block ops, so
+// without an attached DBIComp the fault surfaces mid-block rather than from
+// a terminator. The trap must match per-instruction dispatch exactly: PC,
 // message, Cycles and Instret.
 func TestScratchCSRTrapParity(t *testing.T) {
 	fast, slow := runBoth(t, `
@@ -138,7 +140,9 @@ func TestDBIJTTrapParity(t *testing.T) {
 	var cpus [2]*CPU
 	for i, slow := range []bool{false, true} {
 		c := newStubLoop(t)
-		c.SlowDispatch = slow
+		if slow {
+			c.Dispatch = DispatchSlow
+		}
 		// Warm up past the trace trigger, stopping at loop (after the
 		// one-instruction prologue), then drop the delta table.
 		if r := c.Run(1 + 200*stubLoopLen); r != StopMaxInst {

@@ -53,9 +53,11 @@ type Metrics struct {
 	TLBWriteHits, TLBWriteMisses *obs.Counter
 	TLBFetchHits, TLBFetchMisses *obs.Counter
 
-	// Fused counts macro-op pairs recognized at block-build time, indexed
-	// by fuse kind (emu.fuse.<kind>). A rebuilt block re-counts its pairs,
-	// so this tracks fusion opportunity in decoded code, not retirement.
+	// Fused counts macro-op fusions applied at block build, one counter per
+	// fusions row (emu.fuse.<name>). A superop built on a pair counts both
+	// rows; a rebuilt block re-counts its fusions, and traces, which copy
+	// fused block ops, count nothing. This tracks fusion opportunity in
+	// decoded code, not retirement.
 	Fused [numFuseKinds]*obs.Counter
 
 	reg *obs.Registry
@@ -86,7 +88,7 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		reg:                r,
 	}
 	for k := 0; k < numFuseKinds; k++ {
-		m.Fused[k] = r.Counter("emu.fuse." + fuseKindNames[k])
+		m.Fused[k] = r.Counter("emu.fuse." + fusions[k].name)
 	}
 	return m
 }

@@ -19,8 +19,8 @@ func traceCounters(reg *obs.Registry) (builds, hits, passes, sideExits, severs u
 }
 
 // TestTraceEquivalenceMatmul: the flagship workload runs hot enough to
-// trace-compile its kernel (exercising the superop peephole: slliAdd+fld,
-// mul+add, addi+jal, addi+branch); the traced run must end bit-identical
+// trace-compile its kernel (exercising the superops its blocks fused:
+// slliAdd+fld, mul+add, addi+jal, addi+branch); the traced run must end bit-identical
 // to per-instruction dispatch, and the counters must show the trace tier
 // actually absorbed the loop (many passes per dispatch).
 func TestTraceEquivalenceMatmul(t *testing.T) {
@@ -38,7 +38,7 @@ func TestTraceEquivalenceMatmul(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow.SlowDispatch = true
+	slow.Dispatch = DispatchSlow
 	if rf, rs := fast.Run(0), slow.Run(0); rf != rs {
 		t.Fatalf("stop reason: fast %v, slow %v", rf, rs)
 	}
@@ -52,8 +52,8 @@ func TestTraceEquivalenceMatmul(t *testing.T) {
 	}
 }
 
-// TestTraceNoTraceEquivalence: the NoTrace kill switch produces identical
-// state and zero trace activity.
+// TestTraceNoTraceEquivalence: DispatchBlock (the -notrace kill switch)
+// produces identical state and zero trace activity.
 func TestTraceNoTraceEquivalence(t *testing.T) {
 	f, err := workload.BuildMatmul(16, 1, asm.Options{})
 	if err != nil {
@@ -67,7 +67,7 @@ func TestTraceNoTraceEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	notrace.NoTrace = true
+	notrace.Dispatch = DispatchBlock
 	reg := obs.NewRegistry()
 	notrace.Obs = NewMetrics(reg)
 	if r1, r2 := traced.Run(0), notrace.Run(0); r1 != r2 {
@@ -75,7 +75,7 @@ func TestTraceNoTraceEquivalence(t *testing.T) {
 	}
 	requireSameState(t, traced, notrace)
 	if builds, hits, _, _, _ := traceCounters(reg); builds != 0 || hits != 0 {
-		t.Errorf("NoTrace run still traced: builds=%d hits=%d", builds, hits)
+		t.Errorf("DispatchBlock run still traced: builds=%d hits=%d", builds, hits)
 	}
 }
 
@@ -135,7 +135,7 @@ scratch:
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow.SlowDispatch = true
+	slow.Dispatch = DispatchSlow
 	if rf, rs := fast.Run(0), slow.Run(0); rf != rs {
 		t.Fatalf("stop reason: fast %v, slow %v", rf, rs)
 	}
@@ -203,4 +203,45 @@ func TestTraceBudgetedRunEquivalence(t *testing.T) {
 		}
 	}
 	requireSameState(t, whole, sliced)
+}
+
+// TestTracePredictedTakenSideExit: a bottom-tested loop compiles its
+// backedge as predicted taken; the final iteration leaves through a side
+// exit on the not-taken side, which must charge the branch without the
+// taken penalty the predicted path carries.
+func TestTracePredictedTakenSideExit(t *testing.T) {
+	f, err := asm.Assemble(`
+	.text
+_start:
+	li t0, 500
+	li a0, 0
+loop:
+	add a0, a0, t0
+	addi t0, t0, -1       # addi+branch superop, predicted taken
+	bnez t0, loop
+	andi a0, a0, 0x7f
+	li a7, 93
+	ecall
+`, asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fast, err := New(f, P550())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	fast.Obs = NewMetrics(reg)
+	slow, err := New(f, P550())
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow.Dispatch = DispatchSlow
+	if rf, rs := fast.Run(0), slow.Run(0); rf != rs {
+		t.Fatalf("stop reason: fast %v, slow %v", rf, rs)
+	}
+	requireSameState(t, fast, slow)
+	if _, _, passes, sideExits, _ := traceCounters(reg); passes == 0 || sideExits == 0 {
+		t.Fatalf("loop never left a trace through a side exit: passes=%d side_exits=%d", passes, sideExits)
+	}
 }

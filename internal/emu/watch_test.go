@@ -48,7 +48,9 @@ func runWatched(t *testing.T, slow bool) (stops []watchStop, c *CPU) {
 	if err != nil {
 		t.Fatalf("new cpu: %v", err)
 	}
-	c.SlowDispatch = slow
+	if slow {
+		c.Dispatch = DispatchSlow
+	}
 	buf, ok := f.Symbol("buf")
 	if !ok {
 		t.Fatal("no buf symbol")
@@ -141,5 +143,103 @@ func TestCodeWatchDebuggerWriteDoesNotTrip(t *testing.T) {
 	}
 	if c.watchHit {
 		t.Fatal("debugger WriteMem tripped the code watch")
+	}
+}
+
+// TestCodeWatchStorePairSplit: when the first store of a fused sd pair
+// hits the watch, the pair splits — the stop comes after the first store,
+// with the PC on the second, exactly where per-instruction dispatch stops
+// — and resuming runs the second store without another stop.
+func TestCodeWatchStorePairSplit(t *testing.T) {
+	const src = `
+	.text
+_start:
+	la t0, buf
+	li t1, 5
+	sd t1, 0(t0)          # watched: the pair splits here
+	sd t1, 8(t0)          # fused with the sd above, outside the watch
+	li a0, 7
+	li a7, 93
+	ecall
+	.data
+buf:
+	.dword 0
+	.dword 0
+`
+	f, err := asm.Assemble(src, asm.Options{})
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	buf, _ := f.Symbol("buf")
+	var stops [2][]watchStop
+	for i, d := range []Dispatch{DispatchBlock, DispatchSlow} {
+		c, err := New(f, P550())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Dispatch = d
+		c.SetCodeWatch(buf.Value, buf.Value+8)
+		for r := c.Run(0); r != StopExit; r = c.Run(0) {
+			if r != StopCodeWrite {
+				t.Fatalf("dispatch %d: stopped with %v (%v)", d, r, c.LastTrap())
+			}
+			addr, n := c.CodeWrite()
+			stops[i] = append(stops[i], watchStop{c.PC, c.Cycles, c.Instret, addr, n})
+		}
+	}
+	if len(stops[0]) != 1 || len(stops[1]) != 1 || stops[0][0] != stops[1][0] {
+		t.Fatalf("watch stops differ: fast %+v, slow %+v", stops[0], stops[1])
+	}
+	if s := stops[0][0]; s.addr != buf.Value || s.n != 8 {
+		t.Errorf("stop span [%#x, +%d), want the first store [%#x, +8)", s.addr, s.n, buf.Value)
+	}
+}
+
+// TestCodeWatchSyscallSpan: clock_gettime writes both words of its
+// timespec in one ecall. With the timespec pointed at watched code, the
+// single stop must report the full 16-byte span so a DBI engine
+// invalidates translations over both words, on every dispatch tier.
+func TestCodeWatchSyscallSpan(t *testing.T) {
+	const src = `
+	.text
+_start:
+	jal ra, victim
+	la a1, victim
+	li a0, 0
+	li a7, 113            # clock_gettime: timespec lands on victim's code
+	ecall
+	li a0, 7
+	li a7, 93
+	ecall
+victim:
+	nop
+	nop
+	nop
+	nop
+	ret
+`
+	f, err := asm.Assemble(src, asm.Options{NoCompress: true})
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	victim, _ := f.Symbol("victim")
+	for _, d := range []Dispatch{DispatchTrace, DispatchBlock, DispatchSlow} {
+		c, err := New(f, P550())
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Dispatch = d
+		c.SetCodeWatch(victim.Value, victim.Value+20)
+		var spans [][2]uint64
+		for r := c.Run(0); r != StopExit; r = c.Run(0) {
+			if r != StopCodeWrite {
+				t.Fatalf("dispatch %d: stopped with %v (%v)", d, r, c.LastTrap())
+			}
+			addr, n := c.CodeWrite()
+			spans = append(spans, [2]uint64{addr, n})
+		}
+		if len(spans) != 1 || spans[0] != [2]uint64{victim.Value, 16} {
+			t.Errorf("dispatch %d: watch spans %#x, want one [%#x, +16)", d, spans, victim.Value)
+		}
 	}
 }

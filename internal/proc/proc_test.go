@@ -425,7 +425,9 @@ func TestBreakpointFastSlowParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p.CPU().SlowDispatch = slowDispatch
+		if slowDispatch {
+			p.CPU().Dispatch = emu.DispatchSlow
+		}
 		mul, ok := f.Symbol("multiply")
 		if !ok {
 			t.Fatal("no multiply symbol")

@@ -36,7 +36,7 @@ func RunDBI(f *elfrv.File, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.CPU().NoTrace = opts.NoTrace
+	p.CPU().Dispatch = opts.Dispatch
 	if opts.Obs != nil {
 		p.CPU().Obs = emu.NewMetrics(opts.Obs)
 	}

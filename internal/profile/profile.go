@@ -53,9 +53,9 @@ type Options struct {
 	// report's totals and any guest rdcycle/rdinstret reads expose the raw
 	// translation-inflated counters instead of native-identical values.
 	NoCounterVirt bool
-	// NoTrace disables trace compilation of hot superblock chains, for
-	// A/B overhead comparisons of the trace tier.
-	NoTrace bool
+	// Dispatch selects the emulator's dispatch tiers (default
+	// emu.DispatchTrace), for A/B overhead comparisons.
+	Dispatch emu.Dispatch
 }
 
 // Row is one function's line in the profile.
@@ -113,7 +113,7 @@ func Run(f *elfrv.File, opts Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	p.CPU().NoTrace = opts.NoTrace
+	p.CPU().Dispatch = opts.Dispatch
 	if opts.Obs != nil {
 		p.CPU().Obs = emu.NewMetrics(opts.Obs)
 	}

@@ -33,15 +33,14 @@ import (
 	"rvdyn/internal/stackwalk"
 )
 
-// Engine selects the execution engine under the sampler. All three fire
-// samples at bit-identical virtual times for the same binary and period.
+// Engine selects the execution engine under the sampler. Both engines, at
+// every emu.Dispatch value, fire samples at bit-identical virtual times for
+// the same binary and period.
 type Engine int
 
 const (
-	// EngineFast is the default superblock fused-dispatch engine.
+	// EngineFast runs the program directly on the emulator.
 	EngineFast Engine = iota
-	// EngineSlow forces per-instruction dispatch.
-	EngineSlow
 	// EngineDBI runs under the dynamic binary instrumentation engine
 	// (code-cache translation) with counter virtualization, sampling on
 	// the compensated clock and mapping cache PCs back to original
@@ -53,8 +52,6 @@ func (e Engine) String() string {
 	switch e {
 	case EngineFast:
 		return "fast"
-	case EngineSlow:
-		return "slow"
 	case EngineDBI:
 		return "dbi"
 	}
@@ -67,8 +64,13 @@ type Options struct {
 	Model *emu.CostModel
 	// Period is the virtual-cycle distance between samples (required).
 	Period uint64
-	// Engine selects the dispatch engine (default EngineFast).
+	// Engine selects the execution engine (default EngineFast).
 	Engine Engine
+	// Dispatch selects the emulator's dispatch tiers under either engine
+	// (default emu.DispatchTrace). Output is byte-identical at every value
+	// (the fast tier defers to slower dispatch whenever a block or trace
+	// pass could cross a sample mark); the choice exists for A/B runs.
+	Dispatch emu.Dispatch
 	// MaxInst bounds the run (0 = unlimited).
 	MaxInst uint64
 	// Obs, when non-nil, attaches emulator metrics and records sampler
@@ -79,11 +81,6 @@ type Options struct {
 	// deterministic run-to-run but no longer byte-identical to the native
 	// engines' — the raw clock advances through cache-only instructions.
 	NoCounterVirt bool
-	// NoTrace (EngineFast only) disables the trace-compilation tier,
-	// leaving superblock chaining. Output is byte-identical either way
-	// (the trace tier defers to slower dispatch whenever a pass could
-	// cross a sample mark); the flag exists for A/B overhead runs.
-	NoTrace bool
 	// Name labels the profile's mapping entry (the binary name pprof
 	// shows). Empty means "prog".
 	Name string
@@ -137,8 +134,7 @@ func Run(f *elfrv.File, opts Options) (*Profile, error) {
 	if opts.Obs != nil {
 		cpu.Obs = emu.NewMetrics(opts.Obs)
 	}
-	cpu.SlowDispatch = opts.Engine == EngineSlow
-	cpu.NoTrace = opts.NoTrace
+	cpu.Dispatch = opts.Dispatch
 
 	var eng *dbi.Engine
 	if opts.Engine == EngineDBI {

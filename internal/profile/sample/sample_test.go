@@ -9,6 +9,7 @@ import (
 	"rvdyn/internal/asm"
 	"rvdyn/internal/codegen"
 	"rvdyn/internal/elfrv"
+	"rvdyn/internal/emu"
 	"rvdyn/internal/obs"
 	"rvdyn/internal/profile"
 	"rvdyn/internal/profile/sample"
@@ -89,6 +90,16 @@ func TestSampleByteIdenticalRuns(t *testing.T) {
 	}
 }
 
+// engines names the three ways to run under the sampler: the default fast
+// tiers, per-instruction dispatch, and the DBI engine.
+func engines(period uint64) map[string]sample.Options {
+	return map[string]sample.Options{
+		"fast": {Period: period},
+		"slow": {Period: period, Dispatch: emu.DispatchSlow},
+		"dbi":  {Period: period, Engine: sample.EngineDBI},
+	}
+}
+
 // TestSampleEngineIdentity pins the tentpole's strongest property: the
 // superblock fast path, the per-instruction slow path, and the DBI engine
 // (sampling on the compensated clock, cache PCs mapped back through group
@@ -98,17 +109,18 @@ func TestSampleEngineIdentity(t *testing.T) {
 	for _, name := range []string{"matmul", "fib"} {
 		t.Run(name, func(t *testing.T) {
 			f, _ := buildProg(t, name)
-			profiles := map[sample.Engine]*sample.Profile{}
-			for _, eng := range []sample.Engine{sample.EngineFast, sample.EngineSlow, sample.EngineDBI} {
-				p, err := sample.Run(f, sample.Options{Period: 500, Engine: eng, Name: name})
+			profiles := map[string]*sample.Profile{}
+			for eng, opts := range engines(500) {
+				opts.Name = name
+				p, err := sample.Run(f, opts)
 				if err != nil {
 					t.Fatalf("engine %v: %v", eng, err)
 				}
 				profiles[eng] = p
 			}
-			ref := profiles[sample.EngineFast]
+			ref := profiles["fast"]
 			refBytes := pprofBytes(t, ref)
-			for _, eng := range []sample.Engine{sample.EngineSlow, sample.EngineDBI} {
+			for _, eng := range []string{"slow", "dbi"} {
 				p := profiles[eng]
 				if p.TotalCycles != ref.TotalCycles {
 					t.Errorf("engine %v: total cycles %d, fast %d", eng, p.TotalCycles, ref.TotalCycles)
@@ -150,20 +162,20 @@ func TestSampleMidTraceIdentity(t *testing.T) {
 		}
 		refBytes := pprofBytes(t, traced)
 		for _, alt := range []sample.Options{
-			{Period: period, NoTrace: true, Name: "matmul"},
-			{Period: period, Engine: sample.EngineSlow, Name: "matmul"},
+			{Period: period, Dispatch: emu.DispatchBlock, Name: "matmul"},
+			{Period: period, Dispatch: emu.DispatchSlow, Name: "matmul"},
 		} {
 			p, err := sample.Run(f, alt)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if p.TotalCycles != traced.TotalCycles {
-				t.Errorf("period %d engine %v notrace=%v: total cycles %d, traced %d",
-					period, alt.Engine, alt.NoTrace, p.TotalCycles, traced.TotalCycles)
+				t.Errorf("period %d engine %v dispatch %d: total cycles %d, traced %d",
+					period, alt.Engine, alt.Dispatch, p.TotalCycles, traced.TotalCycles)
 			}
 			if !bytes.Equal(pprofBytes(t, p), refBytes) {
-				t.Errorf("period %d engine %v notrace=%v: pprof bytes differ from traced fast engine",
-					period, alt.Engine, alt.NoTrace)
+				t.Errorf("period %d engine %v dispatch %d: pprof bytes differ from traced fast engine",
+					period, alt.Engine, alt.Dispatch)
 			}
 		}
 	}
@@ -174,8 +186,8 @@ func TestSampleMidTraceIdentity(t *testing.T) {
 func TestSampleConservation(t *testing.T) {
 	f, _ := buildProg(t, "matmul")
 	const period = 700
-	for _, eng := range []sample.Engine{sample.EngineFast, sample.EngineSlow, sample.EngineDBI} {
-		p, err := sample.Run(f, sample.Options{Period: period, Engine: eng})
+	for eng, opts := range engines(period) {
+		p, err := sample.Run(f, opts)
 		if err != nil {
 			t.Fatalf("engine %v: %v", eng, err)
 		}
