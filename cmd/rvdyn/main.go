@@ -46,14 +46,18 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
 	"net/http"
 	"os"
+	"os/signal"
 	"sort"
 	"strconv"
 	"strings"
+	"syscall"
 	"time"
 
 	"rvdyn/internal/asm"
@@ -280,7 +284,7 @@ func cmdCFG(args []string) {
 			spec = " (speculative, from gap parsing)"
 		}
 		fmt.Printf("\nfunction %s at %#x: %d blocks, %d loops, returns=%v%s\n",
-			name(fn), fn.Entry, len(fn.Blocks), len(fn.Loops), fn.Returns, spec)
+			name(fn), fn.Entry, len(fn.Blocks), len(fn.Loops()), fn.Returns, spec)
 		for _, blk := range fn.Blocks {
 			fmt.Printf("  block [%#x,%#x)", blk.Start, blk.End)
 			if blk.Purpose != parse.PurposeNone {
@@ -301,7 +305,7 @@ func cmdCFG(args []string) {
 					blk.TableBase, blk.TableCount, blk.TableStride)
 			}
 		}
-		for _, l := range fn.Loops {
+		for _, l := range fn.Loops() {
 			fmt.Printf("  loop head %#x, %d blocks, %d back edges\n",
 				l.Head.Start, len(l.Blocks), len(l.BackEdges))
 		}
@@ -635,9 +639,20 @@ func verifyResult(res *pipeline.Result) (int, error) {
 	return cpu.ExitCode, nil
 }
 
+// rvdynd's connection limits: a client must finish sending its request
+// headers within serveReadHeaderTimeout, so a slow one cannot hold a
+// connection, and a keep-alive connection idle for serveIdleTimeout is
+// closed.
+const (
+	serveReadHeaderTimeout = 10 * time.Second
+	serveIdleTimeout       = 2 * time.Minute
+)
+
 // cmdServe runs the rvdynd instrumentation daemon: an HTTP server sharing
 // one worker pool and one content-addressed artifact cache across all
-// requests. See internal/server for the API surface.
+// requests. See internal/server for the API surface. On SIGINT or SIGTERM
+// it stops accepting connections and exits 0 once every request in flight
+// has been answered; a second signal kills it at once.
 func cmdServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8642", "listen address")
@@ -659,9 +674,28 @@ func cmdServe(args []string) {
 		Metrics:    reg,
 	})
 	h := server.NewHandler(svc, server.HandlerOptions{MaxUploadBytes: *maxUploadMB << 20})
+	srv := &http.Server{
+		Addr: *addr, Handler: h,
+		ReadHeaderTimeout: serveReadHeaderTimeout,
+		IdleTimeout:       serveIdleTimeout,
+	}
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	served := make(chan error, 1)
 	log.Printf("rvdynd listening on %s (cache %d MiB, %s)", *addr, *cacheMB, server.ToolchainVersion)
-	if err := http.ListenAndServe(*addr, h); err != nil {
+	go func() { served <- srv.ListenAndServe() }()
+	select {
+	case err := <-served:
 		log.Fatal(err)
+	case sig := <-sigs:
+		signal.Stop(sigs)
+		log.Printf("rvdynd draining (%v)", sig)
+		if err := srv.Shutdown(context.Background()); err != nil {
+			log.Fatal(err)
+		}
+		if err := <-served; !errors.Is(err, http.ErrServerClosed) {
+			log.Fatal(err)
+		}
 	}
 }
 

@@ -38,7 +38,7 @@ func main() {
 		bin.Symtab.Entry, bin.Symtab.Extensions, bin.Symtab.ExtSource)
 	for _, fn := range bin.Functions() {
 		fmt.Printf("  function %-8s at %#x: %d blocks, %d loops\n",
-			fn.Name, fn.Entry, len(fn.Blocks), len(fn.Loops))
+			fn.Name, fn.Entry, len(fn.Blocks), len(fn.Loops()))
 	}
 
 	// 3. Instrument: count entries of fib.

@@ -190,10 +190,10 @@ func (p *Process) InstrumentFunctionFull(fn *parse.Function, points []snippet.Po
 	if p.relocated == nil {
 		p.relocated = map[uint64]uint64{}
 	}
-	for orig, na := range rel.AddrMap {
+	rel.EachAddr(func(orig, na uint64) {
 		p.xlatPairs = append(p.xlatPairs, xlatPair{newAddr: na, origAddr: orig})
 		p.relocated[orig] = na
-	}
+	})
 	sort.Slice(p.xlatPairs, func(i, j int) bool { return p.xlatPairs[i].newAddr < p.xlatPairs[j].newAddr })
 
 	u := &undo{entry: fn.Entry, slots: map[uint64][]byte{}}
@@ -209,7 +209,7 @@ func (p *Process) InstrumentFunctionFull(fn *parse.Function, points []snippet.Po
 			if !ok {
 				return 0, fmt.Errorf("core: cannot read jump table slot %#x", slot)
 			}
-			nt, ok := rel.AddrMap[old&^1]
+			nt, ok := rel.Addr(old &^ 1)
 			if !ok {
 				return 0, fmt.Errorf("core: table target %#x not relocated", old)
 			}
@@ -235,7 +235,7 @@ func (p *Process) InstrumentFunctionFull(fn *parse.Function, points []snippet.Po
 	if dead := lv.DeadScratchX(fn.Entry); len(dead) > 0 {
 		scratch = dead[0]
 	}
-	newEntry := rel.AddrMap[fn.Entry]
+	newEntry, _ := rel.Addr(fn.Entry)
 	kind, bytes, err := patch.JumpPatch(fn.Entry, newEntry, room, p.Binary.Symtab.Extensions, scratch, true)
 	if err != nil {
 		return 0, err

@@ -58,7 +58,7 @@ func TestLivenessBasic(t *testing.T) {
 	lv := Liveness(fn)
 	entry := fn.EntryBlock()
 
-	in := lv.LiveIn[entry]
+	in := lv.LiveIn[entry.Index]
 	// a0 and a2 feed the first add: live at entry.
 	if !in.Contains(riscv.RegA0) || !in.Contains(riscv.RegA2) {
 		t.Errorf("entry live-in %v missing a0/a2", in)
@@ -548,13 +548,13 @@ func TestLiveBeforeBlockStart(t *testing.T) {
 		for _, fn := range cfg.Funcs {
 			lv := Liveness(fn)
 			for _, b := range fn.Blocks {
-				walk := lv.LiveOut[b]
+				walk := lv.LiveOut[b.Index]
 				for i := len(b.Insts) - 1; i >= 0; i-- {
 					walk = stepInstBackward(lv, b, i, walk)
 				}
-				if got := lv.LiveBefore(b.Start); !got.Equal(walk) || !lv.LiveIn[b].Equal(walk) {
+				if got := lv.LiveBefore(b.Start); !got.Equal(walk) || !lv.LiveIn[b.Index].Equal(walk) {
 					t.Errorf("%s: %s %v: LiveBefore(start) %v, LiveIn %v, walk %v",
-						name, fn.Name, b, got, lv.LiveIn[b], walk)
+						name, fn.Name, b, got, lv.LiveIn[b.Index], walk)
 				}
 			}
 		}

@@ -63,11 +63,12 @@ var allRegs = func() riscv.RegSet {
 	return s
 }()
 
-// LivenessResult holds per-block live-in/live-out register sets.
+// LivenessResult holds per-block live-in/live-out register sets, indexed
+// by parse.Block.Index.
 type LivenessResult struct {
 	Fn      *parse.Function
-	LiveIn  map[*parse.Block]riscv.RegSet
-	LiveOut map[*parse.Block]riscv.RegSet
+	LiveIn  []riscv.RegSet
+	LiveOut []riscv.RegSet
 
 	lo, hi uint64 // Fn's extent
 }
@@ -76,8 +77,8 @@ type LivenessResult struct {
 func Liveness(fn *parse.Function) *LivenessResult {
 	res := &LivenessResult{
 		Fn:      fn,
-		LiveIn:  make(map[*parse.Block]riscv.RegSet, len(fn.Blocks)),
-		LiveOut: make(map[*parse.Block]riscv.RegSet, len(fn.Blocks)),
+		LiveIn:  make([]riscv.RegSet, len(fn.Blocks)),
+		LiveOut: make([]riscv.RegSet, len(fn.Blocks)),
 	}
 	res.lo, res.hi = fn.Extent()
 	changed := true
@@ -88,9 +89,9 @@ func Liveness(fn *parse.Function) *LivenessResult {
 			b := fn.Blocks[i]
 			out := blockExitLive(res, b)
 			in := stepBlockBackward(res, b, out)
-			if !out.Equal(res.LiveOut[b]) || !in.Equal(res.LiveIn[b]) {
-				res.LiveOut[b] = out
-				res.LiveIn[b] = in
+			if !out.Equal(res.LiveOut[i]) || !in.Equal(res.LiveIn[i]) {
+				res.LiveOut[i] = out
+				res.LiveIn[i] = in
 				changed = true
 			}
 		}
@@ -130,7 +131,7 @@ func blockExitLive(res *LivenessResult, b *parse.Block) riscv.RegSet {
 		if e.Kind == parse.EdgeCall {
 			continue // a real call is modeled at the call site
 		}
-		out = out.Union(res.LiveIn[e.To])
+		out = out.Union(res.LiveIn[e.To.Index])
 	}
 	return out
 }
@@ -196,11 +197,11 @@ func (res *LivenessResult) LiveBefore(addr uint64) riscv.RegSet {
 		return allRegs
 	}
 	if addr == b.Start {
-		// The fixpoint left LiveIn[b] equal to the walk below over the
-		// whole block.
-		return res.LiveIn[b]
+		// The fixpoint left LiveIn equal to the walk below over the whole
+		// block.
+		return res.LiveIn[b.Index]
 	}
-	live := res.LiveOut[b]
+	live := res.LiveOut[b.Index]
 	for i := len(b.Insts) - 1; i >= 0; i-- {
 		if b.Insts[i].Addr < addr {
 			break

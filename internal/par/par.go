@@ -1,7 +1,7 @@
 // Package par runs independent work items on a bounded pool of goroutines.
 // It is the one worker pool the analysis and rewriting layers share: the
-// parser's per-round frontier, the per-function loop analysis, the
-// rewriter's plan and encode phases, and the pipeline's batch fan-out.
+// parser's per-round frontier, the rewriter's plan and encode phases, and
+// the pipeline's batch fan-out.
 package par
 
 import (

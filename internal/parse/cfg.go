@@ -1,17 +1,18 @@
 // Package parse is the ParseAPI analog (paper Section 3.2.3): it constructs
-// the control-flow graph of a binary — functions, basic blocks, edges, and
-// loops — by parallel traversal parsing from known entry points, and it
-// implements the RISC-V-specific disambiguation the paper describes: the
-// six-rule classifier that decides whether a jal/jalr is a function return,
-// a function call, an unconditional jump, a tail call, a jump-table
-// dispatch, or unresolvable; the fusion of multi-instruction auipc+jalr
-// sequences; backward slicing to recover indirect targets; jump-table
-// analysis; and speculative gap parsing.
+// the control-flow graph of a binary — functions, basic blocks and edges,
+// with natural loops found on demand — by parallel traversal parsing from
+// known entry points, and it implements the RISC-V-specific disambiguation
+// the paper describes: the six-rule classifier that decides whether a
+// jal/jalr is a function return, a function call, an unconditional jump, a
+// tail call, a jump-table dispatch, or unresolvable; the fusion of
+// multi-instruction auipc+jalr sequences; backward slicing to recover
+// indirect targets; jump-table analysis; and speculative gap parsing.
 package parse
 
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"rvdyn/internal/riscv"
 	"rvdyn/internal/symtab"
@@ -118,6 +119,10 @@ type Block struct {
 	Out  []*Edge
 	In   []*Edge
 
+	// Index is the block's position in Func.Blocks, set when Parse returns,
+	// so per-block analysis results can live in slices.
+	Index int
+
 	// Purpose is the classifier verdict for the block's terminating jal/jalr
 	// (PurposeNone when the block ends in a branch, fallthrough, or non-CF
 	// instruction).
@@ -157,7 +162,9 @@ type Function struct {
 	Blocks   []*Block // sorted by start address
 	blockMap map[uint64]*Block
 
-	Loops []*Loop
+	// loops is filled by the first call to Loops.
+	loopsOnce sync.Once
+	loops     []*Loop
 
 	// Callees lists resolved call targets (entry addresses).
 	Callees []uint64

@@ -105,7 +105,7 @@ func (p *parser) tryGap(regionAddr uint64, data []byte, lo, hi uint64) {
 	if already {
 		return
 	}
-	res := p.parseFunction(start, "", true)
+	res := p.parseFunction(start, "", true, &p.slabs[p.workers])
 	if res == nil || len(res.fn.Blocks) == 0 {
 		return
 	}

@@ -1,10 +1,6 @@
 package parse
 
-import (
-	"sort"
-
-	"rvdyn/internal/par"
-)
+import "sort"
 
 // Loop is one natural loop of a function's CFG.
 type Loop struct {
@@ -126,16 +122,19 @@ func dominators(fn *Function) *domSets {
 	return d
 }
 
-// computeLoops finds the natural loops of every function: back edges are
-// edges whose target dominates their source; the loop body is everything
-// that reaches the back edge source without passing through the header.
-// Functions are independent, so the work fans out like the parse itself.
-func (p *parser) computeLoops() {
-	par.ForEach(p.workers, len(p.cfg.Funcs), func(_, i int) {
-		p.cfg.Funcs[i].Loops = findLoops(p.cfg.Funcs[i])
-	})
+// Loops returns the natural loops of the function, sorted by header
+// address. They are found on the first call and shared by every later one;
+// the static rewrite never asks, so Parse does not pay for them. Concurrent
+// callers (rvdynd shares one parsed CFG across requests) all get the same
+// slice.
+func (f *Function) Loops() []*Loop {
+	f.loopsOnce.Do(func() { f.loops = findLoops(f) })
+	return f.loops
 }
 
+// findLoops finds the natural loops of fn: back edges are edges whose
+// target dominates their source; the loop body is everything that reaches
+// the back edge source without passing through the header.
 func findLoops(fn *Function) []*Loop {
 	dom := dominators(fn)
 	if dom == nil {

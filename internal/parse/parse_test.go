@@ -51,12 +51,12 @@ func TestMatmulElevenBasicBlocks(t *testing.T) {
 func TestMatmulLoopNest(t *testing.T) {
 	cfg := parseSource(t, workload.MatmulSource(100, 1), asm.Options{}, Options{})
 	fn, _ := cfg.FuncByName("multiply")
-	if len(fn.Loops) != 3 {
-		t.Fatalf("multiply has %d loops, want 3 (i, j, k)", len(fn.Loops))
+	if len(fn.Loops()) != 3 {
+		t.Fatalf("multiply has %d loops, want 3 (i, j, k)", len(fn.Loops()))
 	}
 	// Exactly one innermost (k), one middle (j), one outermost (i).
 	depth := map[*Loop]int{}
-	for _, l := range fn.Loops {
+	for _, l := range fn.Loops() {
 		d := 0
 		for p := l.Parent; p != nil; p = p.Parent {
 			d++

@@ -33,7 +33,7 @@ func Parse(st *symtab.Symtab, opts Options) (*CFG, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &parser{st: st, opts: opts, workers: workers}
+	p := &parser{st: st, opts: opts, workers: workers, slabs: make([]slab, workers+1)}
 	p.cfg = &CFG{Symtab: st, funcMap: map[uint64]*Function{}}
 
 	// Seeds: the program entry point and every function symbol.
@@ -66,8 +66,8 @@ func Parse(st *symtab.Symtab, opts Options) (*CFG, error) {
 	}
 	for len(frontier) > 0 {
 		results := make([]*funcResult, len(frontier))
-		par.ForEach(workers, len(frontier), func(_, i int) {
-			results[i] = p.parseFunction(frontier[i].entry, frontier[i].name, false)
+		par.ForEach(workers, len(frontier), func(w, i int) {
+			results[i] = p.parseFunction(frontier[i].entry, frontier[i].name, false, &p.slabs[w])
 		})
 
 		var next []seed
@@ -96,7 +96,11 @@ func Parse(st *symtab.Symtab, opts Options) (*CFG, error) {
 	if !opts.NoGapParsing {
 		p.parseGaps()
 	}
-	p.computeLoops()
+	for _, fn := range p.cfg.Funcs {
+		for i, b := range fn.Blocks {
+			b.Index = i
+		}
+	}
 	p.fillStats()
 	return p.cfg, nil
 }
@@ -106,6 +110,7 @@ type parser struct {
 	opts    Options
 	workers int
 	cfg     *CFG
+	slabs   []slab // slabs[w] belongs to worker w; the last to the gap pass
 
 	mu        sync.Mutex
 	scheduled map[uint64]bool
@@ -158,19 +163,44 @@ func (p *parser) sameFunction(entry, target uint64) bool {
 	return ok1 && ok2 && r1.Addr == r2.Addr
 }
 
+// slab is the instruction storage of one parse worker, shared by every
+// block of every function that worker decodes. A block's Insts is a window
+// of the current chunk with capacity equal to its length, so decoding costs
+// one append per instruction, and an append to a block's Insts copies
+// instead of overwriting the next block, which may belong to another
+// function. A full chunk stays with the blocks that point into it; the
+// next chunk is twice as large, from slabMinInsts up to slabMaxInsts, and
+// the block being decoded when the chunk filled moves to it alone. Chunk
+// sizes never come from a symbol's st_size, which the file controls.
+type slab struct {
+	buf []riscv.Inst
+}
+
+const (
+	slabMinInsts = 32
+	slabMaxInsts = 512
+)
+
+// add appends inst to the block under construction, which starts at
+// s.buf[start], and returns where that block starts after the append.
+func (s *slab) add(start int, inst riscv.Inst) int {
+	if len(s.buf) == cap(s.buf) {
+		block := s.buf[start:]
+		n := min(max(2*cap(s.buf), slabMinInsts), slabMaxInsts)
+		buf := make([]riscv.Inst, len(block), max(n, 2*len(block)))
+		copy(buf, block)
+		s.buf, start = buf, 0
+	}
+	s.buf = append(s.buf, inst)
+	return start
+}
+
 // fparse is the per-function traversal state.
 type fparse struct {
 	p  *parser
 	fn *Function
 	// pending maps intra-function edge targets to edges awaiting a block.
 	pending map[uint64][]*Edge
-	// arena holds the function's decoded instructions. Each block's Insts
-	// is a window of it with capacity equal to its length, so one append
-	// per instruction replaces per-block slice growth, and appending to a
-	// block's Insts copies instead of overwriting the next block. It is
-	// not pre-sized from the symbol's size, which comes unchecked from the
-	// file; blocks made before it grows keep windows of the old array.
-	arena []riscv.Inst
 }
 
 // edge records an out-edge, linking it immediately if the target block
@@ -202,8 +232,8 @@ func (s *fparse) linkPending(b *Block) {
 	delete(s.pending, b.Start)
 }
 
-// parseFunction traversal-parses one function.
-func (p *parser) parseFunction(entry uint64, name string, speculative bool) *funcResult {
+// parseFunction traversal-parses one function, decoding into sl.
+func (p *parser) parseFunction(entry uint64, name string, speculative bool, sl *slab) *funcResult {
 	if name == "" {
 		if sym, ok := p.st.FuncContaining(entry); ok && sym.Addr == entry {
 			name = sym.Name
@@ -235,7 +265,7 @@ func (p *parser) parseFunction(entry uint64, name string, speculative bool) *fun
 		}
 
 		b := &Block{Start: addr, Func: fn}
-		first := len(s.arena)
+		first := len(sl.buf)
 		cur := addr
 		var term riscv.Inst
 		hasTerm := false
@@ -252,17 +282,17 @@ func (p *parser) parseFunction(entry uint64, name string, speculative bool) *fun
 			if err != nil {
 				break // undecodable: end the block here
 			}
-			s.arena = append(s.arena, inst)
+			first = sl.add(first, inst)
 			cur = inst.Next()
 			if inst.IsControlFlow() && inst.Mn != riscv.MnEBREAK {
 				term, hasTerm = inst, true
 				break
 			}
 		}
-		if len(s.arena) == first {
+		if len(sl.buf) == first {
 			continue
 		}
-		b.Insts = s.arena[first:len(s.arena):len(s.arena)]
+		b.Insts = sl.buf[first:len(sl.buf):len(sl.buf)]
 		b.End = cur
 		s.insertBlock(b)
 

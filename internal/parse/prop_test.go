@@ -11,6 +11,8 @@ package parse_test
 import (
 	"fmt"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
 
 	"rvdyn/internal/asm"
@@ -263,25 +265,100 @@ func cfgFingerprint(cfg *parse.CFG) string {
 }
 
 // TestBlockInstsAppendIsolated checks that every block's Insts ends at its
-// capacity: the blocks of a function share one instruction arena, and
-// appending to one block must copy rather than overwrite the instructions
-// of the block that follows it there.
+// capacity: the blocks of every function one parse worker decodes share
+// that worker's instruction slab, and appending to one block must copy
+// rather than overwrite the instructions of the block that follows it
+// there, in its own function or another.
 func TestBlockInstsAppendIsolated(t *testing.T) {
+	srcs := map[string]string{"random-200": workload.RandomProgram(1, 200)}
 	for _, p := range workload.Programs() {
-		cfg := parseSource(t, p.Source, 1)
-		for _, fn := range cfg.Funcs {
+		srcs[p.Name] = p.Source
+	}
+	for name, src := range srcs {
+		for _, workers := range []int{1, 2} {
+			cfg := parseSource(t, src, workers)
 			before := map[*parse.Block][]riscv.Inst{}
-			for _, b := range fn.Blocks {
-				before[b] = slices.Clone(b.Insts)
+			for _, fn := range cfg.Funcs {
+				for _, b := range fn.Blocks {
+					before[b] = slices.Clone(b.Insts)
+				}
 			}
-			for _, b := range fn.Blocks {
-				_ = append(b.Insts, riscv.Inst{Mn: riscv.MnEBREAK})
+			for _, fn := range cfg.Funcs {
+				for _, b := range fn.Blocks {
+					_ = append(b.Insts, riscv.Inst{Mn: riscv.MnEBREAK})
+				}
 			}
-			for _, b := range fn.Blocks {
-				if !slices.Equal(b.Insts, before[b]) {
-					t.Errorf("%s: %s %v: instructions changed by an append to another block", p.Name, fn.Name, b)
+			for _, fn := range cfg.Funcs {
+				for _, b := range fn.Blocks {
+					if !slices.Equal(b.Insts, before[b]) {
+						t.Errorf("%s, %d workers: %s %v: instructions changed by an append to another block",
+							name, workers, fn.Name, b)
+					}
 				}
 			}
 		}
+	}
+}
+
+// TestLoopsConcurrent has many goroutines ask one shared CFG for its loops
+// at once, directly and through the loop point constructors, the way
+// rvdynd's requests share a cached parse. Under -race it checks that the
+// on-demand loop analysis is race-free; every goroutine must see the same
+// loops and points as a serial reference computed on a separate parse.
+func TestLoopsConcurrent(t *testing.T) {
+	// look renders every loop and loop point of cfg, and returns the loops
+	// themselves so callers can check they are shared, not recomputed.
+	look := func(cfg *parse.CFG) (string, []*parse.Loop) {
+		var b strings.Builder
+		var all []*parse.Loop
+		for _, fn := range cfg.Funcs {
+			for _, l := range fn.Loops() {
+				fmt.Fprintf(&b, "%s loop %v body", fn.Name, l.Head)
+				for _, x := range l.Blocks {
+					fmt.Fprintf(&b, " %#x", x.Start)
+				}
+				for _, e := range l.BackEdges {
+					fmt.Fprintf(&b, " back %#x", e.From.Start)
+				}
+				b.WriteString("\n")
+				all = append(all, l)
+			}
+			for _, pt := range snippet.LoopBegins(fn) {
+				fmt.Fprintf(&b, "begin %#x %v\n", pt.Addr, pt.Block)
+			}
+			for _, ep := range snippet.LoopBackEdges(fn) {
+				fmt.Fprintf(&b, "%v\n", ep)
+			}
+		}
+		return b.String(), all
+	}
+	loops := 0
+	for _, p := range workload.Programs() {
+		want, serial := look(parseSource(t, p.Source, 1))
+		loops += len(serial)
+		shared := parseSource(t, p.Source, 2)
+		const goroutines = 16
+		got := make([]string, goroutines)
+		gotLoops := make([][]*parse.Loop, goroutines)
+		var wg sync.WaitGroup
+		for g := range got {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				got[g], gotLoops[g] = look(shared)
+			}()
+		}
+		wg.Wait()
+		for g := range got {
+			if got[g] != want {
+				t.Errorf("%s: goroutine %d saw loops\n%s\nwant (serial parse)\n%s", p.Name, g, got[g], want)
+			}
+			if !slices.Equal(gotLoops[g], gotLoops[0]) {
+				t.Errorf("%s: goroutine %d got different loop objects", p.Name, g)
+			}
+		}
+	}
+	if loops == 0 {
+		t.Fatal("no workload program has a loop")
 	}
 }

@@ -23,9 +23,9 @@ import (
 // if placed at address 0: a target inside the copy is an offset difference,
 // so only instructions that leave the function (calls, tail calls, branches
 // out of it) depend on where the copy lands, and the plan keeps those as
-// fixups. Encode copies the code, re-encodes the fixups for the real base,
-// and builds the address map from the plan's (original address, offset)
-// pairs.
+// fixups. Encode copies the code and re-encodes the fixups for the real
+// base; the relocation answers address lookups from the plan's sorted
+// (original address, offset) pairs.
 
 // Insertion asks for code to run immediately before the original
 // instruction at Addr.
@@ -50,12 +50,29 @@ type Relocation struct {
 	Func    *parse.Function
 	NewBase uint64
 	Code    []byte
-	// AddrMap maps each original instruction address to its relocated
-	// address — through any snippet code inserted in front of it, so
-	// redirected control flow executes the instrumentation.
-	AddrMap map[uint64]uint64
 	// InstrumentationBytes counts the bytes of inserted snippet code.
 	InstrumentationBytes int
+
+	addrs []addrOff // the plan's pairs; shared with it, never written
+}
+
+// Addr returns the relocated address of the original instruction at orig —
+// through any snippet code inserted in front of it, so redirected control
+// flow executes the instrumentation.
+func (r *Relocation) Addr(orig uint64) (uint64, bool) {
+	i, ok := findAddr(r.addrs, orig)
+	if !ok {
+		return 0, false
+	}
+	return r.NewBase + r.addrs[i].off, true
+}
+
+// EachAddr calls f with every original instruction address and its
+// relocated address, in ascending original order.
+func (r *Relocation) EachAddr(f func(orig, reloc uint64)) {
+	for _, a := range r.addrs {
+		f(a.orig, r.NewBase+a.off)
+	}
 }
 
 type itemKind uint8
@@ -146,6 +163,12 @@ type fixup struct {
 // addrOff is where control flow aimed at original address orig enters the
 // copy: the instruction itself, or the attached snippet code in front of it.
 type addrOff struct{ orig, off uint64 }
+
+// findAddr binary-searches pairs sorted by original address for orig.
+func findAddr(addrs []addrOff, orig uint64) (int, bool) {
+	return slices.BinarySearchFunc(addrs, orig,
+		func(a addrOff, orig uint64) int { return cmp.Compare(a.orig, orig) })
+}
 
 // PlanRelocation validates the request, lays out the relocated copy of fn
 // and encodes it, leaving only targets outside the copy to Encode.
@@ -333,8 +356,7 @@ func PlanRelocation(fn *parse.Function, st *symtab.Symtab, insertions []Insertio
 		case it.stubID != 0:
 			inst.Imm = int64(items[stubs[it.stubID-1].start].off) - int64(it.off)
 		case it.hasIntra:
-			i, ok := slices.BinarySearchFunc(addrs, it.intraTarget,
-				func(a addrOff, orig uint64) int { return cmp.Compare(a.orig, orig) })
+			i, ok := findAddr(addrs, it.intraTarget)
 			if !ok {
 				return nil, fmt.Errorf("patch: intra target %#x of %v not in relocation", it.intraTarget, inst)
 			}
@@ -369,7 +391,8 @@ func PlanRelocation(fn *parse.Function, st *symtab.Symtab, insertions []Insertio
 
 // Encode lays the plan out at newBase and produces the encoded relocation:
 // a copy of the plan's code with every fixup re-encoded for its absolute
-// target, and the address map shifted to newBase. The output depends only on
+// target, whose address lookups shift the plan's offsets by newBase. The
+// relocation shares the plan's address pairs. The output depends only on
 // the plan and the base, never on when or on which goroutine the plan was
 // built. Encode never mutates the plan, so one cached plan may be encoded by
 // any number of goroutines concurrently (the server replays cached plans).
@@ -384,12 +407,8 @@ func (p *RelocPlan) Encode(newBase uint64) (*Relocation, error) {
 		}
 		binary.LittleEndian.PutUint32(code[f.off:], w)
 	}
-	addrMap := make(map[uint64]uint64, len(p.addrs))
-	for _, a := range p.addrs {
-		addrMap[a.orig] = newBase + a.off
-	}
 	return &Relocation{
-		Func: p.Func, NewBase: newBase, Code: code, AddrMap: addrMap,
+		Func: p.Func, NewBase: newBase, Code: code, addrs: p.addrs,
 		InstrumentationBytes: p.InstrumentationBytes,
 	}, nil
 }

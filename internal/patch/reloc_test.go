@@ -79,17 +79,14 @@ func TestRelocPlanEncodeBaseShift(t *testing.T) {
 				t.Errorf("%s: byte +%#x differs between bases outside any fixup", fn.Name, i)
 			}
 		}
-		if len(r1.AddrMap) != len(r2.AddrMap) {
-			t.Errorf("%s: address maps hold %d and %d entries", fn.Name, len(r1.AddrMap), len(r2.AddrMap))
-		}
-		for orig, a := range r1.AddrMap {
-			if r2.AddrMap[orig] != a+delta {
-				t.Errorf("%s: %#x maps to %#x and %#x, want a shift of %#x", fn.Name, orig, a, r2.AddrMap[orig], delta)
+		r1.EachAddr(func(orig, a uint64) {
+			if a2, _ := r2.Addr(orig); a2 != a+delta {
+				t.Errorf("%s: %#x maps to %#x and %#x, want a shift of %#x", fn.Name, orig, a, a2, delta)
 			}
-		}
+		})
 		for _, b := range fn.Blocks {
 			for _, inst := range b.Insts {
-				if _, ok := r1.AddrMap[inst.Addr]; !ok {
+				if _, ok := r1.Addr(inst.Addr); !ok {
 					t.Errorf("%s: instruction %#x missing from the address map", fn.Name, inst.Addr)
 				}
 			}
@@ -101,8 +98,8 @@ func TestRelocPlanEncodeBaseShift(t *testing.T) {
 }
 
 // TestRelocPlanEncodeAllocs pins Encode's allocation count: a copy of the
-// code, the address map and the result, however many instructions the
-// function has.
+// code and the result, however many instructions the function has. The
+// relocation shares the plan's address pairs instead of building a map.
 func TestRelocPlanEncodeAllocs(t *testing.T) {
 	var src strings.Builder
 	src.WriteString("\t.text\n\t.globl _start\n_start:\n\tcall small\n\tcall large\n\tli a7, 93\n\tecall\n")
@@ -133,8 +130,8 @@ func TestRelocPlanEncodeAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if allocs > 6 {
-			t.Errorf("%s (%d-byte plan): Encode made %.0f allocations, want at most 6", name, plan.Size, allocs)
+		if allocs > 2 {
+			t.Errorf("%s (%d-byte plan): Encode made %.0f allocations, want at most 2", name, plan.Size, allocs)
 		}
 	}
 }

@@ -463,7 +463,7 @@ func (rw *Rewriter) RewriteWithPlans(ps *PlanSet) (*elfrv.File, error) {
 
 		// Entry patch: redirect the original entry to the relocated copy,
 		// choosing the cheapest jump that fits in the function's extent.
-		newEntry := rel.AddrMap[fn.Entry]
+		newEntry, _ := rel.Addr(fn.Entry)
 		kind, bytes, err := JumpPatch(fn.Entry, newEntry, p.room, rw.arch, p.scratch, false)
 		if err != nil {
 			return nil, fmt.Errorf("patch: function %s: %w", fn.Name, err)
@@ -494,7 +494,7 @@ func (rw *Rewriter) RewriteWithPlans(ps *PlanSet) (*elfrv.File, error) {
 				if !ok {
 					return nil, fmt.Errorf("patch: cannot read jump table slot %#x", slot)
 				}
-				nt, ok := rel.AddrMap[old&^1]
+				nt, ok := rel.Addr(old &^ 1)
 				if !ok {
 					return nil, fmt.Errorf("patch: jump table slot %#x target %#x not relocated", slot, old)
 				}

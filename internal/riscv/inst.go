@@ -22,21 +22,26 @@ import (
 //	reg-imm arith    Rd, Rs1, Imm
 //	csr              Rd, Rs1 (or zimm in Imm for the *I forms), CSR
 //	amo              Rd, Rs1 (address), Rs2 (source), Aq, Rl
+//
+// Fields are ordered widest first so the struct packs into 40 bytes with no
+// padding (TestInstSize); the parser and the emulator's decode cache hold
+// one per decoded instruction.
 type Inst struct {
 	Addr uint64 // address the instruction was decoded at
-	Raw  uint32 // raw encoding (low 16 bits for compressed)
+	Imm  int64
 	Len  int    // encoded length in bytes: 2 or 4
+	Raw  uint32 // raw encoding (low 16 bits for compressed)
 
 	Mn  Mnemonic
+	CSR uint16 // CSR address for Zicsr instructions
+
 	Rd  Reg
 	Rs1 Reg
 	Rs2 Reg
 	Rs3 Reg
-	Imm int64
 
-	CSR    uint16 // CSR address for Zicsr instructions
-	RM     uint8  // rounding mode field for floating-point operations
-	Aq, Rl bool   // acquire/release bits for AMO instructions
+	RM     uint8 // rounding mode field for floating-point operations
+	Aq, Rl bool  // acquire/release bits for AMO instructions
 
 	Compressed bool // true if decoded from a 16-bit RVC encoding
 }

@@ -4,7 +4,16 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestInstSize pins Inst at 40 bytes: a field added or reordered into a
+// padding hole grows every decoded-instruction slice by a fifth.
+func TestInstSize(t *testing.T) {
+	if n := unsafe.Sizeof(Inst{}); n != 40 {
+		t.Errorf("unsafe.Sizeof(Inst{}) = %d, want 40", n)
+	}
+}
 
 func TestRegNames(t *testing.T) {
 	cases := []struct {

@@ -238,7 +238,7 @@ func CallSites(fn *parse.Function) []Point {
 // per iteration).
 func LoopBegins(fn *parse.Function) []Point {
 	var out []Point
-	for _, l := range fn.Loops {
+	for _, l := range fn.Loops() {
 		out = append(out, Point{Kind: PointLoopBegin, Addr: l.Head.Start, Func: fn, Block: l.Head})
 	}
 	return out
@@ -280,7 +280,7 @@ func NotTakenEdge(fn *parse.Function, b *parse.Block) EdgePoint {
 // LoopBackEdges returns one edge point per loop back edge of the function.
 func LoopBackEdges(fn *parse.Function) []EdgePoint {
 	var out []EdgePoint
-	for _, l := range fn.Loops {
+	for _, l := range fn.Loops() {
 		for _, e := range l.BackEdges {
 			out = append(out, EdgePoint{Func: fn, Block: e.From, Kind: e.Kind})
 		}
