@@ -8,6 +8,7 @@ import (
 	"rvdyn/internal/asm"
 	"rvdyn/internal/elfrv"
 	"rvdyn/internal/emu"
+	"rvdyn/internal/obs"
 	"rvdyn/internal/proc"
 	"rvdyn/internal/snippet"
 	"rvdyn/internal/workload"
@@ -218,5 +219,28 @@ func TestDBIDetachAfterExit(t *testing.T) {
 	}
 	if steppedOut == 0 {
 		t.Fatal("no budget stop left Detach stepping through the exit")
+	}
+}
+
+// TestTraceExitsChain: every op stream, trace or block, resolves its
+// successor through its own cached links, so a DBI fib(18) run, whose
+// traces end at every dbi.jt, goes to the block map about as often as it
+// builds blocks, not once per trace dispatch.
+func TestTraceExitsChain(t *testing.T) {
+	e := attachFib(t, fibFile(t, 18), false)
+	reg := obs.NewRegistry()
+	e.p.CPU().Obs = emu.NewMetrics(reg)
+	if ev, err := e.Continue(); err != nil || ev.Kind != proc.EventExit {
+		t.Fatalf("fib(18): %+v, %v", ev, err)
+	}
+	hits := reg.Counter("emu.block_cache.hits").Load()
+	builds := reg.Counter("emu.block_cache.builds").Load()
+	traces := reg.Counter("emu.trace.hits").Load()
+	if builds == 0 || traces == 0 {
+		t.Fatalf("block builds %d, trace dispatches %d: the fast tiers never engaged", builds, traces)
+	}
+	if hits > 4*builds {
+		t.Errorf("emu.block_cache.hits = %d, want at most 4 x builds (%d); trace dispatches %d",
+			hits, 4*builds, traces)
 	}
 }

@@ -24,12 +24,13 @@ import "rvdyn/internal/riscv"
 // blocks: their ops copied end to end, each block-closing branch compiled
 // in its predicted direction. Around the executor:
 //
-//   - Superblock chaining: each block caches direct successor pointers
-//     (taken/fallthrough, or the last two indirect targets), resolved
-//     lazily on first exit, so loops and straight-line runs dispatch
-//     block→block without re-probing the block map. A chained pointer is
-//     honoured only while its target's generation is current, so the
-//     existing invalidation machinery severs chains for free.
+//   - Chaining: every op stream, block or trace, caches direct successor
+//     pointers (taken/fallthrough, the last two indirect targets, or a
+//     trace's exits), resolved lazily on first exit, so loops, straight-
+//     line runs and trace exits dispatch onward without re-probing the
+//     block map. A chained pointer is honoured only while its target's
+//     generation is current, so the existing invalidation machinery
+//     severs chains for free.
 //   - Macro-op fusion: the fusions table below lists every fusable pair —
 //     the adjacent pairs the assembler emits (lui+addi, auipc+addi,
 //     auipc+ld, slli+add, ld/sd pairs on consecutive offsets,
@@ -50,7 +51,7 @@ import "rvdyn/internal/riscv"
 // runs are split, with the continuation picked up by the next dispatch.
 const maxBlockLen = 64
 
-// blockLink caches one resolved successor of a block. hits counts how many
+// blockLink caches one resolved successor of a stream. hits counts how many
 // dispatches the link served; crossing the trace-hotness threshold makes
 // the target a trace-compilation head (trace.go).
 type blockLink struct {
@@ -59,16 +60,10 @@ type blockLink struct {
 	hits uint32
 }
 
-// block is one superblock: its compiled op stream, plus the successor cache
-// and trace state of its head PC.
+// block is one superblock: its compiled op stream (with the successor
+// cache every stream carries), plus the trace state of its head PC.
 type block struct {
 	stream
-
-	// succ caches up to two resolved successors (taken/fallthrough for
-	// branches; the last two indirect targets for jalr returns), filled
-	// lazily by chainNext and honoured only at the current generation.
-	succ   [2]blockLink
-	succRR uint8 // round-robin victim index
 
 	// trc is the compiled trace headed at this block (trace.go); trcFail
 	// marks a head whose walk produced nothing traceable, so the hotness
@@ -79,49 +74,50 @@ type block struct {
 
 // succFor returns the cached successor starting at pc if it is still valid
 // under generation gen, severing stale entries as it goes.
-func (b *block) succFor(c *CPU, pc uint64) *block {
+func (s *stream) succFor(c *CPU, pc uint64) *block {
 	gen := c.icGen
-	for i := range b.succ {
-		s := &b.succ[i]
-		if s.b != nil && s.pc == pc {
-			if s.b.gen == gen {
+	for i := range s.succ {
+		l := &s.succ[i]
+		if l.b != nil && l.pc == pc {
+			if l.b.gen == gen {
 				c.chainHits++
-				s.hits++
-				if s.hits&traceHotMask == 0 {
-					c.maybeTrace(s.b, pc)
+				l.hits++
+				if l.hits&traceHotMask == 0 {
+					c.maybeTrace(l.b, pc)
 				}
-				return s.b
+				return l.b
 			}
-			s.b = nil // severed: target was invalidated
+			l.b = nil // severed: target was invalidated
 			c.chainSevers++
 		}
 	}
 	return nil
 }
 
-// addSucc installs nb as a cached successor of b, evicting round-robin.
-func (b *block) addSucc(pc uint64, nb *block) {
-	for i := range b.succ {
-		if b.succ[i].b == nil {
-			b.succ[i] = blockLink{pc: pc, b: nb}
+// addSucc installs nb as a cached successor of s, evicting round-robin.
+func (s *stream) addSucc(pc uint64, nb *block) {
+	for i := range s.succ {
+		if s.succ[i].b == nil {
+			s.succ[i] = blockLink{pc: pc, b: nb}
 			return
 		}
 	}
-	b.succ[b.succRR&1] = blockLink{pc: pc, b: nb}
-	b.succRR++
+	s.succ[s.succRR&1] = blockLink{pc: pc, b: nb}
+	s.succRR++
 }
 
-// chainNext resolves the block at the current PC after b retired: first
-// through b's successor cache (a chain hit skips the block map entirely),
-// then through blockAt, caching the result for the next visit.
-func (c *CPU) chainNext(b *block) *block {
+// chainNext resolves the block at the current PC after s retired, whether
+// s is a block or a trace: first through s's successor cache (a chain hit
+// skips the block map entirely), then through blockAt, caching the result
+// for the next visit.
+func (c *CPU) chainNext(s *stream) *block {
 	pc := c.PC
-	if nb := b.succFor(c, pc); nb != nil {
+	if nb := s.succFor(c, pc); nb != nil {
 		return nb
 	}
 	nb := c.blockAt(pc)
 	if nb != nil {
-		b.addSucc(pc, nb)
+		s.addSucc(pc, nb)
 	}
 	return nb
 }
@@ -133,9 +129,7 @@ func (c *CPU) blockAt(pc uint64) *block {
 	if ch := c.chunk(pc, false); ch != nil {
 		if b := ch.blk[chunkSlot(pc)]; b != nil {
 			if b.gen == c.icGen {
-				if c.Obs != nil {
-					c.Obs.BlockHits.Inc()
-				}
+				c.blockHits++
 				return b
 			}
 			if b.trc != nil {
@@ -203,7 +197,15 @@ func (c *CPU) buildBlock(pc uint64) *block {
 const (
 	otStraight uint8 = iota // execStraight(in)
 	otCmp                   // slt/sltu/slti/sltiu: execStraight, fusable with a branch
-	otCSR                   // DBI scratch-CSR op (lookup-stub save/restore)
+	otCSR                   // any other DBI scratch-CSR op: csrOp(in)
+
+	// Dedicated kinds of what a DBI engine emits into its code cache:
+	// compensation accumulators and the lookup stubs' scratch saves and
+	// restores (the scratch index in aux). A CPU without a DBIComp faults
+	// them through execStraight and csrOp, as the slow path does.
+	otDBIAcc   // dbi.acc: DBIComp.apply(imm + 2048)
+	otScratchW // csrrw x0, 0x7C0+aux, rs1 (rs1 != x0)
+	otScratchR // csrrs rd, 0x7C0+aux, x0 (rd != x0)
 
 	// Dedicated kinds of the hot mnemonics. The integer ones (otAddi
 	// through otLw) require rd != x0; otLui and otAuipc fold their value
@@ -212,6 +214,9 @@ const (
 	otAdd
 	otSub
 	otSlli
+	otAndi
+	otSrli
+	otAddiw
 	otLui
 	otAuipc
 	otMul
@@ -276,11 +281,20 @@ func opKind(in *riscv.Inst) uint8 {
 		// Counter reads see the live cycle/instret counters, which are only
 		// up to date at op-stream exits, so counter and FP CSR ops end the
 		// block. The DBI scratch CSRs touch neither: the inline-lookup
-		// stubs that save and restore through them stay in-block.
-		if isDBIScratchCSR(in.CSR) {
-			return otCSR
+		// stubs that save and restore through them stay in-block, and
+		// their two plain move forms run as direct Scratch accesses.
+		if !isDBIScratchCSR(in.CSR) {
+			return otExec
 		}
-		return otExec
+		switch {
+		case in.Mn == riscv.MnCSRRW && in.Rd == riscv.X0 && in.Rs1 != riscv.X0:
+			return otScratchW
+		case in.Mn == riscv.MnCSRRS && in.Rs1 == riscv.X0 && in.Rd != riscv.X0:
+			return otScratchR
+		}
+		return otCSR
+	case riscv.MnDBIACC:
+		return otDBIAcc // rd is ignored
 	case riscv.MnSLT, riscv.MnSLTU, riscv.MnSLTI, riscv.MnSLTIU:
 		return otCmp
 	case riscv.MnSD:
@@ -305,6 +319,12 @@ func opKind(in *riscv.Inst) uint8 {
 		kind = otSub
 	case riscv.MnSLLI:
 		kind = otSlli
+	case riscv.MnANDI:
+		kind = otAndi
+	case riscv.MnSRLI:
+		kind = otSrli
+	case riscv.MnADDIW:
+		kind = otAddiw
 	case riscv.MnLUI:
 		kind = otLui
 	case riscv.MnAUIPC:
@@ -343,6 +363,8 @@ func specialize(in *riscv.Inst, cost uint64) traceOp {
 		op.aux = uint64(in.Imm << 12)
 	case otAuipc:
 		op.aux = in.Addr + uint64(in.Imm<<12)
+	case otScratchW, otScratchR:
+		op.aux = uint64(in.CSR - dbiScratchBase)
 	}
 	return op
 }

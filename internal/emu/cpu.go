@@ -143,23 +143,7 @@ type CPU struct {
 	// decoded under and are re-decoded when it moves (see block.go).
 	icGen uint64
 
-	// Hot-path engine counters, kept as plain fields (no atomics) and
-	// synced into Obs at every Run return. chainHits counts block→block
-	// dispatches served from a superblock's successor cache; chainSevers
-	// counts cached successors dropped because their generation went stale.
-	// fuseCount tallies fusions applied at block build, by fusions row.
-	chainHits   uint64
-	chainSevers uint64
-	fuseCount   [numFuseKinds]uint64
-
-	// Trace-tier counters (trace.go): traces compiled, trace dispatches,
-	// completed loop passes, mispredicted-branch side exits, and traces
-	// severed by invalidation (at dispatch or mid-trace by an SMC store).
-	traceBuilds    uint64
-	traceHits      uint64
-	tracePasses    uint64
-	traceSideExits uint64
-	traceSevers    uint64
+	dispatchStats
 
 	// Code-watch range [watchLo, watchHi): a guest store overlapping it
 	// stops Run with StopCodeWrite *after* the store retires, with
@@ -173,6 +157,29 @@ type CPU struct {
 	watchHit            bool
 
 	lastTrap error
+}
+
+// dispatchStats holds the hot-path engine counters, kept as plain fields
+// (no atomics) and published to Obs at every Run return (syncObs).
+type dispatchStats struct {
+	// blockHits counts block-map lookups (blockAt) served by a current
+	// block. chainHits counts dispatches served from a block's or trace's
+	// successor cache instead; chainSevers counts cached successors dropped
+	// because their generation went stale. fuseCount tallies fusions
+	// applied at block build, by fusions row.
+	blockHits   uint64
+	chainHits   uint64
+	chainSevers uint64
+	fuseCount   [numFuseKinds]uint64
+
+	// Trace-tier counters (trace.go): traces compiled, trace dispatches,
+	// completed loop passes, mispredicted-branch side exits, and traces
+	// severed by invalidation (at dispatch or mid-trace by an SMC store).
+	traceBuilds    uint64
+	traceHits      uint64
+	tracePasses    uint64
+	traceSideExits uint64
+	traceSevers    uint64
 }
 
 // New creates a CPU with the ELF image loaded, the stack mapped, and the
@@ -468,29 +475,29 @@ const (
 //
 // Behind Run sit one fast-tier executor at two granularities and the
 // per-instruction slow path. The executor (runStream, trace.go) runs an op
-// stream: a superblock's (block.go), dispatched whole and followed through
-// cached block→block successor links so loop-heavy code never re-probes
-// the block map, or a trace's — a hot chain of superblocks flattened into
-// one stream that loops whole passes per dispatch. The fast tier is used
+// stream: a superblock's (block.go), dispatched whole, or a trace's — a hot
+// chain of superblocks flattened into one stream that loops whole passes
+// per dispatch. Either is followed through its cached successor links, so
+// loop-heavy code never re-probes the block map. The fast tier is used
 // whenever nothing needs per-instruction visibility. The slow path is used
 // when a Trace hook is installed (tools, oracle lockstep stepping), under
 // DispatchSlow, or when the remaining instruction budget is smaller than
 // the next block or trace pass — so budget exhaustion stops at exactly the
 // same instruction on every tier. Code a DBI engine translated into its
-// code cache (see DBIComp) runs through the same tiers: its lookup stubs'
-// scratch-CSR ops are ordinary ops and its dbi.jt ends a stream.
+// code cache (see DBIComp) runs through the same tiers: dbi.acc and its
+// lookup stubs' scratch-CSR ops are ordinary ops and its dbi.jt ends a
+// stream.
 func (c *CPU) Run(maxInst uint64) StopReason {
 	if c.Obs != nil {
 		// Sync the hot-path counters into obs on return; the architectural
 		// and plain-field counters are the single source of truth, so the
 		// hot loop never touches an atomic.
-		defer c.syncObs(c.Instret, c.chainHits, c.chainSevers, c.fuseCount, c.Mem.TLB,
-			[5]uint64{c.traceBuilds, c.traceHits, c.tracePasses, c.traceSideExits, c.traceSevers})()
+		defer c.syncObs(c.Instret, c.dispatchStats, c.Mem.TLB)()
 	}
 	budget := maxInst
 	// chained holds the next block resolved through the successor cache of
-	// the block that just retired; nil means the next dispatch must go
-	// through blockAt.
+	// the block or trace that just retired; nil means the next dispatch
+	// must go through blockAt.
 	var chained *block
 	for {
 		if c.Exited {
@@ -532,9 +539,7 @@ func (c *CPU) Run(maxInst uint64) StopReason {
 						c.watchHit = false
 						return StopCodeWrite
 					}
-					if !s.hot {
-						chained = c.chainNext(b)
-					}
+					chained = c.chainNext(s)
 					continue
 				}
 			}
@@ -555,20 +560,20 @@ func (c *CPU) fits(s *stream, budget uint64, limited bool) bool {
 
 // syncObs snapshots the hot-path counters at Run entry and returns the
 // deferred function that publishes the deltas to the obs registry.
-func (c *CPU) syncObs(instret, chainHits, chainSevers uint64,
-	fuse [numFuseKinds]uint64, tlb TLBStats, tr [5]uint64) func() {
+func (c *CPU) syncObs(instret uint64, d dispatchStats, tlb TLBStats) func() {
 	return func() {
 		m := c.Obs
 		m.Instructions.Add(c.Instret - instret)
-		m.ChainHits.Add(c.chainHits - chainHits)
-		m.ChainSevers.Add(c.chainSevers - chainSevers)
-		m.TraceBuilds.Add(c.traceBuilds - tr[0])
-		m.TraceHits.Add(c.traceHits - tr[1])
-		m.TracePasses.Add(c.tracePasses - tr[2])
-		m.TraceSideExits.Add(c.traceSideExits - tr[3])
-		m.TraceSevers.Add(c.traceSevers - tr[4])
+		m.BlockHits.Add(c.blockHits - d.blockHits)
+		m.ChainHits.Add(c.chainHits - d.chainHits)
+		m.ChainSevers.Add(c.chainSevers - d.chainSevers)
+		m.TraceBuilds.Add(c.traceBuilds - d.traceBuilds)
+		m.TraceHits.Add(c.traceHits - d.traceHits)
+		m.TracePasses.Add(c.tracePasses - d.tracePasses)
+		m.TraceSideExits.Add(c.traceSideExits - d.traceSideExits)
+		m.TraceSevers.Add(c.traceSevers - d.traceSevers)
 		for k := 0; k < numFuseKinds; k++ {
-			m.Fused[k].Add(c.fuseCount[k] - fuse[k])
+			m.Fused[k].Add(c.fuseCount[k] - d.fuseCount[k])
 		}
 		t := &c.Mem.TLB
 		m.TLBReadHits.Add(t.ReadHits - tlb.ReadHits)

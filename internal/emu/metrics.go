@@ -15,8 +15,9 @@ type Metrics struct {
 	// Instructions counts retired instructions, synced at every Run return
 	// (never per instruction — Instret already tracks that architecturally).
 	Instructions *obs.Counter
-	// BlockHits counts fused-dispatch superblock cache hits; BlockBuilds
-	// counts blocks (re)decoded. hits/(hits+builds) is the cache hit rate.
+	// BlockHits counts block-map lookups served by a cached superblock
+	// (dispatches a chain link served are ChainHits instead), synced at
+	// every Run return; BlockBuilds counts blocks (re)decoded.
 	BlockHits   *obs.Counter
 	BlockBuilds *obs.Counter
 	// BlockInvalidations counts icache-generation bumps — each one retires

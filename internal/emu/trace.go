@@ -44,9 +44,14 @@ import (
 //
 // Traces contain no syscalls, counter-CSR reads, fence.i, or ebreaks —
 // blocks ending in otExec end the walk — so Exited and the counters
-// visible to CSR reads cannot change mid-trace. Scratch-CSR ops (DBI
-// lookup stubs) run as ordinary ops, and a dbi.jt ends the trace the way an
-// indirect jalr does.
+// visible to CSR reads cannot change mid-trace. What a DBI engine emits
+// runs at the speed of ordinary code: dbi.acc and the lookup stubs'
+// scratch-CSR moves have their own op kinds, and a dbi.jt ends the trace
+// the way an indirect jalr does. Every trace exit (a side exit, a dbi.jt or
+// jalr, falling off the end) chains through the stream's own successor
+// links, exactly like a block exit, and those links feed the same hotness
+// trigger, so a hot return site a trace keeps leaving to becomes a trace
+// head in its turn.
 
 // Trace build limits and the hotness trigger: a chain link must be taken
 // traceHotMask+1 times before its target is considered a trace head.
@@ -97,6 +102,13 @@ type stream struct {
 	passC   uint64 // cycles of one full predicted pass
 	passN   uint64 // constituents of one full predicted pass
 	maxCost uint64 // worst-case cycles of one pass (sampler gate)
+
+	// succ caches up to two resolved successors of the stream's exits
+	// (taken/fallthrough of a block's closing branch, the last two
+	// indirect targets, a trace's side exits and end), filled lazily by
+	// chainNext and honoured only at the current generation.
+	succ   [2]blockLink
+	succRR uint8 // round-robin victim index
 }
 
 // seal computes the per-op prefix sums, the pass totals, and the
@@ -119,8 +131,9 @@ func (c *CPU) seal(s *stream) {
 func isBranch(kind uint8) bool { return kind == otBr || kind == otCmpBr || kind == otAddiBr }
 
 // maybeTrace is the hotness trigger, called from succFor when a chain link
-// crosses a hit threshold. The target becomes a trace head unless it
-// already has a trace, already failed to produce one, or tracing is off.
+// out of a block or a trace crosses a hit threshold. The target becomes a
+// trace head unless it already has a trace, already failed to produce one,
+// or tracing is off.
 func (c *CPU) maybeTrace(b *block, pc uint64) {
 	if c.Dispatch != DispatchTrace || b.trc != nil || b.trcFail {
 		return
@@ -134,34 +147,37 @@ func (c *CPU) maybeTrace(b *block, pc uint64) {
 // profiled-likely side of conditional branches, and stops at indirect
 // jumps (jalr, dbi.jt), unpredictable branches, otExec blocks (syscalls/
 // counter CSRs/ebreak), a revisited PC, or the build caps. A walk that
-// returns to entry makes a looping trace.
+// returns to entry makes a looping trace. Like buildBlock it builds in two
+// passes: the walk records the blocks and their predictions, then the ops
+// are copied into one slice of exactly the trace's size.
 func (c *CPU) buildTrace(head *block, entry uint64) {
 	t := &stream{gen: c.icGen, entry: entry, hot: true}
-	var visited [traceMaxBlocks]uint64
+	var (
+		visited [traceMaxBlocks]uint64
+		path    [traceMaxBlocks]traceStep
+	)
+	n, nops := 0, 0
 	pc, b := entry, head
-	for blocks := 0; ; blocks++ {
-		if b == nil || b.gen != c.icGen || blocks >= traceMaxBlocks ||
-			len(t.ops)+len(b.ops) > traceMaxOps || b.ops[len(b.ops)-1].kind == otExec {
+	for {
+		if b == nil || b.gen != c.icGen || n >= traceMaxBlocks ||
+			nops+len(b.ops) > traceMaxOps || b.ops[len(b.ops)-1].kind == otExec {
 			// End the trace before this block; the dispatcher picks it up.
 			t.endPC = pc
 			break
 		}
-		visited[blocks] = pc
-		n := len(t.ops)
-		t.ops = append(t.ops, b.ops...)
-		for i := n; i < len(t.ops); i++ {
-			t.ops[i].cache = true
-		}
-		last := &t.ops[len(t.ops)-1]
+		visited[n] = pc
+		p := &path[n]
+		p.b = b
+		n++
+		nops += len(b.ops)
+		last := &b.ops[len(b.ops)-1]
 		next := b.endPC
 		if isBranch(last.kind) {
-			taken, ok := c.predictBranch(b, last)
-			if !ok {
+			if p.taken, p.predict = c.predictBranch(b, last); !p.predict {
 				break // unpredictable: the trace leaves here either way
 			}
-			last.end, last.predTaken, next = false, taken, last.aux2
-			if taken {
-				last.cost += c.Model.BranchTakenPenalty
+			next = last.aux2
+			if p.taken {
 				next = last.aux
 			}
 		}
@@ -172,19 +188,41 @@ func (c *CPU) buildTrace(head *block, entry uint64) {
 			t.loop = true
 			break
 		}
-		if slices.Contains(visited[:blocks+1], next) {
+		if slices.Contains(visited[:n], next) {
 			t.endPC = next
 			break
 		}
 		pc, b = next, c.blockAt(next)
 	}
-	if len(t.ops) == 0 {
+	if n == 0 {
 		head.trcFail = true
 		return
+	}
+	t.ops = make([]traceOp, 0, nops)
+	for _, p := range path[:n] {
+		i := len(t.ops)
+		t.ops = append(t.ops, p.b.ops...)
+		for j := i; j < len(t.ops); j++ {
+			t.ops[j].cache = true
+		}
+		if p.predict {
+			last := &t.ops[len(t.ops)-1]
+			last.end, last.predTaken = false, p.taken
+			if p.taken {
+				last.cost += c.Model.BranchTakenPenalty
+			}
+		}
 	}
 	c.seal(t)
 	head.trc = t
 	c.traceBuilds++
+}
+
+// traceStep is one block on a trace's walked path and the compiled
+// direction of its closing branch, when that branch was predicted.
+type traceStep struct {
+	b              *block
+	taken, predict bool
 }
 
 // predictBranch picks the likely direction of b's closing branch br from
@@ -240,6 +278,22 @@ func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64,
 				if err := c.csrOp(op.in); err != nil {
 					return c.opFault(op, retired, 0, err)
 				}
+			case otDBIAcc:
+				if dc := c.DBIComp; dc == nil || !dc.apply(op.imm+2048) {
+					return c.opFault(op, retired, 0, c.execStraight(op.in))
+				}
+			case otScratchW:
+				dc := c.DBIComp
+				if dc == nil {
+					return c.opFault(op, retired, 0, c.csrOp(op.in))
+				}
+				dc.Scratch[op.aux] = c.X[op.rs1&31]
+			case otScratchR:
+				dc := c.DBIComp
+				if dc == nil {
+					return c.opFault(op, retired, 0, c.csrOp(op.in))
+				}
+				c.X[op.rd&31] = dc.Scratch[op.aux]
 			case otAddi:
 				c.X[op.rd&31] = c.X[op.rs1&31] + uint64(op.imm)
 			case otAdd:
@@ -248,6 +302,12 @@ func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64,
 				c.X[op.rd&31] = c.X[op.rs1&31] - c.X[op.rs2&31]
 			case otSlli:
 				c.X[op.rd&31] = c.X[op.rs1&31] << uint(op.imm)
+			case otAndi:
+				c.X[op.rd&31] = c.X[op.rs1&31] & uint64(op.imm)
+			case otSrli:
+				c.X[op.rd&31] = c.X[op.rs1&31] >> uint(op.imm)
+			case otAddiw:
+				c.X[op.rd&31] = sext32(uint32(c.X[op.rs1&31]) + uint32(op.imm))
 			case otLui, otAuipc:
 				c.X[op.rd&31] = op.aux
 			case otMul:

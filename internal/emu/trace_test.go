@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rvdyn/internal/asm"
+	"rvdyn/internal/elfrv"
 	"rvdyn/internal/obs"
 	"rvdyn/internal/workload"
 )
@@ -243,5 +244,70 @@ loop:
 	requireSameState(t, fast, slow)
 	if _, _, passes, sideExits, _ := traceCounters(reg); passes == 0 || sideExits == 0 {
 		t.Fatalf("loop never left a trace through a side exit: passes=%d side_exits=%d", passes, sideExits)
+	}
+}
+
+// cachedBlocks returns every superblock in c's code caches.
+func cachedBlocks(c *CPU) []*block {
+	chunks := append([]*codeChunk(nil), c.icChunks...)
+	for _, ch := range c.icFar {
+		chunks = append(chunks, ch)
+	}
+	var out []*block
+	for _, ch := range chunks {
+		if ch == nil {
+			continue
+		}
+		for _, b := range ch.blk {
+			if b != nil {
+				out = append(out, b)
+			}
+		}
+	}
+	return out
+}
+
+// TestTraceOpsExactSize: buildTrace walks the chain first and then
+// allocates the trace's ops once, so no built trace carries spare
+// capacity (a trace lives as long as its head block, so slack would be
+// retained heap).
+func TestTraceOpsExactSize(t *testing.T) {
+	mm, err := workload.BuildMatmul(24, 2, asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fib, err := asm.Assemble(workload.FibSource, asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	newCPU := func(f *elfrv.File) *CPU {
+		c, err := New(f, P550())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for _, tc := range []struct {
+		name   string
+		c      *CPU
+		budget uint64
+	}{
+		{"matmul", newCPU(mm), 0},
+		{"fib", newCPU(fib), 0},
+		{"stub-loop", newStubLoop(t), 1 + 300*stubLoopLen},
+	} {
+		tc.c.Run(tc.budget)
+		n := 0
+		for _, b := range cachedBlocks(tc.c) {
+			if tr := b.trc; tr != nil {
+				n++
+				if cap(tr.ops) != len(tr.ops) {
+					t.Errorf("%s: trace at %#x has %d ops in a slice of capacity %d", tc.name, tr.entry, len(tr.ops), cap(tr.ops))
+				}
+			}
+		}
+		if n == 0 {
+			t.Errorf("%s: no trace was built", tc.name)
+		}
 	}
 }
