@@ -88,6 +88,10 @@ type Engine struct {
 	// parsed.
 	cfg  *parse.CFG
 	live map[*parse.Function]*funcLive
+	// retSites maps a function entry to the return sites of its direct
+	// callers (the fall-through of each EdgeCall into it), for the return
+	// chain (ibl.go).
+	retSites map[uint64][]uint64
 
 	varBase, varNext uint64
 	varMapped        bool

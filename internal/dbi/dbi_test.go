@@ -359,7 +359,9 @@ func TestDBIAttachDetach(t *testing.T) {
 
 // TestDBICounters sanity-checks the emu.dbi.* counter wiring on a loopy
 // workload: translations and chain patches happen, and chained loops mean
-// exits are far rarer than retired instructions.
+// exits are far rarer than retired instructions. matmul's indirect jumps
+// are all returns its return chains resolve, so indirect_exits may be 0
+// (TestDBIIBLHitRatio covers the lookup counters).
 func TestDBICounters(t *testing.T) {
 	f, err := asm.Assemble(workload.MatmulSource(8, 2), asm.Options{})
 	if err != nil {
@@ -373,7 +375,7 @@ func TestDBICounters(t *testing.T) {
 	tr := reg.Counter("emu.dbi.translations").Load()
 	cp := reg.Counter("emu.dbi.chain.patches").Load()
 	ind := reg.Counter("emu.dbi.indirect_exits").Load()
-	if tr == 0 || cp == 0 || ind == 0 {
+	if tr == 0 || cp == 0 {
 		t.Errorf("counters flat: translations=%d chain.patches=%d indirect_exits=%d", tr, cp, ind)
 	}
 	// Chained direct edges never exit: total engine round trips (chain hits

@@ -244,3 +244,46 @@ func TestTraceExitsChain(t *testing.T) {
 			hits, 4*builds, traces)
 	}
 }
+
+// TestDBITierConservation: under the DBI engine the per-tier counters
+// still account for every raw retired instruction and cycle, at every
+// Dispatch value, whether the run goes in one Continue or in budget slices
+// that stop inside chains and stubs. fib's returns resolve through their
+// return chains, so traces run through them and hold most of the work.
+func TestDBITierConservation(t *testing.T) {
+	f := fibFile(t, 14)
+	for _, d := range []emu.Dispatch{emu.DispatchTrace, emu.DispatchBlock, emu.DispatchSlow} {
+		for _, slice := range []uint64{0, 37} {
+			e := attachFib(t, f, false)
+			cpu := e.p.CPU()
+			cpu.Dispatch = d
+			reg := obs.NewRegistry()
+			cpu.Obs = emu.NewMetrics(reg)
+			for {
+				ev, err := e.ContinueBudget(slice)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ev.Kind == proc.EventExit {
+					break
+				}
+				if ev.Kind != proc.EventBudget {
+					t.Fatalf("dispatch %d slice %d: stopped with %+v", d, slice, ev)
+				}
+			}
+			var in, cy uint64
+			for _, tier := range []string{"slow", "block", "trace"} {
+				in += reg.Counter("emu.tier." + tier + ".instret").Load()
+				cy += reg.Counter("emu.tier." + tier + ".cycles").Load()
+			}
+			if in != cpu.Instret || cy != cpu.Cycles {
+				t.Errorf("dispatch %d slice %d: tiers sum to %d/%d, raw counters %d/%d",
+					d, slice, in, cy, cpu.Instret, cpu.Cycles)
+			}
+			trace := reg.Counter("emu.tier.trace.instret").Load()
+			if d == emu.DispatchTrace && slice == 0 && trace*4 < cpu.Instret*3 {
+				t.Errorf("traces retired %d of %d instructions, want at least 75%%", trace, cpu.Instret)
+			}
+		}
+	}
+}

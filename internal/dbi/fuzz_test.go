@@ -3,6 +3,7 @@ package dbi
 import (
 	"bytes"
 	"crypto/sha256"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -17,9 +18,73 @@ import (
 	"rvdyn/internal/workload"
 )
 
+// returnStressSource exercises every way a return can miss its return
+// chain: many has more than maxRetSites direct callers (no chain at all),
+// viajalr is reached only through a function pointer (no direct return
+// site), twice tail-calls many (its return lands on twice's caller), and
+// skipret returns through an ra it advanced past its call site, skipping
+// the 4-byte addi there. Exit code: 3 passes of 5 + 3 + 6 = 42.
+const returnStressSource = `
+	.data
+fnptr:
+	.dword viajalr
+
+	.text
+	.globl _start
+_start:
+	li   s0, 0
+	li   s1, 3
+loop:
+	call many
+	call many
+	call many
+	call many
+	call many
+	la   t0, fnptr
+	ld   t0, 0(t0)
+	jalr ra, 0(t0)
+	call twice
+	call skipret
+	addi s0, s0, 1000       # skipped: skipret returns past it
+	addi s1, s1, -1
+	bnez s1, loop
+	andi a0, s0, 255
+	li   a7, 93
+	ecall
+
+	.globl many
+	.type many, @function
+many:
+	addi s0, s0, 1
+	ret
+	.size many, .-many
+
+	.globl viajalr
+	.type viajalr, @function
+viajalr:
+	addi s0, s0, 3
+	ret
+	.size viajalr, .-viajalr
+
+	.globl twice
+	.type twice, @function
+twice:
+	addi s0, s0, 5
+	j    many
+	.size twice, .-twice
+
+	.globl skipret
+	.type skipret, @function
+skipret:
+	addi ra, ra, 4
+	ret
+	.size skipret, .-skipret
+`
+
 // Negative seeds select fixed stress sources instead of the oracle
 // generator: the jalr-dense band (recursion, a jump table, an indirect
-// loop reading live counters) and the self-modifying band.
+// loop reading live counters), the self-modifying band, and the returns
+// that miss their return chains (-5).
 func fuzzProgram(t *testing.T, seed int64) (*elfrv.File, bool) {
 	t.Helper()
 	var src string
@@ -33,6 +98,8 @@ func fuzzProgram(t *testing.T, seed int64) (*elfrv.File, bool) {
 		src = workload.JumpTableSource
 	case -4:
 		src = counterProbeSource
+	case -5:
+		src = returnStressSource
 	default:
 		f, err := oracle.BuildProgram(seed, 140)
 		if err != nil {
@@ -71,16 +138,18 @@ func fuzzInstAddrs(f *elfrv.File) []uint64 {
 
 // FuzzDBILockstep is the headline differential fuzzer for the dynamic
 // engine: every input derives a program (oracle-generated, or one of the
-// jalr-dense / self-modifying stress sources) plus a randomized schedule of
-// probe placements at decoded instruction boundaries, mid-run probe
-// additions and removals, budget stops, and detach/re-attach points. The
-// instrumented run must match the native run on every observable — exit
-// code, stdout, syscall trace, final writable memory — and, because every
-// translation carries an exact compensation delta, on the retired
-// instruction count itself.
+// jalr-dense / self-modifying / return-chain stress sources) plus a
+// randomized schedule of probe placements at decoded instruction
+// boundaries, mid-run probe additions and removals, budget stops, and
+// detach/re-attach points. The instrumented run must match the native run
+// on every observable — exit code, stdout, syscall trace, final writable
+// memory — and, because every translation carries an exact compensation
+// delta, on the retired instruction count itself. A DispatchSlow twin runs
+// the same schedule, and at every stop its full state (registers, PC, raw
+// and compensated counters, scratch CSRs) must equal the fast tiers'.
 func FuzzDBILockstep(f *testing.F) {
 	// The stress bands, each with a few schedule variants.
-	for _, seed := range []int64{-1, -2, -3, -4} {
+	for _, seed := range []int64{-1, -2, -3, -4, -5} {
 		f.Add(seed, uint64(0))
 		f.Add(seed, uint64(0x9e3779b97f4a7c15))
 		f.Add(seed, uint64(0x123456789))
@@ -89,13 +158,22 @@ func FuzzDBILockstep(f *testing.F) {
 		f.Add(seed, uint64(seed)*0x9e3779b97f4a7c15)
 	}
 	f.Fuzz(func(t *testing.T, seed int64, sched uint64) {
-		if seed < -4 {
-			seed = -1 - (-seed % 4) // fold arbitrary negatives onto the bands
+		if seed < -5 {
+			seed = -1 - (-seed % 4) // fold arbitrary negatives onto bands -1..-4
 		}
 		prog, smc := fuzzProgram(t, seed)
 		native := observeNative(t, prog)
 		runFuzzSchedule(t, prog, smc, native, seed, sched)
 	})
+}
+
+// fuzzSide is one of the two runs a schedule drives: the fast tiers or the
+// DispatchSlow twin.
+type fuzzSide struct {
+	p   *proc.Process
+	e   *Engine
+	out bytes.Buffer
+	got oracle.Observation
 }
 
 func runFuzzSchedule(t *testing.T, f *elfrv.File, smc bool, native *oracle.Observation, seed int64, sched uint64) {
@@ -118,56 +196,105 @@ func runFuzzSchedule(t *testing.T, f *elfrv.File, smc bool, native *oracle.Obser
 		}
 	}
 
-	p, err := proc.Launch(f, emu.P550())
-	if err != nil {
-		t.Fatal(err)
+	var sides [2]*fuzzSide
+	for i := range sides {
+		p, err := proc.Launch(f, emu.P550())
+		if err != nil {
+			t.Fatal(err)
+		}
+		sd := &fuzzSide{p: p}
+		cpu := p.CPU()
+		if i == 1 {
+			cpu.Dispatch = emu.DispatchSlow
+		}
+		cpu.Stdout = &sd.out
+		cpu.TimeFn = func() uint64 { return pinnedClock }
+		cpu.CounterFn = func(uint16) uint64 { return pinnedCounter }
+		cpu.SyscallTrace = func(num, a0, a1, a2, ret uint64) {
+			sd.got.Trace = append(sd.got.Trace, oracle.SyscallRecord{Num: num, A0: a0, A1: a1, A2: a2, Ret: ret})
+		}
+		sides[i] = sd
 	}
-	cpu := p.CPU()
-	var out bytes.Buffer
-	got := &oracle.Observation{}
-	cpu.Stdout = &out
-	cpu.TimeFn = func() uint64 { return pinnedClock }
-	cpu.CounterFn = func(uint16) uint64 { return pinnedCounter }
-	cpu.SyscallTrace = func(num, a0, a1, a2, ret uint64) {
-		got.Trace = append(got.Trace, oracle.SyscallRecord{Num: num, A0: a0, A1: a1, A2: a2, Ret: ret})
+	// both applies one schedule step to the fast run and then its twin;
+	// the two must agree on whether it failed.
+	both := func(what string, do func(sd *fuzzSide) error) error {
+		e0 := do(sides[0])
+		e1 := do(sides[1])
+		if (e0 == nil) != (e1 == nil) {
+			t.Fatalf("%s: fast %v, slow twin %v", what, e0, e1)
+		}
+		return e0
+	}
+	attach := func() {
+		opts := Options{NoCounterVirt: rng.Intn(4) == 0}
+		both("attach", func(sd *fuzzSide) (err error) {
+			sd.e, err = Attach(sd.p, f, opts)
+			return err
+		})
+	}
+	// cont runs one budget slice on both and compares their full state.
+	cont := func(what string, budget uint64, native bool) proc.Event {
+		var evs [2]proc.Event
+		both(what, func(sd *fuzzSide) (err error) {
+			i := 0
+			if sd == sides[1] {
+				i = 1
+			}
+			if native {
+				evs[i], err = sd.p.ContinueBudget(budget)
+			} else {
+				evs[i], err = sd.e.ContinueBudget(budget)
+			}
+			return err
+		})
+		if evs[0].Kind != evs[1].Kind {
+			t.Fatalf("%s: stop kind: fast %v, slow twin %v", what, evs[0].Kind, evs[1].Kind)
+		}
+		if d := sameDBIState(sides[0].e, sides[1].e); d != "" {
+			t.Fatalf("%s: fast tiers and slow twin differ: %s", what, d)
+		}
+		return evs[0]
+	}
+	detach := func(what string) {
+		if err := both(what, func(sd *fuzzSide) error { return sd.e.Detach() }); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if d := sameDBIState(sides[0].e, sides[1].e); d != "" {
+			t.Fatalf("%s: fast tiers and slow twin differ: %s", what, d)
+		}
 	}
 
-	e, err := Attach(p, f, Options{NoCounterVirt: rng.Intn(4) == 0})
-	if err != nil {
-		t.Fatal(err)
-	}
+	attach()
 	pick := func() uint64 { return addrs[rng.Intn(len(addrs))] }
+	probe := func(what string, a uint64) {
+		if err := both(what, func(sd *fuzzSide) error { return sd.e.ProbeAt(a, snippet.Empty()) }); err != nil {
+			t.Fatalf("%s at %#x: %v", what, a, err)
+		}
+	}
 	var placed []uint64
 	if len(addrs) > 0 {
 		for i := rng.Intn(4); i > 0; i-- {
 			a := pick()
-			if err := e.ProbeAt(a, snippet.Empty()); err != nil {
-				t.Fatalf("probe at %#x: %v", a, err)
-			}
+			probe("probe", a)
 			placed = append(placed, a)
 		}
 	}
 
 	ev := proc.Event{Kind: proc.EventBudget}
 	for round := 0; round < 40 && ev.Kind == proc.EventBudget; round++ {
-		ev, err = e.ContinueBudget(uint64(1 + rng.Intn(400)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		ev = cont(fmt.Sprintf("round %d", round), uint64(1+rng.Intn(400)), false)
 		switch {
 		case ev.Kind != proc.EventBudget:
 			// exit (or an unexpected stop, checked below)
 
 		case rng.Intn(3) == 0 && len(addrs) > 0:
 			a := pick()
-			if err := e.ProbeAt(a, snippet.Empty()); err != nil {
-				t.Fatalf("mid-run probe at %#x: %v", a, err)
-			}
+			probe("mid-run probe", a)
 			placed = append(placed, a)
 
 		case rng.Intn(3) == 0 && len(placed) > 0:
 			i := rng.Intn(len(placed))
-			err := e.RemoveProbeAt(placed[i])
+			err := both("remove", func(sd *fuzzSide) error { return sd.e.RemoveProbeAt(placed[i]) })
 			if err != nil && !strings.Contains(err.Error(), "is executing") &&
 				!strings.Contains(err.Error(), "no probe at") {
 				t.Fatalf("remove at %#x: %v", placed[i], err)
@@ -187,56 +314,50 @@ func runFuzzSchedule(t *testing.T, f *elfrv.File, smc bool, native *oracle.Obser
 		case rng.Intn(4) == 0:
 			// Detach — including with the PC parked mid-group or inside an
 			// inline-lookup stub — run a native slice, and re-attach.
-			if err := e.Detach(); err != nil {
-				t.Fatalf("detach: %v", err)
+			detach("detach")
+			for _, sd := range sides {
+				if pc := sd.p.PC(); pc >= sd.e.cacheBase && pc < sd.e.cacheEnd {
+					t.Fatalf("detach left pc %#x inside the cache", pc)
+				}
 			}
-			if pc := p.PC(); pc >= e.cacheBase && pc < e.cacheEnd {
-				t.Fatalf("detach left pc %#x inside the cache", pc)
-			}
-			ev, err = p.ContinueBudget(uint64(1 + rng.Intn(300)))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if ev.Kind != proc.EventBudget {
+			if ev = cont("native slice", uint64(1+rng.Intn(300)), true); ev.Kind != proc.EventBudget {
 				break
 			}
-			if e, err = Attach(p, f, Options{NoCounterVirt: rng.Intn(4) == 0}); err != nil {
-				t.Fatalf("re-attach: %v", err)
-			}
+			attach()
 			placed = nil // probes do not survive detach
 		}
 	}
 	if ev.Kind == proc.EventBudget {
 		// Schedule exhausted its rounds: detach cleanly and finish native.
-		if err := e.Detach(); err != nil {
-			t.Fatalf("final detach: %v", err)
-		}
-		if ev, err = p.ContinueBudget(runBudget); err != nil {
-			t.Fatal(err)
-		}
+		detach("final detach")
+		ev = cont("native finish", runBudget, true)
 	}
 	if ev.Kind != proc.EventExit {
-		t.Fatalf("run stopped with %v (addr=%#x err=%v pc=%#x)", ev.Kind, ev.Addr, ev.Err, p.PC())
+		t.Fatalf("run stopped with %v (addr=%#x err=%v pc=%#x)", ev.Kind, ev.Addr, ev.Err, sides[0].p.PC())
 	}
 
-	h := sha256.New()
-	for _, s := range oracle.WritableSections(f) {
-		b, err := cpu.ReadMem(s.Addr, int(s.Size()))
-		if err != nil {
-			t.Fatalf("hashing %s: %v", s.Name, err)
+	for _, sd := range sides {
+		cpu := sd.p.CPU()
+		h := sha256.New()
+		for _, s := range oracle.WritableSections(f) {
+			b, err := cpu.ReadMem(s.Addr, int(s.Size()))
+			if err != nil {
+				t.Fatalf("hashing %s: %v", s.Name, err)
+			}
+			h.Write(b)
 		}
-		h.Write(b)
-	}
-	copy(got.MemHash[:], h.Sum(nil))
-	got.ExitCode = p.ExitCode()
-	got.Stdout = out.Bytes()
-	compareObs(t, "fuzz", native, got)
+		copy(sd.got.MemHash[:], h.Sum(nil))
+		sd.got.ExitCode = sd.p.ExitCode()
+		sd.got.Stdout = sd.out.Bytes()
+		compareObs(t, "fuzz", native, &sd.got)
 
-	// The compensation invariant: raw retired minus the accumulated deltas
-	// equals the native instruction count, wherever the schedule wandered.
-	comp := e.Comp()
-	if dI := uint64(int64(cpu.Instret) - comp.ExtraInstret); dI != native.Steps {
-		t.Errorf("compensated instret %d != native %d (raw %d, extra %d)",
-			dI, native.Steps, cpu.Instret, comp.ExtraInstret)
+		// The compensation invariant: raw retired minus the accumulated
+		// deltas equals the native instruction count, wherever the
+		// schedule wandered.
+		comp := sd.e.Comp()
+		if dI := uint64(int64(cpu.Instret) - comp.ExtraInstret); dI != native.Steps {
+			t.Errorf("compensated instret %d != native %d (raw %d, extra %d)",
+				dI, native.Steps, cpu.Instret, comp.ExtraInstret)
+		}
 	}
 }

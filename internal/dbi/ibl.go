@@ -2,19 +2,31 @@ package dbi
 
 import (
 	"encoding/binary"
+	"slices"
 
 	"rvdyn/internal/emu"
 	"rvdyn/internal/patch"
 	"rvdyn/internal/riscv"
 )
 
-// Inline indirect-branch lookup (IBL): instead of round-tripping the engine
-// on every jalr, each indirect exit probes a per-engine hash table mapping
-// original target PCs to translated cache entries, entirely in guest code.
-// Only a miss (first sight of a target, or an entry severed by
-// invalidation) reaches the engine, which refills the table — so hot
-// indirect edges (returns above all) stay in the cache like chained direct
-// edges do. This is the MAMBO-V/DynamoRIO "indirect branch lookup" shape.
+// Indirect exits resolve in two stages, both in guest code: a return chain,
+// then the inline indirect-branch lookup (IBL).
+//
+// The chain is the static half (Dyninst's CFG doing what a dynamic cache
+// would): at a plain ret in a parsed function with at most maxRetSites
+// direct return sites (the fall-through addresses of the EdgeCall edges
+// into its entry), the translation compares ra against each site and a hit
+// leaves through an ordinary direct exit stub, which chains like any direct
+// edge. A return anywhere else (a modified ra, longjmp, an unparsed or
+// indirect caller) falls through to the probe, so the chain is always
+// correct: ra equal to a site means the target is that site.
+//
+// The probe is the dynamic half: it looks the original target up in a
+// per-engine hash table mapping original target PCs to translated cache
+// entries. Only a miss (first sight of a target, or an entry severed by
+// invalidation) reaches the engine, which refills the table, so hot
+// indirect edges stay in the cache like chained direct edges do. This is
+// the MAMBO-V/DynamoRIO "indirect branch lookup" shape.
 
 const (
 	// iblEntries is the lookup-table size (power of two; the stub masks
@@ -24,6 +36,9 @@ const (
 	iblEntrySize = 16
 	// iblRegionSize is the mapped table region.
 	iblRegionSize = iblEntries * iblEntrySize
+	// maxRetSites caps the return chain: a function with more direct
+	// return sites resolves its returns through the probe alone.
+	maxRetSites = 4
 )
 
 // iblScratch picks the three registers the lookup stub replacing in may
@@ -52,9 +67,131 @@ func (e *Engine) iblScratch(in riscv.Inst) (s [3]riscv.Reg, spill bool) {
 	return s, true
 }
 
-// emitIBL lays out the inline-lookup stub replacing the jalr in. Shape
-// (sA/sB/sC are the scratch picks, all parcels 4 bytes; the bracketed save
-// and restores are left out when the picks are dead at the jalr):
+// emitIndirect lays out the translation of the jalr in: the return chain
+// when returnChain finds one, then the lookup stub and its miss exit, then
+// one direct exit per chained return site. Shape of the chain over sites
+// s0 < s1 < ... (t is a register dead at the ret; all parcels 4 bytes):
+//
+//	li   t, s0               (lui+addi, see liSite)
+//	beq  ra, t, →exit0
+//	addi t, t, s1-s0         (a gap beyond ±2 KiB re-materializes instead)
+//	beq  ra, t, →exit1
+//	...
+//	<lookup stub>; ebreak    (the miss exit)
+//	exit0: dbi.acc; ebreak   (a direct stub to s0, chained into a jal)
+//	exit1: ...
+//
+// The compare is on ra as is, not masked, so an odd ra falls through to the
+// probe, which masks. Each exit's accumulator carries its own hit path
+// (branch-taken penalty included) against the one native ret; the chain's
+// not-taken path folds into the probe's hit and miss deltas.
+func (e *Engine) emitIndirect(in riscv.Inst, emit func(riscv.Inst) error, stub func(exitStub) *exitStub,
+	dstub func(uint64, emu.CompDelta) error) error {
+	t, sites := e.returnChain(in)
+	var (
+		chain []riscv.Inst
+		beqs  []int // chain index of each site's beq
+		hits  []emu.CompDelta
+		fall  emu.CompDelta // the chain's straight-line path so far
+	)
+	accJal := e.cost(riscv.MnDBIACC) + e.cost(riscv.MnJAL) - e.cost(in.Mn)
+	var prev uint64
+	for k, site := range sites {
+		var step []riscv.Inst
+		if k > 0 && site-prev <= 2047 {
+			step = []riscv.Inst{{Mn: riscv.MnADDI, Rd: t, Rs1: t, Rs2: riscv.RegNone, Rs3: riscv.RegNone,
+				Imm: int64(site - prev)}}
+		} else {
+			step = liSite(t, site)
+		}
+		prev = site
+		beq := riscv.Inst{Mn: riscv.MnBEQ, Rd: riscv.RegNone, Rs1: in.Rs1, Rs2: t, Rs3: riscv.RegNone}
+		chain = append(append(chain, step...), beq)
+		beqs = append(beqs, len(chain)-1)
+		fall.Insts += int64(len(step)) + 1
+		fall.Cycles += e.sumCost(step) + e.cost(riscv.MnBEQ)
+		// Taken here: the chain so far, the acc and the chained jal.
+		hits = append(hits, emu.CompDelta{
+			Insts:  fall.Insts + 2 - 1,
+			Cycles: fall.Cycles + e.takenPenalty() + accJal,
+		})
+	}
+	ibl, missFix, err := e.lowerIBL(in, fall)
+	if err != nil {
+		return err
+	}
+	for k, i := range beqs {
+		// Past the rest of the chain, the stub and its miss ebreak, to the
+		// k-th [dbi.acc][slot] exit.
+		chain[i].Imm = int64(len(chain)-i+len(ibl)+1+2*k) * 4
+	}
+	for _, part := range [][]riscv.Inst{chain, ibl} {
+		for _, m := range part {
+			if err := emit(m); err != nil {
+				return err
+			}
+		}
+	}
+	stub(exitStub{kind: stubIndirect, missFix: missFix})
+	for k, site := range sites {
+		if err := dstub(site, hits[k]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// liSite materializes the return site v into t. MaterializeAbs's lui+addiw
+// becomes lui+addi where both give v (any site below 2 GiB - 2 KiB), which
+// the emulator fuses into one op.
+func liSite(t riscv.Reg, v uint64) []riscv.Inst {
+	li := patch.MaterializeAbs(t, int64(v))
+	if len(li) == 2 && li[0].Mn == riscv.MnLUI && li[1].Mn == riscv.MnADDIW &&
+		uint64(li[0].Imm<<44>>32+li[1].Imm) == v {
+		li[1].Mn = riscv.MnADDI
+	}
+	return li
+}
+
+// returnChain reports the return sites a ret at in can be compared against,
+// in address order, and a register dead at the ret to compare through. It
+// returns no sites unless in is a plain ret (jalr x0, 0(ra)) in parsed
+// functions with 1 to maxRetSites direct return sites between them, whose
+// liveness the engine trusts (deadAt: the bytes still match the file).
+func (e *Engine) returnChain(in riscv.Inst) (riscv.Reg, []uint64) {
+	if in.Mn != riscv.MnJALR || in.Rd != riscv.X0 || in.Rs1 != riscv.X1 || in.Imm != 0 {
+		return 0, nil
+	}
+	dead := e.deadAt(in.Addr)
+	i := slices.IndexFunc(dead, func(r riscv.Reg) bool { return r != in.Rs1 })
+	if i < 0 {
+		return 0, nil
+	}
+	var sites []uint64
+	for _, fn := range e.cfg.Funcs {
+		if _, ok := fn.BlockContaining(in.Addr); ok {
+			for _, s := range e.retSites[fn.Entry] {
+				if !slices.Contains(sites, s) {
+					sites = append(sites, s)
+				}
+			}
+		}
+	}
+	if len(sites) > maxRetSites {
+		return 0, nil
+	}
+	slices.Sort(sites)
+	return dead[i], sites
+}
+
+// lowerIBL returns the inline-lookup stub replacing the jalr in, up to and
+// including its miss tail; the caller places the miss exit stub (an ebreak)
+// right after it, with the returned fixup. prefix is the straight-line
+// divergence of whatever the caller emitted ahead of the stub (the return
+// chain's not-taken path): both the hit and the miss delta include it.
+// Shape (sA/sB/sC are the scratch picks, all parcels 4 bytes; the
+// bracketed save and restores are left out when the picks are dead at the
+// jalr):
 //
 //	[csrrw x0, 0x7C0..2, sA/sB/sC] save scratch
 //	addi  sA, rs1, imm             original target (before the link write —
@@ -86,7 +223,7 @@ func (e *Engine) iblScratch(in riscv.Inst) (s [3]riscv.Reg, spill bool) {
 // The zero entry makes a jalr to address 0 "hit" with cache address 0 —
 // the next fetch faults at PC 0 exactly as the native wild jump would,
 // with the compensation already exact at that boundary.
-func (e *Engine) emitIBL(in riscv.Inst, emit func(riscv.Inst) error, stub func(exitStub) *exitStub) error {
+func (e *Engine) lowerIBL(in riscv.Inst, prefix emu.CompDelta) ([]riscv.Inst, emu.CompDelta, error) {
 	s, spill := e.iblScratch(in)
 	sA, sB, sC := s[0], s[1], s[2]
 	reg := func(mn riscv.Mnemonic, rd, rs1, rs2 riscv.Reg, imm int64) riscv.Inst {
@@ -143,37 +280,30 @@ func (e *Engine) emitIBL(in riscv.Inst, emit func(riscv.Inst) error, stub func(e
 	// Hit path: pre + probe (bne not taken) + hit tail + the dbi.jt itself
 	// retire against the one native jalr.
 	hitIdx, err := e.allocDelta(emu.CompDelta{
-		Insts:  preN + probeN + int64(len(hit)) + 1 - 1,
-		Cycles: preC + probeC + e.sumCost(hit) + e.cost(riscv.MnDBIJT) - jalrCost,
+		Insts:  prefix.Insts + preN + probeN + int64(len(hit)) + 1 - 1,
+		Cycles: prefix.Cycles + preC + probeC + e.sumCost(hit) + e.cost(riscv.MnDBIJT) - jalrCost,
 	})
 	if err != nil {
-		return err
+		return nil, emu.CompDelta{}, err
 	}
 	// Miss path: the compare taken, then the restore tail; the CPU stops
 	// before the ebreak and the engine applies this fixup.
 	missFix := emu.CompDelta{
-		Insts: preN + probeN + int64(len(miss)) - 1,
-		Cycles: preC + probeC + int64(e.p.CPU().Model.BranchTakenPenalty) +
+		Insts: prefix.Insts + preN + probeN + int64(len(miss)) - 1,
+		Cycles: prefix.Cycles + preC + probeC + e.takenPenalty() +
 			e.sumCost(miss) - jalrCost,
 	}
 
 	jt := riscv.Inst{Mn: riscv.MnDBIJT, Rd: riscv.X0, Rs1: riscv.X0,
 		Rs2: riscv.RegNone, Rs3: riscv.RegNone, Imm: int64(hitIdx) - 2048}
-	for _, part := range [][]riscv.Inst{pre, probe, hit, {jt}, miss} {
-		for _, m := range part {
-			if err := emit(m); err != nil {
-				return err
-			}
-		}
-	}
-	stub(exitStub{kind: stubIndirect, missFix: missFix})
-	return nil
+	code := slices.Concat(pre, probe, hit, []riscv.Inst{jt}, miss)
+	return code, missFix, nil
 }
 
 // iblInsert fills the lookup-table slot for tgt with t's cache entry and
-// records the slot on t so invalidating t severs it. A colliding entry is
-// simply overwritten (its owner still lists the slot; severing it later
-// zeroes whatever is there — a harmless extra miss).
+// records the slot on t, once, so invalidating t severs it. A colliding
+// entry is simply overwritten (its owner still lists the slot; severing it
+// later zeroes whatever is there — a harmless extra miss).
 func (e *Engine) iblInsert(tgt uint64, t *translation) error {
 	slot := (tgt >> 1) & (iblEntries - 1)
 	var b [iblEntrySize]byte
@@ -182,7 +312,9 @@ func (e *Engine) iblInsert(tgt uint64, t *translation) error {
 	if err := e.p.WriteMem(e.iblBase+slot*iblEntrySize, b[:]); err != nil {
 		return err
 	}
-	t.iblSlots = append(t.iblSlots, slot)
+	if !slices.Contains(t.iblSlots, slot) {
+		t.iblSlots = append(t.iblSlots, slot)
+	}
 	return nil
 }
 

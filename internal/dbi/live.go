@@ -2,6 +2,7 @@ package dbi
 
 import (
 	"bytes"
+	"slices"
 
 	"rvdyn/internal/codegen"
 	"rvdyn/internal/dataflow"
@@ -29,16 +30,37 @@ type funcLive struct {
 	lv *dataflow.LivenessResult
 }
 
-// analyze parses the attached image once. A file the static analysis
-// cannot handle leaves e.cfg nil, and every point spills.
+// analyze parses the attached image once and indexes its return sites. A
+// file the static analysis cannot handle leaves e.cfg nil, and every point
+// spills.
 func (e *Engine) analyze() {
 	e.live = map[*parse.Function]*funcLive{}
 	st, err := symtab.FromFile(e.f)
 	if err != nil {
 		return
 	}
-	if cfg, err := parse.Parse(st, parse.Options{Workers: 1}); err == nil {
-		e.cfg = cfg
+	cfg, err := parse.Parse(st, parse.Options{Workers: 1})
+	if err != nil {
+		return
+	}
+	e.cfg = cfg
+	// Index the return sites: the fall-through address of every direct
+	// call, by callee entry (emitIndirect's return chain).
+	e.retSites = map[uint64][]uint64{}
+	for _, fn := range cfg.Funcs {
+		for _, b := range fn.Blocks {
+			callee := uint64(0)
+			for _, ed := range b.Out {
+				switch ed.Kind {
+				case parse.EdgeCall:
+					callee = ed.Target
+				case parse.EdgeCallFT:
+					if callee != 0 && !slices.Contains(e.retSites[callee], ed.Target) {
+						e.retSites[callee] = append(e.retSites[callee], ed.Target)
+					}
+				}
+			}
+		}
 	}
 }
 

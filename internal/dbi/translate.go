@@ -1,6 +1,7 @@
 package dbi
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"rvdyn/internal/emu"
@@ -112,6 +113,11 @@ func (e *Engine) cost(mn riscv.Mnemonic) int64 {
 	return int64(e.p.CPU().Model.Cost(mn))
 }
 
+// takenPenalty returns the live cost model's branch-taken penalty.
+func (e *Engine) takenPenalty() int64 {
+	return int64(e.p.CPU().Model.BranchTakenPenalty)
+}
+
 func (e *Engine) sumCost(insts []riscv.Inst) int64 {
 	var c int64
 	for _, in := range insts {
@@ -176,12 +182,14 @@ func (e *Engine) translate(orig uint64) (*translation, error) {
 		splices []*probeSplice
 	)
 	base := func() uint64 { return e.cacheNext + uint64(len(buf)) }
+	// Everything the translator emits is a 4-byte parcel (stub offsets
+	// count in 4s), so it encodes in place.
 	emit := func(in riscv.Inst) error {
-		b, err := riscv.EncodeBytes(in)
+		w, err := riscv.Encode(in)
 		if err != nil {
 			return fmt.Errorf("dbi: encode %v: %w", in, err)
 		}
-		buf = append(buf, b...)
+		buf = binary.LittleEndian.AppendUint32(buf, w)
 		return nil
 	}
 	stub := func(s exitStub) *exitStub {
@@ -293,7 +301,7 @@ func (e *Engine) translate(orig uint64) (*translation, error) {
 					return err
 				}
 			case in.Cat() == riscv.CatJALR:
-				if err := e.emitIBL(in, emit, stub); err != nil {
+				if err := e.emitIndirect(in, emit, stub, dstub); err != nil {
 					return err
 				}
 			case in.Mn == riscv.MnEBREAK:

@@ -1,6 +1,7 @@
 package dbi
 
 import (
+	"rvdyn/internal/codegen"
 	"strings"
 	"testing"
 
@@ -157,12 +158,15 @@ func TestDBICounterVirtualizationBudgetStops(t *testing.T) {
 	}
 }
 
-// TestDBIIBLHitRatio pins the inline-lookup payoff on the recursive fib
-// workload: at least 90% of indirect transfers resolve in-cache, every
-// transfer is exactly one lookup hit or one miss, and every miss is one
-// engine round trip. The run repeats under a single Continue and in budget
-// slices of several lengths (down to single steps, which park the guest
-// inside lookup stubs): neither the lookup counters nor the raw machine
+// TestDBIIBLHitRatio pins how the recursive fib workload's indirect
+// transfers (all returns) resolve. In ModeSpillAlways, which never parses,
+// at least 90% resolve through the lookup table in-cache, every transfer is
+// exactly one lookup hit or one miss, and every miss is one engine round
+// trip. In the default dead-register mode every return matches its return
+// chain (fib has three direct return sites), so the lookup is never
+// reached. Each run repeats under a single Continue and in budget slices of
+// several lengths (down to single steps, which park the guest inside
+// chains and lookup stubs): neither the lookup counters nor the raw machine
 // counters may depend on where the engine is re-entered.
 func TestDBIIBLHitRatio(t *testing.T) {
 	f, err := asm.Assemble(workload.FibSource, asm.Options{})
@@ -171,54 +175,63 @@ func TestDBIIBLHitRatio(t *testing.T) {
 	}
 	want := nativeIndirectJumps(t, f)
 	type result struct{ hits, misses, instret, cycles uint64 }
-	var whole result
-	for _, slice := range []uint64{0, 1, 7, 500, 10_000} {
-		p, err := proc.Launch(f, emu.P550())
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := obs.NewRegistry()
-		e, err := Attach(p, f, Options{Obs: NewMetrics(reg)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for {
-			ev, err := e.ContinueBudget(slice)
+	for _, mode := range []codegen.Mode{codegen.ModeSpillAlways, codegen.ModeDeadRegister} {
+		var whole result
+		for _, slice := range []uint64{0, 1, 7, 500, 10_000} {
+			p, err := proc.Launch(f, emu.P550())
 			if err != nil {
-				t.Fatalf("slice %d: %v", slice, err)
+				t.Fatal(err)
 			}
-			if ev.Kind == proc.EventExit {
-				if ev.ExitCode != workload.FibExpected {
-					t.Fatalf("slice %d: exit %d, want %d", slice, ev.ExitCode, workload.FibExpected)
+			reg := obs.NewRegistry()
+			e, err := Attach(p, f, Options{Mode: mode, Obs: NewMetrics(reg)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				ev, err := e.ContinueBudget(slice)
+				if err != nil {
+					t.Fatalf("%v slice %d: %v", mode, slice, err)
 				}
-				break
+				if ev.Kind == proc.EventExit {
+					if ev.ExitCode != workload.FibExpected {
+						t.Fatalf("%v slice %d: exit %d, want %d", mode, slice, ev.ExitCode, workload.FibExpected)
+					}
+					break
+				}
+				if ev.Kind != proc.EventBudget {
+					t.Fatalf("%v slice %d: stopped with %+v", mode, slice, ev)
+				}
 			}
-			if ev.Kind != proc.EventBudget {
-				t.Fatalf("slice %d: stopped with %+v", slice, ev)
+			r := result{
+				hits:    reg.Counter("emu.dbi.ibl.hits").Load(),
+				misses:  reg.Counter("emu.dbi.ibl.misses").Load(),
+				instret: p.CPU().Instret,
+				cycles:  p.CPU().Cycles,
 			}
-		}
-		r := result{
-			hits:    reg.Counter("emu.dbi.ibl.hits").Load(),
-			misses:  reg.Counter("emu.dbi.ibl.misses").Load(),
-			instret: p.CPU().Instret,
-			cycles:  p.CPU().Cycles,
-		}
-		if r.hits+r.misses != want {
-			t.Errorf("slice %d: ibl.hits+ibl.misses = %d+%d, native run retired %d indirect jumps",
-				slice, r.hits, r.misses, want)
-		}
-		if ratio := float64(r.hits) / float64(want); ratio < 0.90 {
-			t.Errorf("slice %d: IBL absorbed %.1f%% of indirect transfers (hits=%d misses=%d), want >= 90%%",
-				slice, ratio*100, r.hits, r.misses)
-		}
-		if ie := reg.Counter("emu.dbi.indirect_exits").Load(); ie != r.misses {
-			t.Errorf("slice %d: indirect_exits=%d != ibl.misses=%d — with inline lookup they must coincide",
-				slice, ie, r.misses)
-		}
-		if slice == 0 {
-			whole = r
-		} else if r != whole {
-			t.Errorf("slice %d: hits/misses/raw instret/raw cycles %v, single Continue %v", slice, r, whole)
+			if mode == codegen.ModeDeadRegister {
+				if r.hits+r.misses != 0 {
+					t.Errorf("%v slice %d: ibl.hits+ibl.misses = %d+%d, want every return resolved by its chain",
+						mode, slice, r.hits, r.misses)
+				}
+			} else {
+				if r.hits+r.misses != want {
+					t.Errorf("%v slice %d: ibl.hits+ibl.misses = %d+%d, native run retired %d indirect jumps",
+						mode, slice, r.hits, r.misses, want)
+				}
+				if ratio := float64(r.hits) / float64(want); ratio < 0.90 {
+					t.Errorf("%v slice %d: IBL absorbed %.1f%% of indirect transfers (hits=%d misses=%d), want >= 90%%",
+						mode, slice, ratio*100, r.hits, r.misses)
+				}
+			}
+			if ie := reg.Counter("emu.dbi.indirect_exits").Load(); ie != r.misses {
+				t.Errorf("%v slice %d: indirect_exits=%d != ibl.misses=%d — with inline lookup they must coincide",
+					mode, slice, ie, r.misses)
+			}
+			if slice == 0 {
+				whole = r
+			} else if r != whole {
+				t.Errorf("%v slice %d: hits/misses/raw instret/raw cycles %v, single Continue %v", mode, slice, r, whole)
+			}
 		}
 	}
 }

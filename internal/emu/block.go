@@ -12,11 +12,11 @@ import "rvdyn/internal/riscv"
 // straight-line runs ending at a control-transfer or system instruction —
 // and each block is compiled into an op stream (see stream in trace.go):
 // one specializer turns every riscv.Inst into an op with its operands
-// pre-masked and its cycle cost precomputed, and one fusion pass merges
-// adjacent ops as they are built. Run then executes a whole block per
-// dispatch through the same executor that runs traces (the same idea
-// MAMBO-V's fragment linking and pre-decoded dispatch tables use to make
-// instrumentation-heavy runs tractable).
+// pre-masked, the block keeps its cycle prefix sums for the exits, and one
+// fusion pass merges adjacent ops as they are built. Run then executes a
+// whole block per dispatch through the same executor that runs traces (the
+// same idea MAMBO-V's fragment linking and pre-decoded dispatch tables use
+// to make instrumentation-heavy runs tractable).
 //
 // One executor serves two granularities. A block is a one-block,
 // non-looping op stream whose closing branch has no prediction, so it
@@ -25,10 +25,10 @@ import "rvdyn/internal/riscv"
 // in its predicted direction. Around the executor:
 //
 //   - Chaining: every op stream, block or trace, caches direct successor
-//     pointers (taken/fallthrough, the last two indirect targets, or a
-//     trace's exits), resolved lazily on first exit, so loops, straight-
-//     line runs and trace exits dispatch onward without re-probing the
-//     block map. A chained pointer is honoured only while its target's
+//     pointers (taken/fallthrough, the last two indirect targets, a
+//     trace's end, and one per trace side exit in its segment), resolved
+//     lazily on first exit, so loops, straight-line runs and trace exits
+//     dispatch onward without re-probing the block map. A chained pointer is honoured only while its target's
 //     generation is current, so the existing invalidation machinery
 //     severs chains for free.
 //   - Macro-op fusion: the fusions table below lists every fusable pair —
@@ -70,28 +70,12 @@ type block struct {
 	// trigger stops retrying it.
 	trc     *stream
 	trcFail bool
-}
-
-// succFor returns the cached successor starting at pc if it is still valid
-// under generation gen, severing stale entries as it goes.
-func (s *stream) succFor(c *CPU, pc uint64) *block {
-	gen := c.icGen
-	for i := range s.succ {
-		l := &s.succ[i]
-		if l.b != nil && l.pc == pc {
-			if l.b.gen == gen {
-				c.chainHits++
-				l.hits++
-				if l.hits&traceHotMask == 0 {
-					c.maybeTrace(l.b, pc)
-				}
-				return l.b
-			}
-			l.b = nil // severed: target was invalidated
-			c.chainSevers++
-		}
-	}
-	return nil
+	// inTrace marks a block some trace copied: retiring it on its own
+	// would leave the copy live, so a write over it bumps the generation.
+	inTrace bool
+	// self is the block's one segment (stream.segs), so exits find the
+	// bookkeeping of a block's op and a trace's alike.
+	self [1]traceSeg
 }
 
 // addSucc installs nb as a cached successor of s, evicting round-robin.
@@ -107,16 +91,41 @@ func (s *stream) addSucc(pc uint64, nb *block) {
 }
 
 // chainNext resolves the block at the current PC after s retired, whether
-// s is a block or a trace: first through s's successor cache (a chain hit
-// skips the block map entirely), then through blockAt, caching the result
-// for the next visit.
+// s is a block or a trace: first through a cached successor link (a chain
+// hit skips the block map entirely), severing stale links as it goes, then
+// through blockAt, caching the result for the next visit. A trace side
+// exit has its own link, its segment's (CPU.sideSeg); every other exit
+// shares the stream's two.
 func (c *CPU) chainNext(s *stream) *block {
 	pc := c.PC
-	if nb := s.succFor(c, pc); nb != nil {
-		return nb
+	links := s.succ[:]
+	side := c.sideSeg
+	if side != nil {
+		c.sideSeg = nil
+		links = side.side[:]
+	}
+	for i := range links {
+		l := &links[i]
+		if l.b == nil || l.pc != pc {
+			continue
+		}
+		if l.b.gen == c.icGen {
+			c.chainHits++
+			l.hits++
+			if l.hits&traceHotMask == 0 {
+				c.maybeTrace(l.b, pc)
+			}
+			return l.b
+		}
+		l.b = nil // severed: target was invalidated
+		c.chainSevers++
 	}
 	nb := c.blockAt(pc)
-	if nb != nil {
+	switch {
+	case nb == nil:
+	case side != nil:
+		links[0] = blockLink{pc: pc, b: nb}
+	default:
 		s.addSucc(pc, nb)
 	}
 	return nb
@@ -129,6 +138,9 @@ func (c *CPU) blockAt(pc uint64) *block {
 	if ch := c.chunk(pc, false); ch != nil {
 		if b := ch.blk[chunkSlot(pc)]; b != nil {
 			if b.gen == c.icGen {
+				if b.epoch != c.epoch {
+					c.restart(b)
+				}
 				c.blockHits++
 				return b
 			}
@@ -140,6 +152,17 @@ func (c *CPU) blockAt(pc uint64) *block {
 		}
 	}
 	return c.buildBlock(pc)
+}
+
+// restart gives a block from an earlier epoch (CPU.epoch) a fresh profile:
+// its successor links count from zero, it has no trace, and it gets
+// another try at being a trace head.
+func (c *CPU) restart(b *block) {
+	if b.trc != nil {
+		b.trc = nil
+		c.traceSevers++
+	}
+	b.succ[0].hits, b.succ[1].hits, b.trcFail, b.epoch = 0, 0, false, c.epoch
 }
 
 // buildBlock decodes the straight-line run at pc, up to and including its
@@ -166,13 +189,17 @@ func (c *CPU) buildBlock(pc uint64) *block {
 	}
 	// Copy the run out of the decode cache, so the ops point at
 	// instructions that outlive invalidation, and compile it.
-	insts := make([]riscv.Inst, n)
+	b := &block{stream: stream{gen: c.icGen, epoch: c.epoch, endPC: a,
+		insts: make([]riscv.Inst, n), cyc: make([]uint32, n+1)}}
 	ops := make([]traceOp, 0, n)
 	a = pc
-	for i := range insts {
-		insts[i], _ = c.fetchAt(a) // a decode-cache hit: fetched above
-		a = insts[i].Next()
-		op := specialize(&insts[i], c.Model.Cost(insts[i].Mn))
+	for i := range b.insts {
+		in := &b.insts[i]
+		*in, _ = c.fetchAt(a) // a decode-cache hit: fetched above
+		a = in.Next()
+		b.cyc[i+1] = b.cyc[i] + uint32(c.Model.Cost(in.Mn))
+		op := specialize(in)
+		op.at = uint8(i)
 		if m := len(ops); m > 0 {
 			if k := fuse(&ops[m-1], &op); k >= 0 {
 				c.fuseCount[k]++
@@ -181,12 +208,12 @@ func (c *CPU) buildBlock(pc uint64) *block {
 		}
 		ops = append(ops, op)
 	}
-	b := &block{stream: stream{gen: c.icGen, endPC: a, ops: ops}}
+	b.ops = ops
 	switch last := &b.ops[len(b.ops)-1]; last.kind {
 	case otJal, otAddiJal, otAuipcJalr:
 		b.endPC = last.aux // constant-target transfer: the block falls off at its target
 	}
-	c.seal(&b.stream)
+	c.seal(b)
 	c.chunk(pc, true).blk[chunkSlot(pc)] = b
 	return b
 }
@@ -346,9 +373,9 @@ func opKind(in *riscv.Inst) uint8 {
 
 // specialize compiles one decoded instruction into an op. Branches start
 // without a prediction (end set); trace compilation predicts them.
-func specialize(in *riscv.Inst, cost uint64) traceOp {
+func specialize(in *riscv.Inst) traceOp {
 	op := traceOp{
-		kind: opKind(in), n: 1, mn: in.Mn, in: in, tail: in, cost: cost,
+		kind: opKind(in), n: 1, mn: in.Mn,
 		rd: uint8(in.Rd & 31), rs1: uint8(in.Rs1 & 31),
 		rs2: uint8(in.Rs2 & 31), rs3: uint8(in.Rs3 & 31),
 		imm:   in.Imm,
@@ -373,9 +400,10 @@ func specialize(in *riscv.Inst, cost uint64) traceOp {
 // followed by an op of kind b merges into one op of kind to when fit
 // accepts their operands. fit is called only when the kinds match and
 // returns p rewired into the fused op's operand layout; fuse applies the
-// bookkeeping every row shares (constituent count, costs, tail
-// instruction). Ops pass by value: a pointer handed to a function value
-// escapes, which would move buildBlock's per-instruction op to the heap.
+// bookkeeping every row shares (kind, constituent count, store flag; the
+// costs live in the block's prefix sums). Ops pass by value: a pointer
+// handed to a function value escapes, which would move buildBlock's
+// per-instruction op to the heap.
 type fusion struct {
 	name     string // obs counter suffix: emu.fuse.<name>
 	a, b, to uint8
@@ -480,9 +508,8 @@ func fuse(p, q *traceOp) int {
 		if !ok {
 			continue
 		}
-		m.kind, m.preC, m.tail = f.to, p.cost, q.tail
+		m.kind = f.to
 		m.n += q.n
-		m.cost += q.cost
 		m.store = p.store || q.store
 		*p = m
 		return k

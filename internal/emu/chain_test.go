@@ -346,3 +346,65 @@ _start:
 `)
 	})
 }
+
+// TestHostWriteRetiresOverlappedBlocks: a write from outside the process
+// (WriteMem) over a block no trace copied retires that block alone — the
+// generation stays, the other blocks survive — and starts a new profile
+// epoch; a write over a block a trace copied bumps the generation.
+func TestHostWriteRetiresOverlappedBlocks(t *testing.T) {
+	f, err := asm.Assemble(`
+	.text
+_start:
+	li   a0, 0
+	li   t0, 300
+loop:
+	addi a0, a0, 1
+	addi t0, t0, -1
+	bnez t0, loop
+	andi a0, a0, 63
+	li   a7, 93
+	ecall
+`, asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(f, P550())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := c.Run(0); r != StopExit {
+		t.Fatalf("stopped with %v", r)
+	}
+	loop, _ := f.Symbol("loop")
+	var head, tail *block
+	for _, b := range cachedBlocks(c) {
+		switch {
+		case b.insts[0].Addr == loop.Value:
+			head = b
+		case b.insts[0].Addr > loop.Value:
+			tail = b
+		}
+	}
+	if head == nil || tail == nil || head.trc == nil || tail.inTrace {
+		t.Fatalf("want a traced loop block and an untraced exit block (head %v, tail %v)", head, tail)
+	}
+	gen, epoch := c.icGen, c.epoch
+	// The ecall: the write's window (it also drops the decode of the
+	// instruction before it) stays inside the exit block.
+	ecall := &tail.insts[len(tail.insts)-1]
+	raw, _ := c.ReadMem(ecall.Addr, int(ecall.Size()))
+	if err := c.WriteMem(ecall.Addr, raw); err != nil {
+		t.Fatal(err)
+	}
+	if c.icGen != gen || tail.gen != retiredGen || head.gen != gen || c.epoch != epoch+1 {
+		t.Fatalf("after a write over the exit block: generation %d→%d, exit block gen %d, loop block gen %d, epoch %d→%d",
+			gen, c.icGen, tail.gen, head.gen, epoch, c.epoch)
+	}
+	raw, _ = c.ReadMem(head.insts[0].Addr, 4)
+	if err := c.WriteMem(head.insts[0].Addr, raw); err != nil {
+		t.Fatal(err)
+	}
+	if c.icGen != gen+1 {
+		t.Fatalf("after a write over the traced loop block: generation %d→%d, want a bump", gen, c.icGen)
+	}
+}

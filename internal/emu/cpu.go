@@ -142,6 +142,15 @@ type CPU struct {
 	// WriteMem patch, fence.i). Superblocks record the generation they were
 	// decoded under and are re-decoded when it moves (see block.go).
 	icGen uint64
+	// epoch moves when a host write retires blocks on their own
+	// (retireBlocks). The other blocks keep their decoded ops but, as after
+	// a generation bump, start a fresh profile when next dispatched or
+	// looked up (restart): the successor links and hit counts gathered
+	// before the write, and the traces built from them, go.
+	epoch uint32
+	// sideSeg is the trace segment whose side exit was just taken, for the
+	// next chainNext to follow its successor link.
+	sideSeg *traceSeg
 
 	dispatchStats
 
@@ -180,7 +189,23 @@ type dispatchStats struct {
 	tracePasses    uint64
 	traceSideExits uint64
 	traceSevers    uint64
+
+	// tierInstret and tierCycles attribute every retired instruction and
+	// cycle to the tier that retired it (tierSlow, tierBlock, tierTrace);
+	// they sum to Instret and Cycles. markN and markC are Instret and
+	// Cycles as of the last attribution.
+	tierInstret, tierCycles [numTiers]uint64
+	markN, markC            uint64
 }
+
+// Dispatch tiers, indexing dispatchStats' tier counters: the
+// per-instruction path, a block's op stream, a trace's.
+const (
+	tierSlow = iota
+	tierBlock
+	tierTrace
+	numTiers
+)
 
 // New creates a CPU with the ELF image loaded, the stack mapped, and the
 // machine state at the ABI entry conditions.
@@ -254,10 +279,10 @@ func (c *CPU) LastTrap() error { return c.lastTrap }
 // coherent — the moral equivalent of the fence.i the kernel issues after
 // ptrace POKETEXT.
 func (c *CPU) WriteMem(addr uint64, data []byte) error {
-	if err := c.Mem.WriteBytes(addr, data); err != nil {
+	if err := c.Mem.writeHost(addr, data); err != nil {
 		return err
 	}
-	c.invalidate(addr, uint64(len(data)))
+	c.invalidate(addr, uint64(len(data)), true)
 	return nil
 }
 
@@ -270,7 +295,10 @@ func (c *CPU) ReadMem(addr uint64, n int) ([]byte, error) {
 	return b, nil
 }
 
-func (c *CPU) invalidate(addr, n uint64) {
+// invalidate drops cached decodes of [addr, addr+n) and the blocks built
+// from them. host marks a write from outside the process (WriteMem), made
+// while no stream runs.
+func (c *CPU) invalidate(addr, n uint64, host bool) {
 	if addr+n <= c.icLo || addr >= c.icHi {
 		return
 	}
@@ -296,13 +324,52 @@ func (c *CPU) invalidate(addr, n uint64) {
 	// and ordinary data stores landing there must not thrash the block
 	// cache. A decoded instruction's slot stays populated for as long as
 	// any block containing it is valid (fetchAt caches unconditionally and
-	// every clear bumps the generation), so the gate cannot miss.
-	if dirtied {
+	// every clear either bumps the generation or retires the blocks over
+	// the cleared slots), so the gate cannot miss.
+	//
+	// A host write retires only the blocks it overlaps when none of them
+	// was copied into a trace (a debugger chaining a DBI exit stub patches
+	// the ebreak ending one block), so the rest of the cache survives.
+	if dirtied && !(host && c.retireBlocks(start, addr+n)) {
 		c.icGen++
 		if c.Obs != nil {
 			c.Obs.BlockInvalidations.Inc()
 		}
 	}
+}
+
+// retiredGen marks a block retired on its own by retireBlocks: no
+// generation equals it, so every check treats the block as stale.
+const retiredGen = ^uint64(0)
+
+// retireBlocks retires the current blocks whose instructions overlap
+// [lo, hi) by marking each stale, restarts every other block's profile
+// (epoch), and reports true; it retires nothing and reports false when one
+// of them was copied into a trace, whose staleness only the generation
+// tracks. Successor links and the block map already treat a stale block as
+// gone.
+func (c *CPU) retireBlocks(lo, hi uint64) bool {
+	from := (lo - min(lo, maxBlockLen*4)) &^ 1
+	for pass := 0; pass < 2; pass++ {
+		for a := from; a < hi; a += 2 {
+			ch := c.chunk(a, false)
+			if ch == nil {
+				continue
+			}
+			b := ch.blk[chunkSlot(a)]
+			if b == nil || b.gen != c.icGen || b.insts[len(b.insts)-1].Next() <= lo {
+				continue
+			}
+			if b.inTrace {
+				return false
+			}
+			if pass == 1 {
+				b.gen = retiredGen
+			}
+		}
+	}
+	c.epoch++
+	return true
 }
 
 // FlushICache drops all cached decodes (fence.i semantics).
@@ -494,6 +561,7 @@ func (c *CPU) Run(maxInst uint64) StopReason {
 		// hot loop never touches an atomic.
 		defer c.syncObs(c.Instret, c.dispatchStats, c.Mem.TLB)()
 	}
+	c.markN, c.markC = c.Instret, c.Cycles
 	budget := maxInst
 	// chained holds the next block resolved through the successor cache of
 	// the block or trace that just retired; nil means the next dispatch
@@ -514,6 +582,8 @@ func (c *CPU) Run(maxInst uint64) StopReason {
 			chained = nil
 			if b == nil {
 				b = c.blockAt(c.PC)
+			} else if b.epoch != c.epoch {
+				c.restart(b)
 			}
 			if b != nil {
 				s := &b.stream
@@ -528,6 +598,11 @@ func (c *CPU) Run(maxInst uint64) StopReason {
 				}
 				if s.hot || c.fits(s, budget, maxInst != 0) {
 					retired, stop := c.runStream(s, budget, maxInst != 0)
+					if s.hot {
+						c.attribute(tierTrace)
+					} else {
+						c.attribute(tierBlock)
+					}
 					if stop != stopNone {
 						return stop
 					}
@@ -545,10 +620,19 @@ func (c *CPU) Run(maxInst uint64) StopReason {
 			}
 		}
 		budget--
-		if r := c.stepOne(); r != stopNone {
+		r := c.stepOne()
+		c.attribute(tierSlow)
+		if r != stopNone {
 			return r
 		}
 	}
+}
+
+// attribute charges what retired since the last mark to tier.
+func (c *CPU) attribute(tier int) {
+	c.tierInstret[tier] += c.Instret - c.markN
+	c.tierCycles[tier] += c.Cycles - c.markC
+	c.markN, c.markC = c.Instret, c.Cycles
 }
 
 // fits reports whether the dispatch gates admit one pass of s: the budget
@@ -574,6 +658,10 @@ func (c *CPU) syncObs(instret uint64, d dispatchStats, tlb TLBStats) func() {
 		m.TraceSevers.Add(c.traceSevers - d.traceSevers)
 		for k := 0; k < numFuseKinds; k++ {
 			m.Fused[k].Add(c.fuseCount[k] - d.fuseCount[k])
+		}
+		for k := 0; k < numTiers; k++ {
+			m.TierInstret[k].Add(c.tierInstret[k] - d.tierInstret[k])
+			m.TierCycles[k].Add(c.tierCycles[k] - d.tierCycles[k])
 		}
 		t := &c.Mem.TLB
 		m.TLBReadHits.Add(t.ReadHits - tlb.ReadHits)
@@ -1012,7 +1100,7 @@ func (c *CPU) storeCheck(addr uint64, width uint64, err error) error {
 		return err
 	}
 	if addr < c.icHi && addr+width > c.icLo {
-		c.invalidate(addr, width)
+		c.invalidate(addr, width, false)
 	}
 	if addr < c.watchHi && addr+width > c.watchLo {
 		if c.watchHit {

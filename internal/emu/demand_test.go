@@ -280,3 +280,42 @@ hot:
 		t.Errorf("exit = %d, want 142 (stale tramp decode executed if 43)", c.ExitCode)
 	}
 }
+
+// TestWriteMemZeroStaysReserved: a host write of zeros over a page that is
+// only reserved leaves it unallocated (it reads as zero either way), while
+// nonzero bytes, and zeros over a page already touched, land as written.
+func TestWriteMemZeroStaysReserved(t *testing.T) {
+	c := &CPU{Mem: NewMemory()}
+	const base = 0x40000
+	c.Mem.Map(base, 3*pageSize)
+	if err := c.WriteMem(base, make([]byte, 3*pageSize)); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(0); i < 3; i++ {
+		if p, ok := c.Mem.pages[base>>pageBits+i]; !ok || p != nil {
+			t.Fatalf("page %d: allocated %v, reserved %v after a zero write; want reserved only", i, p != nil, ok)
+		}
+	}
+	buf := make([]byte, pageSize+16) // the tail of page 0, page 1, the head of page 2
+	buf[pageSize+8] = 7              // page 2's first byte
+	if err := c.WriteMem(base+pageSize-8, buf); err != nil {
+		t.Fatal(err)
+	}
+	for i, want := range []bool{false, false, true} {
+		if got := c.Mem.pages[base>>pageBits+uint64(i)] != nil; got != want {
+			t.Fatalf("page %d allocated %v, want %v: only the page holding the nonzero byte", i, got, want)
+		}
+	}
+	if v, _ := c.Mem.Read8(base + 2*pageSize); v != 7 {
+		t.Fatalf("byte = %d, want 7", v)
+	}
+	if err := c.WriteMem(base+2*pageSize, []byte{0}); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := c.Mem.Read8(base + 2*pageSize); v != 0 {
+		t.Fatalf("zero over an allocated page: byte = %d, want 0", v)
+	}
+	if err := c.WriteMem(base+3*pageSize, []byte{0}); err == nil {
+		t.Fatal("zero write past the mapping succeeded; want a fault")
+	}
+}

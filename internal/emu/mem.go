@@ -11,6 +11,7 @@
 package emu
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"sort"
@@ -257,6 +258,27 @@ func (m *Memory) WriteBytes(addr uint64, src []byte) error {
 	}
 	return nil
 }
+
+// writeHost is WriteBytes for writes from outside the process: the part of
+// src landing on a page that is only reserved (never touched) stays
+// unallocated when it is all zero, since the page already reads as zero.
+// A debugger clearing a freshly mapped table costs no host memory.
+func (m *Memory) writeHost(addr uint64, src []byte) error {
+	for len(src) > 0 {
+		n := min(uint64(len(src)), pageSize-addr&pageMask)
+		if p, ok := m.pages[addr>>pageBits]; !ok || p != nil || !bytes.Equal(src[:n], zeroPage[:n]) {
+			if err := m.WriteBytes(addr, src[:n]); err != nil {
+				return err
+			}
+		}
+		src = src[n:]
+		addr += n
+	}
+	return nil
+}
+
+// zeroPage is what a reserved page reads as.
+var zeroPage page
 
 // Fixed-width accessors. Reads and writes may straddle a page boundary; the
 // fast path handles the common in-page case with one word-wide access.

@@ -61,6 +61,12 @@ type Metrics struct {
 	// decoded code, not retirement.
 	Fused [numFuseKinds]*obs.Counter
 
+	// TierInstret and TierCycles attribute retired instructions and
+	// cycles to the tier that retired them, emu.tier.<tier>.instret and
+	// .cycles for tier slow (per instruction), block (a superblock's op
+	// stream) and trace; the three sum to Instructions (and to Cycles).
+	TierInstret, TierCycles [numTiers]*obs.Counter
+
 	reg *obs.Registry
 }
 
@@ -90,6 +96,10 @@ func NewMetrics(r *obs.Registry) *Metrics {
 	}
 	for k := 0; k < numFuseKinds; k++ {
 		m.Fused[k] = r.Counter("emu.fuse." + fusions[k].name)
+	}
+	for k, name := range [numTiers]string{"slow", "block", "trace"} {
+		m.TierInstret[k] = r.Counter("emu.tier." + name + ".instret")
+		m.TierCycles[k] = r.Counter("emu.tier." + name + ".cycles")
 	}
 	return m
 }

@@ -5,6 +5,7 @@ import (
 
 	"rvdyn/internal/asm"
 	"rvdyn/internal/obs"
+	"rvdyn/internal/workload"
 )
 
 // TestSyscallTraceExitRet pins the hook's ret convention: ret is the value
@@ -167,5 +168,54 @@ sum:
 		plain.ExitCode != metered.ExitCode || plain.X != metered.X {
 		t.Fatalf("metrics changed execution: instret %d vs %d, cycles %d vs %d",
 			plain.Instret, metered.Instret, plain.Cycles, metered.Cycles)
+	}
+}
+
+// TestTierConservation: the per-tier counters attribute every retired
+// instruction and cycle to exactly one tier. Over the suite binaries, at
+// every Dispatch value, emu.tier.{slow,block,trace}.instret sum to
+// Instret and .cycles to Cycles; DispatchSlow retires everything on the
+// slow tier, DispatchBlock nothing on the trace tier, and the default
+// retires something in traces on matmul.
+func TestTierConservation(t *testing.T) {
+	for _, p := range workload.Programs() {
+		f, err := asm.Assemble(p.Source, asm.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		for _, d := range []Dispatch{DispatchTrace, DispatchBlock, DispatchSlow} {
+			c, err := New(f, P550())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Dispatch = d
+			reg := obs.NewRegistry()
+			c.Obs = NewMetrics(reg)
+			// Two Runs, the first cut by a budget, so the counters are
+			// published across a Run boundary too.
+			c.Run(777)
+			if r := c.Run(0); r != StopExit {
+				t.Fatalf("%s dispatch %d: stopped with %v", p.Name, d, r)
+			}
+			var in, cy [numTiers]uint64
+			for k, name := range []string{"slow", "block", "trace"} {
+				in[k] = reg.Counter("emu.tier." + name + ".instret").Load()
+				cy[k] = reg.Counter("emu.tier." + name + ".cycles").Load()
+			}
+			if s := in[0] + in[1] + in[2]; s != c.Instret {
+				t.Errorf("%s dispatch %d: tier instret %v sum to %d, Instret %d", p.Name, d, in, s, c.Instret)
+			}
+			if s := cy[0] + cy[1] + cy[2]; s != c.Cycles {
+				t.Errorf("%s dispatch %d: tier cycles %v sum to %d, Cycles %d", p.Name, d, cy, s, c.Cycles)
+			}
+			switch {
+			case d == DispatchSlow && in[0] != c.Instret:
+				t.Errorf("%s: DispatchSlow retired %v outside the slow tier", p.Name, in)
+			case d == DispatchBlock && in[2] != 0:
+				t.Errorf("%s: DispatchBlock retired %d in traces", p.Name, in[2])
+			case d == DispatchTrace && p.Name == "matmul" && in[2] == 0:
+				t.Errorf("matmul: no instruction retired in a trace")
+			}
+		}
 	}
 }

@@ -30,28 +30,45 @@ import (
 // translation per distinct page per op, valid because mapped pages are
 // immortal — see Memory).
 //
+// Op layout: a traceOp is 48 bytes and holds only what the predicted path
+// reads — kind, registers, flags, immediate, two folded constants and the
+// page cache. Everything an exit needs lives beside the stream, keyed by
+// two bytes of the op: at, the index of its first constituent in the
+// block it was built in, and seg, the entry of stream.segs that block
+// occupies (a block's one segment is itself). From a block come its
+// decoded instructions (an op's constituents are insts[at:at+n]) and its
+// cycle prefix sums (cyc); from a segment the trace's constituents before
+// the block and its cycles before the block's closing op. So a trace copy
+// shares its blocks' bookkeeping instead of carrying its own, and the hot
+// exits — branches and jumps, which always close a block — read the
+// segment alone (endExit).
+//
 // Bit-identity contract: Cycles, Instret, and the virtual clock derived
 // from them must match per-instruction dispatch exactly, in every exit
-// case. Cost is charged per constituent via per-op prefix sums (cumC/cumN):
-// a side exit, fault, watch hit, or fused-pair split charges exactly the
+// case. Cost is charged per constituent via those prefix sums: a side
+// exit, fault, watch hit, or fused-pair split charges exactly the
 // committed prefix (exitAt; a fused op's constituents before its last are
 // preC), and the sampling gate uses the stream's worst-case single pass
 // (maxCost), so a stream is only dispatched (and a pass only started) when
 // even its worst case cannot cross the pending sample mark. SMC coherence
 // rides the icache generation: a stream records the generation it was
 // built under, stores re-check it (retiring the prefix and re-dispatching),
-// and a stale block or trace is rebuilt or severed at dispatch.
+// and a stale block or trace is rebuilt or severed at dispatch. A write
+// from outside the process (a debugger chaining a DBI exit stub) retires
+// just the blocks it overlaps, unless a trace copied one of them; the
+// others keep their ops and restart their profiles (CPU.epoch), so traces
+// form from the behaviour after the write, as after a generation bump.
 //
 // Traces contain no syscalls, counter-CSR reads, fence.i, or ebreaks —
 // blocks ending in otExec end the walk — so Exited and the counters
 // visible to CSR reads cannot change mid-trace. What a DBI engine emits
 // runs at the speed of ordinary code: dbi.acc and the lookup stubs'
 // scratch-CSR moves have their own op kinds, and a dbi.jt ends the trace
-// the way an indirect jalr does. Every trace exit (a side exit, a dbi.jt or
-// jalr, falling off the end) chains through the stream's own successor
-// links, exactly like a block exit, and those links feed the same hotness
-// trigger, so a hot return site a trace keeps leaving to becomes a trace
-// head in its turn.
+// the way an indirect jalr does. Every trace exit chains like a block exit:
+// a side exit through its own segment's successor link, a dbi.jt or jalr
+// or falling off the end through the stream's two. Those links feed the
+// same hotness trigger, so a hot return site a trace keeps leaving to
+// becomes a trace head in its turn.
 
 // Trace build limits and the hotness trigger: a chain link must be taken
 // traceHotMask+1 times before its target is considered a trace head.
@@ -62,9 +79,13 @@ const (
 )
 
 // traceOp is one specialized instruction, fused op, or terminator (kinds in
-// block.go). The fields the executor reads on the predicted path come first
-// so they share a cache line; exit bookkeeping sits behind them and is only
-// touched when a stream is left early.
+// block.go): 48 bytes, only what the executor reads on the predicted path.
+// An op's constituents are insts[at : at+n] of the block it was built in
+// (instOf), and that block's cycle prefix sums give its cost and the cost
+// before it, so an exit works out its charge from at alone (exitOf). A
+// trace op also names the segment it was copied into (seg), and a trace's
+// memory op caches one page: pg, tagged with page index + 1 in aux2 (0 =
+// empty; otAuipcLd, whose address is aux2, caches when pg is nil).
 type traceOp struct {
 	kind      uint8
 	n         uint8 // constituents this op retires
@@ -76,19 +97,13 @@ type traceOp struct {
 	end       bool  // branches: no prediction, leave the stream either way
 	store     bool  // writes memory: check the watch and generation after
 	cache     bool  // memory ops: use the page cache (trace copies only)
+	at        uint8 // index of the first constituent in its block's insts
+	seg       uint8 // trace ops: index of the copied block in stream.segs
 	mn        riscv.Mnemonic
 	imm       int64
 	aux       uint64 // folded constant / shift amount / branch or jump target
-	aux2      uint64 // second constant / fallthrough PC / link value
-	pgTag     uint64 // page cache: page index + 1 (0 = empty)
-	pg        *page
-
-	// Exit bookkeeping (cold on the predicted path).
-	cost     uint64      // cycles on the predicted path
-	preC     uint64      // cycles of the constituents before the last one
-	cumC     uint64      // predicted-path cycles before this op, within a pass
-	cumN     uint64      // predicted-path constituents before this op
-	in, tail *riscv.Inst // first and last constituent
+	aux2      uint64 // second constant / fallthrough PC / link value / page tag
+	pg        *page  // page cache (trace memory ops)
 }
 
 // stream is one compiled op sequence: a superblock's, or a trace's (hot).
@@ -98,10 +113,20 @@ type stream struct {
 	endPC   uint64 // PC after the last op for streams that end by falling off
 	loop    bool   // predicted path returns to entry: multi-pass dispatch
 	hot     bool   // a compiled trace: the trace-tier counters apply
+	epoch   uint32 // blocks: CPU.epoch their profile belongs to
 	ops     []traceOp
 	passC   uint64 // cycles of one full predicted pass
 	passN   uint64 // constituents of one full predicted pass
 	maxCost uint64 // worst-case cycles of one pass (sampler gate)
+
+	// Blocks: the decoded run the ops point into and its cycle prefix sums
+	// (cyc[k] is the cost of insts[:k]; model costs are small constants,
+	// so a block's sum fits 32 bits).
+	insts []riscv.Inst
+	cyc   []uint32
+	// segs lists the blocks the ops were copied from, in path order: a
+	// trace's path, or a block's one segment, itself.
+	segs []traceSeg
 
 	// succ caches up to two resolved successors of the stream's exits
 	// (taken/fallthrough of a block's closing branch, the last two
@@ -111,26 +136,79 @@ type stream struct {
 	succRR uint8 // round-robin victim index
 }
 
-// seal computes the per-op prefix sums, the pass totals, and the
-// worst-case pass cost (every branch charged the taken penalty).
-func (c *CPU) seal(s *stream) {
-	var cc, cn, mc uint64
-	for i := range s.ops {
-		op := &s.ops[i]
-		op.cumC, op.cumN = cc, cn
-		cc += op.cost
-		cn += uint64(op.n)
-		mc += op.cost
-		if isBranch(op.kind) && !op.predTaken {
-			mc += c.Model.BranchTakenPenalty
-		}
+// traceSeg is one block copied into a trace: its stream, the trace's
+// predicted-path constituents before its first op and cycles before its
+// closing op, that op's cost, and the successor link of the side exit its
+// closing branch takes. The hot exits (endExit) read nothing else.
+type traceSeg struct {
+	src             *stream
+	cumN            uint64
+	lastC, lastCost uint64
+	side            [1]blockLink
+}
+
+// opExit is one op's exit bookkeeping: its cycles and those of its
+// constituents before the last, the predicted-path cycles and constituents
+// before it within a pass, and its last constituent.
+type opExit struct {
+	cost, preC, cumC, cumN uint64
+	tail                   *riscv.Inst
+}
+
+// instOf returns op's first constituent. runStream needs it only on ops
+// that call out anyway (execStraight, csrOp, exec, faults), so it stays
+// out of line rather than adding to the executor's body at each of them.
+//
+//go:noinline
+func (s *stream) instOf(op *traceOp) *riscv.Inst {
+	return &s.segs[op.seg].src.insts[op.at]
+}
+
+// exitOf works out op's exit bookkeeping from the block it was built in. A
+// trace branch's cost here is the block's, without the taken penalty a
+// predicted-taken copy adds to the pass.
+func (s *stream) exitOf(op *traceOp) opExit {
+	sg := &s.segs[op.seg]
+	src, j, n := sg.src, int(op.at), int(op.n)
+	c0 := uint64(src.cyc[j])
+	return opExit{
+		cost: uint64(src.cyc[j+n]) - c0,
+		preC: uint64(src.cyc[j+n-1]) - c0,
+		// The segment's cycles before the block's last op, less the
+		// block's own, are the trace's cycles before the block.
+		cumC: sg.lastC - (src.passC - sg.lastCost) + c0,
+		cumN: sg.cumN + uint64(j),
+		tail: &src.insts[j+n-1],
 	}
-	s.passC, s.passN, s.maxCost = cc, cn, mc
+}
+
+// endExit is exitOf's cumC, cumN and cost for an op that ends its block
+// (a branch or jump), the hot exits, read from the op's segment alone.
+func (s *stream) endExit(op *traceOp) (cumC, cumN, cost uint64) {
+	sg := &s.segs[op.seg]
+	return sg.lastC, sg.cumN + uint64(op.at), sg.lastCost
+}
+
+// seal computes a block's pass totals, worst-case pass cost (its closing
+// branch, if any, charged the taken penalty) and its one segment, held in
+// self.
+func (c *CPU) seal(b *block) {
+	s := &b.stream
+	n := len(s.insts)
+	last := &s.ops[len(s.ops)-1]
+	s.passC, s.passN = uint64(s.cyc[n]), uint64(n)
+	s.maxCost = s.passC
+	if isBranch(last.kind) {
+		s.maxCost += c.Model.BranchTakenPenalty
+	}
+	lastC := uint64(s.cyc[last.at])
+	b.self[0] = traceSeg{src: s, lastC: lastC, lastCost: s.passC - lastC}
+	s.segs = b.self[:]
 }
 
 func isBranch(kind uint8) bool { return kind == otBr || kind == otCmpBr || kind == otAddiBr }
 
-// maybeTrace is the hotness trigger, called from succFor when a chain link
+// maybeTrace is the hotness trigger, called from chainNext when a chain link
 // out of a block or a trace crosses a hit threshold. The target becomes a
 // trace head unless it already has a trace, already failed to produce one,
 // or tracing is off.
@@ -192,30 +270,53 @@ func (c *CPU) buildTrace(head *block, entry uint64) {
 			t.endPC = next
 			break
 		}
-		pc, b = next, c.blockAt(next)
+		pc, b = next, c.walkTo(b, next)
 	}
 	if n == 0 {
 		head.trcFail = true
 		return
 	}
 	t.ops = make([]traceOp, 0, nops)
-	for _, p := range path[:n] {
+	t.segs = make([]traceSeg, n)
+	for k, p := range path[:n] {
+		bs := &p.b.self[0]
+		t.segs[k] = traceSeg{src: &p.b.stream, cumN: t.passN,
+			lastC: t.passC + bs.lastC, lastCost: bs.lastCost}
+		p.b.inTrace = true
+		t.passC += p.b.passC
+		t.passN += p.b.passN
+		t.maxCost += p.b.maxCost
 		i := len(t.ops)
 		t.ops = append(t.ops, p.b.ops...)
 		for j := i; j < len(t.ops); j++ {
-			t.ops[j].cache = true
+			op := &t.ops[j]
+			op.seg, op.cache = uint8(k), true
 		}
 		if p.predict {
 			last := &t.ops[len(t.ops)-1]
 			last.end, last.predTaken = false, p.taken
 			if p.taken {
-				last.cost += c.Model.BranchTakenPenalty
+				t.passC += c.Model.BranchTakenPenalty
 			}
 		}
 	}
-	c.seal(t)
 	head.trc = t
 	c.traceBuilds++
+}
+
+// walkTo returns the current block at pc, which follows b on a trace walk:
+// through b's cached successor link when it has one (no block-map lookup,
+// and no hit counted on the link), else through blockAt.
+func (c *CPU) walkTo(b *block, pc uint64) *block {
+	for i := range b.succ {
+		if l := &b.succ[i]; l.b != nil && l.pc == pc && l.b.gen == c.icGen {
+			if l.b.epoch != c.epoch {
+				c.restart(l.b)
+			}
+			return l.b
+		}
+	}
+	return c.blockAt(pc)
 }
 
 // traceStep is one block on a trace's walked path and the compiled
@@ -268,30 +369,30 @@ func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64,
 			op := &ops[i]
 			switch op.kind {
 			case otStraight, otCmp:
-				if err := c.execStraight(op.in); err != nil {
-					return c.opFault(op, retired, 0, err)
+				if err := c.execStraight(s.instOf(op)); err != nil {
+					return c.opFault(s, op, retired, 0, err)
 				}
 				if op.store && (c.watchHit || s.gen != c.icGen) {
 					return c.storeExit(s, op, retired, op.n)
 				}
 			case otCSR:
-				if err := c.csrOp(op.in); err != nil {
-					return c.opFault(op, retired, 0, err)
+				if err := c.csrOp(s.instOf(op)); err != nil {
+					return c.opFault(s, op, retired, 0, err)
 				}
 			case otDBIAcc:
 				if dc := c.DBIComp; dc == nil || !dc.apply(op.imm+2048) {
-					return c.opFault(op, retired, 0, c.execStraight(op.in))
+					return c.opFault(s, op, retired, 0, c.execStraight(s.instOf(op)))
 				}
 			case otScratchW:
 				dc := c.DBIComp
 				if dc == nil {
-					return c.opFault(op, retired, 0, c.csrOp(op.in))
+					return c.opFault(s, op, retired, 0, c.csrOp(s.instOf(op)))
 				}
 				dc.Scratch[op.aux] = c.X[op.rs1&31]
 			case otScratchR:
 				dc := c.DBIComp
 				if dc == nil {
-					return c.opFault(op, retired, 0, c.csrOp(op.in))
+					return c.opFault(s, op, retired, 0, c.csrOp(s.instOf(op)))
 				}
 				c.X[op.rd&31] = dc.Scratch[op.aux]
 			case otAddi:
@@ -314,57 +415,57 @@ func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64,
 				c.X[op.rd&31] = c.X[op.rs1&31] * c.X[op.rs2&31]
 			case otLd:
 				a := c.X[op.rs1&31] + uint64(op.imm)
-				if a>>pageBits+1 == op.pgTag && a&pageMask <= pageSize-8 {
+				if a>>pageBits+1 == op.aux2 && a&pageMask <= pageSize-8 {
 					p, o := op.pg, a&pageMask
 					c.X[op.rd&31] = binary.LittleEndian.Uint64(p[o:])
 				} else {
 					v, err := c.traceRead64(op, a)
 					if err != nil {
-						return c.opFault(op, retired, 0, err)
+						return c.opFault(s, op, retired, 0, err)
 					}
 					c.X[op.rd&31] = v
 				}
 			case otLw:
 				a := c.X[op.rs1&31] + uint64(op.imm)
-				if a>>pageBits+1 == op.pgTag && a&pageMask <= pageSize-4 {
+				if a>>pageBits+1 == op.aux2 && a&pageMask <= pageSize-4 {
 					p, o := op.pg, a&pageMask
 					c.X[op.rd&31] = sext32(binary.LittleEndian.Uint32(p[o:]))
 				} else {
 					v, err := c.traceRead32(op, a)
 					if err != nil {
-						return c.opFault(op, retired, 0, err)
+						return c.opFault(s, op, retired, 0, err)
 					}
 					c.X[op.rd&31] = sext32(v)
 				}
 			case otSd:
 				if err := c.traceWrite64(op, c.X[op.rs1&31]+uint64(op.imm), c.X[op.rs2&31]); err != nil {
-					return c.opFault(op, retired, 0, err)
+					return c.opFault(s, op, retired, 0, err)
 				}
 				if c.watchHit || s.gen != c.icGen {
 					return c.storeExit(s, op, retired, 1)
 				}
 			case otSw:
 				if err := c.traceWrite32(op, c.X[op.rs1&31]+uint64(op.imm), uint32(c.X[op.rs2&31])); err != nil {
-					return c.opFault(op, retired, 0, err)
+					return c.opFault(s, op, retired, 0, err)
 				}
 				if c.watchHit || s.gen != c.icGen {
 					return c.storeExit(s, op, retired, 1)
 				}
 			case otFld:
 				a := c.X[op.rs1&31] + uint64(op.imm)
-				if a>>pageBits+1 == op.pgTag && a&pageMask <= pageSize-8 {
+				if a>>pageBits+1 == op.aux2 && a&pageMask <= pageSize-8 {
 					p, o := op.pg, a&pageMask
 					c.F[op.rd&31] = binary.LittleEndian.Uint64(p[o:])
 				} else {
 					v, err := c.traceRead64(op, a)
 					if err != nil {
-						return c.opFault(op, retired, 0, err)
+						return c.opFault(s, op, retired, 0, err)
 					}
 					c.F[op.rd&31] = v
 				}
 			case otFsd:
 				if err := c.traceWrite64(op, c.X[op.rs1&31]+uint64(op.imm), c.F[op.rs2&31]); err != nil {
-					return c.opFault(op, retired, 0, err)
+					return c.opFault(s, op, retired, 0, err)
 				}
 				if c.watchHit || s.gen != c.icGen {
 					return c.storeExit(s, op, retired, 1)
@@ -385,9 +486,9 @@ func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64,
 				c.X[op.rs3&31] = op.aux2
 			case otAuipcLd:
 				c.X[op.rd&31] = op.aux // the auipc retires first
-				v, err := c.traceRead64(op, op.aux2)
+				v, err := c.constRead64(op)
 				if err != nil {
-					return c.opFault(op, retired, 1, err)
+					return c.opFault(s, op, retired, 1, err)
 				}
 				c.X[op.rs3&31] = v
 			case otSlliAdd:
@@ -398,17 +499,17 @@ func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64,
 				a := c.X[op.rs1&31] + uint64(op.imm)
 				v, err := c.traceRead64(op, a)
 				if err != nil {
-					return c.opFault(op, retired, 0, err)
+					return c.opFault(s, op, retired, 0, err)
 				}
 				c.X[op.rd&31] = v
 				if v, err = c.traceRead64(op, a+8); err != nil {
-					return c.opFault(op, retired, 1, err)
+					return c.opFault(s, op, retired, 1, err)
 				}
 				c.X[op.rs3&31] = v
 			case otSdPair:
 				a := c.X[op.rs1&31] + uint64(op.imm)
 				if err := c.traceWrite64(op, a, c.X[op.rs2&31]); err != nil {
-					return c.opFault(op, retired, 0, err)
+					return c.opFault(s, op, retired, 0, err)
 				}
 				if c.watchHit || s.gen != c.icGen {
 					// The first store hit the watch or invalidated cached
@@ -417,7 +518,7 @@ func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64,
 					return c.storeExit(s, op, retired, 1)
 				}
 				if err := c.traceWrite64(op, a+8, c.X[op.rs3&31]); err != nil {
-					return c.opFault(op, retired, 1, err)
+					return c.opFault(s, op, retired, 1, err)
 				}
 				if c.watchHit || s.gen != c.icGen {
 					return c.storeExit(s, op, retired, 2)
@@ -432,13 +533,13 @@ func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64,
 				u := v + c.X[op.rs2&31]
 				c.X[op.rs3&31] = u
 				a := u + uint64(op.imm)
-				if a>>pageBits+1 == op.pgTag && a&pageMask <= pageSize-8 {
+				if a>>pageBits+1 == op.aux2 && a&pageMask <= pageSize-8 {
 					p, o := op.pg, a&pageMask
 					c.X[op.rs4&31] = binary.LittleEndian.Uint64(p[o:])
 				} else {
 					val, err := c.traceRead64(op, a)
 					if err != nil {
-						return c.opFault(op, retired, 2, err)
+						return c.opFault(s, op, retired, 2, err)
 					}
 					c.X[op.rs4&31] = val
 				}
@@ -448,29 +549,29 @@ func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64,
 				u := v + c.X[op.rs2&31]
 				c.X[op.rs3&31] = u
 				a := u + uint64(op.imm)
-				if a>>pageBits+1 == op.pgTag && a&pageMask <= pageSize-8 {
+				if a>>pageBits+1 == op.aux2 && a&pageMask <= pageSize-8 {
 					p, o := op.pg, a&pageMask
 					c.F[op.rs4&31] = binary.LittleEndian.Uint64(p[o:])
 				} else {
 					val, err := c.traceRead64(op, a)
 					if err != nil {
-						return c.opFault(op, retired, 2, err)
+						return c.opFault(s, op, retired, 2, err)
 					}
 					c.F[op.rs4&31] = val
 				}
 			case otBr:
 				if taken := branchTaken(op.mn, c.X[op.rs1&31], c.X[op.rs2&31]); taken != op.predTaken || op.end {
-					return c.branchExit(op, retired, taken)
+					return c.branchExit(s, op, retired, taken)
 				}
 			case otCmpBr:
-				_ = c.execStraight(op.in) // slt{,u,i,iu} cannot fail
+				_ = c.execStraight(s.instOf(op)) // slt{,u,i,iu} cannot fail
 				if taken := branchTaken(op.mn, c.X[op.rs1&31], c.X[op.rs2&31]); taken != op.predTaken || op.end {
-					return c.branchExit(op, retired, taken)
+					return c.branchExit(s, op, retired, taken)
 				}
 			case otAddiBr:
 				c.X[op.rd&31] = c.X[op.rs1&31] + uint64(op.imm)
 				if taken := branchTaken(op.mn, c.X[op.rs3&31], c.X[op.rs4&31]); taken != op.predTaken || op.end {
-					return c.branchExit(op, retired, taken)
+					return c.branchExit(s, op, retired, taken)
 				}
 			case otJal:
 				if op.rd != 0 {
@@ -491,29 +592,28 @@ func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64,
 				if op.rd != 0 {
 					c.X[op.rd&31] = op.aux2
 				}
-				c.PC = target
-				c.Cycles += op.cumC + op.cost
-				c.Instret += op.cumN + 1
-				return retired + op.cumN + 1, stopNone
+				return c.jumpExit(s, op, retired, target)
 			case otDBIJT:
-				target, err := c.dbiJT(op.in)
-				if err != nil {
-					return c.opFault(op, retired, 0, err)
+				// dbiJT inline; a failed apply has no effect, so the outlined
+				// call only reproduces its error.
+				dc := c.DBIComp
+				if dc == nil || !dc.apply(op.imm+2048) {
+					_, err := c.dbiJT(s.instOf(op))
+					return c.opFault(s, op, retired, 0, err)
 				}
-				c.PC = target
-				c.Cycles += op.cumC + op.cost
-				c.Instret += op.cumN + 1
-				return retired + op.cumN + 1, stopNone
+				dc.IBLHits++
+				return c.jumpExit(s, op, retired, dc.Scratch[3])
 			case otExec:
-				retired = c.exitAt(op, retired, 0)
-				if op.in.Mn == riscv.MnEBREAK {
+				retired = c.exitAt(s, op, retired, 0)
+				in := s.instOf(op)
+				if in.Mn == riscv.MnEBREAK {
 					// Like the slow path: stop before executing, PC at the ebreak.
 					return retired, StopBreakpoint
 				}
-				exited, err := c.exec(op.in)
+				exited, err := c.exec(in)
 				switch {
 				case err != nil:
-					return retired, c.trap(op.in, err)
+					return retired, c.trap(in, err)
 				case exited:
 					return retired + 1, StopExit
 				}
@@ -545,28 +645,29 @@ func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64,
 // exitAt leaves the stream inside op with its first k constituents retired
 // (k is 0, n-1, or n) on top of the committed prefix, the PC on the next
 // constituent, and returns the updated retired count.
-func (c *CPU) exitAt(op *traceOp, retired uint64, k uint8) uint64 {
+func (c *CPU) exitAt(s *stream, op *traceOp, retired uint64, k uint8) uint64 {
+	x := s.exitOf(op)
 	var cyc uint64
 	switch k {
 	case 0:
-		c.PC = op.in.Addr
+		c.PC = s.instOf(op).Addr
 	case op.n:
-		c.PC, cyc = op.tail.Next(), op.cost
+		c.PC, cyc = x.tail.Next(), x.cost
 	default:
-		c.PC, cyc = op.tail.Addr, op.preC
+		c.PC, cyc = x.tail.Addr, x.preC
 	}
-	c.Cycles += op.cumC + cyc
-	c.Instret += op.cumN + uint64(k)
-	return retired + op.cumN + uint64(k)
+	c.Cycles += x.cumC + cyc
+	c.Instret += x.cumN + uint64(k)
+	return retired + x.cumN + uint64(k)
 }
 
 // opFault applies the partial-fault protocol: constituent k of op faulted,
 // so it and everything after it have not retired and the PC points at it.
-func (c *CPU) opFault(op *traceOp, retired uint64, k uint8, err error) (uint64, StopReason) {
-	retired = c.exitAt(op, retired, k)
-	in := op.in
+func (c *CPU) opFault(s *stream, op *traceOp, retired uint64, k uint8, err error) (uint64, StopReason) {
+	retired = c.exitAt(s, op, retired, k)
+	in := s.instOf(op)
 	if k > 0 {
-		in = op.tail
+		in = s.exitOf(op).tail
 	}
 	return retired, c.trap(in, err)
 }
@@ -578,27 +679,37 @@ func (c *CPU) storeExit(s *stream, op *traceOp, retired uint64, k uint8) (uint64
 	if s.hot && !c.watchHit {
 		c.traceSevers++
 	}
-	return c.exitAt(op, retired, k), stopNone
+	return c.exitAt(s, op, retired, k), stopNone
+}
+
+// jumpExit leaves the stream through the indirect jump op (jalr or
+// dbi.jt), which retired, to target.
+func (c *CPU) jumpExit(s *stream, op *traceOp, retired, target uint64) (uint64, StopReason) {
+	cumC, cumN, cost := s.endExit(op)
+	c.PC = target
+	c.Cycles += cumC + cost
+	c.Instret += cumN + 1
+	return retired + cumN + 1, stopNone
 }
 
 // branchExit leaves the stream through a conditional branch, charging the
-// actual (not predicted) branch cost and setting the actual target.
-func (c *CPU) branchExit(op *traceOp, retired uint64, taken bool) (uint64, StopReason) {
-	cost := op.cost
-	if op.predTaken {
-		cost -= c.Model.BranchTakenPenalty
-	}
+// actual branch cost and setting the actual target.
+func (c *CPU) branchExit(s *stream, op *traceOp, retired uint64, taken bool) (uint64, StopReason) {
+	sg := &s.segs[op.seg] // endExit, spelled out to stay inlinable
+	cost := sg.lastCost
 	if !op.end {
 		c.traceSideExits++
+		c.sideSeg = sg
 	}
 	c.PC = op.aux2
 	if taken {
 		cost += c.Model.BranchTakenPenalty
 		c.PC = op.aux
 	}
-	c.Cycles += op.cumC + cost
-	c.Instret += op.cumN + uint64(op.n)
-	return retired + op.cumN + uint64(op.n), stopNone
+	n := sg.cumN + uint64(op.at) + uint64(op.n)
+	c.Cycles += sg.lastC + cost
+	c.Instret += n
+	return retired + n, stopNone
 }
 
 // branchTaken evaluates a conditional-branch condition on two operands.
@@ -631,12 +742,12 @@ func branchTaken(mn riscv.Mnemonic, rs1, rs2 uint64) bool {
 
 func (c *CPU) traceRead64(op *traceOp, a uint64) (uint64, error) {
 	if op.cache && a&pageMask <= pageSize-8 {
-		if a>>pageBits+1 != op.pgTag {
+		if a>>pageBits+1 != op.aux2 {
 			p := c.Mem.readPage(a)
 			if p == nil {
 				return 0, &MemFault{Addr: a}
 			}
-			op.pgTag, op.pg = a>>pageBits+1, p
+			op.aux2, op.pg = a>>pageBits+1, p
 		}
 		p, o := op.pg, a&pageMask
 		return binary.LittleEndian.Uint64(p[o:]), nil
@@ -646,12 +757,12 @@ func (c *CPU) traceRead64(op *traceOp, a uint64) (uint64, error) {
 
 func (c *CPU) traceRead32(op *traceOp, a uint64) (uint32, error) {
 	if op.cache && a&pageMask <= pageSize-4 {
-		if a>>pageBits+1 != op.pgTag {
+		if a>>pageBits+1 != op.aux2 {
 			p := c.Mem.readPage(a)
 			if p == nil {
 				return 0, &MemFault{Addr: a}
 			}
-			op.pgTag, op.pg = a>>pageBits+1, p
+			op.aux2, op.pg = a>>pageBits+1, p
 		}
 		p, o := op.pg, a&pageMask
 		return binary.LittleEndian.Uint32(p[o:]), nil
@@ -661,12 +772,12 @@ func (c *CPU) traceRead32(op *traceOp, a uint64) (uint32, error) {
 
 func (c *CPU) traceWrite64(op *traceOp, a, v uint64) error {
 	if op.cache && a&pageMask <= pageSize-8 {
-		if a>>pageBits+1 != op.pgTag {
+		if a>>pageBits+1 != op.aux2 {
 			p := c.Mem.writePage(a)
 			if p == nil {
 				return &MemFault{Addr: a, Write: true}
 			}
-			op.pgTag, op.pg = a>>pageBits+1, p
+			op.aux2, op.pg = a>>pageBits+1, p
 		}
 		p, o := op.pg, a&pageMask
 		binary.LittleEndian.PutUint64(p[o:], v)
@@ -677,16 +788,31 @@ func (c *CPU) traceWrite64(op *traceOp, a, v uint64) error {
 
 func (c *CPU) traceWrite32(op *traceOp, a uint64, v uint32) error {
 	if op.cache && a&pageMask <= pageSize-4 {
-		if a>>pageBits+1 != op.pgTag {
+		if a>>pageBits+1 != op.aux2 {
 			p := c.Mem.writePage(a)
 			if p == nil {
 				return &MemFault{Addr: a, Write: true}
 			}
-			op.pgTag, op.pg = a>>pageBits+1, p
+			op.aux2, op.pg = a>>pageBits+1, p
 		}
 		p, o := op.pg, a&pageMask
 		binary.LittleEndian.PutUint32(p[o:], v)
 		return c.storeCheck(a, 4, nil)
 	}
 	return c.storeCheck(a, 4, c.Mem.Write32(a, v))
+}
+
+// constRead64 is otAuipcLd's load from its folded address aux2: the page
+// cache holds the page once pg is set.
+func (c *CPU) constRead64(op *traceOp) (uint64, error) {
+	a := op.aux2
+	if op.pg == nil {
+		if !op.cache || a&pageMask > pageSize-8 {
+			return c.Mem.Read64(a)
+		}
+		if op.pg = c.Mem.readPage(a); op.pg == nil {
+			return 0, &MemFault{Addr: a}
+		}
+	}
+	return binary.LittleEndian.Uint64(op.pg[a&pageMask:]), nil
 }

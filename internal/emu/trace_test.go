@@ -1,6 +1,8 @@
 package emu
 
 import (
+	"unsafe"
+
 	"fmt"
 	"testing"
 
@@ -309,5 +311,13 @@ func TestTraceOpsExactSize(t *testing.T) {
 		if n == 0 {
 			t.Errorf("%s: no trace was built", tc.name)
 		}
+	}
+}
+
+// TestTraceOpSize pins the op layout: exit bookkeeping and page caches
+// live beside the op stream, so one op is at most 48 bytes.
+func TestTraceOpSize(t *testing.T) {
+	if n := unsafe.Sizeof(traceOp{}); n > 48 {
+		t.Errorf("unsafe.Sizeof(traceOp{}) = %d, want <= 48", n)
 	}
 }

@@ -75,9 +75,10 @@ func TestProfileDBIParity(t *testing.T) {
 // also pins the totals `rvdyn dbirun fib` and `dbirun -novirt fib` report:
 // the native 4,879 instructions / 7,118 cycles when virtualized, and the
 // raw counts the cache retires (translation, lookup stubs and the probe
-// included) — 15,098 / 23,373 with dead-register scratch from liveness,
-// 21,608 / 43,833 when every probe spills and every lookup stub saves its
-// scratch through CSRs (`-mode spill`). README and EXPERIMENTS.md quote
+// included) — 12,771 / 15,940 with dead-register scratch from liveness and
+// returns resolved by their return chains, 21,608 / 43,833 when every probe
+// spills and every return goes through a lookup stub that saves its scratch
+// through CSRs (`-mode spill`). README and EXPERIMENTS.md quote
 // these figures; a change to the translated code shape must update them.
 func TestProfileDBIRecursion(t *testing.T) {
 	f, err := asm.Assemble(workload.FibSource, asm.Options{})
@@ -90,7 +91,7 @@ func TestProfileDBIRecursion(t *testing.T) {
 		insts, cycles uint64
 	}{
 		{codegen.ModeDeadRegister, false, 4879, 7118},
-		{codegen.ModeDeadRegister, true, 15098, 23373},
+		{codegen.ModeDeadRegister, true, 12771, 15940},
 		{codegen.ModeSpillAlways, false, 4879, 7118},
 		{codegen.ModeSpillAlways, true, 21608, 43833},
 	} {
