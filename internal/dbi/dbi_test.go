@@ -361,7 +361,8 @@ func TestDBIAttachDetach(t *testing.T) {
 // workload: translations and chain patches happen, and chained loops mean
 // exits are far rarer than retired instructions. matmul's indirect jumps
 // are all returns its return chains resolve, so indirect_exits may be 0
-// (TestDBIIBLHitRatio covers the lookup counters).
+// (TestDBIIBLHitRatio and TestDBIReturnChainMisses cover the lookup
+// counters).
 func TestDBICounters(t *testing.T) {
 	f, err := asm.Assemble(workload.MatmulSource(8, 2), asm.Options{})
 	if err != nil {

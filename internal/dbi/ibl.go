@@ -168,12 +168,10 @@ func (e *Engine) returnChain(in riscv.Inst) (riscv.Reg, []uint64) {
 		return 0, nil
 	}
 	var sites []uint64
-	for _, fn := range e.cfg.Funcs {
-		if _, ok := fn.BlockContaining(in.Addr); ok {
-			for _, s := range e.retSites[fn.Entry] {
-				if !slices.Contains(sites, s) {
-					sites = append(sites, s)
-				}
+	for _, fn := range e.funcsAt(in.Addr) {
+		for _, s := range e.retSites[fn.Entry] {
+			if !slices.Contains(sites, s) {
+				sites = append(sites, s)
 			}
 		}
 	}

@@ -80,10 +80,7 @@ func (e *Engine) deadAt(addr uint64) []riscv.Reg {
 	}
 	var dead []riscv.Reg
 	found := false
-	for _, fn := range e.cfg.Funcs {
-		if _, ok := fn.BlockContaining(addr); !ok {
-			continue
-		}
+	for _, fn := range e.funcsAt(addr) {
 		fl := e.liveFor(fn)
 		if fl.lv == nil {
 			return nil
@@ -95,6 +92,18 @@ func (e *Engine) deadAt(addr uint64) []riscv.Reg {
 		dead, found = d, true
 	}
 	return dead
+}
+
+// funcsAt returns the parsed functions with a block containing addr (more
+// than one where functions share code).
+func (e *Engine) funcsAt(addr uint64) []*parse.Function {
+	var out []*parse.Function
+	for _, fn := range e.cfg.Funcs {
+		if _, ok := fn.BlockContaining(addr); ok {
+			out = append(out, fn)
+		}
+	}
+	return out
 }
 
 // liveFor returns fn's liveness state, computing it on first use: the

@@ -236,6 +236,41 @@ func TestDBIIBLHitRatio(t *testing.T) {
 	}
 }
 
+// TestDBIReturnChainMisses keeps the lookup stub's counters honest in the
+// default dead-register mode, where fib's and matmul's returns all resolve
+// through their chains: every indirect jump of returnStressSource misses
+// or skips its chain (more than maxRetSites callers, a function-pointer
+// callee, a tail call, an advanced ra, an indirect call), so each one must
+// reach the probe, the misses must leave through the engine, and the run
+// must match native.
+func TestDBIReturnChainMisses(t *testing.T) {
+	f, err := asm.Assemble(returnStressSource, asm.Options{})
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	want := nativeIndirectJumps(t, f)
+	reg := obs.NewRegistry()
+	native := observeNative(t, f)
+	got := observeDBI(t, f, nil, reg)
+	if got.ExitCode != 42 {
+		t.Fatalf("exit %d, want 42", got.ExitCode)
+	}
+	compareObs(t, "return-stress", native, got)
+	hits := reg.Counter("emu.dbi.ibl.hits").Load()
+	misses := reg.Counter("emu.dbi.ibl.misses").Load()
+	ind := reg.Counter("emu.dbi.indirect_exits").Load()
+	if hits+misses != want {
+		t.Errorf("ibl.hits+ibl.misses = %d+%d, native run retired %d indirect jumps, none of which a chain may resolve",
+			hits, misses, want)
+	}
+	if hits == 0 || ind == 0 {
+		t.Errorf("lookup stub idle: ibl.hits=%d indirect_exits=%d", hits, ind)
+	}
+	if ind != misses {
+		t.Errorf("indirect_exits=%d != ibl.misses=%d — with inline lookup they must coincide", ind, misses)
+	}
+}
+
 // nativeIndirectJumps counts the jalr instructions a native run of f
 // retires, decoding each instruction before stepping it.
 func nativeIndirectJumps(t *testing.T, f *elfrv.File) uint64 {

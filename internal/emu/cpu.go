@@ -737,9 +737,9 @@ func (c *CPU) exec(inst *riscv.Inst) (stop bool, err error) {
 		c.setX(inst.Rd, next)
 		next = t
 	case riscv.MnDBIJT:
-		t, e := c.dbiJT(inst)
-		if e != nil {
-			return false, e
+		t, ok := c.dbiJT(inst.Imm)
+		if !ok {
+			return false, c.dbiJTFault(inst)
 		}
 		next = t
 	case riscv.MnBEQ:
@@ -805,21 +805,28 @@ func (c *CPU) exec(inst *riscv.Inst) (stop bool, err error) {
 	return false, nil
 }
 
-// dbiJT retires an inline-lookup transfer (xdbi dbi.jt) and returns its
-// target: the translated cache address the lookup stub stashed in scratch
-// CSR 0x7C3. It applies the stub's compensation delta and counts the hash
-// hit. Only valid inside a DBI code cache. Every dispatch tier retires
-// dbi.jt through here, so its semantics live in one place.
-func (c *CPU) dbiJT(inst *riscv.Inst) (uint64, error) {
+// dbiJT retires an inline-lookup transfer (xdbi dbi.jt, delta index imm)
+// and returns its target: the translated cache address the lookup stub
+// stashed in scratch CSR 0x7C3. It applies the stub's compensation delta
+// and counts the hash hit. It reports false, with no effect, when the
+// dbi.jt is invalid (no DBI-attached CPU, or an unallocated delta);
+// dbiJTFault says why. Every dispatch tier retires dbi.jt through here, so
+// its semantics live in one place.
+func (c *CPU) dbiJT(imm int64) (uint64, bool) {
 	dc := c.DBIComp
-	if dc == nil {
-		return 0, fmt.Errorf("emu: dbi.jt outside DBI-attached CPU at %#x", inst.Addr)
-	}
-	if !dc.apply(inst.Imm + 2048) {
-		return 0, fmt.Errorf("emu: dbi.jt with unallocated delta %d at %#x", inst.Imm, inst.Addr)
+	if dc == nil || !dc.apply(imm+2048) {
+		return 0, false
 	}
 	dc.IBLHits++
-	return dc.Scratch[3], nil
+	return dc.Scratch[3], true
+}
+
+// dbiJTFault is the error for a dbi.jt that dbiJT refused.
+func (c *CPU) dbiJTFault(inst *riscv.Inst) error {
+	if c.DBIComp == nil {
+		return fmt.Errorf("emu: dbi.jt outside DBI-attached CPU at %#x", inst.Addr)
+	}
+	return fmt.Errorf("emu: dbi.jt with unallocated delta %d at %#x", inst.Imm, inst.Addr)
 }
 
 // execStraight executes one straight-line (non-control-flow, non-system)

@@ -182,11 +182,12 @@ func (s *stream) exitOf(op *traceOp) opExit {
 	}
 }
 
-// endExit is exitOf's cumC, cumN and cost for an op that ends its block
-// (a branch or jump), the hot exits, read from the op's segment alone.
-func (s *stream) endExit(op *traceOp) (cumC, cumN, cost uint64) {
-	sg := &s.segs[op.seg]
-	return sg.lastC, sg.cumN + uint64(op.at), sg.lastCost
+// endExit is what leaving the stream through op, an op that ends its block
+// (a branch or jump, the hot exits) and retired in full, charges: the
+// trace's cycles and constituents up to and including it, read from its
+// segment alone. A taken branch adds its penalty on top.
+func (sg *traceSeg) endExit(op *traceOp) (cycles, insts uint64) {
+	return sg.lastC + sg.lastCost, sg.cumN + uint64(op.at) + uint64(op.n)
 }
 
 // seal computes a block's pass totals, worst-case pass cost (its closing
@@ -594,15 +595,11 @@ func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64,
 				}
 				return c.jumpExit(s, op, retired, target)
 			case otDBIJT:
-				// dbiJT inline; a failed apply has no effect, so the outlined
-				// call only reproduces its error.
-				dc := c.DBIComp
-				if dc == nil || !dc.apply(op.imm+2048) {
-					_, err := c.dbiJT(s.instOf(op))
-					return c.opFault(s, op, retired, 0, err)
+				target, ok := c.dbiJT(op.imm)
+				if !ok {
+					return c.opFault(s, op, retired, 0, c.dbiJTFault(s.instOf(op)))
 				}
-				dc.IBLHits++
-				return c.jumpExit(s, op, retired, dc.Scratch[3])
+				return c.jumpExit(s, op, retired, target)
 			case otExec:
 				retired = c.exitAt(s, op, retired, 0)
 				in := s.instOf(op)
@@ -685,29 +682,28 @@ func (c *CPU) storeExit(s *stream, op *traceOp, retired uint64, k uint8) (uint64
 // jumpExit leaves the stream through the indirect jump op (jalr or
 // dbi.jt), which retired, to target.
 func (c *CPU) jumpExit(s *stream, op *traceOp, retired, target uint64) (uint64, StopReason) {
-	cumC, cumN, cost := s.endExit(op)
+	cyc, n := s.segs[op.seg].endExit(op)
 	c.PC = target
-	c.Cycles += cumC + cost
-	c.Instret += cumN + 1
-	return retired + cumN + 1, stopNone
+	c.Cycles += cyc
+	c.Instret += n
+	return retired + n, stopNone
 }
 
 // branchExit leaves the stream through a conditional branch, charging the
 // actual branch cost and setting the actual target.
 func (c *CPU) branchExit(s *stream, op *traceOp, retired uint64, taken bool) (uint64, StopReason) {
-	sg := &s.segs[op.seg] // endExit, spelled out to stay inlinable
-	cost := sg.lastCost
+	sg := &s.segs[op.seg]
+	cyc, n := sg.endExit(op)
 	if !op.end {
 		c.traceSideExits++
 		c.sideSeg = sg
 	}
 	c.PC = op.aux2
 	if taken {
-		cost += c.Model.BranchTakenPenalty
+		cyc += c.Model.BranchTakenPenalty
 		c.PC = op.aux
 	}
-	n := sg.cumN + uint64(op.at) + uint64(op.n)
-	c.Cycles += sg.lastC + cost
+	c.Cycles += cyc
 	c.Instret += n
 	return retired + n, stopNone
 }
