@@ -9,9 +9,10 @@
 //
 // -stats prints the emulator's observability counters on exit: instructions
 // retired, superblock-cache hits/builds/invalidations, chain hits/severs,
-// software-TLB hit/miss per access kind, macro-op fusion counts per pair
-// kind, per-number syscall counts, and the wall-clock emulation rate in
-// MIPS. See README.md ("Observability & profiling") for how to read them.
+// trace counters, macro-op fusion counts per fusion row, per-tier retired
+// instructions and cycles, per-number syscall counts, and the wall-clock
+// emulation rate in MIPS. See README.md ("Observability & profiling") for
+// how to read them.
 package main
 
 import (

@@ -31,13 +31,12 @@ import "rvdyn/internal/riscv"
 //     dispatch onward without re-probing the block map. A chained pointer is honoured only while its target's
 //     generation is current, so the existing invalidation machinery
 //     severs chains for free.
-//   - Macro-op fusion: the fusions table below lists every fusable pair —
-//     the adjacent pairs the assembler emits (lui+addi, auipc+addi,
-//     auipc+ld, slli+add, ld/sd pairs on consecutive offsets,
-//     compare+branch, the patch ladder's auipc+jalr rung) and the superops
-//     built on them (mul+add, slli+add+ld/fld, addi+jal, addi+branch). The
-//     cost model is charged per constituent, so Cycles, Instret, and the
-//     virtual clock stay bit-identical to per-instruction dispatch.
+//   - Macro-op fusion: the fusions table below lists the six fusable
+//     pairs that occur in the measured workloads' dynamic instruction
+//     streams — lui+addi, slli+add and the superops mul+add, slli+add+fld,
+//     addi+jal and addi+branch. The cost model is charged per constituent,
+//     so Cycles, Instret, and the virtual clock stay bit-identical to
+//     per-instruction dispatch.
 //
 // Coherence with self-modifying code and dynamic patching reuses the
 // icache invalidation machinery: every block records the icache generation
@@ -210,7 +209,7 @@ func (c *CPU) buildBlock(pc uint64) *block {
 	}
 	b.ops = ops
 	switch last := &b.ops[len(b.ops)-1]; last.kind {
-	case otJal, otAddiJal, otAuipcJalr:
+	case otJal, otAddiJal:
 		b.endPC = last.aux // constant-target transfer: the block falls off at its target
 	}
 	c.seal(b)
@@ -223,60 +222,37 @@ func (c *CPU) buildBlock(pc uint64) *block {
 // execStraight (otStraight), exactly as the slow path does.
 const (
 	otStraight uint8 = iota // execStraight(in)
-	otCmp                   // slt/sltu/slti/sltiu: execStraight, fusable with a branch
-	otCSR                   // any other DBI scratch-CSR op: csrOp(in)
-
-	// Dedicated kinds of what a DBI engine emits into its code cache:
-	// compensation accumulators and the lookup stubs' scratch saves and
-	// restores (the scratch index in aux). A CPU without a DBIComp faults
-	// them through execStraight and csrOp, as the slow path does.
-	otDBIAcc   // dbi.acc: DBIComp.apply(imm + 2048)
-	otScratchW // csrrw x0, 0x7C0+aux, rs1 (rs1 != x0)
-	otScratchR // csrrs rd, 0x7C0+aux, x0 (rd != x0)
+	otCSR                   // a DBI scratch-CSR op: csrOp(in)
+	otDBIAcc                // dbi.acc: DBIComp.apply(imm + 2048); execStraight faults it without a DBIComp
 
 	// Dedicated kinds of the hot mnemonics. The integer ones (otAddi
-	// through otLw) require rd != x0; otLui and otAuipc fold their value
-	// into aux.
+	// through otLd) require rd != x0; otLui folds its value into aux.
 	otAddi
 	otAdd
-	otSub
 	otSlli
-	otAndi
-	otSrli
 	otAddiw
 	otLui
-	otAuipc
 	otMul
 	otLd
-	otLw
 	otSd
-	otSw
 	otFld
 	otFsd
 	otFmaddd
-	otFaddd
-	otFmuld
 
 	// Fused kinds (see fusions).
-	otConstPair  // lui/auipc+addi: rd = aux, rs3 = aux2
-	otAuipcLd    // rd = aux, rs3 = load from aux2
+	otConstPair  // lui+addi: rd = aux, rs3 = aux2
 	otSlliAdd    // rd = rs1 << imm, rs3 = rd + rs2
-	otLdPair     // rd, rs3 = ld imm(rs1), ld imm+8(rs1)
-	otSdPair     // sd rs2, imm(rs1); sd rs3, imm+8(rs1)
 	otMulAdd     // rd = rs1 * rs2, rs3 = rd + rs4
-	otSlliAddLd  // otSlliAdd (shift in aux), then rs4 = ld imm(rs3)
-	otSlliAddFld // as otSlliAddLd, loading f[rs4]
+	otSlliAddFld // otSlliAdd (shift in aux), then f[rs4] = fld imm(rs3)
 
 	// Kinds that end a block.
-	otBr        // conditional branch: aux taken target, aux2 fallthrough
-	otCmpBr     // execStraight(in) compare, then branch
-	otAddiBr    // addi, then branch on rs3, rs4
-	otJal       // rd = aux2 (link), continue at aux
-	otAddiJal   // addi, then rs3 = aux2 (link), continue at aux
-	otAuipcJalr // rd = imm (auipc value), rs3 = aux2 (link), continue at aux
-	otJalr      // indirect jump: always leaves the stream
-	otDBIJT     // DBI inline-lookup transfer: always leaves the stream
-	otExec      // commit the prefix, then exec(in): ecall, counter/FP CSRs, fence.i, ebreak
+	otBr      // conditional branch: aux taken target, aux2 fallthrough
+	otAddiBr  // addi, then branch on rs3, rs4
+	otJal     // rd = aux2 (link), continue at aux
+	otAddiJal // addi, then rs3 = aux2 (link), continue at aux
+	otJalr    // indirect jump: always leaves the stream
+	otDBIJT   // DBI inline-lookup transfer: always leaves the stream
+	otExec    // commit the prefix, then exec(in): ecall, counter/FP CSRs, fence.i, ebreak
 )
 
 // opKind classifies one decoded instruction: a dedicated kind for the hot
@@ -308,60 +284,35 @@ func opKind(in *riscv.Inst) uint8 {
 		// Counter reads see the live cycle/instret counters, which are only
 		// up to date at op-stream exits, so counter and FP CSR ops end the
 		// block. The DBI scratch CSRs touch neither: the inline-lookup
-		// stubs that save and restore through them stay in-block, and
-		// their two plain move forms run as direct Scratch accesses.
+		// stubs that save and restore through them stay in-block.
 		if !isDBIScratchCSR(in.CSR) {
 			return otExec
-		}
-		switch {
-		case in.Mn == riscv.MnCSRRW && in.Rd == riscv.X0 && in.Rs1 != riscv.X0:
-			return otScratchW
-		case in.Mn == riscv.MnCSRRS && in.Rs1 == riscv.X0 && in.Rd != riscv.X0:
-			return otScratchR
 		}
 		return otCSR
 	case riscv.MnDBIACC:
 		return otDBIAcc // rd is ignored
-	case riscv.MnSLT, riscv.MnSLTU, riscv.MnSLTI, riscv.MnSLTIU:
-		return otCmp
 	case riscv.MnSD:
 		return otSd
-	case riscv.MnSW:
-		return otSw
 	case riscv.MnFLD:
 		return otFld
 	case riscv.MnFSD:
 		return otFsd
 	case riscv.MnFMADDD:
 		return otFmaddd
-	case riscv.MnFADDD:
-		return otFaddd
-	case riscv.MnFMULD:
-		return otFmuld
 	case riscv.MnADDI:
 		kind = otAddi
 	case riscv.MnADD:
 		kind = otAdd
-	case riscv.MnSUB:
-		kind = otSub
 	case riscv.MnSLLI:
 		kind = otSlli
-	case riscv.MnANDI:
-		kind = otAndi
-	case riscv.MnSRLI:
-		kind = otSrli
 	case riscv.MnADDIW:
 		kind = otAddiw
 	case riscv.MnLUI:
 		kind = otLui
-	case riscv.MnAUIPC:
-		kind = otAuipc
 	case riscv.MnMUL:
 		kind = otMul
 	case riscv.MnLD:
 		kind = otLd
-	case riscv.MnLW:
-		kind = otLw
 	}
 	if in.Rd == riscv.X0 {
 		// The integer kinds write c.X[rd] directly; an x0 destination
@@ -388,10 +339,6 @@ func specialize(in *riscv.Inst) traceOp {
 		op.aux2 = in.Next()
 	case otLui:
 		op.aux = uint64(in.Imm << 12)
-	case otAuipc:
-		op.aux = in.Addr + uint64(in.Imm<<12)
-	case otScratchW, otScratchR:
-		op.aux = uint64(in.CSR - dbiScratchBase)
 	}
 	return op
 }
@@ -413,12 +360,16 @@ type fusion struct {
 // fusions is the one fusion table. Every fused op commits its constituents
 // in program order, reading each operand only after the earlier
 // constituents commit, so a fused op is bit-identical to sequential
-// execution. Only the last constituent can fault or be split off, and only
-// the first of a load or store pair can fault on its own.
+// execution. Only the last constituent can fault (slli+add+fld's load).
+// Every row occurs in a measured workload's dynamic instruction stream: an
+// idiom that never fires costs a table probe at every block build and
+// buys nothing.
 var fusions = [...]fusion{
-	{"lui_addi", otLui, otAddi, otConstPair, fitConst},
-	{"auipc_addi", otAuipc, otAddi, otConstPair, fitConst},
-	{"auipc_ld", otAuipc, otLd, otAuipcLd, fitConst},
+	{"lui_addi", otLui, otAddi, otConstPair, func(p, q traceOp) (traceOp, bool) {
+		// Both the constant and the addi result fold at build time.
+		p.aux2, p.rs3 = p.aux+uint64(q.imm), q.rd
+		return p, q.rs1 == p.rd
+	}},
 	{"slli_add", otSlli, otAdd, otSlliAdd, func(p, q traceOp) (traceOp, bool) {
 		// The other add operand is read after the shift commits; if both
 		// operands are the shifted register it resolves to rd.
@@ -426,37 +377,18 @@ var fusions = [...]fusion{
 		p.rs2, p.rs3 = other, q.rd
 		return p, ok
 	}},
-	{"ld_pair", otLd, otLd, otLdPair, func(p, q traceOp) (traceOp, bool) {
-		// The base must survive the first load (rd != base).
-		p.rs3 = q.rd
-		return p, q.rs1 == p.rs1 && p.rd != p.rs1 && q.imm == p.imm+8
-	}},
-	{"sd_pair", otSd, otSd, otSdPair, func(p, q traceOp) (traceOp, bool) {
-		p.rs3 = q.rs2
-		return p, q.rs1 == p.rs1 && q.imm == p.imm+8
-	}},
-	{"cmp_branch", otCmp, otBr, otCmpBr, func(p, q traceOp) (traceOp, bool) {
-		// slt{,u,i,iu} rd feeding beq/bne rd, x0: the compare still writes
-		// rd; the branch fields move into p.
-		ok := (q.mn == riscv.MnBEQ || q.mn == riscv.MnBNE) && q.rs2 == 0 && q.rs1 != 0 && q.rs1 == p.rd
-		p.mn, p.rs1, p.rs2, p.aux, p.aux2, p.end = q.mn, q.rs1, q.rs2, q.aux, q.aux2, q.end
-		return p, ok
-	}},
-	{"auipc_jalr", otAuipc, otJalr, otAuipcJalr, func(p, q traceOp) (traceOp, bool) {
-		// The patch ladder's long-distance jump (and every la+call
-		// sequence) resolves to a constant target.
-		ok := q.rs1 == p.rd
-		p.imm, p.aux = int64(p.aux), (p.aux+uint64(q.imm))&^1
-		p.rs3, p.aux2 = q.rd, q.aux2
-		return p, ok
-	}},
 	{"mul_add", otMul, otAdd, otMulAdd, func(p, q traceOp) (traceOp, bool) {
 		other, ok := addOther(p, q)
 		p.rs4, p.rs3 = other, q.rd
 		return p, ok
 	}},
-	{"slli_add_ld", otSlliAdd, otLd, otSlliAddLd, fitAddrLoad},
-	{"slli_add_fld", otSlliAdd, otFld, otSlliAddFld, fitAddrLoad},
+	{"slli_add_fld", otSlliAdd, otFld, otSlliAddFld, func(p, q traceOp) (traceOp, bool) {
+		// An indexed address loaded through at once: the shift moves to
+		// aux, imm becomes the load offset, rs4 the load destination.
+		ok := q.rs1 == p.rs3
+		p.aux, p.imm, p.rs4 = uint64(p.imm), q.imm, q.rd
+		return p, ok
+	}},
 	{"addi_jal", otAddi, otJal, otAddiJal, func(p, q traceOp) (traceOp, bool) {
 		p.rs3, p.aux, p.aux2 = q.rd, q.aux, q.aux2
 		return p, true
@@ -471,13 +403,6 @@ var fusions = [...]fusion{
 // numFuseKinds indexes CPU.fuseCount and Metrics.Fused by fusions row.
 const numFuseKinds = len(fusions)
 
-// fitConst: lui/auipc rd, hi feeding addi or ld through rd. Both the
-// constant and the addi result (or load address) fold at build time.
-func fitConst(p, q traceOp) (traceOp, bool) {
-	p.aux2, p.rs3 = p.aux+uint64(q.imm), q.rd
-	return p, q.rs1 == p.rd
-}
-
 // addOther reports whether p's result feeds the add q, and q's other
 // operand.
 func addOther(p, q traceOp) (other uint8, ok bool) {
@@ -485,15 +410,6 @@ func addOther(p, q traceOp) (other uint8, ok bool) {
 		return q.rs1, q.rs2 == p.rd
 	}
 	return q.rs2, true
-}
-
-// fitAddrLoad: an slli+add address computation loaded through at once.
-// The shift moves to aux, imm becomes the load offset, rs4 the load
-// destination.
-func fitAddrLoad(p, q traceOp) (traceOp, bool) {
-	ok := q.rs1 == p.rs3
-	p.aux, p.imm, p.rs4 = uint64(p.imm), q.imm, q.rd
-	return p, ok
 }
 
 // fuse merges q into p when a fusions row matches and returns the row

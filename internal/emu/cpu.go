@@ -432,17 +432,17 @@ func (c *CPU) fetchAt(pc uint64) (riscv.Inst, error) {
 			return inst, nil
 		}
 	}
-	// Raw fetches go through the fetch TLB: instruction parcels are 2-byte
-	// aligned, so each halfword read stays within one page.
+	// Instruction parcels are 2-byte aligned, so each halfword read stays
+	// within one page; a 32-bit instruction is fetched as two parcels.
 	var buf [4]byte
-	lo, err := c.Mem.Fetch16(pc)
+	lo, err := c.Mem.Read16(pc)
 	if err != nil {
 		return riscv.Inst{}, err
 	}
 	binary.LittleEndian.PutUint16(buf[:], lo)
 	n := 2
 	if buf[0]&3 == 3 {
-		hi, err := c.Mem.Fetch16(pc + 2)
+		hi, err := c.Mem.Read16(pc + 2)
 		if err != nil {
 			return riscv.Inst{}, err
 		}
@@ -559,7 +559,7 @@ func (c *CPU) Run(maxInst uint64) StopReason {
 		// Sync the hot-path counters into obs on return; the architectural
 		// and plain-field counters are the single source of truth, so the
 		// hot loop never touches an atomic.
-		defer c.syncObs(c.Instret, c.dispatchStats, c.Mem.TLB)()
+		defer c.syncObs(c.Instret, c.dispatchStats)()
 	}
 	c.markN, c.markC = c.Instret, c.Cycles
 	budget := maxInst
@@ -644,7 +644,7 @@ func (c *CPU) fits(s *stream, budget uint64, limited bool) bool {
 
 // syncObs snapshots the hot-path counters at Run entry and returns the
 // deferred function that publishes the deltas to the obs registry.
-func (c *CPU) syncObs(instret uint64, d dispatchStats, tlb TLBStats) func() {
+func (c *CPU) syncObs(instret uint64, d dispatchStats) func() {
 	return func() {
 		m := c.Obs
 		m.Instructions.Add(c.Instret - instret)
@@ -663,13 +663,6 @@ func (c *CPU) syncObs(instret uint64, d dispatchStats, tlb TLBStats) func() {
 			m.TierInstret[k].Add(c.tierInstret[k] - d.tierInstret[k])
 			m.TierCycles[k].Add(c.tierCycles[k] - d.tierCycles[k])
 		}
-		t := &c.Mem.TLB
-		m.TLBReadHits.Add(t.ReadHits - tlb.ReadHits)
-		m.TLBReadMisses.Add(t.ReadMisses - tlb.ReadMisses)
-		m.TLBWriteHits.Add(t.WriteHits - tlb.WriteHits)
-		m.TLBWriteMisses.Add(t.WriteMisses - tlb.WriteMisses)
-		m.TLBFetchHits.Add(t.FetchHits - tlb.FetchHits)
-		m.TLBFetchMisses.Add(t.FetchMisses - tlb.FetchMisses)
 	}
 }
 
@@ -742,33 +735,8 @@ func (c *CPU) exec(inst *riscv.Inst) (stop bool, err error) {
 			return false, c.dbiJTFault(inst)
 		}
 		next = t
-	case riscv.MnBEQ:
-		if rs1 == rs2 {
-			next = inst.Addr + uint64(inst.Imm)
-			cost += c.Model.BranchTakenPenalty
-		}
-	case riscv.MnBNE:
-		if rs1 != rs2 {
-			next = inst.Addr + uint64(inst.Imm)
-			cost += c.Model.BranchTakenPenalty
-		}
-	case riscv.MnBLT:
-		if int64(rs1) < int64(rs2) {
-			next = inst.Addr + uint64(inst.Imm)
-			cost += c.Model.BranchTakenPenalty
-		}
-	case riscv.MnBGE:
-		if int64(rs1) >= int64(rs2) {
-			next = inst.Addr + uint64(inst.Imm)
-			cost += c.Model.BranchTakenPenalty
-		}
-	case riscv.MnBLTU:
-		if rs1 < rs2 {
-			next = inst.Addr + uint64(inst.Imm)
-			cost += c.Model.BranchTakenPenalty
-		}
-	case riscv.MnBGEU:
-		if rs1 >= rs2 {
+	case riscv.MnBEQ, riscv.MnBNE, riscv.MnBLT, riscv.MnBGE, riscv.MnBLTU, riscv.MnBGEU:
+		if branchTaken(inst.Mn, rs1, rs2) {
 			next = inst.Addr + uint64(inst.Imm)
 			cost += c.Model.BranchTakenPenalty
 		}
@@ -803,6 +771,26 @@ func (c *CPU) exec(inst *riscv.Inst) (stop bool, err error) {
 	c.Cycles += cost
 	c.Instret++
 	return false, nil
+}
+
+// branchTaken evaluates a conditional-branch condition on two operands:
+// the one copy of branch semantics, for exec and the fast-tier executor.
+func branchTaken(mn riscv.Mnemonic, rs1, rs2 uint64) bool {
+	switch mn {
+	case riscv.MnBEQ:
+		return rs1 == rs2
+	case riscv.MnBNE:
+		return rs1 != rs2
+	case riscv.MnBLT:
+		return int64(rs1) < int64(rs2)
+	case riscv.MnBGE:
+		return int64(rs1) >= int64(rs2)
+	case riscv.MnBLTU:
+		return rs1 < rs2
+	case riscv.MnBGEU:
+		return rs1 >= rs2
+	}
+	return false
 }
 
 // dbiJT retires an inline-lookup transfer (xdbi dbi.jt, delta index imm)

@@ -79,8 +79,9 @@ func newStubLoop(t *testing.T) *CPU {
 // path used to pay (exec moved every instruction to the heap): once the
 // loop's code is decoded, neither Step nor a whole-iteration Run allocates
 // on any tier, across ALU, load/store, taken-branch, andi/srli/addiw,
-// dbi.acc, scratch-CSR and dbi.jt instructions. The fast tier must run the
-// DBI instructions through their dedicated op kinds.
+// dbi.acc, scratch-CSR and dbi.jt instructions. The fast tier must keep
+// the DBI instructions in its streams: addiw and dbi.acc as their own op
+// kinds, the scratch-CSR ops through csrOp.
 func TestStepAllocationFree(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -127,7 +128,7 @@ func TestStepAllocationFree(t *testing.T) {
 					kinds[op.kind] = true
 				}
 			}
-			for _, k := range []uint8{otAndi, otSrli, otAddiw, otDBIAcc, otScratchW, otScratchR} {
+			for _, k := range []uint8{otAddiw, otDBIAcc, otCSR} {
 				if !kinds[k] {
 					t.Errorf("no cached block has an op of kind %d", k)
 				}
@@ -233,10 +234,10 @@ body:
 	ecall
 `
 
-// TestDBIOpKindsTierParity: the op kinds for what a DBI engine emits
-// (andi, srli, addiw, the scratch-CSR moves), their rd == x0 forms, and
-// the scratch-CSR forms that keep csrOp run in a hot loop under trace,
-// block and per-instruction dispatch. Every tier must end in the identical
+// TestDBIOpKindsTierParity: what a DBI engine emits (andi and srli, which
+// run through execStraight; addiw, which has its own op kind; every
+// scratch-CSR form, which runs through csrOp) and the rd == x0 forms run in
+// a hot loop under trace, block and per-instruction dispatch. Every tier must end in the identical
 // state: registers, scratch CSRs, Cycles and Instret.
 func TestDBIOpKindsTierParity(t *testing.T) {
 	for _, tc := range []struct {
@@ -244,16 +245,16 @@ func TestDBIOpKindsTierParity(t *testing.T) {
 		body string // the instruction under test first
 		kind uint8  // the op kind the first instruction specializes to
 	}{
-		{"andi", "andi t1, s0, -16", otAndi},
+		{"andi", "andi t1, s0, -16", otStraight},
 		{"andi/rd=x0", "andi x0, s0, -1", otStraight},
-		{"srli", "srli t1, s0, 3", otSrli},
-		{"srli/63", "srli t1, s0, 63", otSrli},
+		{"srli", "srli t1, s0, 3", otStraight},
+		{"srli/63", "srli t1, s0, 63", otStraight},
 		{"srli/rd=x0", "srli x0, s0, 1", otStraight},
 		{"addiw/wrap", "addiw t1, s1, 1", otAddiw},
 		{"addiw/neg", "addiw t1, s0, -2048", otAddiw},
 		{"addiw/rd=x0", "addiw x0, s1, 7", otStraight},
-		{"scratch-write", "csrrw x0, 0x7c1, s0\n\tcsrrs t1, 0x7c1, x0", otScratchW},
-		{"scratch-read", "csrrs t1, 0x7c2, x0\n\tcsrrw x0, 0x7c2, s0", otScratchR},
+		{"scratch-write", "csrrw x0, 0x7c1, s0\n\tcsrrs t1, 0x7c1, x0", otCSR},
+		{"scratch-read", "csrrs t1, 0x7c2, x0\n\tcsrrw x0, 0x7c2, s0", otCSR},
 		{"csrrw-swap", "csrrw t1, 0x7c1, s0", otCSR},
 		{"csrrw-x0-src", "csrrw x0, 0x7c0, x0\n\tcsrrs t1, 0x7c0, x0", otCSR},
 		{"csrrs-set", "csrrs t1, 0x7c2, s0", otCSR},

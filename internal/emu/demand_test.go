@@ -22,8 +22,8 @@ func allocBytes(fn func()) uint64 {
 
 // TestDemandZeroPages pins the demand-zero contract of Memory: Map only
 // reserves, a reserved page reads as zero and is reported as mapped, the
-// first access of any kind allocates one page that every TLB kind then
-// shares, and an access outside every reservation faults exactly as an
+// first access of any kind allocates one page that every access kind
+// then shares, and an access outside every reservation faults exactly as an
 // eager address space would.
 func TestDemandZeroPages(t *testing.T) {
 	const base = 0x40000
@@ -54,7 +54,7 @@ func TestDemandZeroPages(t *testing.T) {
 		t.Errorf("PageAddrs = %#x, want the three reserved pages", got)
 	}
 
-	// An untouched page reads as zero, through the read TLB and through Page.
+	// An untouched page reads as zero, through a read and through Page.
 	if v, err := m.Read64(base + 16); err != nil || v != 0 {
 		t.Fatalf("untouched Read64 = %#x, %v; want 0", v, err)
 	}
@@ -67,7 +67,7 @@ func TestDemandZeroPages(t *testing.T) {
 		}
 	}
 
-	// Read then write: the write TLB must find the page the read allocated.
+	// Read then write: the write must find the page the read allocated.
 	if err := m.Write64(base+16, 0x0123456789abcdef); err != nil {
 		t.Fatal(err)
 	}
@@ -78,11 +78,11 @@ func TestDemandZeroPages(t *testing.T) {
 		t.Errorf("Page view of the written word = % x", p[16:24])
 	}
 
-	// Write then fetch: the fetch TLB must see the written parcel.
+	// Write then read back the parcel, as an instruction fetch does.
 	if err := m.Write16(base+pageSize+2, 0x4505); err != nil { // c.li a0, 1
 		t.Fatal(err)
 	}
-	if v, err := m.Fetch16(base + pageSize + 2); err != nil || v != 0x4505 {
+	if v, err := m.Read16(base + pageSize + 2); err != nil || v != 0x4505 {
 		t.Errorf("fetch after write = %#x, %v; want 0x4505", v, err)
 	}
 	if n := allocated(); n != 3 {

@@ -25,49 +25,21 @@ const (
 	pageMask = pageSize - 1
 )
 
-// Software TLB geometry. Each access kind (read, write, fetch) gets its own
-// direct-mapped table so the hit counters can attribute traffic per kind and
-// a streaming writer cannot evict the loop's read translations. 64 entries
-// cover 256 KiB of working set per kind — far more than the one-entry
-// lastPage cache this replaces, which thrashed as soon as a loop touched two
-// arrays on different pages (matmul's A and B matrices).
-const (
-	tlbBits = 6
-	tlbSize = 1 << tlbBits
-	tlbMask = tlbSize - 1
-)
-
 type page [pageSize]byte
-
-// TLBStats counts software-TLB probes per access kind. The fields are plain
-// (non-atomic) counters bumped on the memory hot path; the CPU snapshots
-// them into obs counters at every Run return.
-type TLBStats struct {
-	ReadHits, ReadMisses   uint64
-	WriteHits, WriteMisses uint64
-	FetchHits, FetchMisses uint64
-}
 
 // Memory is a sparse, demand-zero paged address space. Map only reserves a
 // range: it records each page index with a nil entry in the pages map, and
 // the page itself is allocated, zeroed, on its first access of any kind
-// (read, write, fetch, Page). Address translation (page-index → *page) goes
-// through per-kind direct-mapped software TLBs; the pages map is only
-// consulted on a TLB miss or from the cold management paths (Map, Mapped,
-// Page, LoadELF), so the allocation happens off the hot path.
+// (read, write, fetch, Page). Address translation (page-index → *page) is
+// one map lookup (pageOf); the fast tier's dedicated memory ops skip it on
+// a hit of their per-op page cache (trace.go).
+//
+// A mapped page is never replaced or removed: Map keeps existing pages,
+// there is no munmap, and brk never shrinks. So a *page, once translated,
+// stays valid for the life of the Memory, and caches of it need no
+// invalidation.
 type Memory struct {
 	pages map[uint64]*page
-
-	// Direct-mapped TLBs, indexed by pageIdx&tlbMask and tagged with
-	// pageIdx+1 (0 = invalid, so a zero-value Memory starts empty). Only
-	// present pages are ever cached, and mapped pages are never replaced or
-	// removed, so entries cannot go stale; Map still flushes defensively so
-	// any future unmap path inherits a coherent baseline.
-	rTag, wTag, fTag [tlbSize]uint64
-	rPg, wPg, fPg    [tlbSize]*page
-
-	// TLB accumulates hit/miss counts per access kind.
-	TLB TLBStats
 }
 
 // NewMemory returns an empty address space.
@@ -89,103 +61,17 @@ func (e *MemFault) Error() string {
 	return fmt.Sprintf("emu: memory fault: %s at unmapped address %#x", op, e.Addr)
 }
 
-// touch is the cold translation path: it returns the page at index idx,
-// allocating a reserved page on first touch, or nil when idx lies outside
-// every reservation. The TLBs are filled by the per-kind miss handlers, not
-// here, so management callers (Mapped, Page) never pollute them.
-func (m *Memory) touch(idx uint64) *page {
+// pageOf translates addr: it returns the page backing it, allocating a
+// reserved page on first touch, or nil when addr lies outside every
+// reservation.
+func (m *Memory) pageOf(addr uint64) *page {
+	idx := addr >> pageBits
 	p, ok := m.pages[idx]
 	if p == nil && ok {
 		p = new(page)
 		m.pages[idx] = p
 	}
 	return p
-}
-
-// readPage translates addr for a data read through the read TLB.
-func (m *Memory) readPage(addr uint64) *page {
-	idx := addr >> pageBits
-	s := idx & tlbMask
-	if m.rTag[s] == idx+1 {
-		m.TLB.ReadHits++
-		return m.rPg[s]
-	}
-	return m.readMiss(addr)
-}
-
-func (m *Memory) readMiss(addr uint64) *page {
-	m.TLB.ReadMisses++
-	idx := addr >> pageBits
-	p := m.touch(idx)
-	if p != nil {
-		s := idx & tlbMask
-		m.rTag[s], m.rPg[s] = idx+1, p
-	}
-	return p
-}
-
-// writePage translates addr for a data write through the write TLB.
-func (m *Memory) writePage(addr uint64) *page {
-	idx := addr >> pageBits
-	s := idx & tlbMask
-	if m.wTag[s] == idx+1 {
-		m.TLB.WriteHits++
-		return m.wPg[s]
-	}
-	return m.writeMiss(addr)
-}
-
-func (m *Memory) writeMiss(addr uint64) *page {
-	m.TLB.WriteMisses++
-	idx := addr >> pageBits
-	p := m.touch(idx)
-	if p != nil {
-		s := idx & tlbMask
-		m.wTag[s], m.wPg[s] = idx+1, p
-	}
-	return p
-}
-
-// fetchPage translates addr for an instruction fetch through the fetch TLB.
-func (m *Memory) fetchPage(addr uint64) *page {
-	idx := addr >> pageBits
-	s := idx & tlbMask
-	if m.fTag[s] == idx+1 {
-		m.TLB.FetchHits++
-		return m.fPg[s]
-	}
-	return m.fetchMiss(addr)
-}
-
-func (m *Memory) fetchMiss(addr uint64) *page {
-	m.TLB.FetchMisses++
-	idx := addr >> pageBits
-	p := m.touch(idx)
-	if p != nil {
-		s := idx & tlbMask
-		m.fTag[s], m.fPg[s] = idx+1, p
-	}
-	return p
-}
-
-// FlushTLB invalidates every software-TLB entry (all kinds). Map calls it so
-// translation state never outlives a mapping change.
-func (m *Memory) FlushTLB() {
-	for i := range m.rTag {
-		m.rTag[i], m.wTag[i], m.fTag[i] = 0, 0, 0
-		m.rPg[i], m.wPg[i], m.fPg[i] = nil, nil, nil
-	}
-}
-
-// Fetch16 reads the aligned halfword at addr through the fetch TLB.
-// Instruction parcels are 2-byte aligned, so a parcel never straddles a
-// page; the decoder fetches 32-bit instructions as two parcels.
-func (m *Memory) Fetch16(addr uint64) (uint16, error) {
-	p := m.fetchPage(addr)
-	if p == nil {
-		return 0, &MemFault{Addr: addr}
-	}
-	return binary.LittleEndian.Uint16(p[addr&pageMask:]), nil
 }
 
 // Map reserves [addr, addr+size) as zero-filled memory; each page is
@@ -197,7 +83,6 @@ func (m *Memory) Map(addr, size uint64) {
 			m.pages[idx] = nil
 		}
 	}
-	m.FlushTLB()
 }
 
 // Mapped reports whether addr is mapped (touched or only reserved).
@@ -222,7 +107,7 @@ func (m *Memory) PageAddrs() []uint64 {
 // first use), or nil if unmapped. The slice aliases live memory; callers
 // must not retain it across writes.
 func (m *Memory) Page(addr uint64) []byte {
-	p := m.touch(addr >> pageBits)
+	p := m.pageOf(addr)
 	if p == nil {
 		return nil
 	}
@@ -232,7 +117,7 @@ func (m *Memory) Page(addr uint64) []byte {
 // ReadBytes copies n bytes at addr into dst (dst length gives n).
 func (m *Memory) ReadBytes(addr uint64, dst []byte) error {
 	for len(dst) > 0 {
-		p := m.readPage(addr)
+		p := m.pageOf(addr)
 		if p == nil {
 			return &MemFault{Addr: addr}
 		}
@@ -247,7 +132,7 @@ func (m *Memory) ReadBytes(addr uint64, dst []byte) error {
 // WriteBytes copies src into memory at addr.
 func (m *Memory) WriteBytes(addr uint64, src []byte) error {
 	for len(src) > 0 {
-		p := m.writePage(addr)
+		p := m.pageOf(addr)
 		if p == nil {
 			return &MemFault{Addr: addr, Write: true}
 		}
@@ -284,7 +169,7 @@ var zeroPage page
 // fast path handles the common in-page case with one word-wide access.
 
 func (m *Memory) Read8(addr uint64) (uint8, error) {
-	p := m.readPage(addr)
+	p := m.pageOf(addr)
 	if p == nil {
 		return 0, &MemFault{Addr: addr}
 	}
@@ -292,7 +177,7 @@ func (m *Memory) Read8(addr uint64) (uint8, error) {
 }
 
 func (m *Memory) Write8(addr uint64, v uint8) error {
-	p := m.writePage(addr)
+	p := m.pageOf(addr)
 	if p == nil {
 		return &MemFault{Addr: addr, Write: true}
 	}
@@ -302,7 +187,7 @@ func (m *Memory) Write8(addr uint64, v uint8) error {
 
 func (m *Memory) Read16(addr uint64) (uint16, error) {
 	if addr&pageMask <= pageSize-2 {
-		p := m.readPage(addr)
+		p := m.pageOf(addr)
 		if p == nil {
 			return 0, &MemFault{Addr: addr}
 		}
@@ -317,7 +202,7 @@ func (m *Memory) Read16(addr uint64) (uint16, error) {
 
 func (m *Memory) Write16(addr uint64, v uint16) error {
 	if addr&pageMask <= pageSize-2 {
-		p := m.writePage(addr)
+		p := m.pageOf(addr)
 		if p == nil {
 			return &MemFault{Addr: addr, Write: true}
 		}
@@ -331,7 +216,7 @@ func (m *Memory) Write16(addr uint64, v uint16) error {
 
 func (m *Memory) Read32(addr uint64) (uint32, error) {
 	if addr&pageMask <= pageSize-4 {
-		p := m.readPage(addr)
+		p := m.pageOf(addr)
 		if p == nil {
 			return 0, &MemFault{Addr: addr}
 		}
@@ -346,7 +231,7 @@ func (m *Memory) Read32(addr uint64) (uint32, error) {
 
 func (m *Memory) Write32(addr uint64, v uint32) error {
 	if addr&pageMask <= pageSize-4 {
-		p := m.writePage(addr)
+		p := m.pageOf(addr)
 		if p == nil {
 			return &MemFault{Addr: addr, Write: true}
 		}
@@ -360,7 +245,7 @@ func (m *Memory) Write32(addr uint64, v uint32) error {
 
 func (m *Memory) Read64(addr uint64) (uint64, error) {
 	if addr&pageMask <= pageSize-8 {
-		p := m.readPage(addr)
+		p := m.pageOf(addr)
 		if p == nil {
 			return 0, &MemFault{Addr: addr}
 		}
@@ -375,7 +260,7 @@ func (m *Memory) Read64(addr uint64) (uint64, error) {
 
 func (m *Memory) Write64(addr uint64, v uint64) error {
 	if addr&pageMask <= pageSize-8 {
-		p := m.writePage(addr)
+		p := m.pageOf(addr)
 		if p == nil {
 			return &MemFault{Addr: addr, Write: true}
 		}

@@ -47,13 +47,6 @@ type Metrics struct {
 	TraceSideExits *obs.Counter
 	TraceSevers    *obs.Counter
 
-	// Software-TLB probe counters, per access kind. hits/(hits+misses) is
-	// the translation hit rate; the fetch TLB only sees decode-cache
-	// misses, so its traffic is naturally tiny on cached code.
-	TLBReadHits, TLBReadMisses   *obs.Counter
-	TLBWriteHits, TLBWriteMisses *obs.Counter
-	TLBFetchHits, TLBFetchMisses *obs.Counter
-
 	// Fused counts macro-op fusions applied at block build, one counter per
 	// fusions row (emu.fuse.<name>). A superop built on a pair counts both
 	// rows; a rebuilt block re-counts its fusions, and traces, which copy
@@ -86,12 +79,6 @@ func NewMetrics(r *obs.Registry) *Metrics {
 		TracePasses:        r.Counter("emu.trace.passes"),
 		TraceSideExits:     r.Counter("emu.trace.side_exits"),
 		TraceSevers:        r.Counter("emu.trace.severs"),
-		TLBReadHits:        r.Counter("emu.tlb.read.hits"),
-		TLBReadMisses:      r.Counter("emu.tlb.read.misses"),
-		TLBWriteHits:       r.Counter("emu.tlb.write.hits"),
-		TLBWriteMisses:     r.Counter("emu.tlb.write.misses"),
-		TLBFetchHits:       r.Counter("emu.tlb.fetch.hits"),
-		TLBFetchMisses:     r.Counter("emu.tlb.fetch.misses"),
 		reg:                r,
 	}
 	for k := 0; k < numFuseKinds; k++ {

@@ -20,15 +20,15 @@ import (
 // normal dispatcher. A looping trace (its predicted path returns to its own
 // entry) executes multiple passes per dispatch, hoisting the Run loop's
 // gates to one check per pass. Fusion already happened when the blocks were
-// built, so a trace inherits its superops (mul+add, slli+add+ld,
+// built, so a trace inherits its superops (mul+add, slli+add+fld,
 // addi+branch, addi+jal) without a second pass.
 //
 // Blocks and traces run through one executor, runStream: a switch over the
 // op kinds with guest register numbers pre-masked. A block is simply a
 // stream of one block that does not loop and whose closing branch has no
-// prediction. Trace copies of memory ops add a one-entry page cache (one
+// prediction. Every memory op carries a one-entry page cache (one
 // translation per distinct page per op, valid because mapped pages are
-// immortal — see Memory).
+// immortal — see Memory), and a trace copy inherits its block op's.
 //
 // Op layout: a traceOp is 48 bytes and holds only what the predicted path
 // reads — kind, registers, flags, immediate, two folded constants and the
@@ -46,11 +46,11 @@ import (
 // Bit-identity contract: Cycles, Instret, and the virtual clock derived
 // from them must match per-instruction dispatch exactly, in every exit
 // case. Cost is charged per constituent via those prefix sums: a side
-// exit, fault, watch hit, or fused-pair split charges exactly the
-// committed prefix (exitAt; a fused op's constituents before its last are
-// preC), and the sampling gate uses the stream's worst-case single pass
-// (maxCost), so a stream is only dispatched (and a pass only started) when
-// even its worst case cannot cross the pending sample mark. SMC coherence
+// exit, fault, or watch hit charges exactly the committed prefix (exitAt;
+// a fused op's constituents before its last are preC), and the sampling
+// gate uses the stream's worst-case single pass (maxCost), so a stream is
+// only dispatched (and a pass only started) when even its worst case
+// cannot cross the pending sample mark. SMC coherence
 // rides the icache generation: a stream records the generation it was
 // built under, stores re-check it (retiring the prefix and re-dispatching),
 // and a stale block or trace is rebuilt or severed at dispatch. A write
@@ -62,13 +62,13 @@ import (
 // Traces contain no syscalls, counter-CSR reads, fence.i, or ebreaks —
 // blocks ending in otExec end the walk — so Exited and the counters
 // visible to CSR reads cannot change mid-trace. What a DBI engine emits
-// runs at the speed of ordinary code: dbi.acc and the lookup stubs'
-// scratch-CSR moves have their own op kinds, and a dbi.jt ends the trace
-// the way an indirect jalr does. Every trace exit chains like a block exit:
-// a side exit through its own segment's successor link, a dbi.jt or jalr
-// or falling off the end through the stream's two. Those links feed the
-// same hotness trigger, so a hot return site a trace keeps leaving to
-// becomes a trace head in its turn.
+// runs at the speed of ordinary code: dbi.acc has its own op kind, the
+// lookup stubs' scratch-CSR ops stay in the stream through csrOp, and a
+// dbi.jt ends the trace the way an indirect jalr does. Every trace exit
+// chains like a block exit: a side exit through its own segment's
+// successor link, a dbi.jt or jalr or falling off the end through the
+// stream's two. Those links feed the same hotness trigger, so a hot return
+// site a trace keeps leaving to becomes a trace head in its turn.
 
 // Trace build limits and the hotness trigger: a chain link must be taken
 // traceHotMask+1 times before its target is considered a trace head.
@@ -83,9 +83,8 @@ const (
 // An op's constituents are insts[at : at+n] of the block it was built in
 // (instOf), and that block's cycle prefix sums give its cost and the cost
 // before it, so an exit works out its charge from at alone (exitOf). A
-// trace op also names the segment it was copied into (seg), and a trace's
-// memory op caches one page: pg, tagged with page index + 1 in aux2 (0 =
-// empty; otAuipcLd, whose address is aux2, caches when pg is nil).
+// trace op also names the segment it was copied into (seg). A memory op
+// caches one page: pg, tagged with page index + 1 in aux2 (0 = empty).
 type traceOp struct {
 	kind      uint8
 	n         uint8 // constituents this op retires
@@ -96,14 +95,13 @@ type traceOp struct {
 	predTaken bool  // branches: the direction compiled as the trace's path
 	end       bool  // branches: no prediction, leave the stream either way
 	store     bool  // writes memory: check the watch and generation after
-	cache     bool  // memory ops: use the page cache (trace copies only)
 	at        uint8 // index of the first constituent in its block's insts
 	seg       uint8 // trace ops: index of the copied block in stream.segs
 	mn        riscv.Mnemonic
 	imm       int64
 	aux       uint64 // folded constant / shift amount / branch or jump target
 	aux2      uint64 // second constant / fallthrough PC / link value / page tag
-	pg        *page  // page cache (trace memory ops)
+	pg        *page  // page cache (memory ops)
 }
 
 // stream is one compiled op sequence: a superblock's, or a trace's (hot).
@@ -207,7 +205,7 @@ func (c *CPU) seal(b *block) {
 	s.segs = b.self[:]
 }
 
-func isBranch(kind uint8) bool { return kind == otBr || kind == otCmpBr || kind == otAddiBr }
+func isBranch(kind uint8) bool { return kind == otBr || kind == otAddiBr }
 
 // maybeTrace is the hotness trigger, called from chainNext when a chain link
 // out of a block or a trace crosses a hit threshold. The target becomes a
@@ -290,8 +288,7 @@ func (c *CPU) buildTrace(head *block, entry uint64) {
 		i := len(t.ops)
 		t.ops = append(t.ops, p.b.ops...)
 		for j := i; j < len(t.ops); j++ {
-			op := &t.ops[j]
-			op.seg, op.cache = uint8(k), true
+			t.ops[j].seg = uint8(k)
 		}
 		if p.predict {
 			last := &t.ops[len(t.ops)-1]
@@ -369,12 +366,12 @@ func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64,
 		for i := 0; i < len(ops); i++ {
 			op := &ops[i]
 			switch op.kind {
-			case otStraight, otCmp:
+			case otStraight:
 				if err := c.execStraight(s.instOf(op)); err != nil {
 					return c.opFault(s, op, retired, 0, err)
 				}
 				if op.store && (c.watchHit || s.gen != c.icGen) {
-					return c.storeExit(s, op, retired, op.n)
+					return c.storeExit(s, op, retired)
 				}
 			case otCSR:
 				if err := c.csrOp(s.instOf(op)); err != nil {
@@ -384,33 +381,15 @@ func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64,
 				if dc := c.DBIComp; dc == nil || !dc.apply(op.imm+2048) {
 					return c.opFault(s, op, retired, 0, c.execStraight(s.instOf(op)))
 				}
-			case otScratchW:
-				dc := c.DBIComp
-				if dc == nil {
-					return c.opFault(s, op, retired, 0, c.csrOp(s.instOf(op)))
-				}
-				dc.Scratch[op.aux] = c.X[op.rs1&31]
-			case otScratchR:
-				dc := c.DBIComp
-				if dc == nil {
-					return c.opFault(s, op, retired, 0, c.csrOp(s.instOf(op)))
-				}
-				c.X[op.rd&31] = dc.Scratch[op.aux]
 			case otAddi:
 				c.X[op.rd&31] = c.X[op.rs1&31] + uint64(op.imm)
 			case otAdd:
 				c.X[op.rd&31] = c.X[op.rs1&31] + c.X[op.rs2&31]
-			case otSub:
-				c.X[op.rd&31] = c.X[op.rs1&31] - c.X[op.rs2&31]
 			case otSlli:
 				c.X[op.rd&31] = c.X[op.rs1&31] << uint(op.imm)
-			case otAndi:
-				c.X[op.rd&31] = c.X[op.rs1&31] & uint64(op.imm)
-			case otSrli:
-				c.X[op.rd&31] = c.X[op.rs1&31] >> uint(op.imm)
 			case otAddiw:
 				c.X[op.rd&31] = sext32(uint32(c.X[op.rs1&31]) + uint32(op.imm))
-			case otLui, otAuipc:
+			case otLui:
 				c.X[op.rd&31] = op.aux
 			case otMul:
 				c.X[op.rd&31] = c.X[op.rs1&31] * c.X[op.rs2&31]
@@ -426,31 +405,12 @@ func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64,
 					}
 					c.X[op.rd&31] = v
 				}
-			case otLw:
-				a := c.X[op.rs1&31] + uint64(op.imm)
-				if a>>pageBits+1 == op.aux2 && a&pageMask <= pageSize-4 {
-					p, o := op.pg, a&pageMask
-					c.X[op.rd&31] = sext32(binary.LittleEndian.Uint32(p[o:]))
-				} else {
-					v, err := c.traceRead32(op, a)
-					if err != nil {
-						return c.opFault(s, op, retired, 0, err)
-					}
-					c.X[op.rd&31] = sext32(v)
-				}
 			case otSd:
 				if err := c.traceWrite64(op, c.X[op.rs1&31]+uint64(op.imm), c.X[op.rs2&31]); err != nil {
 					return c.opFault(s, op, retired, 0, err)
 				}
 				if c.watchHit || s.gen != c.icGen {
-					return c.storeExit(s, op, retired, 1)
-				}
-			case otSw:
-				if err := c.traceWrite32(op, c.X[op.rs1&31]+uint64(op.imm), uint32(c.X[op.rs2&31])); err != nil {
-					return c.opFault(s, op, retired, 0, err)
-				}
-				if c.watchHit || s.gen != c.icGen {
-					return c.storeExit(s, op, retired, 1)
+					return c.storeExit(s, op, retired)
 				}
 			case otFld:
 				a := c.X[op.rs1&31] + uint64(op.imm)
@@ -469,81 +429,24 @@ func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64,
 					return c.opFault(s, op, retired, 0, err)
 				}
 				if c.watchHit || s.gen != c.icGen {
-					return c.storeExit(s, op, retired, 1)
+					return c.storeExit(s, op, retired)
 				}
 			case otFmaddd:
 				c.F[op.rd&31] = math.Float64bits(math.FMA(
 					math.Float64frombits(c.F[op.rs1&31]),
 					math.Float64frombits(c.F[op.rs2&31]),
 					math.Float64frombits(c.F[op.rs3&31])))
-			case otFaddd:
-				c.F[op.rd&31] = math.Float64bits(
-					math.Float64frombits(c.F[op.rs1&31]) + math.Float64frombits(c.F[op.rs2&31]))
-			case otFmuld:
-				c.F[op.rd&31] = math.Float64bits(
-					math.Float64frombits(c.F[op.rs1&31]) * math.Float64frombits(c.F[op.rs2&31]))
 			case otConstPair:
 				c.X[op.rd&31] = op.aux
 				c.X[op.rs3&31] = op.aux2
-			case otAuipcLd:
-				c.X[op.rd&31] = op.aux // the auipc retires first
-				v, err := c.constRead64(op)
-				if err != nil {
-					return c.opFault(s, op, retired, 1, err)
-				}
-				c.X[op.rs3&31] = v
 			case otSlliAdd:
 				v := c.X[op.rs1&31] << uint(op.imm)
 				c.X[op.rd&31] = v
 				c.X[op.rs3&31] = v + c.X[op.rs2&31] // read after the shift commits
-			case otLdPair:
-				a := c.X[op.rs1&31] + uint64(op.imm)
-				v, err := c.traceRead64(op, a)
-				if err != nil {
-					return c.opFault(s, op, retired, 0, err)
-				}
-				c.X[op.rd&31] = v
-				if v, err = c.traceRead64(op, a+8); err != nil {
-					return c.opFault(s, op, retired, 1, err)
-				}
-				c.X[op.rs3&31] = v
-			case otSdPair:
-				a := c.X[op.rs1&31] + uint64(op.imm)
-				if err := c.traceWrite64(op, a, c.X[op.rs2&31]); err != nil {
-					return c.opFault(s, op, retired, 0, err)
-				}
-				if c.watchHit || s.gen != c.icGen {
-					// The first store hit the watch or invalidated cached
-					// code (the second constituent's bytes may have just
-					// been rewritten): retire it alone and re-dispatch.
-					return c.storeExit(s, op, retired, 1)
-				}
-				if err := c.traceWrite64(op, a+8, c.X[op.rs3&31]); err != nil {
-					return c.opFault(s, op, retired, 1, err)
-				}
-				if c.watchHit || s.gen != c.icGen {
-					return c.storeExit(s, op, retired, 2)
-				}
 			case otMulAdd:
 				v := c.X[op.rs1&31] * c.X[op.rs2&31]
 				c.X[op.rd&31] = v
 				c.X[op.rs3&31] = v + c.X[op.rs4&31] // read after the mul commits
-			case otSlliAddLd:
-				v := c.X[op.rs1&31] << uint(op.aux)
-				c.X[op.rd&31] = v
-				u := v + c.X[op.rs2&31]
-				c.X[op.rs3&31] = u
-				a := u + uint64(op.imm)
-				if a>>pageBits+1 == op.aux2 && a&pageMask <= pageSize-8 {
-					p, o := op.pg, a&pageMask
-					c.X[op.rs4&31] = binary.LittleEndian.Uint64(p[o:])
-				} else {
-					val, err := c.traceRead64(op, a)
-					if err != nil {
-						return c.opFault(s, op, retired, 2, err)
-					}
-					c.X[op.rs4&31] = val
-				}
 			case otSlliAddFld:
 				v := c.X[op.rs1&31] << uint(op.aux)
 				c.X[op.rd&31] = v
@@ -564,11 +467,6 @@ func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64,
 				if taken := branchTaken(op.mn, c.X[op.rs1&31], c.X[op.rs2&31]); taken != op.predTaken || op.end {
 					return c.branchExit(s, op, retired, taken)
 				}
-			case otCmpBr:
-				_ = c.execStraight(s.instOf(op)) // slt{,u,i,iu} cannot fail
-				if taken := branchTaken(op.mn, c.X[op.rs1&31], c.X[op.rs2&31]); taken != op.predTaken || op.end {
-					return c.branchExit(s, op, retired, taken)
-				}
 			case otAddiBr:
 				c.X[op.rd&31] = c.X[op.rs1&31] + uint64(op.imm)
 				if taken := branchTaken(op.mn, c.X[op.rs3&31], c.X[op.rs4&31]); taken != op.predTaken || op.end {
@@ -580,11 +478,6 @@ func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64,
 				}
 			case otAddiJal:
 				c.X[op.rd&31] = c.X[op.rs1&31] + uint64(op.imm)
-				if op.rs3 != 0 {
-					c.X[op.rs3&31] = op.aux2
-				}
-			case otAuipcJalr:
-				c.X[op.rd&31] = uint64(op.imm)
 				if op.rs3 != 0 {
 					c.X[op.rs3&31] = op.aux2
 				}
@@ -669,14 +562,14 @@ func (c *CPU) opFault(s *stream, op *traceOp, retired uint64, k uint8, err error
 	return retired, c.trap(in, err)
 }
 
-// storeExit leaves the stream after k constituents of op committed, the
-// last a store that either hit the code watch or invalidated cached code
-// (possibly this very stream). The Run loop reports the watch hit.
-func (c *CPU) storeExit(s *stream, op *traceOp, retired uint64, k uint8) (uint64, StopReason) {
+// storeExit leaves the stream after op committed, its store (always its
+// last constituent) having either hit the code watch or invalidated cached
+// code (possibly this very stream). The Run loop reports the watch hit.
+func (c *CPU) storeExit(s *stream, op *traceOp, retired uint64) (uint64, StopReason) {
 	if s.hot && !c.watchHit {
 		c.traceSevers++
 	}
-	return c.exitAt(s, op, retired, k), stopNone
+	return c.exitAt(s, op, retired, op.n), stopNone
 }
 
 // jumpExit leaves the stream through the indirect jump op (jalr or
@@ -708,38 +601,16 @@ func (c *CPU) branchExit(s *stream, op *traceOp, retired uint64, taken bool) (ui
 	return retired + n, stopNone
 }
 
-// branchTaken evaluates a conditional-branch condition on two operands.
-func branchTaken(mn riscv.Mnemonic, rs1, rs2 uint64) bool {
-	switch mn {
-	case riscv.MnBEQ:
-		return rs1 == rs2
-	case riscv.MnBNE:
-		return rs1 != rs2
-	case riscv.MnBLT:
-		return int64(rs1) < int64(rs2)
-	case riscv.MnBGE:
-		return int64(rs1) >= int64(rs2)
-	case riscv.MnBLTU:
-		return rs1 < rs2
-	case riscv.MnBGEU:
-		return rs1 >= rs2
-	}
-	return false
-}
-
-// Memory helpers: one-entry per-op page caches. The hit path (tag compare
-// + in-page access) is inlined in runStream; these outlined helpers handle
-// misses — refilling through the ordinary TLB path so translation stats
-// stay attributed, caching the page, which can never go stale because
-// mapped pages are immortal — and accesses that straddle a page or come
-// from a block's own ops, which take the generic accessors. Only trace
-// copies cache: their ops repeat, while a block's share the TLB with the
-// slow path.
+// Memory helpers: one-entry per-op page caches. The load hit path (tag
+// compare + in-page access) is inlined in runStream; these outlined helpers
+// handle load misses and every store, refilling the cache on a miss. A
+// cached page can never go stale because mapped pages are immortal (see
+// Memory). Accesses that straddle a page take the generic accessors.
 
 func (c *CPU) traceRead64(op *traceOp, a uint64) (uint64, error) {
-	if op.cache && a&pageMask <= pageSize-8 {
+	if a&pageMask <= pageSize-8 {
 		if a>>pageBits+1 != op.aux2 {
-			p := c.Mem.readPage(a)
+			p := c.Mem.pageOf(a)
 			if p == nil {
 				return 0, &MemFault{Addr: a}
 			}
@@ -751,25 +622,10 @@ func (c *CPU) traceRead64(op *traceOp, a uint64) (uint64, error) {
 	return c.Mem.Read64(a)
 }
 
-func (c *CPU) traceRead32(op *traceOp, a uint64) (uint32, error) {
-	if op.cache && a&pageMask <= pageSize-4 {
-		if a>>pageBits+1 != op.aux2 {
-			p := c.Mem.readPage(a)
-			if p == nil {
-				return 0, &MemFault{Addr: a}
-			}
-			op.aux2, op.pg = a>>pageBits+1, p
-		}
-		p, o := op.pg, a&pageMask
-		return binary.LittleEndian.Uint32(p[o:]), nil
-	}
-	return c.Mem.Read32(a)
-}
-
 func (c *CPU) traceWrite64(op *traceOp, a, v uint64) error {
-	if op.cache && a&pageMask <= pageSize-8 {
+	if a&pageMask <= pageSize-8 {
 		if a>>pageBits+1 != op.aux2 {
-			p := c.Mem.writePage(a)
+			p := c.Mem.pageOf(a)
 			if p == nil {
 				return &MemFault{Addr: a, Write: true}
 			}
@@ -780,35 +636,4 @@ func (c *CPU) traceWrite64(op *traceOp, a, v uint64) error {
 		return c.storeCheck(a, 8, nil)
 	}
 	return c.storeCheck(a, 8, c.Mem.Write64(a, v))
-}
-
-func (c *CPU) traceWrite32(op *traceOp, a uint64, v uint32) error {
-	if op.cache && a&pageMask <= pageSize-4 {
-		if a>>pageBits+1 != op.aux2 {
-			p := c.Mem.writePage(a)
-			if p == nil {
-				return &MemFault{Addr: a, Write: true}
-			}
-			op.aux2, op.pg = a>>pageBits+1, p
-		}
-		p, o := op.pg, a&pageMask
-		binary.LittleEndian.PutUint32(p[o:], v)
-		return c.storeCheck(a, 4, nil)
-	}
-	return c.storeCheck(a, 4, c.Mem.Write32(a, v))
-}
-
-// constRead64 is otAuipcLd's load from its folded address aux2: the page
-// cache holds the page once pg is set.
-func (c *CPU) constRead64(op *traceOp) (uint64, error) {
-	a := op.aux2
-	if op.pg == nil {
-		if !op.cache || a&pageMask > pageSize-8 {
-			return c.Mem.Read64(a)
-		}
-		if op.pg = c.Mem.readPage(a); op.pg == nil {
-			return 0, &MemFault{Addr: a}
-		}
-	}
-	return binary.LittleEndian.Uint64(op.pg[a&pageMask:]), nil
 }
