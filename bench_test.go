@@ -397,13 +397,18 @@ func BenchmarkPipelineBatch8(b *testing.B) { benchPipelineBatch(b, 8) }
 // ---------------------------------------------------------------------------
 // Substrate microbenchmarks: decoder and emulator throughput.
 
+// BenchmarkDecode32 decodes the 32-bit words of the matmul workload built
+// without compression, in text order: the instruction mix the parser sees.
 func BenchmarkDecode32(b *testing.B) {
-	w := riscv.MustEncode(riscv.Inst{Mn: riscv.MnADD, Rd: riscv.RegA0,
-		Rs1: riscv.RegA1, Rs2: riscv.RegA2, Rs3: riscv.RegNone})
-	buf := []byte{byte(w), byte(w >> 8), byte(w >> 16), byte(w >> 24)}
+	f, err := workload.BuildMatmul(benchN, benchReps, asm.Options{NoCompress: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	text := f.Section(".text").Data
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := riscv.Decode(buf, 0x1000); err != nil {
+		off := i * 4 % len(text)
+		if _, err := riscv.Decode(text[off:off+4], 0x1000); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -204,3 +204,53 @@ _start:
 		t.Errorf("word -3 = % x", d[2:6])
 	}
 }
+
+// TestRegisterFileChecked: an operand from the wrong register file is an
+// error, not a silent switch to the same-numbered register of the other
+// file (Encode keeps only the register number). Pseudo-instructions are
+// checked on their expansion.
+func TestRegisterFileChecked(t *testing.T) {
+	cases := []struct {
+		src string
+		ok  bool
+	}{
+		{"fadd.d a0, a1, a2", false},
+		{"fadd.d fa0, fa1, fa2", true},
+		{"ld fa0, 0(fa1)", false},
+		{"ld a0, 0(a1)", true},
+		{"fld fa0, 0(fa1)", false},
+		{"fld fa0, 0(a1)", true},
+		{"fsd a0, 8(sp)", false},
+		{"fsd fa0, 8(sp)", true},
+		{"fcvt.w.d fa0, a1", false},
+		{"fcvt.w.d a0, fa1", true},
+		{"fcvt.d.l a0, fa1", false},
+		{"fcvt.d.l fa0, a1", true},
+		{"feq.d fa0, fa1, fa2", false},
+		{"feq.d a0, fa1, fa2", true},
+		{"fmv.x.d fa0, fa1", false},
+		{"fmv.x.d a0, fa1", true},
+		{"fmv.d.x fa0, fa1", false},
+		{"fmv.d.x fa0, a1", true},
+		{"fmadd.d fa0, fa1, fa2, a3", false},
+		{"fmadd.d fa0, fa1, fa2, fa3", true},
+		{"add a0, a1, fa2", false},
+		{"fmv.d a0, a1", false},
+		{"fmv.d fa0, fa1", true},
+		{"mv fa0, a1", false},
+		{"mv a0, a1", true},
+		{"li fa0, 5", false},
+		{"beqz fa0, _start", false},
+	}
+	for _, c := range cases {
+		for _, opts := range []Options{{}, {NoCompress: true}} {
+			_, err := Assemble("_start:\n\t"+c.src+"\n", opts)
+			if c.ok && err != nil {
+				t.Errorf("%q (%+v): %v", c.src, opts, err)
+			}
+			if !c.ok && (err == nil || !strings.Contains(err.Error(), "register, not")) {
+				t.Errorf("%q (%+v) assembled (err %v); want a register-file error", c.src, opts, err)
+			}
+		}
+	}
+}

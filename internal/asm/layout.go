@@ -200,6 +200,9 @@ func (a *assembler) buildFile() (*elfrv.File, error) {
 			case itemAlign:
 				data = append(data, a.padding(exec, it.size)...)
 			case itemInst:
+				if err := riscv.CheckRegFiles(it.inst); err != nil {
+					return nil, fmt.Errorf("line %d: %v", it.line, err)
+				}
 				b, err := riscv.EncodeBytes(it.inst)
 				if err != nil {
 					return nil, fmt.Errorf("line %d: %v", it.line, err)

@@ -40,7 +40,7 @@ func (i Inst) RegsRead() RegSet {
 		if i.Rs2 != RegNone {
 			s.Add(i.Rs2)
 		}
-		if i.Rs3 != RegNone && isFMA(i.Mn) {
+		if i.Rs3 != RegNone && IsFMA(i.Mn) {
 			s.Add(i.Rs3)
 		}
 		if i.Cat() == CatBranch {

@@ -51,553 +51,190 @@ func immJ(w uint32) int64 {
 	return int64(int32(v) << 11 >> 11)
 }
 
+// decodeRow is one encTable row as the decoder sees it: the bits that
+// identify the instruction (mask/match) and how to unpack the rest.
+type decodeRow struct {
+	mask, match uint32
+	mn          Mnemonic
+	form        form
+	float       uint8 // operand slots in the float register file (floatOperands)
+	hasRM       bool
+	rs2fixed    bool
+}
+
+// decodeIndex holds the rows of every 32-bit encoding, keyed by funct3<<7
+// | opcode; a row whose funct3 field is free sits under all 8 of its keys.
+type decodeIndex [1 << 10][]decodeRow
+
+// decIndex indexes encTable's base rows; extension modules add theirs from
+// init through defineInst.
+var decIndex = func() *decodeIndex {
+	x := new(decodeIndex)
+	for mn, spec := range encTable {
+		if spec.form != formNone {
+			x.add(Mnemonic(mn), spec)
+		}
+	}
+	return x
+}()
+
+// defineInst installs one extension instruction: its mnemonic metadata,
+// its encTable row and that row's decoder index entry.
+func defineInst(mn Mnemonic, name string, ext ExtSet, cat Category, spec encSpec) {
+	registerMnemonic(mn, name, ext, cat)
+	encTable[mn] = spec
+	decIndex.add(mn, spec)
+}
+
+// fixedBits returns the bits of a 32-bit word that identify spec's
+// instruction and their values.
+func fixedBits(spec encSpec) (mask, match uint32) {
+	mask, match = 0x7f, spec.opcode
+	if spec.form != formU && spec.form != formJ && !spec.hasRM {
+		mask, match = mask|7<<12, match|spec.f3<<12
+	}
+	switch spec.form {
+	case formR:
+		mask, match = mask|0x7f<<25, match|spec.f7<<25
+	case formR4:
+		mask, match = mask|3<<25, match|spec.f7<<25
+	case formIShift:
+		mask, match = mask|0x3f<<26, match|spec.f7<<26
+	case formIShiftW:
+		mask, match = mask|0x7f<<25, match|spec.f7<<25
+	case formAMO:
+		mask, match = mask|0x1f<<27, match|spec.f7>>2<<27
+	case formSys:
+		mask, match = 0xffffffff, match|spec.sysImm<<20
+	}
+	if spec.rs2fixed {
+		mask, match = mask|0x1f<<20, match|spec.rs2val<<20
+	}
+	return mask, match
+}
+
+// add indexes mn's row. It panics if some word would match both it and a
+// row already indexed.
+func (x *decodeIndex) add(mn Mnemonic, spec encSpec) {
+	mask, match := fixedBits(spec)
+	row := decodeRow{mask: mask, match: match, mn: mn, form: spec.form,
+		float: floatOperands(spec.opcode, spec.f7), hasRM: spec.hasRM, rs2fixed: spec.rs2fixed}
+	var keys []uint32
+	for f3 := uint32(0); f3 < 8; f3++ {
+		if mask&(7<<12) == 0 || f3 == spec.f3 {
+			keys = append(keys, f3<<7|spec.opcode)
+		}
+	}
+	for _, k := range keys {
+		for _, r := range x[k] {
+			if (r.match^match)&r.mask&mask == 0 {
+				panic(fmt.Sprintf("riscv: %v encoding collides with %v", mn, r.mn))
+			}
+		}
+	}
+	for _, k := range keys {
+		x[k] = append(x[k], row)
+	}
+}
+
+// Operand slots, as bits of floatOperands' result.
+const (
+	slotRd = 1 << iota
+	slotRs1
+	slotRs2
+	slotRs3
+)
+
+// floatOperands returns the operand slots that name floating-point
+// registers in an encoding with the given opcode and funct7; every other
+// slot names an integer register.
+func floatOperands(opcode, f7 uint32) uint8 {
+	switch opcode {
+	case opLoadFP:
+		return slotRd
+	case opStorFP:
+		return slotRs2
+	case opFMADD, opFMSUB, opFNMSUB, opFNMADD:
+		return slotRd | slotRs1 | slotRs2 | slotRs3
+	case opFP:
+		switch f7 >> 2 {
+		case 0b11000, 0b11100: // fcvt.{w,l}[u].*, fmv.x.*, fclass.*
+			return slotRs1
+		case 0b11010, 0b11110: // fcvt.*.{w,l}[u], fmv.*.x
+			return slotRd
+		case 0b10100: // feq, flt, fle
+			return slotRs1 | slotRs2
+		}
+		return slotRd | slotRs1 | slotRs2
+	}
+	return 0
+}
+
+// operandReg returns register n of the file that slot names in float.
+func operandReg(n uint32, float, slot uint8) Reg {
+	if float&slot != 0 {
+		return FReg(n)
+	}
+	return XReg(n)
+}
+
 func decode32(w uint32, addr uint64) (Inst, error) {
 	inst := Inst{
 		Addr: addr, Raw: w, Len: 4,
 		Rd: RegNone, Rs1: RegNone, Rs2: RegNone, Rs3: RegNone,
 	}
-	opcode := w & 0x7f
-	rd := bits(w, 11, 7)
-	f3 := bits(w, 14, 12)
-	rs1 := bits(w, 19, 15)
-	rs2 := bits(w, 24, 20)
-	f7 := bits(w, 31, 25)
-
-	ill := func() (Inst, error) {
-		inst.Mn = MnInvalid
+	rows := decIndex[w>>5&(7<<7)|w&0x7f]
+	var r *decodeRow
+	for i := range rows {
+		if w&rows[i].mask == rows[i].match {
+			r = &rows[i]
+			break
+		}
+	}
+	if r == nil {
 		return inst, fmt.Errorf("%w: 0x%08x at 0x%x", ErrIllegal, w, addr)
 	}
-
-	switch opcode {
-	case opLUI, opAUIPC:
-		inst.Mn = MnLUI
-		if opcode == opAUIPC {
-			inst.Mn = MnAUIPC
-		}
-		inst.Rd = XReg(rd)
-		inst.Imm = immU(w)
-	case opJAL:
-		inst.Mn = MnJAL
-		inst.Rd = XReg(rd)
-		inst.Imm = immJ(w)
-	case opJALR:
-		if f3 != 0 {
-			return ill()
-		}
-		inst.Mn = MnJALR
-		inst.Rd = XReg(rd)
-		inst.Rs1 = XReg(rs1)
-		inst.Imm = immI(w)
-	case opBranch:
-		switch f3 {
-		case 0:
-			inst.Mn = MnBEQ
-		case 1:
-			inst.Mn = MnBNE
-		case 4:
-			inst.Mn = MnBLT
-		case 5:
-			inst.Mn = MnBGE
-		case 6:
-			inst.Mn = MnBLTU
-		case 7:
-			inst.Mn = MnBGEU
-		default:
-			return ill()
-		}
-		inst.Rs1 = XReg(rs1)
-		inst.Rs2 = XReg(rs2)
-		inst.Imm = immB(w)
-	case opLoad:
-		switch f3 {
-		case 0:
-			inst.Mn = MnLB
-		case 1:
-			inst.Mn = MnLH
-		case 2:
-			inst.Mn = MnLW
-		case 3:
-			inst.Mn = MnLD
-		case 4:
-			inst.Mn = MnLBU
-		case 5:
-			inst.Mn = MnLHU
-		case 6:
-			inst.Mn = MnLWU
-		default:
-			return ill()
-		}
-		inst.Rd = XReg(rd)
-		inst.Rs1 = XReg(rs1)
-		inst.Imm = immI(w)
-	case opLoadFP:
-		switch f3 {
-		case 2:
-			inst.Mn = MnFLW
-		case 3:
-			inst.Mn = MnFLD
-		default:
-			return ill()
-		}
-		inst.Rd = FReg(rd)
-		inst.Rs1 = XReg(rs1)
-		inst.Imm = immI(w)
-	case opStore:
-		switch f3 {
-		case 0:
-			inst.Mn = MnSB
-		case 1:
-			inst.Mn = MnSH
-		case 2:
-			inst.Mn = MnSW
-		case 3:
-			inst.Mn = MnSD
-		default:
-			return ill()
-		}
-		inst.Rs1 = XReg(rs1)
-		inst.Rs2 = XReg(rs2)
-		inst.Imm = immS(w)
-	case opStorFP:
-		switch f3 {
-		case 2:
-			inst.Mn = MnFSW
-		case 3:
-			inst.Mn = MnFSD
-		default:
-			return ill()
-		}
-		inst.Rs1 = XReg(rs1)
-		inst.Rs2 = FReg(rs2)
-		inst.Imm = immS(w)
-	case opOpImm:
-		inst.Rd = XReg(rd)
-		inst.Rs1 = XReg(rs1)
-		switch f3 {
-		case 0:
-			inst.Mn = MnADDI
-			inst.Imm = immI(w)
-		case 2:
-			inst.Mn = MnSLTI
-			inst.Imm = immI(w)
-		case 3:
-			inst.Mn = MnSLTIU
-			inst.Imm = immI(w)
-		case 4:
-			inst.Mn = MnXORI
-			inst.Imm = immI(w)
-		case 6:
-			inst.Mn = MnORI
-			inst.Imm = immI(w)
-		case 7:
-			inst.Mn = MnANDI
-			inst.Imm = immI(w)
-		case 1:
-			if f7>>1 != 0 {
-				return ill()
-			}
-			inst.Mn = MnSLLI
-			inst.Imm = int64(bits(w, 25, 20))
-		case 5:
-			switch f7 >> 1 {
-			case 0:
-				inst.Mn = MnSRLI
-			case 0b010000:
-				inst.Mn = MnSRAI
-			default:
-				return ill()
-			}
-			inst.Imm = int64(bits(w, 25, 20))
-		}
-	case opOpImmW:
-		inst.Rd = XReg(rd)
-		inst.Rs1 = XReg(rs1)
-		switch f3 {
-		case 0:
-			inst.Mn = MnADDIW
-			inst.Imm = immI(w)
-		case 1:
-			if f7 != 0 {
-				return ill()
-			}
-			inst.Mn = MnSLLIW
-			inst.Imm = int64(rs2)
-		case 5:
-			switch f7 {
-			case 0:
-				inst.Mn = MnSRLIW
-			case 0b0100000:
-				inst.Mn = MnSRAIW
-			default:
-				return ill()
-			}
-			inst.Imm = int64(rs2)
-		default:
-			return ill()
-		}
-	case opOp:
-		// Extension modules (rva23.go) may claim funct combinations the
-		// base ISA leaves unused.
-		if ext, ok := decodeExtR(inst, opcode, f3, f7, rd, rs1, rs2); ok {
-			return ext, nil
-		}
-		inst.Rd = XReg(rd)
-		inst.Rs1 = XReg(rs1)
-		inst.Rs2 = XReg(rs2)
-		switch f7 {
-		case 0:
-			switch f3 {
-			case 0:
-				inst.Mn = MnADD
-			case 1:
-				inst.Mn = MnSLL
-			case 2:
-				inst.Mn = MnSLT
-			case 3:
-				inst.Mn = MnSLTU
-			case 4:
-				inst.Mn = MnXOR
-			case 5:
-				inst.Mn = MnSRL
-			case 6:
-				inst.Mn = MnOR
-			case 7:
-				inst.Mn = MnAND
-			}
-		case 0b0100000:
-			switch f3 {
-			case 0:
-				inst.Mn = MnSUB
-			case 5:
-				inst.Mn = MnSRA
-			default:
-				return ill()
-			}
-		case 1:
-			switch f3 {
-			case 0:
-				inst.Mn = MnMUL
-			case 1:
-				inst.Mn = MnMULH
-			case 2:
-				inst.Mn = MnMULHSU
-			case 3:
-				inst.Mn = MnMULHU
-			case 4:
-				inst.Mn = MnDIV
-			case 5:
-				inst.Mn = MnDIVU
-			case 6:
-				inst.Mn = MnREM
-			case 7:
-				inst.Mn = MnREMU
-			}
-		default:
-			return ill()
-		}
-	case opOpW:
-		inst.Rd = XReg(rd)
-		inst.Rs1 = XReg(rs1)
-		inst.Rs2 = XReg(rs2)
-		switch f7 {
-		case 0:
-			switch f3 {
-			case 0:
-				inst.Mn = MnADDW
-			case 1:
-				inst.Mn = MnSLLW
-			case 5:
-				inst.Mn = MnSRLW
-			default:
-				return ill()
-			}
-		case 0b0100000:
-			switch f3 {
-			case 0:
-				inst.Mn = MnSUBW
-			case 5:
-				inst.Mn = MnSRAW
-			default:
-				return ill()
-			}
-		case 1:
-			switch f3 {
-			case 0:
-				inst.Mn = MnMULW
-			case 4:
-				inst.Mn = MnDIVW
-			case 5:
-				inst.Mn = MnDIVUW
-			case 6:
-				inst.Mn = MnREMW
-			case 7:
-				inst.Mn = MnREMUW
-			default:
-				return ill()
-			}
-		default:
-			return ill()
-		}
-	case opMisc:
-		switch f3 {
-		case 0:
-			inst.Mn = MnFENCE
-			inst.Imm = immI(w) & 0xfff
-		case 1:
-			inst.Mn = MnFENCEI
-		default:
-			return ill()
-		}
-	case opSystem:
-		switch f3 {
-		case 0:
-			if rd != 0 || rs1 != 0 {
-				return ill()
-			}
-			switch bits(w, 31, 20) {
-			case 0:
-				inst.Mn = MnECALL
-			case 1:
-				inst.Mn = MnEBREAK
-			default:
-				return ill()
-			}
-		case 1, 2, 3:
-			inst.Mn = [4]Mnemonic{0, MnCSRRW, MnCSRRS, MnCSRRC}[f3]
-			inst.Rd = XReg(rd)
-			inst.Rs1 = XReg(rs1)
-			inst.CSR = uint16(bits(w, 31, 20))
-		case 5, 6, 7:
-			inst.Mn = [8]Mnemonic{0, 0, 0, 0, 0, MnCSRRWI, MnCSRRSI, MnCSRRCI}[f3]
-			inst.Rd = XReg(rd)
-			inst.Imm = int64(rs1) // zimm
-			inst.CSR = uint16(bits(w, 31, 20))
-		default:
-			return ill()
-		}
-	case opAMO:
-		if f3 != 2 && f3 != 3 {
-			return ill()
-		}
-		d := f3 == 3
-		inst.Rd = XReg(rd)
-		inst.Rs1 = XReg(rs1)
-		inst.Rs2 = XReg(rs2)
-		inst.Aq = bits(w, 26, 26) == 1
-		inst.Rl = bits(w, 25, 25) == 1
-		type pair struct{ w, d Mnemonic }
-		var p pair
-		switch bits(w, 31, 27) {
-		case 0b00010:
-			if rs2 != 0 {
-				return ill()
-			}
-			p = pair{MnLRW, MnLRD}
-			inst.Rs2 = RegNone
-		case 0b00011:
-			p = pair{MnSCW, MnSCD}
-		case 0b00001:
-			p = pair{MnAMOSWAPW, MnAMOSWAPD}
-		case 0b00000:
-			p = pair{MnAMOADDW, MnAMOADDD}
-		case 0b00100:
-			p = pair{MnAMOXORW, MnAMOXORD}
-		case 0b01100:
-			p = pair{MnAMOANDW, MnAMOANDD}
-		case 0b01000:
-			p = pair{MnAMOORW, MnAMOORD}
-		case 0b10000:
-			p = pair{MnAMOMINW, MnAMOMIND}
-		case 0b10100:
-			p = pair{MnAMOMAXW, MnAMOMAXD}
-		case 0b11000:
-			p = pair{MnAMOMINUW, MnAMOMINUD}
-		case 0b11100:
-			p = pair{MnAMOMAXUW, MnAMOMAXUD}
-		default:
-			return ill()
-		}
-		if d {
-			inst.Mn = p.d
-		} else {
-			inst.Mn = p.w
-		}
-	case opFMADD, opFMSUB, opFNMSUB, opFNMADD:
-		fmtBits := bits(w, 26, 25)
-		if fmtBits > 1 {
-			return ill()
-		}
-		double := fmtBits == 1
-		var tbl map[uint32][2]Mnemonic = fmaTable
-		pairSel := 0
-		if double {
-			pairSel = 1
-		}
-		inst.Mn = tbl[opcode][pairSel]
-		inst.Rd = FReg(rd)
-		inst.Rs1 = FReg(rs1)
-		inst.Rs2 = FReg(rs2)
-		inst.Rs3 = FReg(bits(w, 31, 27))
-		inst.RM = uint8(f3)
-	case opFP:
-		return decodeFP(w, addr, inst, rd, f3, rs1, rs2, f7)
-	default:
-		// Extension modules (xdbi.go) may claim whole opcodes the base ISA
-		// leaves unused (the custom-* spaces).
-		if ext, ok := decodeExtI(inst, opcode, f3, rd, rs1, immI(w)); ok {
-			return ext, nil
-		}
-		return ill()
+	inst.Mn = r.mn
+	rd, rs1, rs2 := bits(w, 11, 7), bits(w, 19, 15), bits(w, 24, 20)
+	if r.hasRM {
+		inst.RM = uint8(bits(w, 14, 12))
 	}
-	if inst.Mn == MnInvalid {
-		return ill()
-	}
-	return inst, nil
-}
-
-var fmaTable = map[uint32][2]Mnemonic{
-	opFMADD:  {MnFMADDS, MnFMADDD},
-	opFMSUB:  {MnFMSUBS, MnFMSUBD},
-	opFNMSUB: {MnFNMSUBS, MnFNMSUBD},
-	opFNMADD: {MnFNMADDS, MnFNMADDD},
-}
-
-func decodeFP(w uint32, addr uint64, inst Inst, rd, f3, rs1, rs2, f7 uint32) (Inst, error) {
-	ill := func() (Inst, error) {
-		inst.Mn = MnInvalid
-		return inst, fmt.Errorf("%w: 0x%08x at 0x%x", ErrIllegal, w, addr)
-	}
-	inst.RM = uint8(f3)
-	// Default register classes; adjusted per instruction below.
-	inst.Rd = FReg(rd)
-	inst.Rs1 = FReg(rs1)
-	inst.Rs2 = FReg(rs2)
-
-	double := f7&1 == 1
-	sel := func(s, d Mnemonic) Mnemonic {
-		if double {
-			return d
+	switch r.form {
+	case formU:
+		inst.Rd, inst.Imm = XReg(rd), immU(w)
+	case formJ:
+		inst.Rd, inst.Imm = XReg(rd), immJ(w)
+	case formI:
+		inst.Rd, inst.Rs1, inst.Imm = operandReg(rd, r.float, slotRd), XReg(rs1), immI(w)
+	case formIShift:
+		inst.Rd, inst.Rs1, inst.Imm = XReg(rd), XReg(rs1), int64(bits(w, 25, 20))
+	case formIShiftW:
+		inst.Rd, inst.Rs1, inst.Imm = XReg(rd), XReg(rs1), int64(rs2)
+	case formS:
+		inst.Rs1, inst.Rs2, inst.Imm = XReg(rs1), operandReg(rs2, r.float, slotRs2), immS(w)
+	case formB:
+		inst.Rs1, inst.Rs2, inst.Imm = XReg(rs1), XReg(rs2), immB(w)
+	case formR, formR4, formAMO:
+		inst.Rd = operandReg(rd, r.float, slotRd)
+		inst.Rs1 = operandReg(rs1, r.float, slotRs1)
+		if !r.rs2fixed {
+			inst.Rs2 = operandReg(rs2, r.float, slotRs2)
 		}
-		return s
-	}
-	switch f7 &^ 1 {
-	case 0b0000000:
-		inst.Mn = sel(MnFADDS, MnFADDD)
-	case 0b0000100:
-		inst.Mn = sel(MnFSUBS, MnFSUBD)
-	case 0b0001000:
-		inst.Mn = sel(MnFMULS, MnFMULD)
-	case 0b0001100:
-		inst.Mn = sel(MnFDIVS, MnFDIVD)
-	case 0b0101100:
-		if rs2 != 0 {
-			return ill()
+		if r.form == formR4 {
+			inst.Rs3 = FReg(bits(w, 31, 27))
 		}
-		inst.Mn = sel(MnFSQRTS, MnFSQRTD)
-		inst.Rs2 = RegNone
-	case 0b0010000:
-		inst.RM = 0
-		switch f3 {
-		case 0:
-			inst.Mn = sel(MnFSGNJS, MnFSGNJD)
-		case 1:
-			inst.Mn = sel(MnFSGNJNS, MnFSGNJND)
-		case 2:
-			inst.Mn = sel(MnFSGNJXS, MnFSGNJXD)
-		default:
-			return ill()
+		if r.form == formAMO {
+			inst.Aq, inst.Rl = bits(w, 26, 26) == 1, bits(w, 25, 25) == 1
 		}
-	case 0b0010100:
-		inst.RM = 0
-		switch f3 {
-		case 0:
-			inst.Mn = sel(MnFMINS, MnFMIND)
-		case 1:
-			inst.Mn = sel(MnFMAXS, MnFMAXD)
-		default:
-			return ill()
+	case formCSR:
+		inst.Rd, inst.Rs1, inst.CSR = XReg(rd), XReg(rs1), uint16(bits(w, 31, 20))
+	case formCSRI:
+		inst.Rd, inst.Imm, inst.CSR = XReg(rd), int64(rs1), uint16(bits(w, 31, 20))
+	case formFence:
+		// fence carries fm|pred|succ; fence.i leaves its imm field unused.
+		if r.mn == MnFENCE {
+			inst.Imm = int64(bits(w, 31, 20))
 		}
-	case 0b0100000:
-		// fcvt.s.d (f7=0100000, rs2=1) and fcvt.d.s (f7=0100001, rs2=0).
-		switch {
-		case !double && rs2 == 1:
-			inst.Mn = MnFCVTSD
-		case double && rs2 == 0:
-			inst.Mn = MnFCVTDS
-		default:
-			return ill()
-		}
-		inst.Rs2 = RegNone
-	case 0b1100000:
-		// float -> integer
-		inst.Rd = XReg(rd)
-		switch rs2 {
-		case 0:
-			inst.Mn = sel(MnFCVTWS, MnFCVTWD)
-		case 1:
-			inst.Mn = sel(MnFCVTWUS, MnFCVTWUD)
-		case 2:
-			inst.Mn = sel(MnFCVTLS, MnFCVTLD)
-		case 3:
-			inst.Mn = sel(MnFCVTLUS, MnFCVTLUD)
-		default:
-			return ill()
-		}
-		inst.Rs2 = RegNone
-	case 0b1101000:
-		// integer -> float
-		inst.Rs1 = XReg(rs1)
-		switch rs2 {
-		case 0:
-			inst.Mn = sel(MnFCVTSW, MnFCVTDW)
-		case 1:
-			inst.Mn = sel(MnFCVTSWU, MnFCVTDWU)
-		case 2:
-			inst.Mn = sel(MnFCVTSL, MnFCVTDL)
-		case 3:
-			inst.Mn = sel(MnFCVTSLU, MnFCVTDLU)
-		default:
-			return ill()
-		}
-		inst.Rs2 = RegNone
-	case 0b1010000:
-		inst.Rd = XReg(rd)
-		inst.RM = 0
-		switch f3 {
-		case 2:
-			inst.Mn = sel(MnFEQS, MnFEQD)
-		case 1:
-			inst.Mn = sel(MnFLTS, MnFLTD)
-		case 0:
-			inst.Mn = sel(MnFLES, MnFLED)
-		default:
-			return ill()
-		}
-	case 0b1110000:
-		if rs2 != 0 {
-			return ill()
-		}
-		inst.Rd = XReg(rd)
-		inst.Rs2 = RegNone
-		inst.RM = 0
-		switch f3 {
-		case 0:
-			inst.Mn = sel(MnFMVXW, MnFMVXD)
-		case 1:
-			inst.Mn = sel(MnFCLASSS, MnFCLASSD)
-		default:
-			return ill()
-		}
-	case 0b1111000:
-		if rs2 != 0 || f3 != 0 {
-			return ill()
-		}
-		inst.Rs1 = XReg(rs1)
-		inst.Rs2 = RegNone
-		inst.RM = 0
-		inst.Mn = sel(MnFMVWX, MnFMVDX)
-	default:
-		return ill()
 	}
 	return inst, nil
 }

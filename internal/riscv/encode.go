@@ -60,8 +60,10 @@ const (
 )
 
 // encTable holds each mnemonic's encoding, indexed by mnemonic so Encode
-// reads it without hashing; a slot whose form is formNone has none.
-// Extension modules fill their slots from init (see rva23.go).
+// reads it without hashing; a slot whose form is formNone has none. It is
+// the only description of a 32-bit encoding: decode32 matches words
+// against an index derived from it (decode.go). Extension modules fill
+// their slots from init through defineInst (see rva23.go).
 var encTable = [numMnemonics]encSpec{
 	MnLUI:   {form: formU, opcode: opLUI},
 	MnAUIPC: {form: formU, opcode: opAUIPC},
@@ -249,6 +251,26 @@ func UnaryRegForm(m Mnemonic) bool {
 func HasRoundingMode(m Mnemonic) bool {
 	spec, ok := lookupEnc(m)
 	return ok && spec.hasRM
+}
+
+// CheckRegFiles reports an error if an operand of i names a register
+// outside the file its encoding takes (floatOperands): Encode keeps only a
+// register's number, so fadd.d a0, a1, a2 would silently become
+// fadd.d fa0, fa1, fa2. Absent operands (RegNone) are not checked.
+func CheckRegFiles(i Inst) error {
+	spec, ok := lookupEnc(i.Mn)
+	if !ok {
+		return nil
+	}
+	float := floatOperands(spec.opcode, spec.f7)
+	for k, r := range [...]Reg{i.Rd, i.Rs1, i.Rs2, i.Rs3} {
+		slot := uint8(1) << k
+		if r != RegNone && r != operandReg(r.Num(), float, slot) {
+			return fmt.Errorf("riscv: %v %s takes %s register, not %v", i.Mn,
+				[...]string{"rd", "rs1", "rs2", "rs3"}[k], [2]string{"an integer", "a float"}[float>>k&1], r)
+		}
+	}
+	return nil
 }
 
 // lookupEnc returns the encoding of m, if it has one.

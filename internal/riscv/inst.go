@@ -164,7 +164,7 @@ func (i Inst) String() string {
 		}
 		return fmt.Sprintf("%s%s %s, %s, (%s)", name, suffix, i.Rd, i.Rs2, i.Rs1)
 	}
-	if i.Rs3 != RegNone && i.Rs3 != 0 && isFMA(i.Mn) {
+	if i.Rs3 != RegNone && i.Rs3 != 0 && IsFMA(i.Mn) {
 		return fmt.Sprintf("%s %s, %s, %s, %s", name, i.Rd, i.Rs1, i.Rs2, i.Rs3)
 	}
 	if spec, ok := lookupEnc(i.Mn); ok {
@@ -192,15 +192,9 @@ func (i Inst) String() string {
 	return name + " " + strings.Join(parts, ", ")
 }
 
-func isFMA(m Mnemonic) bool {
-	switch m {
-	case MnFMADDS, MnFMSUBS, MnFNMSUBS, MnFNMADDS,
-		MnFMADDD, MnFMSUBD, MnFNMSUBD, MnFNMADDD:
-		return true
-	}
-	return false
-}
-
 // IsFMA reports whether the mnemonic is a fused multiply-add (the only
-// four-operand instruction shape).
-func IsFMA(m Mnemonic) bool { return isFMA(m) }
+// four-operand instruction shape, form R4).
+func IsFMA(m Mnemonic) bool {
+	spec, ok := lookupEnc(m)
+	return ok && spec.form == formR4
+}

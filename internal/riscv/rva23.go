@@ -3,60 +3,36 @@ package riscv
 // RVA23-profile extension module: Zicond (integer conditional), Zba
 // (address-generation shifts), and a Zbb subset (bit-manipulation).
 //
-// This file is the whole ISA-model footprint of the three extensions —
-// mnemonic metadata, encodings, and decodings register themselves from
-// init, and no other file in this package (or in parse/dataflow) changes.
-// That demonstrates the design requirement of paper Section 3.1.1: "adding
-// a RISC-V extension into Dyninst does not require manually changing
+// This file is the whole ISA-model footprint of the three extensions: one
+// defineInst row per instruction, which installs its mnemonic metadata and
+// its encTable row, and the decoder derives its decoding from that row. No
+// other file in this package (or in parse/dataflow) changes. That
+// demonstrates the design requirement of paper Section 3.1.1: "adding a
+// RISC-V extension into Dyninst does not require manually changing
 // multiple parts of the source code", which Section 3.4 plans to exercise
 // for exactly this profile.
 
-// extRKey identifies an R-type encoding by opcode, funct3, and funct7.
-type extRKey struct {
-	opcode, f3, f7 uint32
-}
-
-// extDecodeR maps R-type encodings claimed by extension modules. decode32
-// consults it before declaring an unknown funct combination illegal.
-var extDecodeR = map[extRKey]Mnemonic{}
-
-// registerR wires up one R-type extension instruction in both directions.
-func registerR(mn Mnemonic, name string, ext ExtSet, opcode, f3, f7 uint32) {
-	registerMnemonic(mn, name, ext, CatArith)
-	encTable[mn] = encSpec{form: formR, opcode: opcode, f3: f3, f7: f7}
-	extDecodeR[extRKey{opcode, f3, f7}] = mn
+// defineR defines one R-type integer extension instruction.
+func defineR(mn Mnemonic, name string, ext ExtSet, f3, f7 uint32) {
+	defineInst(mn, name, ext, CatArith, encSpec{form: formR, opcode: opOp, f3: f3, f7: f7})
 }
 
 func init() {
 	// Zicond: rd = (rs2 ==/!= 0) ? 0 : rs1.
-	registerR(MnCZEROEQZ, "czero.eqz", ExtZicond, opOp, 5, 0b0000111)
-	registerR(MnCZERONEZ, "czero.nez", ExtZicond, opOp, 7, 0b0000111)
+	defineR(MnCZEROEQZ, "czero.eqz", ExtZicond, 5, 0b0000111)
+	defineR(MnCZERONEZ, "czero.nez", ExtZicond, 7, 0b0000111)
 
 	// Zba: rd = (rs1 << k) + rs2.
-	registerR(MnSH1ADD, "sh1add", ExtZba, opOp, 2, 0b0010000)
-	registerR(MnSH2ADD, "sh2add", ExtZba, opOp, 4, 0b0010000)
-	registerR(MnSH3ADD, "sh3add", ExtZba, opOp, 6, 0b0010000)
+	defineR(MnSH1ADD, "sh1add", ExtZba, 2, 0b0010000)
+	defineR(MnSH2ADD, "sh2add", ExtZba, 4, 0b0010000)
+	defineR(MnSH3ADD, "sh3add", ExtZba, 6, 0b0010000)
 
 	// Zbb subset: negated logic and min/max.
-	registerR(MnANDN, "andn", ExtZbb, opOp, 7, 0b0100000)
-	registerR(MnORN, "orn", ExtZbb, opOp, 6, 0b0100000)
-	registerR(MnXNOR, "xnor", ExtZbb, opOp, 4, 0b0100000)
-	registerR(MnMIN, "min", ExtZbb, opOp, 4, 0b0000101)
-	registerR(MnMINU, "minu", ExtZbb, opOp, 5, 0b0000101)
-	registerR(MnMAX, "max", ExtZbb, opOp, 6, 0b0000101)
-	registerR(MnMAXU, "maxu", ExtZbb, opOp, 7, 0b0000101)
-}
-
-// decodeExtR is the decoder hook: called when the base-ISA switch does not
-// recognize an R-type funct combination.
-func decodeExtR(inst Inst, opcode, f3, f7, rd, rs1, rs2 uint32) (Inst, bool) {
-	mn, ok := extDecodeR[extRKey{opcode, f3, f7}]
-	if !ok {
-		return inst, false
-	}
-	inst.Mn = mn
-	inst.Rd = XReg(rd)
-	inst.Rs1 = XReg(rs1)
-	inst.Rs2 = XReg(rs2)
-	return inst, true
+	defineR(MnANDN, "andn", ExtZbb, 7, 0b0100000)
+	defineR(MnORN, "orn", ExtZbb, 6, 0b0100000)
+	defineR(MnXNOR, "xnor", ExtZbb, 4, 0b0100000)
+	defineR(MnMIN, "min", ExtZbb, 4, 0b0000101)
+	defineR(MnMINU, "minu", ExtZbb, 5, 0b0000101)
+	defineR(MnMAX, "max", ExtZbb, 6, 0b0000101)
+	defineR(MnMAXU, "maxu", ExtZbb, 7, 0b0000101)
 }
