@@ -1,7 +1,6 @@
 package riscv
 
 import (
-	"encoding/binary"
 	"errors"
 	"hash/fnv"
 	"testing"
@@ -41,15 +40,7 @@ func TestDecodeSweep(t *testing.T) {
 					continue
 				}
 				legal++
-				buf = binary.LittleEndian.AppendUint32(buf[:0], w)
-				buf = binary.LittleEndian.AppendUint16(buf, uint16(inst.Mn))
-				buf = append(buf, byte(inst.Rd), byte(inst.Rs1), byte(inst.Rs2), byte(inst.Rs3))
-				buf = binary.LittleEndian.AppendUint64(buf, uint64(inst.Imm))
-				buf = binary.LittleEndian.AppendUint16(buf, inst.CSR)
-				buf = append(buf, inst.RM, b2u8(inst.Aq), b2u8(inst.Rl), byte(inst.Len), b2u8(inst.Compressed))
-				buf = binary.LittleEndian.AppendUint64(buf, inst.Addr)
-				buf = binary.LittleEndian.AppendUint32(buf, inst.Raw)
-				h.Write(buf)
+				h.Write(appendDecoded(buf[:0], w, inst))
 			}
 		}
 	}
