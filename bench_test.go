@@ -414,12 +414,59 @@ func BenchmarkDecode32(b *testing.B) {
 	}
 }
 
+// matmulText splits the text of the matmul workload, assembled with the
+// default options (compression on), into its instructions in text order.
+func matmulText(tb testing.TB) [][]byte {
+	f, err := workload.BuildMatmul(benchN, benchReps, asm.Options{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	text := f.Section(".text").Data
+	var insts [][]byte
+	for off := 0; off < len(text); {
+		n := 4
+		if text[off]&3 != 3 {
+			n = 2
+		}
+		insts = append(insts, text[off:off+n])
+		off += n
+	}
+	return insts
+}
+
+// BenchmarkDecodeCompressed decodes the compressed halfwords of the matmul
+// workload, in text order.
 func BenchmarkDecodeCompressed(b *testing.B) {
-	buf := []byte{0x01, 0x00} // c.nop
+	var halves [][]byte
+	for _, in := range matmulText(b) {
+		if len(in) == 2 {
+			halves = append(halves, in)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := riscv.Decode(buf, 0x1000); err != nil {
+		if _, err := riscv.Decode(halves[i%len(halves)], 0x1000); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestDecodeAllocFree: riscv.Decode allocates nothing for any legal
+// instruction of the matmul text, 16- or 32-bit.
+func TestDecodeAllocFree(t *testing.T) {
+	var seen [5]int
+	for _, in := range matmulText(t) {
+		if _, err := riscv.Decode(in, 0x1000); err != nil {
+			continue
+		}
+		seen[len(in)]++
+		if n := testing.AllocsPerRun(10, func() { riscv.Decode(in, 0x1000) }); n != 0 {
+			t.Errorf("Decode(% x) allocates %.0f times", in, n)
+		}
+	}
+	if seen[2] == 0 || seen[4] == 0 {
+		t.Fatalf("matmul text has %d compressed and %d 32-bit legal instructions; want both", seen[2], seen[4])
 	}
 }
 

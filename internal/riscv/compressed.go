@@ -1,11 +1,18 @@
 package riscv
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+	"strings"
+)
 
-// This file implements the C (compressed) extension: decoding 16-bit
-// encodings into their 32-bit base expansions, and the reverse Compress
-// operation used by the assembler and the patcher when the mutatee's
-// extension set permits compressed instructions.
+// This file implements the C (compressed) extension as one table, cForms:
+// each row is one 16-bit form with its fixed bits, the base instruction it
+// expands to, the shape of each register operand and its immediate's
+// scattering. decodeCompressed expands a halfword through the first row
+// that matches it, and Compress, used by the assembler and the patcher
+// when the mutatee's extension set permits compressed instructions, packs
+// an instruction into the first row of its mnemonic that holds it.
 //
 // Per Section 3.1.2 of the paper, compressed instructions matter to the
 // instrumenter in two ways: they halve code size (so functions can be as
@@ -25,521 +32,252 @@ const (
 	JALMax = (1 << 20) - 1
 )
 
-func creg(n uint32) Reg  { return XReg(8 + (n & 7)) }
-func cfreg(n uint32) Reg { return FReg(8 + (n & 7)) }
-
-func decodeCompressed(h uint16, addr uint64) (Inst, error) {
-	inst := Inst{
-		Addr: addr, Raw: uint32(h), Len: 2, Compressed: true,
-		Rd: RegNone, Rs1: RegNone, Rs2: RegNone, Rs3: RegNone,
-	}
-	ill := func() (Inst, error) {
-		inst.Mn = MnInvalid
-		return inst, fmt.Errorf("%w: compressed 0x%04x at 0x%x", ErrIllegal, h, addr)
-	}
-	w := uint32(h)
-	op := w & 3
-	f3 := bits(w, 15, 13)
-
-	switch op {
-	case 0:
-		switch f3 {
-		case 0b000: // c.addi4spn
-			imm := bits(w, 10, 7)<<6 | bits(w, 12, 11)<<4 | bits(w, 5, 5)<<3 | bits(w, 6, 6)<<2
-			if imm == 0 {
-				return ill()
-			}
-			inst.Mn = MnADDI
-			inst.Rd = creg(bits(w, 4, 2))
-			inst.Rs1 = RegSP
-			inst.Imm = int64(imm)
-		case 0b001: // c.fld
-			imm := bits(w, 12, 10)<<3 | bits(w, 6, 5)<<6
-			inst.Mn = MnFLD
-			inst.Rd = cfreg(bits(w, 4, 2))
-			inst.Rs1 = creg(bits(w, 9, 7))
-			inst.Imm = int64(imm)
-		case 0b010: // c.lw
-			imm := bits(w, 12, 10)<<3 | bits(w, 6, 6)<<2 | bits(w, 5, 5)<<6
-			inst.Mn = MnLW
-			inst.Rd = creg(bits(w, 4, 2))
-			inst.Rs1 = creg(bits(w, 9, 7))
-			inst.Imm = int64(imm)
-		case 0b011: // c.ld (RV64)
-			imm := bits(w, 12, 10)<<3 | bits(w, 6, 5)<<6
-			inst.Mn = MnLD
-			inst.Rd = creg(bits(w, 4, 2))
-			inst.Rs1 = creg(bits(w, 9, 7))
-			inst.Imm = int64(imm)
-		case 0b101: // c.fsd
-			imm := bits(w, 12, 10)<<3 | bits(w, 6, 5)<<6
-			inst.Mn = MnFSD
-			inst.Rs2 = cfreg(bits(w, 4, 2))
-			inst.Rs1 = creg(bits(w, 9, 7))
-			inst.Imm = int64(imm)
-		case 0b110: // c.sw
-			imm := bits(w, 12, 10)<<3 | bits(w, 6, 6)<<2 | bits(w, 5, 5)<<6
-			inst.Mn = MnSW
-			inst.Rs2 = creg(bits(w, 4, 2))
-			inst.Rs1 = creg(bits(w, 9, 7))
-			inst.Imm = int64(imm)
-		case 0b111: // c.sd (RV64)
-			imm := bits(w, 12, 10)<<3 | bits(w, 6, 5)<<6
-			inst.Mn = MnSD
-			inst.Rs2 = creg(bits(w, 4, 2))
-			inst.Rs1 = creg(bits(w, 9, 7))
-			inst.Imm = int64(imm)
-		default:
-			return ill()
-		}
-	case 1:
-		switch f3 {
-		case 0b000: // c.addi / c.nop
-			imm := int64(int32(bits(w, 12, 12)<<5|bits(w, 6, 2)) << 26 >> 26)
-			rd := bits(w, 11, 7)
-			inst.Mn = MnADDI
-			inst.Rd = XReg(rd)
-			inst.Rs1 = XReg(rd)
-			inst.Imm = imm
-		case 0b001: // c.addiw (RV64)
-			rd := bits(w, 11, 7)
-			if rd == 0 {
-				return ill()
-			}
-			imm := int64(int32(bits(w, 12, 12)<<5|bits(w, 6, 2)) << 26 >> 26)
-			inst.Mn = MnADDIW
-			inst.Rd = XReg(rd)
-			inst.Rs1 = XReg(rd)
-			inst.Imm = imm
-		case 0b010: // c.li
-			imm := int64(int32(bits(w, 12, 12)<<5|bits(w, 6, 2)) << 26 >> 26)
-			inst.Mn = MnADDI
-			inst.Rd = XReg(bits(w, 11, 7))
-			inst.Rs1 = X0
-			inst.Imm = imm
-		case 0b011:
-			rd := bits(w, 11, 7)
-			if rd == 2 { // c.addi16sp
-				imm := int64(int32(bits(w, 12, 12)<<9|bits(w, 4, 3)<<7|bits(w, 5, 5)<<6|
-					bits(w, 2, 2)<<5|bits(w, 6, 6)<<4) << 22 >> 22)
-				if imm == 0 {
-					return ill()
-				}
-				inst.Mn = MnADDI
-				inst.Rd = RegSP
-				inst.Rs1 = RegSP
-				inst.Imm = imm
-			} else { // c.lui
-				imm := int64(int32(bits(w, 12, 12)<<5|bits(w, 6, 2)) << 26 >> 26)
-				if imm == 0 || rd == 0 {
-					return ill()
-				}
-				inst.Mn = MnLUI
-				inst.Rd = XReg(rd)
-				inst.Imm = imm
-			}
-		case 0b100:
-			rd := creg(bits(w, 9, 7))
-			switch bits(w, 11, 10) {
-			case 0b00, 0b01: // c.srli / c.srai
-				shamt := int64(bits(w, 12, 12)<<5 | bits(w, 6, 2))
-				if bits(w, 11, 10) == 0 {
-					inst.Mn = MnSRLI
-				} else {
-					inst.Mn = MnSRAI
-				}
-				inst.Rd = rd
-				inst.Rs1 = rd
-				inst.Imm = shamt
-			case 0b10: // c.andi
-				imm := int64(int32(bits(w, 12, 12)<<5|bits(w, 6, 2)) << 26 >> 26)
-				inst.Mn = MnANDI
-				inst.Rd = rd
-				inst.Rs1 = rd
-				inst.Imm = imm
-			case 0b11:
-				rs2 := creg(bits(w, 4, 2))
-				inst.Rd = rd
-				inst.Rs1 = rd
-				inst.Rs2 = rs2
-				if bits(w, 12, 12) == 0 {
-					switch bits(w, 6, 5) {
-					case 0b00:
-						inst.Mn = MnSUB
-					case 0b01:
-						inst.Mn = MnXOR
-					case 0b10:
-						inst.Mn = MnOR
-					case 0b11:
-						inst.Mn = MnAND
-					}
-				} else {
-					switch bits(w, 6, 5) {
-					case 0b00:
-						inst.Mn = MnSUBW
-					case 0b01:
-						inst.Mn = MnADDW
-					default:
-						return ill()
-					}
-				}
-			}
-		case 0b101: // c.j
-			imm := int64(int32(bits(w, 12, 12)<<11|bits(w, 8, 8)<<10|bits(w, 10, 9)<<8|
-				bits(w, 6, 6)<<7|bits(w, 7, 7)<<6|bits(w, 2, 2)<<5|
-				bits(w, 11, 11)<<4|bits(w, 5, 3)<<1) << 20 >> 20)
-			inst.Mn = MnJAL
-			inst.Rd = X0
-			inst.Imm = imm
-		case 0b110, 0b111: // c.beqz / c.bnez
-			imm := int64(int32(bits(w, 12, 12)<<8|bits(w, 6, 5)<<6|bits(w, 2, 2)<<5|
-				bits(w, 11, 10)<<3|bits(w, 4, 3)<<1) << 23 >> 23)
-			if f3 == 0b110 {
-				inst.Mn = MnBEQ
-			} else {
-				inst.Mn = MnBNE
-			}
-			inst.Rs1 = creg(bits(w, 9, 7))
-			inst.Rs2 = X0
-			inst.Imm = imm
-		default:
-			return ill()
-		}
-	case 2:
-		switch f3 {
-		case 0b000: // c.slli
-			rd := bits(w, 11, 7)
-			shamt := int64(bits(w, 12, 12)<<5 | bits(w, 6, 2))
-			inst.Mn = MnSLLI
-			inst.Rd = XReg(rd)
-			inst.Rs1 = XReg(rd)
-			inst.Imm = shamt
-		case 0b001: // c.fldsp
-			imm := bits(w, 12, 12)<<5 | bits(w, 6, 5)<<3 | bits(w, 4, 2)<<6
-			inst.Mn = MnFLD
-			inst.Rd = FReg(bits(w, 11, 7))
-			inst.Rs1 = RegSP
-			inst.Imm = int64(imm)
-		case 0b010: // c.lwsp
-			rd := bits(w, 11, 7)
-			if rd == 0 {
-				return ill()
-			}
-			imm := bits(w, 12, 12)<<5 | bits(w, 6, 4)<<2 | bits(w, 3, 2)<<6
-			inst.Mn = MnLW
-			inst.Rd = XReg(rd)
-			inst.Rs1 = RegSP
-			inst.Imm = int64(imm)
-		case 0b011: // c.ldsp (RV64)
-			rd := bits(w, 11, 7)
-			if rd == 0 {
-				return ill()
-			}
-			imm := bits(w, 12, 12)<<5 | bits(w, 6, 5)<<3 | bits(w, 4, 2)<<6
-			inst.Mn = MnLD
-			inst.Rd = XReg(rd)
-			inst.Rs1 = RegSP
-			inst.Imm = int64(imm)
-		case 0b100:
-			rs1 := bits(w, 11, 7)
-			rs2 := bits(w, 6, 2)
-			if bits(w, 12, 12) == 0 {
-				if rs2 == 0 { // c.jr
-					if rs1 == 0 {
-						return ill()
-					}
-					inst.Mn = MnJALR
-					inst.Rd = X0
-					inst.Rs1 = XReg(rs1)
-				} else { // c.mv
-					inst.Mn = MnADD
-					inst.Rd = XReg(rs1)
-					inst.Rs1 = X0
-					inst.Rs2 = XReg(rs2)
-				}
-			} else {
-				switch {
-				case rs1 == 0 && rs2 == 0: // c.ebreak
-					inst.Mn = MnEBREAK
-				case rs2 == 0: // c.jalr
-					inst.Mn = MnJALR
-					inst.Rd = RegRA
-					inst.Rs1 = XReg(rs1)
-				default: // c.add
-					inst.Mn = MnADD
-					inst.Rd = XReg(rs1)
-					inst.Rs1 = XReg(rs1)
-					inst.Rs2 = XReg(rs2)
-				}
-			}
-		case 0b101: // c.fsdsp
-			imm := bits(w, 12, 10)<<3 | bits(w, 9, 7)<<6
-			inst.Mn = MnFSD
-			inst.Rs2 = FReg(bits(w, 6, 2))
-			inst.Rs1 = RegSP
-			inst.Imm = int64(imm)
-		case 0b110: // c.swsp
-			imm := bits(w, 12, 9)<<2 | bits(w, 8, 7)<<6
-			inst.Mn = MnSW
-			inst.Rs2 = XReg(bits(w, 6, 2))
-			inst.Rs1 = RegSP
-			inst.Imm = int64(imm)
-		case 0b111: // c.sdsp (RV64)
-			imm := bits(w, 12, 10)<<3 | bits(w, 9, 7)<<6
-			inst.Mn = MnSD
-			inst.Rs2 = XReg(bits(w, 6, 2))
-			inst.Rs1 = RegSP
-			inst.Imm = int64(imm)
-		default:
-			return ill()
-		}
-	default:
-		return ill()
-	}
-	if uint32(h) == 0 {
-		return ill() // the all-zero halfword is defined illegal
-	}
-	return inst, nil
+// cReg is the shape of a compressed form's register operand: a field of
+// width bits at bit at that holds the register's offset from base (5 bits:
+// any x or f register; 3 bits: x8-x15 or f8-f15), or, with width 0, the
+// fixed register base, RegNone for an operand the form does not have. An
+// operand with the same field as rd is tied to it.
+type cReg struct {
+	at, width uint8
+	base      Reg
 }
 
-// isCReg reports whether r is one of the eight registers addressable by the
-// three-bit register fields of most compressed formats (x8-x15 / f8-f15).
-func isCReg(r Reg) bool {
-	n := r.Num()
-	return n >= 8 && n <= 15
+var (
+	noReg = cReg{base: RegNone}
+	fixX0 = cReg{base: X0}
+	fixRA = cReg{base: RegRA}
+	fixSP = cReg{base: RegSP}
+	xAt11 = cReg{7, 5, X0} // bits 11:7
+	fAt11 = cReg{7, 5, F0}
+	xAt6  = cReg{2, 5, X0} // bits 6:2
+	fAt6  = cReg{2, 5, F0}
+	xpAt9 = cReg{7, 3, X8} // x8-x15 in bits 9:7
+	xpAt4 = cReg{2, 3, X8} // bits 4:2
+	fpAt4 = cReg{2, 3, F8}
+)
+
+func (s cReg) unpack(h uint32) Reg { return s.base + Reg(h&s.field()>>s.at) }
+
+// pack places r in s's field; a register the field cannot hold packs as
+// some other one, which unpack then tells apart.
+func (s cReg) pack(r Reg) uint32 { return uint32(r-s.base) << s.at & s.field() }
+
+// field returns the bits of s's field.
+func (s cReg) field() uint32 { return (1<<s.width - 1) << s.at }
+
+// cCond is a set of conditions on a form's expanded operands.
+type cCond uint8
+
+const (
+	zeroImm cCond = 1 << iota // the immediate is 0
+	rdX0                      // rd is x0
+	rdSP                      // rd is sp
+	rs1X0                     // rs1 is x0
+	rs2X0                     // rs2 is x0
+)
+
+func (c cCond) holds(rd, rs1, rs2 Reg, imm int64) bool {
+	return c&zeroImm != 0 && imm == 0 || c&rdX0 != 0 && rd == X0 || c&rdSP != 0 && rd == RegSP ||
+		c&rs1X0 != 0 && rs1 == X0 || c&rs2X0 != 0 && rs2 == X0
+}
+
+// Immediate signedness, for cForm.signed.
+const (
+	zext = false
+	sext = true
+)
+
+// cForm is one compressed form.
+type cForm struct {
+	bits         string // bits 15:0: '0' and '1' fixed, '.' an operand's
+	mn           Mnemonic
+	rd, rs1, rs2 cReg
+	// imm is the immediate's scattering as the spec writes it: "12:5[5:4|9:6|2|3]"
+	// says bits 12:5 hold imm[5:4], imm[9:6], imm[2] and imm[3] in that order.
+	imm    string
+	signed bool
+	// A reserved halfword is illegal; a HINT decodes, but Compress never
+	// emits one.
+	reserved, hint cCond
+}
+
+// cRow is a cForm with what init derives from it.
+type cRow struct {
+	cForm
+	mask, match uint32
+	segs        []cSeg
+	immBits     uint8 // the immediate's top bit + 1
+}
+
+// cSeg is one run of an immediate's scattering: imm[to+width-1:to] sits
+// in bits [from+width-1:from].
+type cSeg struct{ from, to, width uint8 }
+
+// cForms holds every RV64C form in quadrant, then funct3 order. Among the
+// rows of one mnemonic, table order is Compress's preference: addi sp, sp,
+// 16 takes c.addi, not c.addi16sp. c.lui's immediate is the one lui
+// carries, nzimm[17:12] in the spec.
+var cForms = [...]cForm{
+	{"000...........00", MnADDI, xpAt4, fixSP, noReg, "12:5[5:4|9:6|2|3]", zext, zeroImm, 0}, // c.addi4spn
+	{"001...........00", MnFLD, fpAt4, xpAt9, noReg, "12:10[5:3] 6:5[7:6]", zext, 0, 0},      // c.fld
+	{"010...........00", MnLW, xpAt4, xpAt9, noReg, "12:10[5:3] 6:5[2|6]", zext, 0, 0},       // c.lw
+	{"011...........00", MnLD, xpAt4, xpAt9, noReg, "12:10[5:3] 6:5[7:6]", zext, 0, 0},       // c.ld
+	{"101...........00", MnFSD, noReg, xpAt9, fpAt4, "12:10[5:3] 6:5[7:6]", zext, 0, 0},      // c.fsd
+	{"110...........00", MnSW, noReg, xpAt9, xpAt4, "12:10[5:3] 6:5[2|6]", zext, 0, 0},       // c.sw
+	{"111...........00", MnSD, noReg, xpAt9, xpAt4, "12:10[5:3] 6:5[7:6]", zext, 0, 0},       // c.sd
+
+	{"0000000000000001", MnADDI, fixX0, fixX0, noReg, "", zext, 0, 0},                                  // c.nop
+	{"000...........01", MnADDI, xAt11, xAt11, noReg, "12[5] 6:2[4:0]", sext, 0, zeroImm | rdX0},       // c.addi
+	{"001...........01", MnADDIW, xAt11, xAt11, noReg, "12[5] 6:2[4:0]", sext, rdX0, 0},                // c.addiw
+	{"010...........01", MnADDI, xAt11, fixX0, noReg, "12[5] 6:2[4:0]", sext, 0, rdX0},                 // c.li
+	{"011.00010.....01", MnADDI, fixSP, fixSP, noReg, "12[9] 6:2[4|6|8:7|5]", sext, zeroImm, 0},        // c.addi16sp
+	{"011...........01", MnLUI, xAt11, noReg, noReg, "12[5] 6:2[4:0]", sext, zeroImm | rdX0 | rdSP, 0}, // c.lui
+	{"100.00........01", MnSRLI, xpAt9, xpAt9, noReg, "12[5] 6:2[4:0]", zext, 0, zeroImm},              // c.srli
+	{"100.01........01", MnSRAI, xpAt9, xpAt9, noReg, "12[5] 6:2[4:0]", zext, 0, zeroImm},              // c.srai
+	{"100.10........01", MnANDI, xpAt9, xpAt9, noReg, "12[5] 6:2[4:0]", sext, 0, 0},                    // c.andi
+	{"100011...00...01", MnSUB, xpAt9, xpAt9, xpAt4, "", zext, 0, 0},                                   // c.sub
+	{"100011...01...01", MnXOR, xpAt9, xpAt9, xpAt4, "", zext, 0, 0},                                   // c.xor
+	{"100011...10...01", MnOR, xpAt9, xpAt9, xpAt4, "", zext, 0, 0},                                    // c.or
+	{"100011...11...01", MnAND, xpAt9, xpAt9, xpAt4, "", zext, 0, 0},                                   // c.and
+	{"100111...00...01", MnSUBW, xpAt9, xpAt9, xpAt4, "", zext, 0, 0},                                  // c.subw
+	{"100111...01...01", MnADDW, xpAt9, xpAt9, xpAt4, "", zext, 0, 0},                                  // c.addw
+	{"101...........01", MnJAL, fixX0, noReg, noReg, "12:2[11|4|9:8|10|6|7|3:1|5]", sext, 0, 0},        // c.j
+	{"110...........01", MnBEQ, noReg, xpAt9, fixX0, "12:10[8|4:3] 6:2[7:6|2:1|5]", sext, 0, 0},        // c.beqz
+	{"111...........01", MnBNE, noReg, xpAt9, fixX0, "12:10[8|4:3] 6:2[7:6|2:1|5]", sext, 0, 0},        // c.bnez
+
+	{"000...........10", MnSLLI, xAt11, xAt11, noReg, "12[5] 6:2[4:0]", zext, 0, zeroImm | rdX0}, // c.slli
+	{"001...........10", MnFLD, fAt11, fixSP, noReg, "12[5] 6:2[4:3|8:6]", zext, 0, 0},           // c.fldsp
+	{"010...........10", MnLW, xAt11, fixSP, noReg, "12[5] 6:2[4:2|7:6]", zext, rdX0, 0},         // c.lwsp
+	{"011...........10", MnLD, xAt11, fixSP, noReg, "12[5] 6:2[4:3|8:6]", zext, rdX0, 0},         // c.ldsp
+	{"1000.....0000010", MnJALR, fixX0, xAt11, noReg, "", zext, rs1X0, 0},                        // c.jr
+	{"1000..........10", MnADD, xAt11, fixX0, xAt6, "", zext, rs2X0, rdX0},                       // c.mv
+	{"1001000000000010", MnEBREAK, noReg, noReg, noReg, "", zext, 0, 0},                          // c.ebreak
+	{"1001.....0000010", MnJALR, fixRA, xAt11, noReg, "", zext, rs1X0, 0},                        // c.jalr
+	{"1001..........10", MnADD, xAt11, xAt11, xAt6, "", zext, rs2X0, rdX0},                       // c.add
+	{"101...........10", MnFSD, noReg, fixSP, fAt6, "12:7[5:3|8:6]", zext, 0, 0},                 // c.fsdsp
+	{"110...........10", MnSW, noReg, fixSP, xAt6, "12:7[5:2|7:6]", zext, 0, 0},                  // c.swsp
+	{"111...........10", MnSD, noReg, fixSP, xAt6, "12:7[5:3|8:6]", zext, 0, 0},                  // c.sdsp
+}
+
+var (
+	cRows  [len(cForms)]cRow
+	cIndex [32][]cRow            // the rows under each quadrant<<3 | funct3
+	cByMn  [numMnemonics][]*cRow // the rows of each mnemonic, in table order
+)
+
+func cKey(h uint32) uint32 { return h&3<<3 | h>>13 }
+
+func init() {
+	for k := range cRows {
+		f := &cRows[k]
+		f.cForm = cForms[k]
+		if len(f.bits) != 16 {
+			panic(fmt.Sprintf("riscv: compressed form %d (%v): bits %q", k, f.mn, f.bits))
+		}
+		for b, c := range f.bits {
+			if c != '.' {
+				f.mask |= 1 << (15 - b)
+				f.match |= uint32(c-'0') << (15 - b)
+			}
+		}
+		f.segs = parseScattering(f.imm)
+		operands := f.rd.field() | f.rs1.field() | f.rs2.field()
+		for _, s := range f.segs {
+			operands |= (1<<s.width - 1) << s.from
+			f.immBits = max(f.immBits, s.to+s.width)
+		}
+		if f.mask|operands != 0xffff || f.mask&operands != 0 ||
+			k > 0 && cKey(f.match) < cKey(cRows[k-1].match) {
+			panic(fmt.Sprintf("riscv: compressed form %d (%v) is malformed or out of order", k, f.mn))
+		}
+		rows := &cIndex[cKey(f.match)]
+		if len(*rows) == 0 {
+			*rows = cRows[k:k]
+		}
+		*rows = (*rows)[:len(*rows)+1]
+		cByMn[f.mn] = append(cByMn[f.mn], f)
+	}
+}
+
+// parseScattering turns cForm.imm's notation into runs.
+func parseScattering(s string) (segs []cSeg) {
+	bit := func(v string) uint8 {
+		n, err := strconv.ParseUint(v, 10, 8)
+		if err != nil {
+			panic(fmt.Sprintf("riscv: scattering %q: %v", s, err))
+		}
+		return uint8(n)
+	}
+	span := func(v string) (hi, lo uint8) {
+		h, l, ok := strings.Cut(v, ":")
+		if !ok {
+			l = h
+		}
+		return bit(h), bit(l)
+	}
+	for _, group := range strings.Fields(s) {
+		field, list, _ := strings.Cut(strings.TrimSuffix(group, "]"), "[")
+		hi, lo := span(field)
+		at := hi + 1
+		for _, run := range strings.Split(list, "|") {
+			ihi, ilo := span(run)
+			at -= ihi - ilo + 1
+			segs = append(segs, cSeg{from: at, to: ilo, width: ihi - ilo + 1})
+		}
+		if at != lo {
+			panic(fmt.Sprintf("riscv: scattering %q does not fill bits %s", s, field))
+		}
+	}
+	return segs
+}
+
+// expand returns the operands and immediate halfword h holds in f's form.
+func (f *cRow) expand(h uint32) (rd, rs1, rs2 Reg, imm int64) {
+	var v uint64
+	for _, s := range f.segs {
+		v |= uint64(h>>s.from&(1<<s.width-1)) << s.to
+	}
+	if imm = int64(v); f.signed {
+		imm = imm << (64 - f.immBits) >> (64 - f.immBits)
+	}
+	return f.rd.unpack(h), f.rs1.unpack(h), f.rs2.unpack(h), imm
+}
+
+func decodeCompressed(h uint16, addr uint64) (Inst, error) {
+	w := uint32(h)
+	rows := cIndex[cKey(w)]
+	for k := range rows {
+		if f := &rows[k]; w&f.mask == f.match {
+			if rd, rs1, rs2, imm := f.expand(w); !f.reserved.holds(rd, rs1, rs2, imm) {
+				return Inst{Addr: addr, Imm: imm, Len: 2, Raw: w, Mn: f.mn,
+					Rd: rd, Rs1: rs1, Rs2: rs2, Rs3: RegNone, Compressed: true}, nil
+			}
+		}
+	}
+	return Inst{Addr: addr, Len: 2, Raw: w, Rd: RegNone, Rs1: RegNone, Rs2: RegNone, Rs3: RegNone, Compressed: true},
+		fmt.Errorf("%w: compressed 0x%04x at 0x%x", ErrIllegal, h, addr)
 }
 
 // Compress attempts to find a 16-bit encoding for the instruction. It
 // returns the halfword and true on success. The caller is responsible for
 // checking that the target extension set includes C.
+//
+// A row holds i when its expansion of the packed halfword gives i back:
+// that one check covers tied and fixed registers, register files and the
+// immediate's range and alignment.
 func Compress(i Inst) (uint16, bool) {
-	fits6 := func(v int64) bool { return v >= -32 && v <= 31 }
-	switch i.Mn {
-	case MnADDI:
-		switch {
-		case i.Rd == i.Rs1 && i.Rd != X0 && fits6(i.Imm):
-			// c.addi (imm may be 0 only for the canonical nop rd==x0 form;
-			// the spec reserves nzimm==0, so require imm != 0 here)
-			if i.Imm == 0 {
-				return 0, false
-			}
-			return c16(1, 0b000, bits6(i.Imm), uint32(i.Rd.Num())), true
-		case i.Rd == X0 && i.Rs1 == X0 && i.Imm == 0:
-			return 0x0001, true // c.nop
-		case i.Rs1 == X0 && i.Rd != X0 && fits6(i.Imm):
-			return c16(1, 0b010, bits6(i.Imm), uint32(i.Rd.Num())), true // c.li
-		case i.Rd == RegSP && i.Rs1 == RegSP && i.Imm != 0 && i.Imm%16 == 0 && i.Imm >= -512 && i.Imm <= 496:
-			v := uint32(i.Imm)
-			imm := bits(v, 9, 9)<<12 | bits(v, 4, 4)<<6 | bits(v, 6, 6)<<5 |
-				bits(v, 8, 7)<<3 | bits(v, 5, 5)<<2
-			return uint16(0b011<<13 | 2<<7 | imm<<0 | 0b01), true // c.addi16sp
-		case i.Rs1 == RegSP && isCReg(i.Rd) && i.Imm > 0 && i.Imm%4 == 0 && i.Imm <= 1020:
-			v := uint32(i.Imm)
-			imm := bits(v, 5, 4)<<11 | bits(v, 9, 6)<<7 | bits(v, 2, 2)<<6 | bits(v, 3, 3)<<5
-			return uint16(0b000<<13 | imm | (i.Rd.Num()-8)<<2 | 0b00), true // c.addi4spn
-		}
-	case MnADDIW:
-		if i.Rd == i.Rs1 && i.Rd != X0 && fits6(i.Imm) {
-			return c16(1, 0b001, bits6(i.Imm), uint32(i.Rd.Num())), true
-		}
-	case MnLUI:
-		if i.Rd != X0 && i.Rd != RegSP && i.Imm != 0 && fits6(i.Imm) {
-			return c16(1, 0b011, bits6(i.Imm), uint32(i.Rd.Num())), true
-		}
-	case MnSLLI:
-		if i.Rd == i.Rs1 && i.Rd != X0 && i.Imm > 0 && i.Imm < 64 {
-			return c16(2, 0b000, uint32(i.Imm), uint32(i.Rd.Num())), true
-		}
-	case MnSRLI, MnSRAI:
-		if i.Rd == i.Rs1 && isCReg(i.Rd) && i.Imm > 0 && i.Imm < 64 {
-			sel := uint32(0b00)
-			if i.Mn == MnSRAI {
-				sel = 0b01
-			}
-			sh := uint32(i.Imm)
-			return uint16(0b100<<13 | bits(sh, 5, 5)<<12 | sel<<10 |
-				(i.Rd.Num()-8)<<7 | bits(sh, 4, 0)<<2 | 0b01), true
-		}
-	case MnANDI:
-		if i.Rd == i.Rs1 && isCReg(i.Rd) && fits6(i.Imm) {
-			im := uint32(i.Imm) & 0x3f
-			return uint16(0b100<<13 | bits(im, 5, 5)<<12 | 0b10<<10 |
-				(i.Rd.Num()-8)<<7 | bits(im, 4, 0)<<2 | 0b01), true
-		}
-	case MnADD:
-		switch {
-		case i.Rs1 == X0 && i.Rd != X0 && i.Rs2 != X0: // c.mv
-			return uint16(0b100<<13 | 0<<12 | i.Rd.Num()<<7 | i.Rs2.Num()<<2 | 0b10), true
-		case i.Rd == i.Rs1 && i.Rd != X0 && i.Rs2 != X0: // c.add
-			return uint16(0b100<<13 | 1<<12 | i.Rd.Num()<<7 | i.Rs2.Num()<<2 | 0b10), true
-		}
-	case MnSUB, MnXOR, MnOR, MnAND, MnSUBW, MnADDW:
-		if i.Rd == i.Rs1 && isCReg(i.Rd) && isCReg(i.Rs2) {
-			var hi, sel uint32
-			switch i.Mn {
-			case MnSUB:
-				hi, sel = 0, 0b00
-			case MnXOR:
-				hi, sel = 0, 0b01
-			case MnOR:
-				hi, sel = 0, 0b10
-			case MnAND:
-				hi, sel = 0, 0b11
-			case MnSUBW:
-				hi, sel = 1, 0b00
-			case MnADDW:
-				hi, sel = 1, 0b01
-			}
-			return uint16(0b100<<13 | hi<<12 | 0b11<<10 | (i.Rd.Num()-8)<<7 |
-				sel<<5 | (i.Rs2.Num()-8)<<2 | 0b01), true
-		}
-	case MnJAL:
-		if i.Rd == X0 && i.Imm >= CJMin && i.Imm <= CJMax && i.Imm&1 == 0 {
-			v := uint32(i.Imm) & 0xfff
-			imm := bits(v, 11, 11)<<12 | bits(v, 4, 4)<<11 | bits(v, 9, 8)<<9 |
-				bits(v, 10, 10)<<8 | bits(v, 6, 6)<<7 | bits(v, 7, 7)<<6 |
-				bits(v, 3, 1)<<3 | bits(v, 5, 5)<<2
-			return uint16(0b101<<13 | imm | 0b01), true // c.j
-		}
-	case MnJALR:
-		if i.Imm == 0 && i.Rs1 != X0 {
-			if i.Rd == X0 {
-				return uint16(0b100<<13 | 0<<12 | i.Rs1.Num()<<7 | 0b10), true // c.jr
-			}
-			if i.Rd == RegRA {
-				return uint16(0b100<<13 | 1<<12 | i.Rs1.Num()<<7 | 0b10), true // c.jalr
-			}
-		}
-	case MnBEQ, MnBNE:
-		if i.Rs2 == X0 && isCReg(i.Rs1) && i.Imm >= -256 && i.Imm <= 254 && i.Imm&1 == 0 {
-			f3 := uint32(0b110)
-			if i.Mn == MnBNE {
-				f3 = 0b111
-			}
-			v := uint32(i.Imm) & 0x1ff
-			imm := bits(v, 8, 8)<<12 | bits(v, 4, 3)<<10 | bits(v, 7, 6)<<5 |
-				bits(v, 2, 1)<<3 | bits(v, 5, 5)<<2
-			return uint16(f3<<13 | imm | (i.Rs1.Num()-8)<<7 | 0b01), true
-		}
-	case MnEBREAK:
-		return 0x9002, true // c.ebreak
-	case MnLW, MnLD, MnFLD:
-		if i.Rs1 == RegSP {
-			return compressLoadSP(i)
-		}
-		return compressLoadReg(i)
-	case MnSW, MnSD, MnFSD:
-		if i.Rs1 == RegSP {
-			return compressStoreSP(i)
-		}
-		return compressStoreReg(i)
-	}
-	return 0, false
-}
-
-func c16(op, f3, imm6, rd uint32) uint16 {
-	return uint16(f3<<13 | bits(imm6, 5, 5)<<12 | rd<<7 | bits(imm6, 4, 0)<<2 | op)
-}
-
-func bits6(v int64) uint32 { return uint32(v) & 0x3f }
-
-func compressLoadSP(i Inst) (uint16, bool) {
-	switch i.Mn {
-	case MnLW:
-		if i.Rd.IsX() && i.Rd != X0 && i.Imm >= 0 && i.Imm <= 252 && i.Imm%4 == 0 {
-			v := uint32(i.Imm)
-			imm := bits(v, 5, 5)<<12 | bits(v, 4, 2)<<4 | bits(v, 7, 6)<<2
-			return uint16(0b010<<13 | imm | i.Rd.Num()<<7 | 0b10), true
-		}
-	case MnLD:
-		if i.Rd.IsX() && i.Rd != X0 && i.Imm >= 0 && i.Imm <= 504 && i.Imm%8 == 0 {
-			v := uint32(i.Imm)
-			imm := bits(v, 5, 5)<<12 | bits(v, 4, 3)<<5 | bits(v, 8, 6)<<2
-			return uint16(0b011<<13 | imm | i.Rd.Num()<<7 | 0b10), true
-		}
-	case MnFLD:
-		if i.Rd.IsF() && i.Imm >= 0 && i.Imm <= 504 && i.Imm%8 == 0 {
-			v := uint32(i.Imm)
-			imm := bits(v, 5, 5)<<12 | bits(v, 4, 3)<<5 | bits(v, 8, 6)<<2
-			return uint16(0b001<<13 | imm | i.Rd.Num()<<7 | 0b10), true
-		}
-	}
-	return 0, false
-}
-
-func compressStoreSP(i Inst) (uint16, bool) {
-	switch i.Mn {
-	case MnSW:
-		if i.Rs2.IsX() && i.Imm >= 0 && i.Imm <= 252 && i.Imm%4 == 0 {
-			v := uint32(i.Imm)
-			imm := bits(v, 5, 2)<<9 | bits(v, 7, 6)<<7
-			return uint16(0b110<<13 | imm | i.Rs2.Num()<<2 | 0b10), true
-		}
-	case MnSD:
-		if i.Rs2.IsX() && i.Imm >= 0 && i.Imm <= 504 && i.Imm%8 == 0 {
-			v := uint32(i.Imm)
-			imm := bits(v, 5, 3)<<10 | bits(v, 8, 6)<<7
-			return uint16(0b111<<13 | imm | i.Rs2.Num()<<2 | 0b10), true
-		}
-	case MnFSD:
-		if i.Rs2.IsF() && i.Imm >= 0 && i.Imm <= 504 && i.Imm%8 == 0 {
-			v := uint32(i.Imm)
-			imm := bits(v, 5, 3)<<10 | bits(v, 8, 6)<<7
-			return uint16(0b101<<13 | imm | i.Rs2.Num()<<2 | 0b10), true
-		}
-	}
-	return 0, false
-}
-
-func compressLoadReg(i Inst) (uint16, bool) {
-	if !isCReg(i.Rs1) || !isCReg(i.Rd) {
+	if i.Mn >= numMnemonics {
 		return 0, false
 	}
-	switch i.Mn {
-	case MnLW:
-		if i.Imm >= 0 && i.Imm <= 124 && i.Imm%4 == 0 {
-			v := uint32(i.Imm)
-			imm := bits(v, 5, 3)<<10 | bits(v, 2, 2)<<6 | bits(v, 6, 6)<<5
-			return uint16(0b010<<13 | imm | (i.Rs1.Num()-8)<<7 | (i.Rd.Num()-8)<<2 | 0b00), true
+	for _, f := range cByMn[i.Mn] {
+		h := f.match | f.rd.pack(i.Rd) | f.rs1.pack(i.Rs1) | f.rs2.pack(i.Rs2)
+		for _, s := range f.segs {
+			h |= uint32(i.Imm>>s.to) & (1<<s.width - 1) << s.from
 		}
-	case MnLD:
-		if i.Rd.IsX() && i.Imm >= 0 && i.Imm <= 248 && i.Imm%8 == 0 {
-			v := uint32(i.Imm)
-			imm := bits(v, 5, 3)<<10 | bits(v, 7, 6)<<5
-			return uint16(0b011<<13 | imm | (i.Rs1.Num()-8)<<7 | (i.Rd.Num()-8)<<2 | 0b00), true
-		}
-	case MnFLD:
-		if i.Rd.IsF() && i.Imm >= 0 && i.Imm <= 248 && i.Imm%8 == 0 {
-			v := uint32(i.Imm)
-			imm := bits(v, 5, 3)<<10 | bits(v, 7, 6)<<5
-			return uint16(0b001<<13 | imm | (i.Rs1.Num()-8)<<7 | (i.Rd.Num()-8)<<2 | 0b00), true
-		}
-	}
-	return 0, false
-}
-
-func compressStoreReg(i Inst) (uint16, bool) {
-	if !isCReg(i.Rs1) || !isCReg(i.Rs2) {
-		return 0, false
-	}
-	switch i.Mn {
-	case MnSW:
-		if i.Imm >= 0 && i.Imm <= 124 && i.Imm%4 == 0 {
-			v := uint32(i.Imm)
-			imm := bits(v, 5, 3)<<10 | bits(v, 2, 2)<<6 | bits(v, 6, 6)<<5
-			return uint16(0b110<<13 | imm | (i.Rs1.Num()-8)<<7 | (i.Rs2.Num()-8)<<2 | 0b00), true
-		}
-	case MnSD:
-		if i.Rs2.IsX() && i.Imm >= 0 && i.Imm <= 248 && i.Imm%8 == 0 {
-			v := uint32(i.Imm)
-			imm := bits(v, 5, 3)<<10 | bits(v, 7, 6)<<5
-			return uint16(0b111<<13 | imm | (i.Rs1.Num()-8)<<7 | (i.Rs2.Num()-8)<<2 | 0b00), true
-		}
-	case MnFSD:
-		if i.Rs2.IsF() && i.Imm >= 0 && i.Imm <= 248 && i.Imm%8 == 0 {
-			v := uint32(i.Imm)
-			imm := bits(v, 5, 3)<<10 | bits(v, 7, 6)<<5
-			return uint16(0b101<<13 | imm | (i.Rs1.Num()-8)<<7 | (i.Rs2.Num()-8)<<2 | 0b00), true
+		rd, rs1, rs2, imm := f.expand(h)
+		if (f.rd == noReg || rd == i.Rd) && (f.rs1 == noReg || rs1 == i.Rs1) && (f.rs2 == noReg || rs2 == i.Rs2) &&
+			imm == i.Imm && !(f.reserved|f.hint).holds(rd, rs1, rs2, imm) {
+			return uint16(h), true
 		}
 	}
 	return 0, false
