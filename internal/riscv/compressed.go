@@ -126,24 +126,24 @@ var cForms = [...]cForm{
 	{"110...........00", MnSW, noReg, xpAt9, xpAt4, "12:10[5:3] 6:5[2|6]", zext, 0, 0},       // c.sw
 	{"111...........00", MnSD, noReg, xpAt9, xpAt4, "12:10[5:3] 6:5[7:6]", zext, 0, 0},       // c.sd
 
-	{"0000000000000001", MnADDI, fixX0, fixX0, noReg, "", zext, 0, 0},                                  // c.nop
-	{"000...........01", MnADDI, xAt11, xAt11, noReg, "12[5] 6:2[4:0]", sext, 0, zeroImm | rdX0},       // c.addi
-	{"001...........01", MnADDIW, xAt11, xAt11, noReg, "12[5] 6:2[4:0]", sext, rdX0, 0},                // c.addiw
-	{"010...........01", MnADDI, xAt11, fixX0, noReg, "12[5] 6:2[4:0]", sext, 0, rdX0},                 // c.li
-	{"011.00010.....01", MnADDI, fixSP, fixSP, noReg, "12[9] 6:2[4|6|8:7|5]", sext, zeroImm, 0},        // c.addi16sp
-	{"011...........01", MnLUI, xAt11, noReg, noReg, "12[5] 6:2[4:0]", sext, zeroImm | rdX0 | rdSP, 0}, // c.lui
-	{"100.00........01", MnSRLI, xpAt9, xpAt9, noReg, "12[5] 6:2[4:0]", zext, 0, zeroImm},              // c.srli
-	{"100.01........01", MnSRAI, xpAt9, xpAt9, noReg, "12[5] 6:2[4:0]", zext, 0, zeroImm},              // c.srai
-	{"100.10........01", MnANDI, xpAt9, xpAt9, noReg, "12[5] 6:2[4:0]", sext, 0, 0},                    // c.andi
-	{"100011...00...01", MnSUB, xpAt9, xpAt9, xpAt4, "", zext, 0, 0},                                   // c.sub
-	{"100011...01...01", MnXOR, xpAt9, xpAt9, xpAt4, "", zext, 0, 0},                                   // c.xor
-	{"100011...10...01", MnOR, xpAt9, xpAt9, xpAt4, "", zext, 0, 0},                                    // c.or
-	{"100011...11...01", MnAND, xpAt9, xpAt9, xpAt4, "", zext, 0, 0},                                   // c.and
-	{"100111...00...01", MnSUBW, xpAt9, xpAt9, xpAt4, "", zext, 0, 0},                                  // c.subw
-	{"100111...01...01", MnADDW, xpAt9, xpAt9, xpAt4, "", zext, 0, 0},                                  // c.addw
-	{"101...........01", MnJAL, fixX0, noReg, noReg, "12:2[11|4|9:8|10|6|7|3:1|5]", sext, 0, 0},        // c.j
-	{"110...........01", MnBEQ, noReg, xpAt9, fixX0, "12:10[8|4:3] 6:2[7:6|2:1|5]", sext, 0, 0},        // c.beqz
-	{"111...........01", MnBNE, noReg, xpAt9, fixX0, "12:10[8|4:3] 6:2[7:6|2:1|5]", sext, 0, 0},        // c.bnez
+	{"0000000000000001", MnADDI, fixX0, fixX0, noReg, "", zext, 0, 0},                              // c.nop
+	{"000...........01", MnADDI, xAt11, xAt11, noReg, "12[5] 6:2[4:0]", sext, 0, zeroImm | rdX0},   // c.addi
+	{"001...........01", MnADDIW, xAt11, xAt11, noReg, "12[5] 6:2[4:0]", sext, rdX0, 0},            // c.addiw
+	{"010...........01", MnADDI, xAt11, fixX0, noReg, "12[5] 6:2[4:0]", sext, 0, rdX0},             // c.li
+	{"011.00010.....01", MnADDI, fixSP, fixSP, noReg, "12[9] 6:2[4|6|8:7|5]", sext, zeroImm, 0},    // c.addi16sp
+	{"011...........01", MnLUI, xAt11, noReg, noReg, "12[5] 6:2[4:0]", sext, zeroImm | rdSP, rdX0}, // c.lui
+	{"100.00........01", MnSRLI, xpAt9, xpAt9, noReg, "12[5] 6:2[4:0]", zext, 0, zeroImm},          // c.srli
+	{"100.01........01", MnSRAI, xpAt9, xpAt9, noReg, "12[5] 6:2[4:0]", zext, 0, zeroImm},          // c.srai
+	{"100.10........01", MnANDI, xpAt9, xpAt9, noReg, "12[5] 6:2[4:0]", sext, 0, 0},                // c.andi
+	{"100011...00...01", MnSUB, xpAt9, xpAt9, xpAt4, "", zext, 0, 0},                               // c.sub
+	{"100011...01...01", MnXOR, xpAt9, xpAt9, xpAt4, "", zext, 0, 0},                               // c.xor
+	{"100011...10...01", MnOR, xpAt9, xpAt9, xpAt4, "", zext, 0, 0},                                // c.or
+	{"100011...11...01", MnAND, xpAt9, xpAt9, xpAt4, "", zext, 0, 0},                               // c.and
+	{"100111...00...01", MnSUBW, xpAt9, xpAt9, xpAt4, "", zext, 0, 0},                              // c.subw
+	{"100111...01...01", MnADDW, xpAt9, xpAt9, xpAt4, "", zext, 0, 0},                              // c.addw
+	{"101...........01", MnJAL, fixX0, noReg, noReg, "12:2[11|4|9:8|10|6|7|3:1|5]", sext, 0, 0},    // c.j
+	{"110...........01", MnBEQ, noReg, xpAt9, fixX0, "12:10[8|4:3] 6:2[7:6|2:1|5]", sext, 0, 0},    // c.beqz
+	{"111...........01", MnBNE, noReg, xpAt9, fixX0, "12:10[8|4:3] 6:2[7:6|2:1|5]", sext, 0, 0},    // c.bnez
 
 	{"000...........10", MnSLLI, xAt11, xAt11, noReg, "12[5] 6:2[4:0]", zext, 0, zeroImm | rdX0}, // c.slli
 	{"001...........10", MnFLD, fAt11, fixSP, noReg, "12[5] 6:2[4:3|8:6]", zext, 0, 0},           // c.fldsp

@@ -10,11 +10,14 @@ import (
 
 // The pinned values of TestDecodeSweep16 and TestCompressSweep. They were
 // computed by these tests on a checkout of the commit before the compressed
-// forms became one table, with the two hand-written switches.
+// forms became one table, with the two hand-written switches: 46,680 legal
+// halfwords, hash 0xdf06cfe55d67082a, 334 not produced. The table
+// reproduced them; then c.lui x0, nzimm became the HINT the spec makes it,
+// adding its 63 halfwords (TestCLuiX0IsHint) and nothing else.
 const (
-	sweep16Legal      = 46680
-	sweep16Hash       = 0xdf06cfe55d67082a
-	sweep16Unproduced = 334 // 331 HINTs, and 3 c.addi16sp halfwords whose values c.addi takes
+	sweep16Legal      = 46743
+	sweep16Hash       = 0xc24b5c82d8617d0d
+	sweep16Unproduced = 397 // 394 HINTs, and 3 c.addi16sp halfwords whose values c.addi takes
 	compressAccepted  = 1298
 	compressHash      = 0x44ff351aab9ec17d
 )
@@ -165,5 +168,27 @@ func TestCompressSweep(t *testing.T) {
 	}
 	if got := h.Sum64(); accepted != compressAccepted || got != compressHash {
 		t.Errorf("sweep: %d inputs compress, hash %#x; want %d, %#x", accepted, got, compressAccepted, uint64(compressHash))
+	}
+}
+
+// TestCLuiX0IsHint: c.lui with rd = x0 and a nonzero immediate is a HINT,
+// which decodes as lui x0, imm; with a zero immediate it is reserved.
+// Compress never emits it.
+func TestCLuiX0IsHint(t *testing.T) {
+	for imm := uint32(0); imm < 64; imm++ {
+		h := uint16(0b011<<13 | imm>>5<<12 | (imm&31)<<2 | 0b01) // c.lui x0, imm
+		inst, err := decodeCompressed(h, 0)
+		want := int64(int8(imm<<2) >> 2)
+		switch {
+		case imm == 0 && err == nil:
+			t.Errorf("0x%04x (c.lui x0, 0) decodes as %v; want reserved", h, inst)
+		case imm != 0 && (err != nil || inst.Mn != MnLUI || inst.Rd != X0 || inst.Imm != want):
+			t.Errorf("0x%04x decodes as %v (err %v); want lui zero, %d", h, inst, err, want)
+		}
+		if imm != 0 {
+			if _, ok := Compress(inst); ok {
+				t.Errorf("Compress(%v) emits the HINT", inst)
+			}
+		}
 	}
 }
