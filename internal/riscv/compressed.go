@@ -56,14 +56,20 @@ var (
 	fpAt4 = cReg{2, 3, F8}
 )
 
-func (s cReg) unpack(h uint32) Reg { return s.base + Reg(h&s.field()>>s.at) }
+// unpack returns the register in s's field of h. Here and below, masked
+// shift counts let the compiler drop its checks for oversized shifts,
+// which cost decoding a third of its time.
+func (s cReg) unpack(h uint32) Reg { return s.base + Reg(h>>(s.at&31)&(1<<(s.width&31)-1)) }
+
+// gives reports whether h holds r in s's field, or s is no operand.
+func (s cReg) gives(h uint32, r Reg) bool { return s == noReg || s.unpack(h) == r }
 
 // pack places r in s's field; a register the field cannot hold packs as
 // some other one, which unpack then tells apart.
-func (s cReg) pack(r Reg) uint32 { return uint32(r-s.base) << s.at & s.field() }
+func (s cReg) pack(r Reg) uint32 { return uint32(r-s.base) << (s.at & 31) & s.field() }
 
 // field returns the bits of s's field.
-func (s cReg) field() uint32 { return (1<<s.width - 1) << s.at }
+func (s cReg) field() uint32 { return (1<<(s.width&31) - 1) << (s.at & 31) }
 
 // cCond is a set of conditions on a form's expanded operands.
 type cCond uint8
@@ -106,7 +112,7 @@ type cRow struct {
 	cForm
 	mask, match uint32
 	segs        []cSeg
-	immBits     uint8 // the immediate's top bit + 1
+	signShift   uint8 // 64 - the width of a signed immediate; 0 if unsigned
 }
 
 // cSeg is one run of an immediate's scattering: imm[to+width-1:to] sits
@@ -182,9 +188,13 @@ func init() {
 		}
 		f.segs = parseScattering(f.imm)
 		operands := f.rd.field() | f.rs1.field() | f.rs2.field()
+		top := uint8(0)
 		for _, s := range f.segs {
 			operands |= (1<<s.width - 1) << s.from
-			f.immBits = max(f.immBits, s.to+s.width)
+			top = max(top, s.to+s.width)
+		}
+		if f.signed {
+			f.signShift = 64 - top
 		}
 		if f.mask|operands != 0xffff || f.mask&operands != 0 ||
 			k > 0 && cKey(f.match) < cKey(cRows[k-1].match) {
@@ -231,16 +241,14 @@ func parseScattering(s string) (segs []cSeg) {
 	return segs
 }
 
-// expand returns the operands and immediate halfword h holds in f's form.
-func (f *cRow) expand(h uint32) (rd, rs1, rs2 Reg, imm int64) {
+// immOf returns the immediate halfword h holds in f's form.
+func (f *cRow) immOf(h uint32) int64 {
 	var v uint64
 	for _, s := range f.segs {
-		v |= uint64(h>>s.from&(1<<s.width-1)) << s.to
+		v |= uint64(h>>(s.from&31)&(1<<(s.width&31)-1)) << (s.to & 63)
 	}
-	if imm = int64(v); f.signed {
-		imm = imm << (64 - f.immBits) >> (64 - f.immBits)
-	}
-	return f.rd.unpack(h), f.rs1.unpack(h), f.rs2.unpack(h), imm
+	sh := f.signShift & 63
+	return int64(v) << sh >> sh
 }
 
 func decodeCompressed(h uint16, addr uint64) (Inst, error) {
@@ -248,7 +256,8 @@ func decodeCompressed(h uint16, addr uint64) (Inst, error) {
 	rows := cIndex[cKey(w)]
 	for k := range rows {
 		if f := &rows[k]; w&f.mask == f.match {
-			if rd, rs1, rs2, imm := f.expand(w); !f.reserved.holds(rd, rs1, rs2, imm) {
+			rd, rs1, rs2, imm := f.rd.unpack(w), f.rs1.unpack(w), f.rs2.unpack(w), f.immOf(w)
+			if !f.reserved.holds(rd, rs1, rs2, imm) {
 				return Inst{Addr: addr, Imm: imm, Len: 2, Raw: w, Mn: f.mn,
 					Rd: rd, Rs1: rs1, Rs2: rs2, Rs3: RegNone, Compressed: true}, nil
 			}
@@ -271,12 +280,14 @@ func Compress(i Inst) (uint16, bool) {
 	}
 	for _, f := range cByMn[i.Mn] {
 		h := f.match | f.rd.pack(i.Rd) | f.rs1.pack(i.Rs1) | f.rs2.pack(i.Rs2)
-		for _, s := range f.segs {
-			h |= uint32(i.Imm>>s.to) & (1<<s.width - 1) << s.from
+		if !f.rd.gives(h, i.Rd) || !f.rs1.gives(h, i.Rs1) || !f.rs2.gives(h, i.Rs2) ||
+			(f.reserved|f.hint).holds(i.Rd, i.Rs1, i.Rs2, i.Imm) {
+			continue
 		}
-		rd, rs1, rs2, imm := f.expand(h)
-		if (f.rd == noReg || rd == i.Rd) && (f.rs1 == noReg || rs1 == i.Rs1) && (f.rs2 == noReg || rs2 == i.Rs2) &&
-			imm == i.Imm && !(f.reserved|f.hint).holds(rd, rs1, rs2, imm) {
+		for _, s := range f.segs {
+			h |= uint32(i.Imm>>(s.to&63)) & (1<<(s.width&31) - 1) << (s.from & 31)
+		}
+		if f.immOf(h) == i.Imm {
 			return uint16(h), true
 		}
 	}

@@ -192,3 +192,20 @@ func TestCLuiX0IsHint(t *testing.T) {
 		}
 	}
 }
+
+// TestCompressTableOrder: among the forms that hold an instruction,
+// Compress takes the first in table order.
+func TestCompressTableOrder(t *testing.T) {
+	for _, c := range []struct {
+		in   Inst
+		want uint16
+	}{
+		{mk(MnADDI, RegSP, RegSP, RegNone, 16), 0x0141}, // c.addi, not c.addi16sp
+		{mk(MnADDI, RegSP, RegSP, RegNone, 48), 0x6145}, // c.addi16sp
+		{mk(MnADDI, X0, X0, RegNone, 0), 0x0001},        // c.nop
+	} {
+		if h, ok := Compress(c.in); !ok || h != c.want {
+			t.Errorf("Compress(%v) = 0x%04x, %v; want 0x%04x", c.in, h, ok, c.want)
+		}
+	}
+}
