@@ -35,7 +35,7 @@ const (
 // cReg is the shape of a compressed form's register operand: a field of
 // width bits at bit at that holds the register's offset from base (5 bits:
 // any x or f register; 3 bits: x8-x15 or f8-f15), or, with width 0, the
-// fixed register base, RegNone for an operand the form does not have. An
+// fixed register base (RegNone when the form has no such operand). An
 // operand with the same field as rd is tied to it.
 type cReg struct {
 	at, width uint8
@@ -121,8 +121,9 @@ type cSeg struct{ from, to, width uint8 }
 
 // cForms holds every RV64C form in quadrant, then funct3 order. Among the
 // rows of one mnemonic, table order is Compress's preference: addi sp, sp,
-// 16 takes c.addi, not c.addi16sp. c.lui's immediate is the one lui
-// carries, nzimm[17:12] in the spec.
+// 16 takes c.addi, not c.addi16sp. c.nop has a row of its own because
+// Compress emits it, while c.addi with a zero immediate is a HINT. c.lui's
+// immediate is the one lui carries, nzimm[17:12] in the spec.
 var cForms = [...]cForm{
 	{"000...........00", MnADDI, xpAt4, fixSP, noReg, "12:5[5:4|9:6|2|3]", zext, zeroImm, 0}, // c.addi4spn
 	{"001...........00", MnFLD, fpAt4, xpAt9, noReg, "12:10[5:3] 6:5[7:6]", zext, 0, 0},      // c.fld

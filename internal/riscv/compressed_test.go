@@ -209,3 +209,19 @@ func TestCompressTableOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestCompressRefusesWhatNoFormHolds: an operand from the wrong file, an
+// absent operand a form needs and an immediate on a form without one have
+// no compressed encoding.
+func TestCompressRefusesWhatNoFormHolds(t *testing.T) {
+	for _, in := range []Inst{
+		mk(MnLW, F8, RegA1, RegNone, 4),   // c.lw takes x8-x15
+		mk(MnADD, RegA0, X0, RegNone, 0),  // c.mv needs rs2
+		mk(MnADD, RegA0, RegA0, RegA1, 5), // c.add has no immediate
+		mk(MnEBREAK, RegNone, RegNone, RegNone, 1),
+	} {
+		if h, ok := Compress(in); ok {
+			t.Errorf("Compress(%v) = 0x%04x; want no compressed form", in, h)
+		}
+	}
+}
