@@ -265,7 +265,7 @@ func decodeCompressed(h uint16, addr uint64) (Inst, error) {
 		}
 	}
 	return Inst{Addr: addr, Len: 2, Raw: w, Rd: RegNone, Rs1: RegNone, Rs2: RegNone, Rs3: RegNone, Compressed: true},
-		fmt.Errorf("%w: compressed 0x%04x at 0x%x", ErrIllegal, h, addr)
+		&illegalError{w, true, addr}
 }
 
 // Compress attempts to find a 16-bit encoding for the instruction. It

@@ -11,6 +11,24 @@ var (
 	ErrIllegal   = errors.New("riscv: illegal instruction")
 )
 
+// illegalError is ErrIllegal for one word. It is formatted only when
+// printed: decoders meet illegal words far more often than anyone reads
+// the message (a sweep of the encoding space, a parse of data as code).
+type illegalError struct {
+	word       uint32
+	compressed bool
+	addr       uint64
+}
+
+func (e *illegalError) Error() string {
+	if e.compressed {
+		return fmt.Sprintf("%v: compressed 0x%04x at 0x%x", ErrIllegal, e.word, e.addr)
+	}
+	return fmt.Sprintf("%v: 0x%08x at 0x%x", ErrIllegal, e.word, e.addr)
+}
+
+func (e *illegalError) Unwrap() error { return ErrIllegal }
+
 // Decode decodes one instruction from b, which must hold the bytes at
 // address addr. It handles both 32-bit standard encodings and 16-bit
 // compressed encodings (expanding the latter to their base-mnemonic form
@@ -192,7 +210,7 @@ func decode32(w uint32, addr uint64) (Inst, error) {
 		}
 	}
 	if r == nil {
-		return inst, fmt.Errorf("%w: 0x%08x at 0x%x", ErrIllegal, w, addr)
+		return inst, &illegalError{w, false, addr}
 	}
 	inst.Mn = r.mn
 	rd, rs1, rs2 := bits(w, 11, 7), bits(w, 19, 15), bits(w, 24, 20)

@@ -91,3 +91,20 @@ func TestDecodeIndexCollisionPanics(t *testing.T) {
 		})
 	}
 }
+
+// TestIllegalErrorText: an illegal word's error prints the same text the
+// decoders always printed and still matches ErrIllegal.
+func TestIllegalErrorText(t *testing.T) {
+	for _, c := range []struct {
+		b    []byte
+		want string
+	}{
+		{[]byte{0xff, 0xff, 0xff, 0xff}, "riscv: illegal instruction: 0xffffffff at 0x1234"},
+		{[]byte{0x00, 0x00}, "riscv: illegal instruction: compressed 0x0000 at 0x1234"},
+	} {
+		_, err := Decode(c.b, 0x1234)
+		if !errors.Is(err, ErrIllegal) || err.Error() != c.want {
+			t.Errorf("% x: err %q, want %q matching ErrIllegal", c.b, err, c.want)
+		}
+	}
+}
