@@ -34,6 +34,9 @@
 //	                                         analysis cache (rvdynd)
 //	rvdyn components                         the Figure 2 component graph
 //
+// Every prog.elf argument may instead name a workload program (e.g. matmul),
+// which is assembled in memory.
+//
 // The global -jobs N flag (before the subcommand) bounds the worker pool of
 // the parallel analyze/instrument phases; output is byte-identical for every
 // value. Default is GOMAXPROCS.
@@ -180,11 +183,38 @@ func usage() {
 	os.Exit(2)
 }
 
-func openArg(fs *flag.FlagSet) *core.Binary {
+// loadArg resolves fs's one argument, an ELF path or a workload program
+// name, into a parsed file plus the workload's default function list.
+func loadArg(fs *flag.FlagSet) (*elfrv.File, []string) {
 	if fs.NArg() != 1 {
-		log.Fatal("need exactly one ELF file")
+		log.Fatalf("%s needs one ELF file or workload program name (e.g. matmul)", fs.Name())
 	}
-	b, err := core.OpenPathJobs(fs.Arg(0), *jobsFlag)
+	arg := fs.Arg(0)
+	if data, err := os.ReadFile(arg); err == nil {
+		file, err := elfrv.Read(data)
+		if err != nil {
+			log.Fatal(err)
+		}
+		return file, nil
+	}
+	for _, p := range workload.Programs() {
+		if p.Name != arg {
+			continue
+		}
+		f, err := asm.Assemble(p.Source, asm.Options{})
+		if err != nil {
+			log.Fatal(err)
+		}
+		return f, p.Funcs
+	}
+	log.Fatalf("%q is neither a readable file nor a workload program", arg)
+	return nil, nil
+}
+
+// openArg analyzes loadArg's file.
+func openArg(fs *flag.FlagSet) *core.Binary {
+	f, _ := loadArg(fs)
+	b, err := core.FromFileJobs(f, *jobsFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -381,19 +411,13 @@ func cmdRewrite(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	pts, err := snippet.PointsNamed(*points)
+	if err != nil {
+		log.Fatal(err)
+	}
 	m := b.NewMutator(parseMode(*mode))
 	counter := m.NewVar("rvdyn_counter", 8)
-	switch *points {
-	case "entry":
-		err = m.AtFuncEntry(fn, snippet.Increment(counter))
-	case "exits":
-		err = m.AtFuncExits(fn, snippet.Increment(counter))
-	case "blocks":
-		err = m.AtBlockEntries(fn, snippet.Increment(counter))
-	default:
-		log.Fatalf("unknown points %q", *points)
-	}
-	if err != nil {
+	if err := m.At(pts(fn), snippet.Increment(counter)); err != nil {
 		log.Fatal(err)
 	}
 	outFile, err := m.Rewrite()
@@ -414,14 +438,11 @@ func cmdRewrite(args []string) {
 }
 
 func parseMode(s string) codegen.Mode {
-	switch s {
-	case "dead":
-		return codegen.ModeDeadRegister
-	case "spill":
-		return codegen.ModeSpillAlways
+	m, err := codegen.ParseMode(s)
+	if err != nil {
+		log.Fatal(err)
 	}
-	log.Fatalf("unknown mode %q", s)
-	return 0
+	return m
 }
 
 func cmdRun(args []string) {
@@ -550,8 +571,8 @@ func cmdOracle(args []string) {
 		if *funcs == "" {
 			log.Fatal("equiv mode needs -func f1,f2,...")
 		}
-		b := openArg(fs)
-		rep, err := oracle.CheckEquivalence(b.File, strings.Split(*funcs, ","), parseMode(*cg))
+		f, _ := loadArg(fs)
+		rep, err := oracle.CheckEquivalence(f, strings.Split(*funcs, ","), parseMode(*cg))
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -705,30 +726,6 @@ func cmdServe(args []string) {
 // cycles. The argument is an ELF path or a workload program name (e.g.
 // "matmul"), in which case the workload's instrumentable functions are
 // profiled by default.
-// loadProgArg resolves an argument that is either an ELF path or a workload
-// program name into a parsed file plus the workload's default function list.
-func loadProgArg(arg string) (*elfrv.File, []string) {
-	if data, err := os.ReadFile(arg); err == nil {
-		file, err := elfrv.Read(data)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return file, nil
-	}
-	for _, p := range workload.Programs() {
-		if p.Name != arg {
-			continue
-		}
-		f, err := asm.Assemble(p.Source, asm.Options{})
-		if err != nil {
-			log.Fatal(err)
-		}
-		return f, p.Funcs
-	}
-	log.Fatalf("%q is neither a readable file nor a workload program", arg)
-	return nil, nil
-}
-
 func cmdProfile(args []string) {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
 	funcs := fs.String("func", "", "comma-separated functions to profile (default: workload metadata, or every named function)")
@@ -741,10 +738,7 @@ func cmdProfile(args []string) {
 	foldedOut := fs.String("folded", "", "write folded stacks for flamegraph.pl/speedscope to `FILE` (with -sample)")
 	topN := fs.Int("top", 10, "rows in the top-functions table (with -sample; 0 = all)")
 	fs.Parse(args)
-	if fs.NArg() != 1 {
-		log.Fatal("profile needs one ELF file or workload program name (e.g. matmul)")
-	}
-	file, flist := loadProgArg(fs.Arg(0))
+	file, flist := loadArg(fs)
 	if *funcs != "" {
 		flist = strings.Split(*funcs, ",")
 	}
@@ -841,10 +835,7 @@ func cmdDBIRun(args []string) {
 	pprofOut := fs.String("pprof", "", "write a gzipped pprof profile.proto to `FILE` (with -sample-period)")
 	foldedOut := fs.String("folded", "", "write folded stacks to `FILE` (with -sample-period)")
 	fs.Parse(args)
-	if fs.NArg() != 1 {
-		log.Fatal("dbirun needs one ELF file or workload program name (e.g. matmul)")
-	}
-	file, flist := loadProgArg(fs.Arg(0))
+	file, flist := loadArg(fs)
 	if *funcs != "" {
 		flist = strings.Split(*funcs, ",")
 	}

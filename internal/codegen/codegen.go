@@ -44,6 +44,18 @@ func (m Mode) String() string {
 	return "dead-register"
 }
 
+// ParseMode returns the mode a tool names: "dead" (also the empty name) or
+// "spill".
+func ParseMode(name string) (Mode, error) {
+	switch name {
+	case "", "dead":
+		return ModeDeadRegister, nil
+	case "spill":
+		return ModeSpillAlways, nil
+	}
+	return 0, fmt.Errorf("unknown codegen mode %q", name)
+}
+
 // Options configures one generation.
 type Options struct {
 	// Arch is the mutatee's extension set; zero means RV64GC.

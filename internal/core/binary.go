@@ -22,7 +22,6 @@ package core
 
 import (
 	"fmt"
-	"os"
 
 	"rvdyn/internal/codegen"
 	"rvdyn/internal/dataflow"
@@ -47,30 +46,11 @@ type Binary struct {
 
 // Open parses and analyzes raw ELF bytes.
 func Open(data []byte) (*Binary, error) {
-	return OpenJobs(data, 0)
-}
-
-// OpenJobs is Open with an explicit worker count for the parallel phases.
-func OpenJobs(data []byte, jobs int) (*Binary, error) {
 	f, err := elfrv.Read(data)
 	if err != nil {
 		return nil, err
 	}
-	return FromFileJobs(f, jobs)
-}
-
-// OpenPath reads and analyzes an ELF file on disk.
-func OpenPath(path string) (*Binary, error) {
-	return OpenPathJobs(path, 0)
-}
-
-// OpenPathJobs is OpenPath with an explicit worker count.
-func OpenPathJobs(path string, jobs int) (*Binary, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return OpenJobs(data, jobs)
+	return FromFile(f)
 }
 
 // FromFile analyzes an in-memory file object.
@@ -121,6 +101,16 @@ func (b *Binary) NewMutator(mode codegen.Mode) *Mutator {
 	return &Mutator{Rewriter: rw}
 }
 
+// At inserts sn at every point.
+func (m *Mutator) At(points []snippet.Point, sn snippet.Snippet) error {
+	for _, pt := range points {
+		if err := m.InsertSnippet(pt, sn); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // AtFuncEntry inserts sn at the function entry point.
 func (m *Mutator) AtFuncEntry(fn *parse.Function, sn snippet.Snippet) error {
 	return m.InsertSnippet(snippet.FuncEntry(fn), sn)
@@ -128,42 +118,22 @@ func (m *Mutator) AtFuncEntry(fn *parse.Function, sn snippet.Snippet) error {
 
 // AtFuncExits inserts sn at every exit point.
 func (m *Mutator) AtFuncExits(fn *parse.Function, sn snippet.Snippet) error {
-	for _, pt := range snippet.FuncExits(fn) {
-		if err := m.InsertSnippet(pt, sn); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.At(snippet.FuncExits(fn), sn)
 }
 
 // AtBlockEntries inserts sn at the start of every basic block.
 func (m *Mutator) AtBlockEntries(fn *parse.Function, sn snippet.Snippet) error {
-	for _, pt := range snippet.BlockEntries(fn) {
-		if err := m.InsertSnippet(pt, sn); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.At(snippet.BlockEntries(fn), sn)
 }
 
 // AtCallSites inserts sn before every call instruction in the function.
 func (m *Mutator) AtCallSites(fn *parse.Function, sn snippet.Snippet) error {
-	for _, pt := range snippet.CallSites(fn) {
-		if err := m.InsertSnippet(pt, sn); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.At(snippet.CallSites(fn), sn)
 }
 
 // AtLoopBegins inserts sn at every loop head (once per iteration).
 func (m *Mutator) AtLoopBegins(fn *parse.Function, sn snippet.Snippet) error {
-	for _, pt := range snippet.LoopBegins(fn) {
-		if err := m.InsertSnippet(pt, sn); err != nil {
-			return err
-		}
-	}
-	return nil
+	return m.At(snippet.LoopBegins(fn), sn)
 }
 
 // AtLoopBackEdges inserts sn on every loop back edge of the function.

@@ -37,7 +37,7 @@ func Components() []Component {
 		{Name: "stackwalk", Role: "StackwalkerAPI", Uses: []string{"dataflow", "parse", "riscv"}},
 		{Name: "core", Role: "mutator facade (BPatch layer)", Uses: []string{
 			"codegen", "dataflow", "elfrv", "emu", "parse", "patch", "proc",
-			"riscv", "snippet", "stackwalk", "symtab"}},
+			"snippet", "stackwalk", "symtab"}},
 		{Name: "oracle", Role: "differential-execution oracle (QEMU/hardware cross-check substitute)", Uses: []string{
 			"asm", "codegen", "core", "elfrv", "emu", "riscv", "snippet"}, Substrate: true},
 		{Name: "dbi", Role: "dynamic binary instrumentation engine (code-cache translation on a live process)", Uses: []string{

@@ -5,12 +5,10 @@ import (
 	"sort"
 
 	"rvdyn/internal/codegen"
-	"rvdyn/internal/dataflow"
 	"rvdyn/internal/emu"
 	"rvdyn/internal/parse"
 	"rvdyn/internal/patch"
 	"rvdyn/internal/proc"
-	"rvdyn/internal/riscv"
 	"rvdyn/internal/snippet"
 	"rvdyn/internal/stackwalk"
 )
@@ -22,11 +20,7 @@ type Process struct {
 	*proc.Process
 	Binary *Binary
 
-	trampNext uint64
-	varNext   uint64
-	varBase   uint64
-	varMapped bool
-
+	live         *patch.Live
 	instrumented map[uint64]*undo
 
 	// xlatPairs maps relocated instruction addresses back to their original
@@ -43,13 +37,58 @@ type Process struct {
 
 type xlatPair struct{ newAddr, origAddr uint64 }
 
-// undo records what restoring a function's original behaviour takes.
+// undo is the splice Target of one instrumented function: it writes process
+// memory and records what restoring the function's original behaviour
+// takes.
 type undo struct {
-	entry uint64
-	orig  []byte           // original entry bytes (nil for the trap rung)
+	p     *Process
+	saved []saved          // overwritten bytes, in write order
 	bp    *proc.Breakpoint // the redirect breakpoint (trap rung only)
-	// table slots overwritten, with their original contents.
-	slots map[uint64][]byte
+}
+
+type saved struct {
+	addr uint64
+	old  []byte
+}
+
+// WriteMem saves the bytes an entry patch or a jump-table slot replaces.
+func (u *undo) WriteMem(addr uint64, b []byte) error {
+	old, err := u.p.ReadMem(addr, len(b))
+	if err != nil {
+		return err
+	}
+	u.saved = append(u.saved, saved{addr, old})
+	return u.p.WriteMem(addr, b)
+}
+
+// Trap installs the trap rung: a ProcControl breakpoint redirects the PC on
+// every hit. Slow — each entry costs a stop — but always fits.
+func (u *undo) Trap(from, to uint64) error {
+	bp, err := u.p.InsertBreakpoint(from)
+	if err != nil {
+		return err
+	}
+	bp.Callback = func(pp *proc.Process, _ *proc.Breakpoint) bool {
+		pp.SetPC(to)
+		return true
+	}
+	u.bp = bp
+	return nil
+}
+
+// restore puts back everything the splice changed.
+func (u *undo) restore() error {
+	if u.bp != nil {
+		if err := u.p.RemoveBreakpoint(u.bp); err != nil {
+			return err
+		}
+	}
+	for i := len(u.saved) - 1; i >= 0; i-- {
+		if err := u.p.WriteMem(u.saved[i].addr, u.saved[i].old); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Launch starts the binary under control, stopped at entry.
@@ -68,54 +107,22 @@ func (b *Binary) Attach(cpu *emu.CPU) *Process {
 }
 
 func (b *Binary) adopt(p *proc.Process) *Process {
-	var end uint64
-	for _, r := range b.Symtab.Regions {
-		if r.Addr+r.Size > end {
-			end = r.Addr + r.Size
-		}
-	}
-	tramp := (end+0xfff)&^0xfff + 0x1000
 	return &Process{
 		Process:      p,
 		Binary:       b,
-		trampNext:    tramp,
-		varBase:      tramp + 0x200000,
+		live:         patch.NewLive(b.Symtab, p),
 		instrumented: map[uint64]*undo{},
 	}
 }
 
 // NewVar allocates an instrumentation variable in fresh process memory.
 func (p *Process) NewVar(name string, width int) *snippet.Var {
-	if !p.varMapped {
-		p.MapRegion(p.varBase, 0x10000)
-		p.varMapped = true
-		p.varNext = p.varBase
-	}
-	p.varNext = (p.varNext + 7) &^ 7
-	v := &snippet.Var{Name: name, Width: width, Addr: p.varNext}
-	p.varNext += 8
-	return v
+	return p.live.Vars.New(name, width)
 }
 
 // ReadVar reads an instrumentation variable's current value.
 func (p *Process) ReadVar(v *snippet.Var) (uint64, error) {
-	b, err := p.ReadMem(v.Addr, 8)
-	if err != nil {
-		return 0, err
-	}
-	var out uint64
-	for i := 7; i >= 0; i-- {
-		out = out<<8 | uint64(b[i])
-	}
-	switch v.Width {
-	case 1:
-		out &= 0xff
-	case 2:
-		out &= 0xffff
-	case 4:
-		out &= 0xffffffff
-	}
-	return out, nil
+	return p.live.Vars.Read(v)
 }
 
 // InstrumentFunction applies sn at the given points of fn by in-memory
@@ -141,52 +148,15 @@ func (p *Process) InstrumentFunctionFull(fn *parse.Function, points []snippet.Po
 		// all points into one call is this API's contract.)
 		return 0, fmt.Errorf("core: function %s is already instrumented; pass all points in one call", fn.Name)
 	}
-	lv := dataflow.Liveness(fn)
-	var insertions []patch.Insertion
-	for _, pt := range points {
-		if pt.Func != fn {
-			return 0, fmt.Errorf("core: point %v is not in %s", pt, fn.Name)
-		}
-		var dead []riscv.Reg
-		if mode == codegen.ModeDeadRegister {
-			dead = lv.DeadScratchX(pt.Addr)
-		}
-		res, err := codegen.Generate(sn, codegen.Options{
-			Arch: p.Binary.Symtab.Extensions, Mode: mode, DeadRegs: dead,
-		})
-		if err != nil {
-			return 0, err
-		}
-		insertions = append(insertions, patch.Insertion{Addr: pt.Addr, Code: res.Insts})
-	}
-	var edgeIns []patch.EdgeInsertion
-	for _, pt := range edges {
-		if pt.Func != fn {
-			return 0, fmt.Errorf("core: edge point %v is not in %s", pt, fn.Name)
-		}
-		var dead []riscv.Reg
-		if mode == codegen.ModeDeadRegister {
-			dead = lv.DeadScratchX(pt.EdgeDest())
-		}
-		res, err := codegen.Generate(sn, codegen.Options{
-			Arch: p.Binary.Symtab.Extensions, Mode: mode, DeadRegs: dead,
-		})
-		if err != nil {
-			return 0, err
-		}
-		edgeIns = append(edgeIns, patch.EdgeInsertion{Block: pt.Block, Kind: pt.Kind, Code: res.Insts})
-	}
-
-	rel, err := patch.RelocateWithEdges(fn, p.Binary.Symtab, insertions, edgeIns, p.trampNext, p.Binary.Symtab.Extensions)
+	u := &undo{p: p}
+	rel, kind, err := p.live.Instrument(u, fn, points, edges, sn, mode)
 	if err != nil {
+		// Undo a partial splice; the instrumentation error is the one to
+		// report.
+		_ = u.restore()
 		return 0, err
 	}
-	size := (uint64(len(rel.Code)) + 0xfff) &^ 0xfff
-	p.MapRegion(p.trampNext, size)
-	if err := p.WriteMem(rel.NewBase, rel.Code); err != nil {
-		return 0, err
-	}
-	p.trampNext += size
+	p.instrumented[fn.Entry] = u
 	if p.relocated == nil {
 		p.relocated = map[uint64]uint64{}
 	}
@@ -195,74 +165,6 @@ func (p *Process) InstrumentFunctionFull(fn *parse.Function, points []snippet.Po
 		p.relocated[orig] = na
 	})
 	sort.Slice(p.xlatPairs, func(i, j int) bool { return p.xlatPairs[i].newAddr < p.xlatPairs[j].newAddr })
-
-	u := &undo{entry: fn.Entry, slots: map[uint64][]byte{}}
-
-	// Repoint jump tables at the relocated blocks.
-	for _, blk := range fn.Blocks {
-		if blk.Purpose != parse.PurposeJumpTable || blk.TableCount == 0 {
-			continue
-		}
-		for i := uint64(0); i < blk.TableCount; i++ {
-			slot := blk.TableBase + i*blk.TableStride
-			old, ok := p.Binary.Symtab.ReadMem(slot, blk.TableWidth)
-			if !ok {
-				return 0, fmt.Errorf("core: cannot read jump table slot %#x", slot)
-			}
-			nt, ok := rel.Addr(old &^ 1)
-			if !ok {
-				return 0, fmt.Errorf("core: table target %#x not relocated", old)
-			}
-			buf := make([]byte, blk.TableWidth)
-			for j := range buf {
-				buf[j] = byte(nt >> (8 * j))
-			}
-			prev, err := p.ReadMem(slot, blk.TableWidth)
-			if err != nil {
-				return 0, err
-			}
-			u.slots[slot] = prev
-			if err := p.WriteMem(slot, buf); err != nil {
-				return 0, err
-			}
-		}
-	}
-
-	// Entry redirection.
-	_, hi := fn.Extent()
-	room := hi - fn.Entry
-	scratch := riscv.RegNone
-	if dead := lv.DeadScratchX(fn.Entry); len(dead) > 0 {
-		scratch = dead[0]
-	}
-	newEntry, _ := rel.Addr(fn.Entry)
-	kind, bytes, err := patch.JumpPatch(fn.Entry, newEntry, room, p.Binary.Symtab.Extensions, scratch, true)
-	if err != nil {
-		return 0, err
-	}
-	p.instrumented[fn.Entry] = u
-	if kind == patch.PatchTrap {
-		// The trap rung: a ProcControl breakpoint redirects the PC on every
-		// hit. Slow — each entry costs a stop — but always fits.
-		bp, err := p.InsertBreakpoint(fn.Entry)
-		if err != nil {
-			return 0, err
-		}
-		bp.Callback = func(pp *proc.Process, _ *proc.Breakpoint) bool {
-			pp.SetPC(newEntry)
-			return true
-		}
-		u.bp = bp
-		return kind, nil
-	}
-	orig, err := p.ReadMem(fn.Entry, len(bytes))
-	if err != nil {
-		return 0, err
-	}
-	u.orig = orig
-	if err := p.WriteMem(fn.Entry, bytes); err != nil {
-		return 0, err
-	}
 	return kind, nil
 }
 
@@ -276,20 +178,8 @@ func (p *Process) Uninstrument(fn *parse.Function) error {
 	if u == nil {
 		return fmt.Errorf("core: function %s is not instrumented", fn.Name)
 	}
-	if u.bp != nil {
-		if err := p.RemoveBreakpoint(u.bp); err != nil {
-			return err
-		}
-	}
-	if u.orig != nil {
-		if err := p.WriteMem(u.entry, u.orig); err != nil {
-			return err
-		}
-	}
-	for slot, prev := range u.slots {
-		if err := p.WriteMem(slot, prev); err != nil {
-			return err
-		}
+	if err := u.restore(); err != nil {
+		return err
 	}
 	delete(p.instrumented, fn.Entry)
 	return nil

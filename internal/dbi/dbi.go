@@ -30,6 +30,7 @@ import (
 	"rvdyn/internal/elfrv"
 	"rvdyn/internal/emu"
 	"rvdyn/internal/parse"
+	"rvdyn/internal/patch"
 	"rvdyn/internal/proc"
 	"rvdyn/internal/riscv"
 	"rvdyn/internal/snippet"
@@ -37,9 +38,10 @@ import (
 
 // Options configures an engine.
 type Options struct {
-	// CacheBase/CacheSize place the code cache; zero auto-places it above
-	// the image (clear of the static rewriter's patch and var areas) with a
-	// 512 KiB cache — small enough that every intra-cache jal reaches.
+	// CacheBase/CacheSize place the code cache; zero auto-places it at the
+	// layout's cache address (patch.LayoutOf, clear of the patch and
+	// variable areas) with a 512 KiB cache — small enough that every
+	// intra-cache jal reaches.
 	CacheBase uint64
 	CacheSize uint64
 	// Arch is the mutatee's extension set for probe lowering (zero: RV64GC).
@@ -63,10 +65,7 @@ type Options struct {
 	Obs Metrics
 }
 
-const (
-	defaultCacheSize = 512 << 10
-	varRegionSize    = 0x10000
-)
+const defaultCacheSize = 512 << 10
 
 // Engine is one attached DBI session over a live process.
 type Engine struct {
@@ -93,15 +92,14 @@ type Engine struct {
 	// chain (ibl.go).
 	retSites map[uint64][]uint64
 
-	varBase, varNext uint64
-	varMapped        bool
+	vars patch.Vars
 
 	// comp is the counter-compensation state installed on the CPU;
 	// deltaIdx interns immutable deltas (index into comp.Deltas).
 	comp     *emu.DBIComp
 	deltaIdx map[emu.CompDelta]int
 
-	// iblBase is the inline-lookup table (above the var region).
+	// iblBase is the inline-lookup table (after the first variable chunk).
 	iblBase uint64
 
 	// pubHits is the high-water mark of comp.IBLHits already published to
@@ -143,15 +141,7 @@ func Attach(p *proc.Process, f *elfrv.File, opts Options) (*Engine, error) {
 		return nil, fmt.Errorf("dbi: cache size %d exceeds jal chaining reach (1 MiB)", opts.CacheSize)
 	}
 	if opts.CacheBase == 0 {
-		var end uint64
-		for _, s := range f.Sections {
-			if s.Flags&elfrv.SHFAlloc != 0 && s.Addr+s.Size() > end {
-				end = s.Addr + s.Size()
-			}
-		}
-		// Above the static rewriter's patch area (image end + 4 KiB) and its
-		// var region (+2 MiB), so both mechanisms coexist on one process.
-		opts.CacheBase = (end+0xfff)&^0xfff + 0x400000
+		opts.CacheBase = patch.LayoutOf(f).Cache
 	}
 	e := &Engine{
 		p: p, f: f, opts: opts, obs: opts.Obs,
@@ -161,10 +151,9 @@ func Attach(p *proc.Process, f *elfrv.File, opts Options) (*Engine, error) {
 		trans:     map[uint64]*translation{},
 		exits:     map[uint64]*exitStub{},
 		probes:    map[uint64]*probeCode{},
-		varBase:   opts.CacheBase + opts.CacheSize,
 		deltaIdx:  map[emu.CompDelta]int{},
 	}
-	e.iblBase = e.varBase + varRegionSize
+	e.vars, e.iblBase = patch.CacheVars(e.cacheEnd, iblRegionSize, p)
 	cpu := p.CPU()
 	comp := cpu.DBIComp
 	if comp == nil {
@@ -322,36 +311,12 @@ func (e *Engine) RemoveProbeAt(addr uint64) error {
 // NewVar allocates an instrumentation variable in fresh process memory
 // (above the code cache, outside every watched and hashed region).
 func (e *Engine) NewVar(name string, width int) *snippet.Var {
-	if !e.varMapped {
-		e.p.MapRegion(e.varBase, varRegionSize)
-		e.varMapped = true
-		e.varNext = e.varBase
-	}
-	e.varNext = (e.varNext + 7) &^ 7
-	v := &snippet.Var{Name: name, Width: width, Addr: e.varNext}
-	e.varNext += 8
-	return v
+	return e.vars.New(name, width)
 }
 
 // ReadVar reads an instrumentation variable's current value.
 func (e *Engine) ReadVar(v *snippet.Var) (uint64, error) {
-	b, err := e.p.ReadMem(v.Addr, 8)
-	if err != nil {
-		return 0, err
-	}
-	var out uint64
-	for i := 7; i >= 0; i-- {
-		out = out<<8 | uint64(b[i])
-	}
-	switch v.Width {
-	case 1:
-		out &= 0xff
-	case 2:
-		out &= 0xffff
-	case 4:
-		out &= 0xffffffff
-	}
-	return out, nil
+	return e.vars.Read(v)
 }
 
 // Continue resumes the process under translation until exit, a program

@@ -405,3 +405,56 @@ func TestSMCNativeSmoke(t *testing.T) {
 		t.Fatalf("exit %d want %d", c.ExitCode, workload.SMCExpected)
 	}
 }
+
+// TestVarAreaOverflow: the 8,193rd 8-byte variable fills the engine's first
+// 64 KiB variable chunk; it must land on mapped memory outside the code
+// cache and the inline-lookup table, and a probe counting into it must see
+// every fib call. The first 8,192 keep their addresses.
+func TestVarAreaOverflow(t *testing.T) {
+	f, err := asm.Assemble(workload.FibSource, asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := core.FromFile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fn, _ := b.FindFunction("fib")
+	p, err := proc.Launch(f, emu.P550())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, err := Attach(p, f, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := e.NewVar("v0", 8)
+	if first.Addr != e.cacheEnd {
+		t.Fatalf("first variable at %#x, want the cache end %#x", first.Addr, e.cacheEnd)
+	}
+	for i := 1; i < 8192; i++ {
+		if v := e.NewVar("v", 8); v.Addr != first.Addr+uint64(8*i) {
+			t.Fatalf("variable %d at %#x, want %#x", i, v.Addr, first.Addr+uint64(8*i))
+		}
+	}
+	v := e.NewVar("calls", 8)
+	if !p.CPU().Mem.Mapped(v.Addr) {
+		t.Fatalf("variable 8192 at %#x is not mapped", v.Addr)
+	}
+	if v.Addr+8 > e.iblBase && v.Addr < e.iblBase+iblRegionSize {
+		t.Fatalf("variable 8192 at %#x overlaps the lookup table at %#x", v.Addr, e.iblBase)
+	}
+	if v.Addr+8 > e.cacheBase && v.Addr < e.cacheEnd {
+		t.Fatalf("variable 8192 at %#x overlaps the code cache", v.Addr)
+	}
+	if err := e.Probe(fn, snippet.Increment(v)); err != nil {
+		t.Fatal(err)
+	}
+	ev, err := e.Continue()
+	if err != nil || ev.Kind != proc.EventExit || ev.ExitCode != workload.FibExpected {
+		t.Fatalf("ev=%+v err=%v", ev, err)
+	}
+	if got, _ := e.ReadVar(v); got != 465 {
+		t.Errorf("fib calls = %d, want 465", got)
+	}
+}

@@ -15,7 +15,7 @@ import (
 // phase introduced in the rewriter's lazily-built liveness cache: before the
 // cache was mutex-guarded with double-checked locking, concurrent planFunc
 // workers could write rw.liveness for the same function simultaneously.
-// The test hammers livenessFor directly from many goroutines (run under
+// The test hammers the rewriter's cache directly from many goroutines (run under
 // -race; the CI race job does) and asserts all callers observe one canonical
 // result per function.
 func TestRewriterLivenessCacheRace(t *testing.T) {
@@ -35,7 +35,7 @@ func TestRewriterLivenessCacheRace(t *testing.T) {
 			for round := 0; round < 4; round++ {
 				for i := range cfg.Funcs {
 					fn := cfg.Funcs[(i+g)%len(cfg.Funcs)]
-					seen[fn.Entry] = rw.livenessFor(fn)
+					seen[fn.Entry] = rw.liveness.For(fn)
 				}
 			}
 			results[g] = seen

@@ -47,13 +47,9 @@ type EdgeInsertion struct {
 
 // Relocation is the result of relocating one function.
 type Relocation struct {
-	Func    *parse.Function
 	NewBase uint64
 	Code    []byte
-	// InstrumentationBytes counts the bytes of inserted snippet code.
-	InstrumentationBytes int
-
-	addrs []addrOff // the plan's pairs; shared with it, never written
+	addrs   []addrOff // the plan's pairs; shared with it, never written
 }
 
 // Addr returns the relocated address of the original instruction at orig —
@@ -116,22 +112,6 @@ type rItem struct {
 // outlive the call and hold no pointers, so a pooled slice pins nothing.
 var itemBufs = sync.Pool{New: func() any { return new([]rItem) }}
 
-// Relocate produces the instrumented copy of fn at newBase.
-func Relocate(fn *parse.Function, st *symtab.Symtab, insertions []Insertion,
-	newBase uint64, arch riscv.ExtSet) (*Relocation, error) {
-	return RelocateWithEdges(fn, st, insertions, nil, newBase, arch)
-}
-
-// RelocateWithEdges additionally splices edge instrumentation.
-func RelocateWithEdges(fn *parse.Function, st *symtab.Symtab, insertions []Insertion,
-	edges []EdgeInsertion, newBase uint64, arch riscv.ExtSet) (*Relocation, error) {
-	plan, err := PlanRelocation(fn, st, insertions, edges, arch)
-	if err != nil {
-		return nil, err
-	}
-	return plan.Encode(newBase)
-}
-
 // RelocPlan is the base-independent half of a function relocation, built
 // before the function's patch-area address is known: the relocated code
 // encoded at offset 0, a fixup for each instruction whose target lies
@@ -141,11 +121,8 @@ func RelocateWithEdges(fn *parse.Function, st *symtab.Symtab, insertions []Inser
 // sum — the key to a parallel rewrite pipeline whose output is
 // byte-identical to the serial one.
 type RelocPlan struct {
-	Func *parse.Function
 	// Size is the total byte size the encoded relocation will occupy.
 	Size uint64
-	// InstrumentationBytes counts the bytes of inserted snippet code.
-	InstrumentationBytes int
 
 	code   []byte    // the relocated copy encoded at base 0
 	fixups []fixup   // 4-byte instructions targeting absolute addresses
@@ -247,7 +224,6 @@ func PlanRelocation(fn *parse.Function, st *symtab.Symtab, insertions []Insertio
 		*buf = items
 		itemBufs.Put(buf)
 	}()
-	instBytes := 0
 	snippet := func(code []riscv.Inst, attach bool) {
 		for _, sin := range code {
 			items = append(items, rItem{kind: itemSnippet, inst: sin, size: 4, attach: attach})
@@ -260,7 +236,6 @@ func PlanRelocation(fn *parse.Function, st *symtab.Symtab, insertions []Insertio
 				func(in Insertion, a uint64) int { return cmp.Compare(in.Addr, a) })
 			for ; j < len(insertions) && insertions[j].Addr == inst.Addr; j++ {
 				snippet(insertions[j].Code, true)
-				instBytes += 4 * len(insertions[j].Code)
 			}
 			isTerm := ii == len(b.Insts)-1
 			// A jalr the classifier proved to be an intra-function jump
@@ -290,16 +265,11 @@ func PlanRelocation(fn *parse.Function, st *symtab.Symtab, insertions []Insertio
 			if len(stubCode) > 0 {
 				stubs = append(stubs, stub{code: stubCode, target: inst.Addr + uint64(inst.Imm)})
 				items[len(items)-1].stubID = len(stubs)
-				for _, c := range stubCode {
-					instBytes += 4 * len(c)
-				}
-				instBytes += 4 // the stub's trailing jump
 			}
 			// Inline code on the fallthrough path only: other predecessors
 			// of the successor block enter past it.
 			for _, code := range req.notTaken {
 				snippet(code, false)
-				instBytes += 4 * len(code)
 			}
 		}
 	}
@@ -347,8 +317,7 @@ func PlanRelocation(fn *parse.Function, st *symtab.Symtab, insertions []Insertio
 	// Encode at base 0. Targets inside the copy are offset differences;
 	// targets outside it become fixups with a placeholder in the code.
 	plan := &RelocPlan{
-		Func: fn, Size: size, InstrumentationBytes: instBytes,
-		code: make([]byte, 0, size), addrs: addrs,
+		Size: size, code: make([]byte, 0, size), addrs: addrs,
 	}
 	for _, it := range items {
 		inst := it.inst
@@ -407,10 +376,7 @@ func (p *RelocPlan) Encode(newBase uint64) (*Relocation, error) {
 		}
 		binary.LittleEndian.PutUint32(code[f.off:], w)
 	}
-	return &Relocation{
-		Func: p.Func, NewBase: newBase, Code: code, addrs: p.addrs,
-		InstrumentationBytes: p.InstrumentationBytes,
-	}, nil
+	return &Relocation{NewBase: newBase, Code: code, addrs: p.addrs}, nil
 }
 
 // plainJump is a jal x0 awaiting its offset.

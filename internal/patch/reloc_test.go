@@ -42,7 +42,7 @@ func TestRelocPlanEncodeBaseShift(t *testing.T) {
 	st, cfg := analyze(t, workload.RandomProgram(7, 24), asm.Options{})
 	// Both bases lie within jal reach of the original code, like the patch
 	// area the rewriter places after the image.
-	base := (imageEnd(st)+0xfff)&^0xfff + 0x1000
+	base := LayoutOf(st.File).PatchArea
 	const delta = 0x10000
 	fixups := 0
 	for _, fn := range cfg.Funcs {

@@ -36,15 +36,14 @@ type Rewriter struct {
 	cfg *parse.CFG
 
 	mode codegen.Mode
-	arch riscv.ExtSet
 
 	// Jobs bounds the parallel plan and encode phases (<= 0: GOMAXPROCS,
 	// 1: fully serial).
 	Jobs int
 
-	vars    []*snippet.Var
-	varBase uint64
-	varNext uint64
+	patchArea uint64
+	vars      Vars
+	varSyms   []*snippet.Var // every variable, for the data section's symbols
 
 	// requests, grouped by function entry.
 	requests     map[uint64][]request
@@ -100,17 +99,13 @@ type PatchRecord struct {
 // allocation strategy for generated snippets (the paper's optimization is
 // codegen.ModeDeadRegister).
 func NewRewriter(st *symtab.Symtab, cfg *parse.CFG, mode codegen.Mode) *Rewriter {
-	// Variables live in a fresh data section placed far above the existing
-	// image; the address is fixed now so snippet code can be generated
-	// eagerly.
-	end := imageEnd(st)
-	varBase := (end + 0xfff) &^ 0xfff
-	varBase += 0x200000
+	// Variables live in a fresh data section in the layout's variable area;
+	// the addresses are fixed now so snippet code can be generated eagerly.
+	l := LayoutOf(st.File)
 	return &Rewriter{
 		st: st, cfg: cfg, mode: mode,
-		arch:         st.Extensions,
-		varBase:      varBase,
-		varNext:      varBase,
+		patchArea:    l.PatchArea,
+		vars:         newVars(l.FileVars, nil),
 		requests:     map[uint64][]request{},
 		edgeRequests: map[uint64][]edgeRequest{},
 		liveness:     NewLivenessCache(),
@@ -171,27 +166,11 @@ func (rw *Rewriter) SetLivenessCache(c *LivenessCache) {
 	}
 }
 
-func imageEnd(st *symtab.Symtab) uint64 {
-	var end uint64
-	for _, r := range st.Regions {
-		if r.Addr+r.Size > end {
-			end = r.Addr + r.Size
-		}
-	}
-	return end
-}
-
 // NewVar allocates an instrumentation variable in the rewritten binary's
 // data section.
 func (rw *Rewriter) NewVar(name string, width int) *snippet.Var {
-	if width != 1 && width != 2 && width != 4 && width != 8 {
-		width = 8
-	}
-	// 8-byte alignment keeps loads simple.
-	rw.varNext = (rw.varNext + 7) &^ 7
-	v := &snippet.Var{Name: name, Width: width, Addr: rw.varNext}
-	rw.varNext += uint64(width)
-	rw.vars = append(rw.vars, v)
+	v := rw.vars.New(name, width)
+	rw.varSyms = append(rw.varSyms, v)
 	return v
 }
 
@@ -215,30 +194,10 @@ func (rw *Rewriter) InsertEdgeSnippet(pt snippet.EdgePoint, sn snippet.Snippet) 
 	return nil
 }
 
-func (rw *Rewriter) livenessFor(fn *parse.Function) *dataflow.LivenessResult {
-	return rw.liveness.For(fn)
-}
-
-// generate lowers one request to instructions.
-func (rw *Rewriter) generate(req request) ([]riscv.Inst, error) {
-	var dead []riscv.Reg
-	if rw.mode == codegen.ModeDeadRegister {
-		dead = rw.livenessFor(req.point.Func).DeadScratchX(req.point.Addr)
-	}
-	res, err := codegen.Generate(req.sn, codegen.Options{
-		Arch: rw.arch, Mode: rw.mode, DeadRegs: dead,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("patch: generating snippet at %v: %w", req.point, err)
-	}
-	return res.Insts, nil
-}
-
 // funcPlan carries one function's instrumentation through the pipeline
 // phases: plan (parallel) fills plan/room/scratch, layout (serial) fills
 // base, encode (parallel) fills rel.
 type funcPlan struct {
-	entry   uint64
 	fn      *parse.Function
 	plan    *RelocPlan
 	room    uint64    // bytes available at the entry for the jump patch
@@ -247,54 +206,14 @@ type funcPlan struct {
 	rel     *Relocation
 }
 
-// planFunc runs the per-function half of the pipeline: generate all snippet
-// code, pick the entry-patch scratch register, and build the
-// base-independent relocation plan.
+// planFunc runs the per-function half of the pipeline for the requests
+// made on the function at entry.
 func (rw *Rewriter) planFunc(entry uint64) (*funcPlan, error) {
 	fn, ok := rw.cfg.FuncAt(entry)
 	if !ok {
 		return nil, fmt.Errorf("patch: no parsed function at %#x", entry)
 	}
-	var insertions []Insertion
-	for _, req := range rw.requests[entry] {
-		code, err := rw.generate(req)
-		if err != nil {
-			return nil, err
-		}
-		insertions = append(insertions, Insertion{Addr: req.point.Addr, Code: code})
-	}
-	var edgeIns []EdgeInsertion
-	for _, req := range rw.edgeRequests[entry] {
-		// Scratch registers for edge code come from the edge's
-		// destination: the source terminator has already read its
-		// operands when the edge code runs.
-		var dead []riscv.Reg
-		if rw.mode == codegen.ModeDeadRegister {
-			dead = rw.livenessFor(fn).DeadScratchX(req.point.EdgeDest())
-		}
-		res, err := codegen.Generate(req.sn, codegen.Options{
-			Arch: rw.arch, Mode: rw.mode, DeadRegs: dead,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("patch: generating edge snippet at %v: %w", req.point, err)
-		}
-		edgeIns = append(edgeIns, EdgeInsertion{
-			Block: req.point.Block, Kind: req.point.Kind, Code: res.Insts,
-		})
-	}
-	plan, err := PlanRelocation(fn, rw.st, insertions, edgeIns, rw.arch)
-	if err != nil {
-		return nil, err
-	}
-	lo, hi := fn.Extent()
-	if lo != fn.Entry {
-		return nil, fmt.Errorf("patch: function %s extent starts at %#x, not its entry", fn.Name, lo)
-	}
-	fp := &funcPlan{entry: entry, fn: fn, plan: plan, room: hi - fn.Entry, scratch: riscv.RegNone}
-	if dead := rw.livenessFor(fn).DeadScratchX(fn.Entry); len(dead) > 0 {
-		fp.scratch = dead[0]
-	}
-	return fp, nil
+	return planFunc(rw.st, rw.mode, rw.liveness.For(fn), fn, rw.requests[entry], rw.edgeRequests[entry])
 }
 
 // workers resolves the effective worker count.
@@ -405,7 +324,6 @@ func (rw *Rewriter) RewriteWithPlans(ps *PlanSet) (*elfrv.File, error) {
 
 	// Clone sections so the original file object stays pristine.
 	out := &elfrv.File{Entry: orig.Entry, Type: orig.Type, Flags: orig.Flags}
-	secData := map[string][]byte{}
 	for _, s := range orig.Sections {
 		ns := &elfrv.Section{
 			Name: s.Name, Type: s.Type, Flags: s.Flags, Addr: s.Addr,
@@ -413,14 +331,12 @@ func (rw *Rewriter) RewriteWithPlans(ps *PlanSet) (*elfrv.File, error) {
 		}
 		if s.Data != nil {
 			ns.Data = append([]byte(nil), s.Data...)
-			secData[s.Name] = ns.Data
 		}
 		out.Sections = append(out.Sections, ns)
 	}
 	out.Symbols = append(out.Symbols, orig.Symbols...)
 
-	trampBase := (imageEnd(rw.st) + 0xfff) &^ 0xfff
-	trampBase += 0x1000
+	trampBase := rw.patchArea
 	trampCode := make([]byte, 0, ps.Size())
 
 	// Work on shallow copies: layout and encode fill base and rel, and a
@@ -458,17 +374,11 @@ func (rw *Rewriter) RewriteWithPlans(ps *PlanSet) (*elfrv.File, error) {
 	// repointing, code concatenation, symbol emission.
 	t = obs.StartTimer(rw.Trace, rw.TraceTID, "patch.splice", "patch")
 	defer func() { rw.Phases.Splice = t.Stop() }()
+	img := &sections{rw.st, out}
 	for _, p := range plans {
 		fn, rel := p.fn, p.rel
-
-		// Entry patch: redirect the original entry to the relocated copy,
-		// choosing the cheapest jump that fits in the function's extent.
-		newEntry, _ := rel.Addr(fn.Entry)
-		kind, bytes, err := JumpPatch(fn.Entry, newEntry, p.room, rw.arch, p.scratch, false)
+		kind, newEntry, err := p.splice(rw.st, img)
 		if err != nil {
-			return nil, fmt.Errorf("patch: function %s: %w", fn.Name, err)
-		}
-		if err := rw.patchBytes(secData, fn.Entry, bytes); err != nil {
 			return nil, err
 		}
 		rw.Patches = append(rw.Patches, PatchRecord{
@@ -480,31 +390,6 @@ func (rw *Rewriter) RewriteWithPlans(ps *PlanSet) (*elfrv.File, error) {
 			rw.Obs.Counter("patch.reloc.code_bytes").Add(uint64(len(rel.Code)))
 			if g := uint64(len(rel.Code)); g > p.room {
 				rw.Obs.Counter("patch.reloc.growth_bytes").Add(g - p.room)
-			}
-		}
-
-		// Repoint jump-table slots at the relocated blocks.
-		for _, b := range fn.Blocks {
-			if b.Purpose != parse.PurposeJumpTable || b.TableCount == 0 {
-				continue
-			}
-			for i := uint64(0); i < b.TableCount; i++ {
-				slot := b.TableBase + i*b.TableStride
-				old, ok := rw.st.ReadMem(slot, b.TableWidth)
-				if !ok {
-					return nil, fmt.Errorf("patch: cannot read jump table slot %#x", slot)
-				}
-				nt, ok := rel.Addr(old &^ 1)
-				if !ok {
-					return nil, fmt.Errorf("patch: jump table slot %#x target %#x not relocated", slot, old)
-				}
-				var buf [8]byte
-				for j := 0; j < b.TableWidth; j++ {
-					buf[j] = byte(nt >> (8 * j))
-				}
-				if err := rw.patchBytes(secData, slot, buf[:b.TableWidth]); err != nil {
-					return nil, err
-				}
 			}
 		}
 
@@ -523,13 +408,14 @@ func (rw *Rewriter) RewriteWithPlans(ps *PlanSet) (*elfrv.File, error) {
 			Addr:  trampBase, Data: trampCode, Align: 4,
 		})
 	}
-	if rw.varNext > rw.varBase {
+	if vars := rw.varSyms; len(vars) > 0 {
+		last := vars[len(vars)-1]
 		out.Sections = append(out.Sections, &elfrv.Section{
 			Name: ".dyninst.data", Type: elfrv.SHTProgbits,
 			Flags: elfrv.SHFAlloc | elfrv.SHFWrite,
-			Addr:  rw.varBase, Data: make([]byte, rw.varNext-rw.varBase), Align: 8,
+			Addr:  rw.vars.base, Data: make([]byte, last.Addr+uint64(last.Width)-rw.vars.base), Align: 8,
 		})
-		for _, v := range rw.vars {
+		for _, v := range vars {
 			out.Symbols = append(out.Symbols, elfrv.Symbol{
 				Name: v.Name, Value: v.Addr, Size: uint64(v.Width),
 				Bind: elfrv.STBLocal, Type: elfrv.STTObject, Section: ".dyninst.data",
@@ -539,16 +425,25 @@ func (rw *Rewriter) RewriteWithPlans(ps *PlanSet) (*elfrv.File, error) {
 	return out, nil
 }
 
-// patchBytes writes into the cloned section data covering addr.
-func (rw *Rewriter) patchBytes(secData map[string][]byte, addr uint64, b []byte) error {
-	for _, r := range rw.st.Regions {
+// sections is the rewriter's splice Target: the output file's cloned
+// sections.
+type sections struct {
+	st  *symtab.Symtab
+	out *elfrv.File
+}
+
+// WriteMem writes into the cloned data of the section covering addr (the
+// last one of its name that has data).
+func (s *sections) WriteMem(addr uint64, b []byte) error {
+	for _, r := range s.st.Regions {
 		if addr >= r.Addr && addr+uint64(len(b)) <= r.Addr+r.Size {
-			data, ok := secData[r.Name]
-			if !ok {
-				return fmt.Errorf("patch: section %s has no initialized data to patch", r.Name)
+			for i := len(s.out.Sections) - 1; i >= 0; i-- {
+				if sec := s.out.Sections[i]; sec.Name == r.Name && sec.Data != nil {
+					copy(sec.Data[addr-r.Addr:], b)
+					return nil
+				}
 			}
-			copy(data[addr-r.Addr:], b)
-			return nil
+			return fmt.Errorf("patch: section %s has no initialized data to patch", r.Name)
 		}
 	}
 	return fmt.Errorf("patch: address %#x not inside any section", addr)

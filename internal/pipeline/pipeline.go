@@ -148,6 +148,10 @@ func Instrument(job Job, opts Options, stats *Stats) (*Result, error) {
 	if stats == nil {
 		stats = &Stats{}
 	}
+	points, err := snippet.PointsNamed(opts.Points)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: %w", err)
+	}
 	jobs := opts.Workers()
 
 	span := opts.Trace.Begin(opts.TraceTID, "job:"+job.Name, "pipeline")
@@ -192,18 +196,7 @@ func Instrument(job Job, opts Options, stats *Stats) (*Result, error) {
 		}
 		v := rw.NewVar("ctr_"+name, 8)
 		counters[name] = v.Addr
-		var pts []snippet.Point
-		switch opts.Points {
-		case "", "entry":
-			pts = []snippet.Point{snippet.FuncEntry(fn)}
-		case "exits":
-			pts = snippet.FuncExits(fn)
-		case "blocks":
-			pts = snippet.BlockEntries(fn)
-		default:
-			return nil, fmt.Errorf("pipeline: unknown points mode %q", opts.Points)
-		}
-		for _, pt := range pts {
+		for _, pt := range points(fn) {
 			if err := rw.InsertSnippet(pt, snippet.Increment(v)); err != nil {
 				return nil, fmt.Errorf("pipeline: %s: %w", job.Name, err)
 			}

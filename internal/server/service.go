@@ -51,19 +51,17 @@ const maxSpecFuncs = 1024
 // that differ only in spelling (missing defaults, surrounding whitespace)
 // share cache entries.
 func (sp Spec) canonicalize() (Spec, error) {
-	switch sp.Points {
-	case "":
+	if sp.Points == "" {
 		sp.Points = "entry"
-	case "entry", "exits", "blocks":
-	default:
-		return sp, &RequestError{fmt.Errorf("unknown points mode %q", sp.Points)}
 	}
-	switch sp.Mode {
-	case "":
+	if _, err := snippet.PointsNamed(sp.Points); err != nil {
+		return sp, &RequestError{err}
+	}
+	if sp.Mode == "" {
 		sp.Mode = "dead"
-	case "dead", "spill":
-	default:
-		return sp, &RequestError{fmt.Errorf("unknown codegen mode %q", sp.Mode)}
+	}
+	if _, err := codegen.ParseMode(sp.Mode); err != nil {
+		return sp, &RequestError{err}
 	}
 	if len(sp.Funcs) > maxSpecFuncs {
 		return sp, &RequestError{fmt.Errorf("spec lists %d functions, limit %d", len(sp.Funcs), maxSpecFuncs)}
@@ -93,13 +91,6 @@ func (sp Spec) canonicalJSON() []byte {
 		Mode   string   `json:"mode"`
 	}{sp.Funcs, sp.Points, sp.Mode})
 	return b
-}
-
-func (sp Spec) codegenMode() codegen.Mode {
-	if sp.Mode == "spill" {
-		return codegen.ModeSpillAlways
-	}
-	return codegen.ModeDeadRegister
 }
 
 // RequestError marks a failure caused by the request itself — a corrupt
@@ -303,7 +294,9 @@ func (s *Service) buildELF(kind string, input []byte, spec Spec, inputHash, spec
 		return nil, err
 	}
 
-	rw := patch.NewRewriter(bin.Symtab, bin.CFG, spec.codegenMode())
+	mode, _ := codegen.ParseMode(spec.Mode)
+	points, _ := snippet.PointsNamed(spec.Points)
+	rw := patch.NewRewriter(bin.Symtab, bin.CFG, mode)
 	rw.Jobs = inner
 	rw.SetLivenessCache(lvArt.(*livenessArtifact).lc)
 	counters := map[string]uint64{}
@@ -314,16 +307,7 @@ func (s *Service) buildELF(kind string, input []byte, spec Spec, inputHash, spec
 		}
 		v := rw.NewVar("ctr_"+name, 8)
 		counters[name] = v.Addr
-		var pts []snippet.Point
-		switch spec.Points {
-		case "entry":
-			pts = []snippet.Point{snippet.FuncEntry(fn)}
-		case "exits":
-			pts = snippet.FuncExits(fn)
-		case "blocks":
-			pts = snippet.BlockEntries(fn)
-		}
-		for _, pt := range pts {
+		for _, pt := range points(fn) {
 			if err := rw.InsertSnippet(pt, snippet.Increment(v)); err != nil {
 				return nil, &RequestError{err}
 			}

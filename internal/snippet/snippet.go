@@ -223,6 +223,20 @@ func BlockEntries(fn *parse.Function) []Point {
 	return out
 }
 
+// PointsNamed returns the point set a tool names: "entry" (also the empty
+// name), "exits" or "blocks".
+func PointsNamed(name string) (func(*parse.Function) []Point, error) {
+	switch name {
+	case "", "entry":
+		return func(fn *parse.Function) []Point { return []Point{FuncEntry(fn)} }, nil
+	case "exits":
+		return FuncExits, nil
+	case "blocks":
+		return BlockEntries, nil
+	}
+	return nil, fmt.Errorf("unknown points mode %q", name)
+}
+
 // CallSites returns one point per call instruction in the function.
 func CallSites(fn *parse.Function) []Point {
 	var out []Point
