@@ -330,9 +330,8 @@ func cmdCFG(args []string) {
 				}
 				fmt.Printf("    -> %s (%v)\n", tgt, e.Kind)
 			}
-			if blk.Purpose == parse.PurposeJumpTable {
-				fmt.Printf("    table at %#x: %d entries, stride %d\n",
-					blk.TableBase, blk.TableCount, blk.TableStride)
+			if jt := blk.Table; jt != nil {
+				fmt.Printf("    table at %#x: %d entries, stride %d\n", jt.Base, jt.Count, jt.Stride)
 			}
 		}
 		for _, l := range fn.Loops() {

@@ -20,6 +20,7 @@ package codegen
 
 import (
 	"fmt"
+	"slices"
 
 	"rvdyn/internal/riscv"
 	"rvdyn/internal/snippet"
@@ -77,25 +78,81 @@ type Result struct {
 
 // Generate lowers a snippet for insertion at a point.
 func Generate(sn snippet.Snippet, opts Options) (*Result, error) {
+	// Most snippets, counter increments among them, lower to at most 8
+	// instructions; starting there skips the 1→2→4→8 regrowth of the
+	// instruction slice.
+	b := Buffer{Insts: make([]riscv.Inst, 0, 8)}
+	if err := b.Append(sn, opts); err != nil {
+		return nil, err
+	}
+	// One array holds the pool with the spilled registers after it.
+	g := &b.g
+	regs := append(append(make([]riscv.Reg, 0, len(g.pool)+len(g.spilled)), g.pool...), g.spilled...)
+	res := &Result{Insts: slices.Clip(b.Insts), Scratch: regs[:len(g.pool):len(g.pool)]}
+	if len(g.spilled) > 0 {
+		res.Spilled = regs[len(g.pool):]
+	}
+	return res, nil
+}
+
+// Buffer lowers snippets back to back into one instruction slice, reusing
+// its working state from one snippet to the next, so generating the code of
+// every point of a function grows one slice instead of allocating per
+// point. The zero value is ready to use.
+type Buffer struct {
+	// Insts holds the code of every snippet appended since the last Reset.
+	Insts []riscv.Inst
+	g     gen
+}
+
+// Reset empties the buffer, keeping its storage.
+func (b *Buffer) Reset() { b.Insts = b.Insts[:0] }
+
+// Append lowers sn for insertion at a point and appends its code to
+// b.Insts. On error b.Insts is left as it was.
+func (b *Buffer) Append(sn snippet.Snippet, opts Options) error {
 	if opts.Arch == 0 {
 		opts.Arch = riscv.RV64GC
 	}
-	// Most snippets, counter increments among them, lower to at most 8
-	// instructions; starting there skips the 1→2→4→8 regrowth of the
-	// instruction slice on every snippet.
-	g := &gen{opts: opts, insts: make([]riscv.Inst, 0, 8)}
-	if err := g.plan(sn); err != nil {
-		return nil, err
-	}
-	if err := g.stmt(sn); err != nil {
-		return nil, err
-	}
-	body, err := g.finalize()
+	g := &b.g
+	g.reset(opts, b.Insts)
+	err := g.lower(sn)
 	if err != nil {
-		return nil, err
+		g.insts = g.insts[:g.start]
 	}
-	code := wrapSpills(body, g.spilled)
-	return &Result{Insts: code, Spilled: g.spilled, Scratch: g.pool}, nil
+	b.Insts = g.insts
+	g.insts = nil
+	return err
+}
+
+// lower appends the code of sn, inside its spill frame, to g.insts.
+func (g *gen) lower(sn snippet.Snippet) error {
+	if err := g.plan(sn); err != nil {
+		return err
+	}
+	// The save/restore frame around the body is 16-byte aligned per the
+	// ABI.
+	frame := int64((len(g.spilled)*8 + 15) &^ 15)
+	if len(g.spilled) > 0 {
+		g.emit(riscv.MnADDI, riscv.RegSP, riscv.RegSP, riscv.RegNone, -frame)
+		for i, r := range g.spilled {
+			g.emit(riscv.MnSD, riscv.RegNone, riscv.RegSP, r, int64(i*8))
+		}
+	}
+	body := len(g.insts)
+	if err := g.stmt(sn); err != nil {
+		return err
+	}
+	if err := g.finalize(body); err != nil {
+		return err
+	}
+	if len(g.spilled) > 0 {
+		for i, r := range g.spilled {
+			g.emit(riscv.MnLD, r, riscv.RegSP, riscv.RegNone, int64(i*8))
+		}
+		g.emit(riscv.MnADDI, riscv.RegSP, riscv.RegSP, riscv.RegNone, frame)
+	}
+	return nil
 }
 
 // label is an index into gen.insts recorded for later offset patching.
@@ -110,10 +167,22 @@ type gen struct {
 	pool    []riscv.Reg // scratch registers, in allocation order
 	spilled []riscv.Reg // subset of pool that must be saved/restored
 
-	insts    []riscv.Inst
+	insts    []riscv.Inst // the snippet's code starts at insts[start]
+	start    int
 	labelPos map[int]int // label id -> instruction index
 	branches []pendingBranch
 	nextLbl  int
+}
+
+// reset readies g to lower one snippet after the code already in insts,
+// keeping its slices' and map's storage.
+func (g *gen) reset(opts Options, insts []riscv.Inst) {
+	g.opts = opts
+	g.pool, g.spilled = g.pool[:0], g.spilled[:0]
+	g.insts, g.start = insts, len(insts)
+	clear(g.labelPos)
+	g.branches = g.branches[:0]
+	g.nextLbl = 0
 }
 
 // plan sizes the scratch pool for the snippet and decides what spills.
@@ -161,7 +230,7 @@ func (g *gen) plan(sn snippet.Snippet) error {
 		avoid.Add(r)
 	}
 	if g.opts.Mode == ModeSpillAlways {
-		g.spilled = append([]riscv.Reg(nil), g.pool...)
+		g.spilled = append(g.spilled[:0], g.pool...)
 	}
 	if len(g.pool) < need {
 		return fmt.Errorf("codegen: cannot find %d scratch registers", need)
@@ -318,23 +387,24 @@ func (g *gen) branchTo(mn riscv.Mnemonic, rs1, rs2 riscv.Reg, lbl int) {
 	}
 }
 
-// finalize patches label offsets. Snippet code uses fixed 4-byte encodings,
-// so offsets are (targetIndex - branchIndex) * 4.
-func (g *gen) finalize() ([]riscv.Inst, error) {
+// finalize patches label offsets in the body, which starts at
+// g.insts[body]. Snippet code uses fixed 4-byte encodings, so offsets are
+// (targetIndex - branchIndex) * 4.
+func (g *gen) finalize(body int) error {
 	for _, pb := range g.branches {
 		pos, ok := g.labelPos[pb.label]
 		if !ok {
-			return nil, fmt.Errorf("codegen: unplaced label %d", pb.label)
+			return fmt.Errorf("codegen: unplaced label %d", pb.label)
 		}
 		g.insts[pb.idx].Imm = int64(pos-pb.idx) * 4
 	}
 	// Validate everything encodes.
-	for i, in := range g.insts {
+	for i, in := range g.insts[body:] {
 		if _, err := riscv.Encode(in); err != nil {
-			return nil, fmt.Errorf("codegen: instruction %d (%v): %w", i, in, err)
+			return fmt.Errorf("codegen: instruction %d (%v): %w", i, in, err)
 		}
 	}
-	return g.insts, nil
+	return nil
 }
 
 // materialize emits the li sequence for an arbitrary 64-bit constant.
@@ -359,27 +429,4 @@ func (g *gen) materialize(rd riscv.Reg, v int64) {
 	if lo12 != 0 {
 		g.emit(riscv.MnADDI, rd, rd, riscv.RegNone, lo12)
 	}
-}
-
-// wrapSpills adds the save/restore frame around the body. The frame is
-// 16-byte aligned per the ABI.
-func wrapSpills(body []riscv.Inst, spilled []riscv.Reg) []riscv.Inst {
-	if len(spilled) == 0 {
-		return body
-	}
-	frame := int64((len(spilled)*8 + 15) &^ 15)
-	mk := func(mn riscv.Mnemonic, rd, rs1, rs2 riscv.Reg, imm int64) riscv.Inst {
-		return riscv.Inst{Mn: mn, Rd: rd, Rs1: rs1, Rs2: rs2, Rs3: riscv.RegNone, Imm: imm}
-	}
-	out := make([]riscv.Inst, 0, len(body)+2*len(spilled)+2)
-	out = append(out, mk(riscv.MnADDI, riscv.RegSP, riscv.RegSP, riscv.RegNone, -frame))
-	for i, r := range spilled {
-		out = append(out, mk(riscv.MnSD, riscv.RegNone, riscv.RegSP, r, int64(i*8)))
-	}
-	out = append(out, body...)
-	for i, r := range spilled {
-		out = append(out, mk(riscv.MnLD, r, riscv.RegSP, riscv.RegNone, int64(i*8)))
-	}
-	out = append(out, mk(riscv.MnADDI, riscv.RegSP, riscv.RegSP, riscv.RegNone, frame))
-	return out
 }

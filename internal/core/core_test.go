@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -558,5 +559,34 @@ func TestMutatorPointHelpers(t *testing.T) {
 	}
 	if bv != wantBacks {
 		t.Errorf("back-edge count = %d, want %d", bv, wantBacks)
+	}
+}
+
+// TestMergePairs checks the merge of a function's sorted translation pairs
+// into the sorted pairs before them, in place.
+func TestMergePairs(t *testing.T) {
+	pairs := func(addrs ...uint64) []xlatPair {
+		var out []xlatPair
+		for _, a := range addrs {
+			out = append(out, xlatPair{newAddr: a, origAddr: a + 1})
+		}
+		return out
+	}
+	cases := []struct {
+		s    []xlatPair
+		mid  int
+		want []xlatPair
+	}{
+		{pairs(1, 2, 3), 0, pairs(1, 2, 3)},
+		{pairs(1, 2, 3), 3, pairs(1, 2, 3)},
+		{pairs(1, 2, 5, 6), 2, pairs(1, 2, 5, 6)},
+		{pairs(5, 6, 1, 2), 2, pairs(1, 2, 5, 6)},
+		{pairs(1, 4, 9, 2, 5, 6), 3, pairs(1, 2, 4, 5, 6, 9)},
+	}
+	for _, c := range cases {
+		mergePairs(c.s, c.mid)
+		if !slices.Equal(c.s, c.want) {
+			t.Errorf("mergePairs at %d = %v, want %v", c.mid, c.s, c.want)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"rvdyn/internal/codegen"
@@ -160,12 +162,34 @@ func (p *Process) InstrumentFunctionFull(fn *parse.Function, points []snippet.Po
 	if p.relocated == nil {
 		p.relocated = map[uint64]uint64{}
 	}
+	old := len(p.xlatPairs)
 	rel.EachAddr(func(orig, na uint64) {
 		p.xlatPairs = append(p.xlatPairs, xlatPair{newAddr: na, origAddr: orig})
 		p.relocated[orig] = na
 	})
-	sort.Slice(p.xlatPairs, func(i, j int) bool { return p.xlatPairs[i].newAddr < p.xlatPairs[j].newAddr })
+	// Only the new function's pairs need sorting; they then merge into the
+	// sorted pairs before them, usually by staying where they are, because
+	// each function is relocated above the last.
+	slices.SortFunc(p.xlatPairs[old:], func(a, b xlatPair) int { return cmp.Compare(a.newAddr, b.newAddr) })
+	mergePairs(p.xlatPairs, old)
 	return kind, nil
+}
+
+// mergePairs merges the sorted run s[mid:] into the sorted run s[:mid].
+func mergePairs(s []xlatPair, mid int) {
+	if mid == 0 || mid == len(s) || s[mid-1].newAddr < s[mid].newAddr {
+		return
+	}
+	merged := make([]xlatPair, 0, len(s))
+	a, b := s[:mid], s[mid:]
+	for len(a) > 0 && len(b) > 0 {
+		if b[0].newAddr < a[0].newAddr {
+			merged, b = append(merged, b[0]), b[1:]
+		} else {
+			merged, a = append(merged, a[0]), a[1:]
+		}
+	}
+	copy(s, append(append(merged, a...), b...))
 }
 
 // Uninstrument restores the function's original entry (and any repointed

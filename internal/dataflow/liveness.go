@@ -15,6 +15,9 @@
 package dataflow
 
 import (
+	"slices"
+	"sync"
+
 	"rvdyn/internal/parse"
 	"rvdyn/internal/riscv"
 )
@@ -71,30 +74,69 @@ type LivenessResult struct {
 	LiveOut []riscv.RegSet
 
 	lo, hi uint64 // Fn's extent
+
+	// deadX holds every block's dead scratch registers in the code
+	// generator's preference order, block i's at deadX[deadEnd[i-1]:deadEnd[i]].
+	deadX   []riscv.Reg
+	deadEnd []int32
 }
+
+// summary is a block's transfer function: live-in = gen ∪ (live-out − kill).
+type summary struct{ gen, kill riscv.RegSet }
+
+// summaries recycles Liveness's per-block transfer functions, which do not
+// outlive the call and hold no pointers.
+var summaries = sync.Pool{New: func() any { return new([]summary) }}
 
 // Liveness runs the backward may-live analysis over the function.
 func Liveness(fn *parse.Function) *LivenessResult {
-	res := &LivenessResult{
-		Fn:      fn,
-		LiveIn:  make([]riscv.RegSet, len(fn.Blocks)),
-		LiveOut: make([]riscv.RegSet, len(fn.Blocks)),
-	}
+	n := len(fn.Blocks)
+	sets := make([]riscv.RegSet, 2*n)
+	res := &LivenessResult{Fn: fn, LiveIn: sets[:n:n], LiveOut: sets[n:]}
 	res.lo, res.hi = fn.Extent()
+
+	// One backward walk per block composes its instructions' transfers;
+	// the fixpoint then iterates over block sets only.
+	buf := summaries.Get().(*[]summary)
+	sums := slices.Grow((*buf)[:0], n)[:n]
+	defer func() {
+		*buf = sums
+		summaries.Put(buf)
+	}()
+	for i, b := range fn.Blocks {
+		var sm summary
+		for j := len(b.Insts) - 1; j >= 0; j-- {
+			gen, kill := instTransfer(res, b, j)
+			sm.gen = gen.Union(sm.gen.Minus(kill))
+			sm.kill = sm.kill.Union(kill)
+		}
+		sums[i] = sm
+	}
 	changed := true
 	for changed {
 		changed = false
 		// Reverse block order converges faster for backward problems.
-		for i := len(fn.Blocks) - 1; i >= 0; i-- {
-			b := fn.Blocks[i]
-			out := blockExitLive(res, b)
-			in := stepBlockBackward(res, b, out)
+		for i := n - 1; i >= 0; i-- {
+			out := blockExitLive(res, fn.Blocks[i])
+			in := sums[i].gen.Union(out.Minus(sums[i].kill))
 			if !out.Equal(res.LiveOut[i]) || !in.Equal(res.LiveIn[i]) {
 				res.LiveOut[i] = out
 				res.LiveIn[i] = in
 				changed = true
 			}
 		}
+	}
+
+	// The dead scratch registers at every block start, in one array.
+	res.deadEnd = make([]int32, n)
+	total := 0
+	for i := range n {
+		total += countScratch(allRegs.Minus(res.LiveIn[i]))
+		res.deadEnd[i] = int32(total)
+	}
+	res.deadX = make([]riscv.Reg, 0, total)
+	for i := range n {
+		res.deadX = appendScratch(res.deadX, allRegs.Minus(res.LiveIn[i]))
 	}
 	return res
 }
@@ -156,37 +198,35 @@ func intraCallTarget(res *LivenessResult, b *parse.Block) uint64 {
 	return 0
 }
 
-// stepBlockBackward applies the per-instruction transfer over the block.
-func stepBlockBackward(res *LivenessResult, b *parse.Block, live riscv.RegSet) riscv.RegSet {
-	for i := len(b.Insts) - 1; i >= 0; i-- {
-		live = stepInstBackward(res, b, i, live)
-	}
-	return live
-}
+// noFlow is what no instruction's transfer passes through: x0 and pc.
+var noFlow = riscv.NewRegSet(riscv.X0, riscv.RegPC)
 
-// stepInstBackward handles one instruction: live = (live - def) ∪ use, with
-// calls modeled by their ABI footprint. An intra-function call transfers
-// like any other instruction; blockExitLive already added its target.
-func stepInstBackward(res *LivenessResult, b *parse.Block, i int, live riscv.RegSet) riscv.RegSet {
+// instTransfer returns one instruction's transfer as the pair (gen, kill)
+// of live-before = gen ∪ (live-after − kill): live = (live - def) ∪ use,
+// with calls modeled by their ABI footprint. An intra-function call
+// transfers like any other instruction; blockExitLive already added its
+// target.
+func instTransfer(res *LivenessResult, b *parse.Block, i int) (gen, kill riscv.RegSet) {
 	inst := b.Insts[i]
 	isCallSite := i == len(b.Insts)-1 && b.Purpose == parse.PurposeCall && intraCallTarget(res, b) == 0
 	if isCallSite {
 		// A call clobbers the caller-saved set and consumes argument
 		// registers (conservatively all of them; without callee prototypes
 		// the argument count is unknown).
-		live = live.Minus(abiCallerSaved)
-		live = live.Union(abiArgRegs)
-		live.Add(riscv.RegSP)
+		gen = abiArgRegs
+		gen.Add(riscv.RegSP)
 		if inst.IsJALR() {
-			live.Add(inst.Rs1)
+			gen.Add(inst.Rs1)
 		}
-		return live
+		return gen, abiCallerSaved
 	}
-	live = live.Minus(inst.RegsWritten())
-	live = live.Union(inst.RegsRead())
-	live.Remove(riscv.X0)
-	live.Remove(riscv.RegPC)
-	return live
+	return inst.RegsRead().Minus(noFlow), inst.RegsWritten().Union(noFlow)
+}
+
+// stepInstBackward applies one instruction's transfer to live.
+func stepInstBackward(res *LivenessResult, b *parse.Block, i int, live riscv.RegSet) riscv.RegSet {
+	gen, kill := instTransfer(res, b, i)
+	return gen.Union(live.Minus(kill))
 }
 
 // LiveBefore returns the live set immediately before the instruction at
@@ -219,10 +259,32 @@ func (res *LivenessResult) DeadBefore(addr uint64) riscv.RegSet {
 }
 
 // DeadScratchX returns dead integer registers at addr in the code
-// generator's preference order.
+// generator's preference order. At a block start it returns, without
+// allocating, a window of the result's own array whose capacity equals its
+// length, so an append by the caller copies.
 func (res *LivenessResult) DeadScratchX(addr uint64) []riscv.Reg {
-	dead := res.DeadBefore(addr)
-	var out []riscv.Reg
+	if b, ok := res.Fn.BlockContaining(addr); ok && b.Start == addr && b.Index < len(res.deadEnd) {
+		lo := int32(0)
+		if b.Index > 0 {
+			lo = res.deadEnd[b.Index-1]
+		}
+		hi := res.deadEnd[b.Index]
+		return res.deadX[lo:hi:hi]
+	}
+	return appendScratch(nil, res.DeadBefore(addr))
+}
+
+// countScratch returns how many scratch candidates dead holds.
+func countScratch(dead riscv.RegSet) int {
+	return dead.Intersect(scratchSet).Count()
+}
+
+// scratchSet holds every scratch candidate.
+var scratchSet = riscv.NewRegSet(riscv.ScratchCandidates...)
+
+// appendScratch appends the scratch candidates dead holds, in preference
+// order.
+func appendScratch(out []riscv.Reg, dead riscv.RegSet) []riscv.Reg {
 	for _, r := range riscv.ScratchCandidates {
 		if dead.Contains(r) {
 			out = append(out, r)

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -563,6 +564,7 @@ func Read(data []byte) (*File, error) {
 			continue // corrupted symbol table: skip rather than misparse
 		}
 		n := h.size / h.entsize
+		f.Symbols = slices.Grow(f.Symbols, int(n)) // in range, so at most len(data)/24
 		for j := uint64(1); j < n; j++ {
 			off := h.off + j*h.entsize
 			if !inRange(off, 24) {

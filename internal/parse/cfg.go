@@ -10,7 +10,9 @@
 package parse
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -128,15 +130,19 @@ type Block struct {
 	// instruction).
 	Purpose BranchPurpose
 
-	// TableTargets holds the resolved jump-table targets when Purpose is
-	// PurposeJumpTable, and TableBase/TableStride/TableWidth/TableCount
-	// describe the table layout itself so the binary rewriter can repoint
-	// slots at relocated code.
-	TableTargets []uint64
-	TableBase    uint64
-	TableStride  uint64
-	TableWidth   int
-	TableCount   uint64
+	// Table is the resolved jump table when Purpose is PurposeJumpTable,
+	// and nil otherwise.
+	Table *JumpTable
+}
+
+// JumpTable is a resolved jump-table dispatch: its targets, and the table
+// layout itself so the binary rewriter can repoint slots at relocated code.
+type JumpTable struct {
+	Targets []uint64 // sorted, unique
+	Base    uint64   // address of slot 0
+	Stride  uint64   // bytes between slots
+	Width   int      // bytes read per slot
+	Count   uint64   // slots
 }
 
 // Last returns the final instruction of the block.
@@ -159,8 +165,7 @@ type Function struct {
 	Name  string
 	Entry uint64
 
-	Blocks   []*Block // sorted by start address
-	blockMap map[uint64]*Block
+	Blocks []*Block // sorted by start address
 
 	// loops is filled by the first call to Loops.
 	loopsOnce sync.Once
@@ -177,8 +182,12 @@ type Function struct {
 
 // BlockAt returns the block starting at addr.
 func (f *Function) BlockAt(addr uint64) (*Block, bool) {
-	b, ok := f.blockMap[addr]
-	return b, ok
+	i, ok := slices.BinarySearchFunc(f.Blocks, addr,
+		func(b *Block, addr uint64) int { return cmp.Compare(b.Start, addr) })
+	if !ok {
+		return nil, false
+	}
+	return f.Blocks[i], true
 }
 
 // BlockContaining returns the block covering addr.
@@ -287,13 +296,4 @@ func (c *CFG) FuncContaining(addr uint64) (*Function, bool) {
 		}
 	}
 	return nil, false
-}
-
-func addEdge(from, to *Block, kind EdgeKind, target uint64) *Edge {
-	e := &Edge{From: from, To: to, Kind: kind, Target: target}
-	from.Out = append(from.Out, e)
-	if to != nil {
-		to.In = append(to.In, e)
-	}
-	return e
 }

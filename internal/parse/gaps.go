@@ -1,6 +1,8 @@
 package parse
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"rvdyn/internal/riscv"
@@ -18,14 +20,18 @@ type interval struct{ lo, hi uint64 }
 
 // claimedIntervals merges all parsed block extents.
 func (p *parser) claimedIntervals() []interval {
-	var ivs []interval
+	n := 0
+	for _, fn := range p.cfg.Funcs {
+		n += len(fn.Blocks)
+	}
+	ivs := make([]interval, 0, n)
 	for _, fn := range p.cfg.Funcs {
 		for _, b := range fn.Blocks {
 			ivs = append(ivs, interval{b.Start, b.End})
 		}
 	}
-	sort.Slice(ivs, func(i, j int) bool { return ivs[i].lo < ivs[j].lo })
-	var merged []interval
+	slices.SortFunc(ivs, func(a, b interval) int { return cmp.Compare(a.lo, b.lo) })
+	merged := ivs[:0] // merging in place: merged never outruns ivs
 	for _, iv := range ivs {
 		if n := len(merged); n > 0 && iv.lo <= merged[n-1].hi {
 			if iv.hi > merged[n-1].hi {
@@ -105,8 +111,8 @@ func (p *parser) tryGap(regionAddr uint64, data []byte, lo, hi uint64) {
 	if already {
 		return
 	}
-	res := p.parseFunction(start, "", true, &p.slabs[p.workers])
-	if res == nil || len(res.fn.Blocks) == 0 {
+	res := p.parseFunction(start, "", true, &p.work[p.workers])
+	if len(res.fn.Blocks) == 0 {
 		return
 	}
 	// Accept only if the speculative function stayed within the gap and has

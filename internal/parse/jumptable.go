@@ -210,9 +210,8 @@ func (p *parser) findBound(b *Block, idxReg riscv.Reg) (uint64, bool) {
 const maxTableEntries = 4096
 
 // analyzeJumpTable attempts to prove b's terminating jalr dispatches
-// through a bounded table of code addresses and returns the sorted unique
-// targets.
-func (p *parser) analyzeJumpTable(fn *Function, b *Block, idx int, term riscv.Inst) ([]uint64, bool) {
+// through a bounded table of code addresses and returns the table.
+func (p *parser) analyzeJumpTable(fn *Function, b *Block, idx int, term riscv.Inst) (*JumpTable, bool) {
 	v := p.symEval(b, idx, term.Rs1, 0)
 	if v.kind != avLoad || term.Imm != 0 {
 		return nil, false
@@ -250,9 +249,5 @@ func (p *parser) analyzeJumpTable(fn *Function, b *Block, idx int, term riscv.In
 		out = append(out, t)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	b.TableBase = v.addr.base
-	b.TableStride = stride
-	b.TableWidth = v.width
-	b.TableCount = bound
-	return out, true
+	return &JumpTable{Targets: out, Base: v.addr.base, Stride: stride, Width: v.width, Count: bound}, true
 }

@@ -121,11 +121,11 @@ func TestJumpTableAnalysis(t *testing.T) {
 		}
 		t.Fatal("no jump-table block found in dispatch")
 	}
-	if len(jt.TableTargets) != 4 {
-		t.Fatalf("jump table resolved %d targets, want 4: %#x", len(jt.TableTargets), jt.TableTargets)
+	if len(jt.Table.Targets) != 4 {
+		t.Fatalf("jump table resolved %d targets, want 4: %#x", len(jt.Table.Targets), jt.Table.Targets)
 	}
 	// Every target must be a block start inside dispatch.
-	for _, tgt := range jt.TableTargets {
+	for _, tgt := range jt.Table.Targets {
 		if _, ok := fn.BlockAt(tgt); !ok {
 			t.Errorf("table target %#x is not a block in dispatch", tgt)
 		}

@@ -33,46 +33,45 @@ func Parse(st *symtab.Symtab, opts Options) (*CFG, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	p := &parser{st: st, opts: opts, workers: workers, slabs: make([]slab, workers+1)}
-	p.cfg = &CFG{Symtab: st, funcMap: map[uint64]*Function{}}
+	p := &parser{st: st, opts: opts, workers: workers, work: make([]worker, workers+1)}
 
-	// Seeds: the program entry point and every function symbol.
+	// Seeds: the program entry point and every function symbol. Every seed
+	// is scheduled before the first round.
 	type seed struct {
 		entry uint64
 		name  string
 	}
-	var seeds []seed
-	seen := map[uint64]bool{}
+	seeds := make([]seed, 0, len(st.Functions)+1)
+	p.scheduled = make(map[uint64]bool, len(st.Functions)+1)
 	for _, fn := range st.Functions {
 		if fn.Size == 0 && !st.InCode(fn.Addr) {
 			continue
 		}
-		if !seen[fn.Addr] {
-			seen[fn.Addr] = true
+		if !p.scheduled[fn.Addr] {
+			p.scheduled[fn.Addr] = true
 			seeds = append(seeds, seed{fn.Addr, fn.Name})
 		}
 	}
-	if st.InCode(st.Entry) && !seen[st.Entry] {
+	if st.InCode(st.Entry) && !p.scheduled[st.Entry] {
+		p.scheduled[st.Entry] = true
 		seeds = append(seeds, seed{st.Entry, "_entry"})
 	}
+	p.cfg = &CFG{Symtab: st, Funcs: make([]*Function, 0, len(seeds)),
+		funcMap: make(map[uint64]*Function, len(seeds))}
 
 	// Round-synchronized parallel traversal: each round parses the frontier
 	// of undiscovered function entries concurrently; call and tail-call
 	// targets found in round N form round N+1.
-	p.scheduled = map[uint64]bool{}
 	frontier := seeds
-	for _, s := range frontier {
-		p.scheduled[s.entry] = true
-	}
 	for len(frontier) > 0 {
-		results := make([]*funcResult, len(frontier))
+		results := make([]funcResult, len(frontier))
 		par.ForEach(workers, len(frontier), func(w, i int) {
-			results[i] = p.parseFunction(frontier[i].entry, frontier[i].name, false, &p.slabs[w])
+			results[i] = p.parseFunction(frontier[i].entry, frontier[i].name, false, &p.work[w])
 		})
 
 		var next []seed
 		for _, r := range results {
-			if r == nil || len(r.fn.Blocks) == 0 {
+			if len(r.fn.Blocks) == 0 {
 				continue
 			}
 			p.cfg.Funcs = append(p.cfg.Funcs, r.fn)
@@ -110,7 +109,7 @@ type parser struct {
 	opts    Options
 	workers int
 	cfg     *CFG
-	slabs   []slab // slabs[w] belongs to worker w; the last to the gap pass
+	work    []worker // work[w] belongs to worker w; the last to the gap pass
 
 	mu        sync.Mutex
 	scheduled map[uint64]bool
@@ -163,6 +162,74 @@ func (p *parser) sameFunction(entry, target uint64) bool {
 	return ok1 && ok2 && r1.Addr == r2.Addr
 }
 
+// worker is the storage of one parse worker, shared by every function that
+// worker parses: its instructions, blocks and edges come from chunks that
+// the CFG keeps, and its traversal state is reset, not reallocated, for
+// each function.
+type worker struct {
+	insts  slab
+	blocks []Block // the current block chunk
+	edges  []Edge  // the current edge chunk
+
+	worklist []uint64
+	// pending maps intra-function edge targets to edges awaiting a block;
+	// spare holds emptied lists for reuse.
+	pending map[uint64][]*Edge
+	spare   [][]*Edge
+}
+
+// Block and edge chunks double from their first size up to their last. A
+// full chunk stays with the blocks or edges that point into it. The first
+// chunks are small because parsing a small binary (fib, on DBI attach)
+// must stay cheap.
+const (
+	blockChunkMin, blockChunkMax = 8, 128
+	edgeChunkMin, edgeChunkMax   = 16, 256
+)
+
+// chunkAlloc returns a zeroed element of the current chunk, starting a new
+// chunk when it is full.
+func chunkAlloc[T any](chunk *[]T, lo, hi int) *T {
+	c := *chunk
+	if len(c) == cap(c) {
+		c = make([]T, 0, min(max(2*cap(c), lo), hi))
+	}
+	c = c[:len(c)+1]
+	*chunk = c
+	return &c[len(c)-1]
+}
+
+// newBlock returns an empty block of fn starting at addr.
+func (w *worker) newBlock(fn *Function, addr uint64) *Block {
+	b := chunkAlloc(&w.blocks, blockChunkMin, blockChunkMax)
+	b.Start, b.Func = addr, fn
+	return b
+}
+
+// addEdge records an edge from from to to (nil when unresolved or not yet
+// parsed) in both blocks' edge lists.
+func (w *worker) addEdge(from, to *Block, kind EdgeKind, target uint64) *Edge {
+	e := chunkAlloc(&w.edges, edgeChunkMin, edgeChunkMax)
+	*e = Edge{From: from, To: to, Kind: kind, Target: target}
+	from.Out = append(from.Out, e)
+	if to != nil {
+		to.In = append(to.In, e)
+	}
+	return e
+}
+
+// reset readies the traversal state for a new function.
+func (w *worker) reset() {
+	w.worklist = w.worklist[:0]
+	if w.pending == nil {
+		w.pending = map[uint64][]*Edge{}
+	}
+	for _, l := range w.pending {
+		w.spare = append(w.spare, l[:0])
+	}
+	clear(w.pending)
+}
+
 // slab is the instruction storage of one parse worker, shared by every
 // block of every function that worker decodes. A block's Insts is a window
 // of the current chunk with capacity equal to its length, so decoding costs
@@ -199,8 +266,7 @@ func (s *slab) add(start int, inst riscv.Inst) int {
 type fparse struct {
 	p  *parser
 	fn *Function
-	// pending maps intra-function edge targets to edges awaiting a block.
-	pending map[uint64][]*Edge
+	w  *worker
 }
 
 // edge records an out-edge, linking it immediately if the target block
@@ -209,49 +275,60 @@ type fparse struct {
 // backward slice and the jump-table bounds check) while parsing is still in
 // progress.
 func (s *fparse) edge(from *Block, kind EdgeKind, target uint64) {
-	e := addEdge(from, nil, kind, target)
+	e := s.w.addEdge(from, nil, kind, target)
 	if kind.Interprocedural() {
 		return
 	}
-	if to, ok := s.fn.blockMap[target]; ok {
+	if to, ok := s.fn.BlockAt(target); ok {
 		e.To = to
 		to.In = append(to.In, e)
 		return
 	}
-	s.pending[target] = append(s.pending[target], e)
+	l, ok := s.w.pending[target]
+	if n := len(s.w.spare); !ok && n > 0 {
+		l, s.w.spare = s.w.spare[n-1], s.w.spare[:n-1]
+	}
+	s.w.pending[target] = append(l, e)
 }
 
 // linkPending attaches deferred edges targeting b.Start.
 func (s *fparse) linkPending(b *Block) {
-	for _, e := range s.pending[b.Start] {
+	l, ok := s.w.pending[b.Start]
+	if !ok {
+		return
+	}
+	for _, e := range l {
 		if e.To == nil {
 			e.To = b
 			b.In = append(b.In, e)
 		}
 	}
-	delete(s.pending, b.Start)
+	delete(s.w.pending, b.Start)
+	s.w.spare = append(s.w.spare, l[:0])
 }
 
-// parseFunction traversal-parses one function, decoding into sl.
-func (p *parser) parseFunction(entry uint64, name string, speculative bool, sl *slab) *funcResult {
+// parseFunction traversal-parses one function into w's storage.
+func (p *parser) parseFunction(entry uint64, name string, speculative bool, w *worker) funcResult {
 	if name == "" {
 		if sym, ok := p.st.FuncContaining(entry); ok && sym.Addr == entry {
 			name = sym.Name
 		}
 	}
-	fn := &Function{Name: name, Entry: entry, blockMap: map[uint64]*Block{}, Speculative: speculative}
-	res := &funcResult{fn: fn}
-	s := &fparse{p: p, fn: fn, pending: map[uint64][]*Edge{}}
+	fn := &Function{Name: name, Entry: entry, Speculative: speculative}
+	res := funcResult{fn: fn}
+	w.reset()
+	s := &fparse{p: p, fn: fn, w: w}
+	sl := &w.insts
 	discover := func(target uint64) {
 		res.discovered = append(res.discovered, target)
 	}
 
-	worklist := []uint64{entry}
+	worklist := append(w.worklist, entry)
 	for len(worklist) > 0 {
 		addr := worklist[len(worklist)-1]
 		worklist = worklist[:len(worklist)-1]
 
-		if _, done := fn.blockMap[addr]; done {
+		if _, done := fn.BlockAt(addr); done {
 			continue
 		}
 		if b, ok := fn.BlockContaining(addr); ok {
@@ -264,7 +341,6 @@ func (p *parser) parseFunction(entry uint64, name string, speculative bool, sl *
 			continue
 		}
 
-		b := &Block{Start: addr, Func: fn}
 		first := len(sl.buf)
 		cur := addr
 		var term riscv.Inst
@@ -274,7 +350,7 @@ func (p *parser) parseFunction(entry uint64, name string, speculative bool, sl *
 				break
 			}
 			if cur != addr {
-				if _, exists := fn.blockMap[cur]; exists {
+				if _, exists := fn.BlockAt(cur); exists {
 					break // ran into an existing leader: fallthrough edge below
 				}
 			}
@@ -292,6 +368,7 @@ func (p *parser) parseFunction(entry uint64, name string, speculative bool, sl *
 		if len(sl.buf) == first {
 			continue
 		}
+		b := w.newBlock(fn, addr)
 		b.Insts = sl.buf[first:len(sl.buf):len(sl.buf)]
 		b.End = cur
 		s.insertBlock(b)
@@ -305,7 +382,7 @@ func (p *parser) parseFunction(entry uint64, name string, speculative bool, sl *
 
 		if !hasTerm {
 			// Fell through into an existing block or off the region.
-			if _, ok := fn.blockMap[cur]; ok {
+			if _, ok := fn.BlockAt(cur); ok {
 				s.edge(b, EdgeFallthrough, cur)
 			}
 			continue
@@ -365,6 +442,7 @@ func (p *parser) parseFunction(entry uint64, name string, speculative bool, sl *
 			fn.Returns = true
 		}
 	}
+	w.worklist = worklist
 	return res
 }
 
@@ -413,10 +491,10 @@ func (p *parser) classifyJalr(s *fparse, b *Block, term riscv.Inst, next uint64,
 	default:
 		// Rule 5: jump-table analysis.
 		if !p.opts.NoSliceResolution && term.Rd == riscv.X0 {
-			if targets, ok := p.analyzeJumpTable(fn, b, idx, term); ok {
+			if jt, ok := p.analyzeJumpTable(fn, b, idx, term); ok {
 				b.Purpose = PurposeJumpTable
-				b.TableTargets = targets
-				for _, t := range targets {
+				b.Table = jt
+				for _, t := range jt.Targets {
 					s.edge(b, EdgeIndirect, t)
 					push(t)
 				}
@@ -501,7 +579,6 @@ func uniqueIntraPred(b *Block) *Block {
 // insertBlock adds b to the function and links any pending edges to it.
 func (s *fparse) insertBlock(b *Block) {
 	fn := s.fn
-	fn.blockMap[b.Start] = b
 	i, _ := slices.BinarySearchFunc(fn.Blocks, b.Start,
 		func(x *Block, start uint64) int { return cmp.Compare(x.Start, start) })
 	fn.Blocks = slices.Insert(fn.Blocks, i, b)
@@ -525,18 +602,8 @@ func (s *fparse) splitBlock(b *Block, addr uint64) {
 	if !found {
 		return // addr points into the middle of an instruction; keep as-is
 	}
-	tail := &Block{
-		Start:        addr,
-		End:          b.End,
-		Insts:        b.Insts[cut:],
-		Func:         s.fn,
-		Purpose:      b.Purpose,
-		TableTargets: b.TableTargets,
-		TableBase:    b.TableBase,
-		TableStride:  b.TableStride,
-		TableWidth:   b.TableWidth,
-		TableCount:   b.TableCount,
-	}
+	tail := s.w.newBlock(s.fn, addr)
+	tail.End, tail.Insts, tail.Purpose, tail.Table = b.End, b.Insts[cut:], b.Purpose, b.Table
 	tail.Out = b.Out
 	for _, e := range tail.Out {
 		e.From = tail
@@ -545,9 +612,8 @@ func (s *fparse) splitBlock(b *Block, addr uint64) {
 	b.End = addr
 	b.Out = nil
 	b.Purpose = PurposeNone
-	b.TableTargets = nil
-	b.TableBase, b.TableStride, b.TableWidth, b.TableCount = 0, 0, 0, 0
-	addEdge(b, tail, EdgeFallthrough, addr)
+	b.Table = nil
+	s.w.addEdge(b, tail, EdgeFallthrough, addr)
 	s.insertBlock(tail)
 }
 

@@ -103,11 +103,11 @@ func TestRVA23JumpTableIdiom(t *testing.T) {
 		}
 		t.Fatal("sh3add-indexed jump table not recognized")
 	}
-	if len(jt.TableTargets) != 4 {
-		t.Errorf("targets = %#x", jt.TableTargets)
+	if len(jt.Table.Targets) != 4 {
+		t.Errorf("targets = %#x", jt.Table.Targets)
 	}
-	if jt.TableStride != 8 {
-		t.Errorf("stride = %d, want 8", jt.TableStride)
+	if jt.Table.Stride != 8 {
+		t.Errorf("stride = %d, want 8", jt.Table.Stride)
 	}
 }
 

@@ -35,23 +35,34 @@ type TrapTarget interface {
 	Trap(from, to uint64) error
 }
 
+// planScratch is one planning worker's storage, reused from function to
+// function: the snippet code of every point and edge of the function being
+// planned, the insertions windowing it, and the relocation's items. None of
+// it outlives the plan, which keeps only encoded bytes.
+type planScratch struct {
+	code  codegen.Buffer
+	ends  []int // where each request's code ends in code.Insts: points, then edges
+	ins   []Insertion
+	edges []EdgeInsertion
+	items []rItem
+}
+
 // planFunc generates fn's snippet code with dead registers from lv when
 // the mode allows, picks the entry-patch scratch register, and builds the
-// base-independent relocation plan.
+// base-independent relocation plan, working in sc.
 func planFunc(st *symtab.Symtab, mode codegen.Mode, lv *dataflow.LivenessResult,
-	fn *parse.Function, reqs []request, edges []edgeRequest) (*funcPlan, error) {
-	var insertions []Insertion
+	fn *parse.Function, reqs []request, edges []edgeRequest, sc *planScratch) (*funcPlan, error) {
+	sc.code.Reset()
+	sc.ends = sc.ends[:0]
 	for _, req := range reqs {
 		if req.point.Func != fn {
 			return nil, fmt.Errorf("patch: point %v is not in %s", req.point, fn.Name)
 		}
-		code, err := generate(st, mode, lv, req.sn, req.point.Addr)
-		if err != nil {
+		if err := generate(&sc.code, st, mode, lv, req.sn, req.point.Addr); err != nil {
 			return nil, fmt.Errorf("patch: generating snippet at %v: %w", req.point, err)
 		}
-		insertions = append(insertions, Insertion{Addr: req.point.Addr, Code: code})
+		sc.ends = append(sc.ends, len(sc.code.Insts))
 	}
-	var edgeIns []EdgeInsertion
 	for _, req := range edges {
 		if req.point.Func != fn {
 			return nil, fmt.Errorf("patch: edge point %v is not in %s", req.point, fn.Name)
@@ -59,13 +70,28 @@ func planFunc(st *symtab.Symtab, mode codegen.Mode, lv *dataflow.LivenessResult,
 		// Scratch registers for edge code come from the edge's
 		// destination: the source terminator has already read its
 		// operands when the edge code runs.
-		code, err := generate(st, mode, lv, req.sn, req.point.EdgeDest())
-		if err != nil {
+		if err := generate(&sc.code, st, mode, lv, req.sn, req.point.EdgeDest()); err != nil {
 			return nil, fmt.Errorf("patch: generating edge snippet at %v: %w", req.point, err)
 		}
-		edgeIns = append(edgeIns, EdgeInsertion{Block: req.point.Block, Kind: req.point.Kind, Code: code})
+		sc.ends = append(sc.ends, len(sc.code.Insts))
 	}
-	plan, err := PlanRelocation(fn, st, insertions, edgeIns, st.Extensions)
+	// The code windows are taken once every snippet is generated, because
+	// the buffer moves as it grows.
+	code, start := sc.code.Insts, 0
+	window := func(k int) []riscv.Inst {
+		lo, hi := start, sc.ends[k]
+		start = hi
+		return code[lo:hi:hi]
+	}
+	sc.ins = sc.ins[:0]
+	for k, req := range reqs {
+		sc.ins = append(sc.ins, Insertion{Addr: req.point.Addr, Code: window(k)})
+	}
+	sc.edges = sc.edges[:0]
+	for k, req := range edges {
+		sc.edges = append(sc.edges, EdgeInsertion{Block: req.point.Block, Kind: req.point.Kind, Code: window(len(reqs) + k)})
+	}
+	plan, err := planRelocation(fn, st, sc.ins, sc.edges, st.Extensions, &sc.items)
 	if err != nil {
 		return nil, err
 	}
@@ -80,18 +106,14 @@ func planFunc(st *symtab.Symtab, mode codegen.Mode, lv *dataflow.LivenessResult,
 	return fp, nil
 }
 
-// generate lowers sn for the point at addr.
-func generate(st *symtab.Symtab, mode codegen.Mode, lv *dataflow.LivenessResult,
-	sn snippet.Snippet, addr uint64) ([]riscv.Inst, error) {
+// generate lowers sn for the point at addr into buf.
+func generate(buf *codegen.Buffer, st *symtab.Symtab, mode codegen.Mode, lv *dataflow.LivenessResult,
+	sn snippet.Snippet, addr uint64) error {
 	var dead []riscv.Reg
 	if mode == codegen.ModeDeadRegister {
 		dead = lv.DeadScratchX(addr)
 	}
-	res, err := codegen.Generate(sn, codegen.Options{Arch: st.Extensions, Mode: mode, DeadRegs: dead})
-	if err != nil {
-		return nil, err
-	}
-	return res.Insts, nil
+	return buf.Append(sn, codegen.Options{Arch: st.Extensions, Mode: mode, DeadRegs: dead})
 }
 
 // splice redirects the function's entry to its encoded copy with the
@@ -99,7 +121,7 @@ func generate(st *symtab.Symtab, mode codegen.Mode, lv *dataflow.LivenessResult,
 // field it), then repoints its jump-table slots at the relocated blocks.
 // It returns the patch kind and the relocated entry.
 func (fp *funcPlan) splice(st *symtab.Symtab, t Target) (PatchKind, uint64, error) {
-	fn, rel := fp.fn, fp.rel
+	fn, rel := fp.fn, &fp.rel
 	newEntry, _ := rel.Addr(fn.Entry)
 	tt, canTrap := t.(TrapTarget)
 	kind, bytes, err := JumpPatch(fn.Entry, newEntry, fp.room, st.Extensions, fp.scratch, canTrap)
@@ -115,13 +137,14 @@ func (fp *funcPlan) splice(st *symtab.Symtab, t Target) (PatchKind, uint64, erro
 		return 0, 0, err
 	}
 	for _, b := range fn.Blocks {
-		if b.Purpose != parse.PurposeJumpTable || b.TableCount == 0 {
+		jt := b.Table
+		if jt == nil {
 			continue
 		}
 		var buf [8]byte
-		for i := uint64(0); i < b.TableCount; i++ {
-			slot := b.TableBase + i*b.TableStride
-			old, ok := st.ReadMem(slot, b.TableWidth)
+		for i := uint64(0); i < jt.Count; i++ {
+			slot := jt.Base + i*jt.Stride
+			old, ok := st.ReadMem(slot, jt.Width)
 			if !ok {
 				return 0, 0, fmt.Errorf("patch: cannot read jump table slot %#x", slot)
 			}
@@ -130,7 +153,7 @@ func (fp *funcPlan) splice(st *symtab.Symtab, t Target) (PatchKind, uint64, erro
 				return 0, 0, fmt.Errorf("patch: jump table slot %#x target %#x not relocated", slot, old)
 			}
 			binary.LittleEndian.PutUint64(buf[:], nt)
-			if err := t.WriteMem(slot, buf[:b.TableWidth]); err != nil {
+			if err := t.WriteMem(slot, buf[:jt.Width]); err != nil {
 				return 0, 0, err
 			}
 		}
@@ -141,11 +164,13 @@ func (fp *funcPlan) splice(st *symtab.Symtab, t Target) (PatchKind, uint64, erro
 // Live instruments functions of a live process in place (the two dynamic
 // forms of Figure 1). Each function is relocated into fresh pages of the
 // patch area, which Live maps and writes, and spliced in through the
-// caller's Target.
+// caller's Target. A Live is not safe for concurrent use.
 type Live struct {
-	st   *symtab.Symtab
-	mem  Memory
-	next uint64 // the patch area's next free page
+	st       *symtab.Symtab
+	mem      Memory
+	next     uint64 // the patch area's next free page
+	liveness *LivenessCache
+	scratch  planScratch
 	// Vars allocates the process's instrumentation variables.
 	Vars Vars
 }
@@ -154,7 +179,8 @@ type Live struct {
 // st's image.
 func NewLive(st *symtab.Symtab, mem Memory) *Live {
 	l := LayoutOf(st.File)
-	return &Live{st: st, mem: mem, next: l.PatchArea, Vars: newVars(l.LiveVars, mem)}
+	return &Live{st: st, mem: mem, next: l.PatchArea, liveness: NewLivenessCache(),
+		Vars: newVars(l.LiveVars, mem)}
 }
 
 // Instrument relocates fn with sn at the points and edges and splices the
@@ -169,11 +195,11 @@ func (l *Live) Instrument(t Target, fn *parse.Function, points []snippet.Point,
 	for i, pt := range edges {
 		edgeReqs[i] = edgeRequest{pt, sn}
 	}
-	fp, err := planFunc(l.st, mode, dataflow.Liveness(fn), fn, reqs, edgeReqs)
+	fp, err := planFunc(l.st, mode, l.liveness.For(fn), fn, reqs, edgeReqs, &l.scratch)
 	if err != nil {
 		return nil, 0, err
 	}
-	if fp.rel, err = fp.plan.Encode(l.next); err != nil {
+	if fp.rel, err = fp.plan.encode(make([]byte, fp.plan.Size), l.next); err != nil {
 		return nil, 0, err
 	}
 	size := (uint64(len(fp.rel.Code)) + 0xfff) &^ 0xfff
@@ -183,5 +209,5 @@ func (l *Live) Instrument(t Target, fn *parse.Function, points []snippet.Point,
 	}
 	l.next += size
 	kind, _, err := fp.splice(l.st, t)
-	return fp.rel, kind, err
+	return &fp.rel, kind, err
 }

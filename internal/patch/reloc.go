@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"sync"
 
 	"rvdyn/internal/parse"
 	"rvdyn/internal/riscv"
@@ -83,34 +82,30 @@ const (
 )
 
 // rItem is one instruction of a relocation while PlanRelocation lays it out.
-// Items live only in the planner's local slice; the plan keeps their
-// encoding, not the items.
+// Items live only in the planner's scratch slice; the plan keeps their
+// encoding, not the items. An item points at its instruction (in the
+// function's blocks, the inserted code, or a materialization) instead of
+// copying it, which keeps it at a third of an instruction's size.
 type rItem struct {
-	kind     itemKind
-	inst     riscv.Inst
-	origAddr uint64 // for itemOrig
-	off      uint64 // offset in the relocated copy
-	size     uint64
-	// intraTarget is the original address of an intra-function control-flow
-	// target needing remapping; externTarget is an absolute target outside
-	// the relocated set (calls, tail calls).
-	intraTarget  uint64
-	externTarget uint64
-	hasIntra     bool
-	hasExtern    bool
+	inst     *riscv.Inst // never written through
+	origAddr uint64      // for itemOrig
+	off      uint64      // offset in the relocated copy
+	// target is, with hasIntra, the original address of an intra-function
+	// control-flow target needing remapping, and with hasExtern an absolute
+	// target outside the relocated set (calls, tail calls).
+	target uint64
+	// stubID, when non-zero, redirects this item's control-flow target to
+	// stub stubID-1 instead of target.
+	stubID    int32
+	size      uint8 // 2, or 4: a 4-byte item encodes its instruction uncompressed
+	kind      itemKind
+	hasIntra  bool
+	hasExtern bool
 	// attach marks snippet items that belong to the next original
 	// instruction: control flow targeting that instruction must enter
 	// through them. Edge-specific code does not attach.
 	attach bool
-	// stubID, when non-zero, redirects this item's control-flow target to
-	// stub stubID-1 instead of intraTarget.
-	stubID int
 }
-
-// itemBufs recycles PlanRelocation's item slices, which are otherwise about
-// a quarter of the bytes a whole-binary rewrite allocates. Items never
-// outlive the call and hold no pointers, so a pooled slice pins nothing.
-var itemBufs = sync.Pool{New: func() any { return new([]rItem) }}
 
 // RelocPlan is the base-independent half of a function relocation, built
 // before the function's patch-area address is known: the relocated code
@@ -151,23 +146,40 @@ func findAddr(addrs []addrOff, orig uint64) (int, bool) {
 // and encodes it, leaving only targets outside the copy to Encode.
 func PlanRelocation(fn *parse.Function, st *symtab.Symtab, insertions []Insertion,
 	edges []EdgeInsertion, arch riscv.ExtSet) (*RelocPlan, error) {
+	return planRelocation(fn, st, insertions, edges, arch, new([]rItem))
+}
+
+// planRelocation is PlanRelocation laying the copy out in *scratch, whose
+// storage it reuses and leaves there for the next call.
+func planRelocation(fn *parse.Function, st *symtab.Symtab, insertions []Insertion,
+	edges []EdgeInsertion, arch riscv.ExtSet, scratch *[]rItem) (*RelocPlan, error) {
 
 	// Validate insertion addresses, then order them by address (stably, so
-	// code inserted at one address keeps its request order).
+	// code inserted at one address keeps its request order). Insertions at
+	// block entries come in block order, already sorted.
+	byAddr := func(a, b Insertion) int { return cmp.Compare(a.Addr, b.Addr) }
+	code := 0
 	for _, ins := range insertions {
 		if _, ok := fn.BlockContaining(ins.Addr); !ok {
 			return nil, fmt.Errorf("patch: insertion at %#x is outside function %s", ins.Addr, fn.Name)
 		}
+		code += len(ins.Code)
 	}
-	insertions = slices.Clone(insertions)
-	slices.SortStableFunc(insertions, func(a, b Insertion) int { return cmp.Compare(a.Addr, b.Addr) })
+	if !slices.IsSortedFunc(insertions, byAddr) {
+		insertions = slices.Clone(insertions)
+		slices.SortStableFunc(insertions, byAddr)
+	}
 
 	// Group edge requests by block.
 	type edgeReq struct {
 		taken, notTaken, direct [][]riscv.Inst
 	}
-	edgeByBlock := map[*parse.Block]*edgeReq{}
+	var edgeByBlock map[*parse.Block]*edgeReq
+	if len(edges) > 0 {
+		edgeByBlock = make(map[*parse.Block]*edgeReq, len(edges))
+	}
 	for _, e := range edges {
+		code += len(e.Code) + 1 // and a jump back for a stub
 		if e.Block == nil || e.Block.Func != fn {
 			return nil, fmt.Errorf("patch: edge insertion block is not in function %s", fn.Name)
 		}
@@ -218,20 +230,17 @@ func PlanRelocation(fn *parse.Function, st *symtab.Symtab, insertions []Insertio
 		start  int    // index of the stub's first item
 	}
 	var stubs []stub
-	buf := itemBufs.Get().(*[]rItem)
-	items := (*buf)[:0]
-	defer func() {
-		*buf = items
-		itemBufs.Put(buf)
-	}()
+	items := slices.Grow((*scratch)[:0], nInsts+code)
+	defer func() { *scratch = items }()
 	snippet := func(code []riscv.Inst, attach bool) {
-		for _, sin := range code {
-			items = append(items, rItem{kind: itemSnippet, inst: sin, size: 4, attach: attach})
+		for i := range code {
+			items = append(items, rItem{kind: itemSnippet, inst: &code[i], size: 4, attach: attach})
 		}
 	}
 	for _, b := range fn.Blocks {
 		req := edgeByBlock[b]
-		for ii, inst := range b.Insts {
+		for ii := range b.Insts {
+			inst := &b.Insts[ii]
 			j, _ := slices.BinarySearchFunc(insertions, inst.Addr,
 				func(in Insertion, a uint64) int { return cmp.Compare(in.Addr, a) })
 			for ; j < len(insertions) && insertions[j].Addr == inst.Addr; j++ {
@@ -248,8 +257,8 @@ func PlanRelocation(fn *parse.Function, st *symtab.Symtab, insertions []Insertio
 				if !ok {
 					return nil, fmt.Errorf("patch: resolved jalr jump at %#x has no unique target", inst.Addr)
 				}
-				items = append(items, rItem{kind: itemOrig, inst: plainJump, origAddr: inst.Addr,
-					size: 4, hasIntra: true, intraTarget: target})
+				items = append(items, rItem{kind: itemOrig, inst: &plainJump, origAddr: inst.Addr,
+					size: 4, hasIntra: true, target: target})
 				continue
 			}
 			items = relocInst(items, fn, inst)
@@ -264,7 +273,7 @@ func PlanRelocation(fn *parse.Function, st *symtab.Symtab, insertions []Insertio
 			}
 			if len(stubCode) > 0 {
 				stubs = append(stubs, stub{code: stubCode, target: inst.Addr + uint64(inst.Imm)})
-				items[len(items)-1].stubID = len(stubs)
+				items[len(items)-1].stubID = int32(len(stubs))
 			}
 			// Inline code on the fallthrough path only: other predecessors
 			// of the successor block enter past it.
@@ -279,8 +288,8 @@ func PlanRelocation(fn *parse.Function, st *symtab.Symtab, insertions []Insertio
 		for _, code := range stubs[i].code {
 			snippet(code, false)
 		}
-		items = append(items, rItem{kind: itemSnippet, inst: plainJump, size: 4,
-			hasIntra: true, intraTarget: stubs[i].target})
+		items = append(items, rItem{kind: itemSnippet, inst: &plainJump, size: 4,
+			hasIntra: true, target: stubs[i].target})
 	}
 
 	// Assign offsets, then map each original address to its instruction or
@@ -288,9 +297,13 @@ func PlanRelocation(fn *parse.Function, st *symtab.Symtab, insertions []Insertio
 	// code never captures incoming control flow). The first placement of an
 	// address wins.
 	var size uint64
+	nFixups := 0
 	for i := range items {
 		items[i].off = size
-		size += items[i].size
+		size += uint64(items[i].size)
+		if items[i].hasExtern && items[i].stubID == 0 {
+			nFixups++
+		}
 	}
 	addrs := make([]addrOff, 0, nInsts)
 	var pendingStart uint64
@@ -319,19 +332,25 @@ func PlanRelocation(fn *parse.Function, st *symtab.Symtab, insertions []Insertio
 	plan := &RelocPlan{
 		Size: size, code: make([]byte, 0, size), addrs: addrs,
 	}
+	if nFixups > 0 {
+		plan.fixups = make([]fixup, 0, nFixups)
+	}
 	for _, it := range items {
-		inst := it.inst
+		inst := *it.inst
+		if it.size == 4 {
+			inst.Compressed = false // a branch may need a wider offset than c.beqz or c.j
+		}
 		switch {
 		case it.stubID != 0:
 			inst.Imm = int64(items[stubs[it.stubID-1].start].off) - int64(it.off)
 		case it.hasIntra:
-			i, ok := findAddr(addrs, it.intraTarget)
+			i, ok := findAddr(addrs, it.target)
 			if !ok {
-				return nil, fmt.Errorf("patch: intra target %#x of %v not in relocation", it.intraTarget, inst)
+				return nil, fmt.Errorf("patch: intra target %#x of %v not in relocation", it.target, inst)
 			}
 			inst.Imm = int64(addrs[i].off) - int64(it.off)
 		case it.hasExtern:
-			plan.fixups = append(plan.fixups, fixup{off: it.off, target: it.externTarget, inst: inst})
+			plan.fixups = append(plan.fixups, fixup{off: it.off, target: it.target, inst: inst})
 			plan.code = append(plan.code, 0, 0, 0, 0)
 			continue
 		}
@@ -351,7 +370,7 @@ func PlanRelocation(fn *parse.Function, st *symtab.Symtab, insertions []Insertio
 			}
 			plan.code = binary.LittleEndian.AppendUint32(plan.code, w)
 		}
-		if got := uint64(len(plan.code) - n); got != it.size {
+		if got := len(plan.code) - n; got != int(it.size) {
 			return nil, fmt.Errorf("patch: relocated %v sized %d, encoded %d", inst, it.size, got)
 		}
 	}
@@ -366,17 +385,26 @@ func PlanRelocation(fn *parse.Function, st *symtab.Symtab, insertions []Insertio
 // built. Encode never mutates the plan, so one cached plan may be encoded by
 // any number of goroutines concurrently (the server replays cached plans).
 func (p *RelocPlan) Encode(newBase uint64) (*Relocation, error) {
-	code := slices.Clone(p.code)
+	rel, err := p.encode(make([]byte, p.Size), newBase)
+	if err != nil {
+		return nil, err
+	}
+	return &rel, nil
+}
+
+// encode is Encode writing the code into code, which is p.Size bytes long.
+func (p *RelocPlan) encode(code []byte, newBase uint64) (Relocation, error) {
+	copy(code, p.code)
 	for _, f := range p.fixups {
 		inst := f.inst
 		inst.Imm = int64(f.target) - int64(newBase+f.off)
 		w, err := riscv.Encode(inst)
 		if err != nil {
-			return nil, fmt.Errorf("patch: encoding relocated %v at %#x: %w", inst, newBase+f.off, err)
+			return Relocation{}, fmt.Errorf("patch: encoding relocated %v at %#x: %w", inst, newBase+f.off, err)
 		}
 		binary.LittleEndian.PutUint32(code[f.off:], w)
 	}
-	return &Relocation{NewBase: newBase, Code: code, addrs: p.addrs}, nil
+	return Relocation{NewBase: newBase, Code: code, addrs: p.addrs}, nil
 }
 
 // plainJump is a jal x0 awaiting its offset.
@@ -400,19 +428,18 @@ func soleIndirectTarget(b *parse.Block) (uint64, bool) {
 }
 
 // relocInst appends the relocation items for one original instruction.
-func relocInst(items []rItem, fn *parse.Function, inst riscv.Inst) []rItem {
-	it := rItem{kind: itemOrig, inst: inst, origAddr: inst.Addr, size: inst.Size()}
+func relocInst(items []rItem, fn *parse.Function, inst *riscv.Inst) []rItem {
+	it := rItem{kind: itemOrig, inst: inst, origAddr: inst.Addr, size: uint8(inst.Size())}
 	switch cat := inst.Cat(); {
 	case cat == riscv.CatBranch || cat == riscv.CatJAL:
 		target := inst.Addr + uint64(inst.Imm)
-		it.inst.Compressed = false // may need a wider offset than c.beqz or c.j
-		it.size = 4
+		it.size = 4 // may need a wider offset than c.beqz or c.j
 		if _, intra := fn.BlockAt(target); intra && (cat == riscv.CatBranch || inst.Rd == riscv.X0) {
-			it.hasIntra, it.intraTarget = true, target
+			it.hasIntra, it.target = true, target
 		} else {
 			// Calls, tail calls, and conditional branches out of the
 			// function (pathological but possible) keep the absolute target.
-			it.hasExtern, it.externTarget = true, target
+			it.hasExtern, it.target = true, target
 		}
 	case cat == riscv.CatJALR:
 		// Target comes from a register; the value was fixed up where it was
@@ -423,8 +450,9 @@ func relocInst(items []rItem, fn *parse.Function, inst riscv.Inst) []rItem {
 		// (rd ends up with exactly the same bits, so any paired lo12
 		// consumer — jalr, addi, loads — still works unchanged).
 		value := int64(inst.Addr) + inst.Imm<<12
-		for i, s := range materializeAbs(inst.Rd, value) {
-			it := rItem{kind: itemCont, inst: s, size: 4}
+		seq := materializeAbs(inst.Rd, value)
+		for i := range seq {
+			it := rItem{kind: itemCont, inst: &seq[i], size: 4}
 			if i == 0 {
 				it.kind, it.origAddr = itemOrig, inst.Addr
 			}

@@ -1,9 +1,10 @@
 package patch
 
 import (
+	"cmp"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 	"unsafe"
@@ -45,9 +46,9 @@ type Rewriter struct {
 	vars      Vars
 	varSyms   []*snippet.Var // every variable, for the data section's symbols
 
-	// requests, grouped by function entry.
-	requests     map[uint64][]request
-	edgeRequests map[uint64][]edgeRequest
+	// reqs holds the requests in the order they were made, one run per
+	// function at a time; Plan merges the runs of each function.
+	reqs []funcRequests
 
 	// liveness memoizes per-function dataflow results for the parallel
 	// planning workers. By default every Rewriter gets a private cache;
@@ -83,6 +84,14 @@ type request struct {
 	sn    snippet.Snippet
 }
 
+// funcRequests are the point and edge requests made on the function at
+// entry.
+type funcRequests struct {
+	entry  uint64
+	points []request
+	edges  []edgeRequest
+}
+
 type edgeRequest struct {
 	point snippet.EdgePoint
 	sn    snippet.Snippet
@@ -104,11 +113,9 @@ func NewRewriter(st *symtab.Symtab, cfg *parse.CFG, mode codegen.Mode) *Rewriter
 	l := LayoutOf(st.File)
 	return &Rewriter{
 		st: st, cfg: cfg, mode: mode,
-		patchArea:    l.PatchArea,
-		vars:         newVars(l.FileVars, nil),
-		requests:     map[uint64][]request{},
-		edgeRequests: map[uint64][]edgeRequest{},
-		liveness:     NewLivenessCache(),
+		patchArea: l.PatchArea,
+		vars:      newVars(l.FileVars, nil),
+		liveness:  NewLivenessCache(),
 	}
 }
 
@@ -174,14 +181,19 @@ func (rw *Rewriter) NewVar(name string, width int) *snippet.Var {
 	return v
 }
 
-// InsertSnippet schedules sn to run at the point. Code generation happens
-// immediately, with dead registers from liveness at the point when the mode
-// allows.
+// InsertSnippet schedules sn to run at the point. Its code is generated
+// when the rewrite is planned, with dead registers from liveness at the
+// point when the mode allows.
 func (rw *Rewriter) InsertSnippet(pt snippet.Point, sn snippet.Snippet) error {
 	if pt.Func == nil {
 		return fmt.Errorf("patch: point %v has no function", pt)
 	}
-	rw.requests[pt.Func.Entry] = append(rw.requests[pt.Func.Entry], request{pt, sn})
+	fr := rw.requestsFor(pt.Func.Entry)
+	if fr.points == nil && pt.Kind == snippet.PointBlockEntry {
+		// Block-entry points come one per block.
+		fr.points = make([]request, 0, len(pt.Func.Blocks))
+	}
+	fr.points = append(fr.points, request{pt, sn})
 	return nil
 }
 
@@ -190,8 +202,54 @@ func (rw *Rewriter) InsertEdgeSnippet(pt snippet.EdgePoint, sn snippet.Snippet) 
 	if pt.Func == nil || pt.Block == nil {
 		return fmt.Errorf("patch: edge point %v is incomplete", pt)
 	}
-	rw.edgeRequests[pt.Func.Entry] = append(rw.edgeRequests[pt.Func.Entry], edgeRequest{pt, sn})
+	fr := rw.requestsFor(pt.Func.Entry)
+	fr.edges = append(fr.edges, edgeRequest{pt, sn})
 	return nil
+}
+
+// requestsFor returns the run of requests the next request on the function
+// at entry joins.
+func (rw *Rewriter) requestsFor(entry uint64) *funcRequests {
+	if n := len(rw.reqs); n == 0 || rw.reqs[n-1].entry != entry {
+		rw.reqs = append(rw.reqs, funcRequests{entry: entry})
+	}
+	return &rw.reqs[len(rw.reqs)-1]
+}
+
+// InsertCounters gives each named function a counter, an 8-byte variable
+// named "ctr_<name>" allocated in name order, and increments it at every
+// point points returns for the function. It returns each counter's address
+// by function name.
+func (rw *Rewriter) InsertCounters(names []string, points func(*parse.Function) []snippet.Point) (map[string]uint64, error) {
+	// The first function of each name, as FuncByName finds it.
+	fns := make(map[string]*parse.Function, len(names))
+	for _, name := range names {
+		fns[name] = nil
+	}
+	for _, fn := range rw.cfg.Funcs {
+		if f, ok := fns[fn.Name]; ok && f == nil {
+			fns[fn.Name] = fn
+		}
+	}
+	counters := make(map[string]uint64, len(names))
+	for _, name := range names {
+		fn := fns[name]
+		if fn == nil {
+			return nil, fmt.Errorf("patch: no function %q", name)
+		}
+		v := rw.NewVar("ctr_"+name, 8)
+		counters[name] = v.Addr
+		inc := snippet.Increment(v)
+		pts := points(fn)
+		fr := rw.requestsFor(fn.Entry)
+		fr.points = slices.Grow(fr.points, len(pts))
+		for _, pt := range pts {
+			if err := rw.InsertSnippet(pt, inc); err != nil {
+				return nil, err
+			}
+		}
+	}
+	return counters, nil
 }
 
 // funcPlan carries one function's instrumentation through the pipeline
@@ -203,17 +261,17 @@ type funcPlan struct {
 	room    uint64    // bytes available at the entry for the jump patch
 	scratch riscv.Reg // dead register for the auipc+jalr rung, or RegNone
 	base    uint64
-	rel     *Relocation
+	rel     Relocation
 }
 
 // planFunc runs the per-function half of the pipeline for the requests
-// made on the function at entry.
-func (rw *Rewriter) planFunc(entry uint64) (*funcPlan, error) {
-	fn, ok := rw.cfg.FuncAt(entry)
+// made on one function.
+func (rw *Rewriter) planFunc(fr *funcRequests, sc *planScratch) (*funcPlan, error) {
+	fn, ok := rw.cfg.FuncAt(fr.entry)
 	if !ok {
-		return nil, fmt.Errorf("patch: no parsed function at %#x", entry)
+		return nil, fmt.Errorf("patch: no parsed function at %#x", fr.entry)
 	}
-	return planFunc(rw.st, rw.mode, rw.liveness.For(fn), fn, rw.requests[entry], rw.edgeRequests[entry])
+	return planFunc(rw.st, rw.mode, rw.liveness.For(fn), fn, fr.points, fr.edges, sc)
 }
 
 // workers resolves the effective worker count.
@@ -274,29 +332,32 @@ func (ps *PlanSet) Footprint() uint64 {
 // relocation planning, fanned out across the worker pool — and returns the
 // base-independent result. Rewrite is Plan followed by RewriteWithPlans.
 func (rw *Rewriter) Plan() (*PlanSet, error) {
-	// Deterministic function order.
-	entrySet := map[uint64]bool{}
-	for e := range rw.requests {
-		entrySet[e] = true
+	// Deterministic function order: ascending entry. The sort is stable, so
+	// joining a function's runs keeps its requests in the order they were
+	// made.
+	slices.SortStableFunc(rw.reqs, func(a, b funcRequests) int { return cmp.Compare(a.entry, b.entry) })
+	reqs := rw.reqs[:0]
+	for _, fr := range rw.reqs {
+		if n := len(reqs); n > 0 && reqs[n-1].entry == fr.entry {
+			reqs[n-1].points = append(reqs[n-1].points, fr.points...)
+			reqs[n-1].edges = append(reqs[n-1].edges, fr.edges...)
+			continue
+		}
+		reqs = append(reqs, fr)
 	}
-	for e := range rw.edgeRequests {
-		entrySet[e] = true
-	}
-	entries := make([]uint64, 0, len(entrySet))
-	for e := range entrySet {
-		entries = append(entries, e)
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i] < entries[j] })
+	rw.reqs = reqs
 
 	// Snippet generation, liveness, and relocation planning for each
 	// function are independent of every other function; only immutable
 	// analysis results (symtab, CFG) and the mutex-guarded liveness cache
-	// are shared.
+	// are shared, and each worker has its own scratch storage.
 	t := obs.StartTimer(rw.Trace, rw.TraceTID, "patch.plan", "patch")
-	plans := make([]*funcPlan, len(entries))
-	errs := make([]error, len(entries))
-	par.ForEach(rw.workers(), len(entries), func(_, i int) {
-		plans[i], errs[i] = rw.planFunc(entries[i])
+	workers := min(rw.workers(), len(reqs))
+	scratch := make([]planScratch, workers)
+	plans := make([]*funcPlan, len(reqs))
+	errs := make([]error, len(reqs))
+	par.ForEach(workers, len(reqs), func(w, i int) {
+		plans[i], errs[i] = rw.planFunc(&reqs[i], &scratch[w])
 	})
 	if err := firstError(errs); err != nil {
 		return nil, err
@@ -323,7 +384,9 @@ func (rw *Rewriter) RewriteWithPlans(ps *PlanSet) (*elfrv.File, error) {
 	orig := rw.st.File
 
 	// Clone sections so the original file object stays pristine.
-	out := &elfrv.File{Entry: orig.Entry, Type: orig.Type, Flags: orig.Flags}
+	out := &elfrv.File{Entry: orig.Entry, Type: orig.Type, Flags: orig.Flags,
+		Sections: make([]*elfrv.Section, 0, len(orig.Sections)+2),
+		Symbols:  make([]elfrv.Symbol, 0, len(orig.Symbols)+len(ps.plans)+len(rw.varSyms))}
 	for _, s := range orig.Sections {
 		ns := &elfrv.Section{
 			Name: s.Name, Type: s.Type, Flags: s.Flags, Addr: s.Addr,
@@ -337,15 +400,13 @@ func (rw *Rewriter) RewriteWithPlans(ps *PlanSet) (*elfrv.File, error) {
 	out.Symbols = append(out.Symbols, orig.Symbols...)
 
 	trampBase := rw.patchArea
-	trampCode := make([]byte, 0, ps.Size())
+	trampCode := make([]byte, ps.Size())
 
-	// Work on shallow copies: layout and encode fill base and rel, and a
-	// cached PlanSet must stay immutable for concurrent replays.
-	plans := make([]*funcPlan, len(ps.plans))
+	// Work on copies: layout and encode fill base and rel, and a cached
+	// PlanSet must stay immutable for concurrent replays.
+	plans := make([]funcPlan, len(ps.plans))
 	for i, p := range ps.plans {
-		cp := *p
-		cp.base, cp.rel = 0, nil
-		plans[i] = &cp
+		plans[i] = funcPlan{fn: p.fn, plan: p.plan, room: p.room, scratch: p.scratch}
 	}
 	errs := make([]error, len(plans))
 
@@ -354,16 +415,19 @@ func (rw *Rewriter) RewriteWithPlans(ps *PlanSet) (*elfrv.File, error) {
 	// on the request set, never on worker scheduling.
 	t := obs.StartTimer(rw.Trace, rw.TraceTID, "patch.layout", "patch")
 	next := trampBase
-	for _, p := range plans {
-		p.base = next
-		next += p.plan.Size
+	for i := range plans {
+		plans[i].base = next
+		next += plans[i].plan.Size
 	}
 	rw.Phases.Layout = t.Stop()
 
-	// Phase 3 — encode (parallel). Every plan now knows its base.
+	// Phase 3 — encode (parallel). Every plan now knows its base and
+	// encodes straight into its own window of the patch-area section.
 	t = obs.StartTimer(rw.Trace, rw.TraceTID, "patch.encode", "patch")
 	par.ForEach(rw.workers(), len(plans), func(_, i int) {
-		plans[i].rel, errs[i] = plans[i].plan.Encode(plans[i].base)
+		p := &plans[i]
+		off := p.base - trampBase
+		p.rel, errs[i] = p.plan.encode(trampCode[off:off+p.plan.Size:off+p.plan.Size], p.base)
 	})
 	if err := firstError(errs); err != nil {
 		return nil, err
@@ -371,12 +435,14 @@ func (rw *Rewriter) RewriteWithPlans(ps *PlanSet) (*elfrv.File, error) {
 	rw.Phases.Encode = t.Stop()
 
 	// Phase 4 — splice (serial, in entry order): entry patches, jump-table
-	// repointing, code concatenation, symbol emission.
+	// repointing, symbol emission.
 	t = obs.StartTimer(rw.Trace, rw.TraceTID, "patch.splice", "patch")
 	defer func() { rw.Phases.Splice = t.Stop() }()
 	img := &sections{rw.st, out}
-	for _, p := range plans {
-		fn, rel := p.fn, p.rel
+	rw.Patches = slices.Grow(rw.Patches, len(plans))
+	for i := range plans {
+		p := &plans[i]
+		fn, rel := p.fn, &p.rel
 		kind, newEntry, err := p.splice(rw.st, img)
 		if err != nil {
 			return nil, err
@@ -393,7 +459,6 @@ func (rw *Rewriter) RewriteWithPlans(ps *PlanSet) (*elfrv.File, error) {
 			}
 		}
 
-		trampCode = append(trampCode, rel.Code...)
 		out.Symbols = append(out.Symbols, elfrv.Symbol{
 			Name: fn.Name + ".dyninst", Value: rel.NewBase,
 			Size: uint64(len(rel.Code)), Bind: elfrv.STBLocal,

@@ -188,19 +188,9 @@ func Instrument(job Job, opts Options, stats *Stats) (*Result, error) {
 	rw.Obs = opts.Metrics
 	rw.Trace = opts.Trace
 	rw.TraceTID = opts.TraceTID
-	counters := map[string]uint64{}
-	for _, name := range job.Funcs {
-		fn, ok := cfg.FuncByName(name)
-		if !ok {
-			return nil, fmt.Errorf("pipeline: %s: no function %q", job.Name, name)
-		}
-		v := rw.NewVar("ctr_"+name, 8)
-		counters[name] = v.Addr
-		for _, pt := range points(fn) {
-			if err := rw.InsertSnippet(pt, snippet.Increment(v)); err != nil {
-				return nil, fmt.Errorf("pipeline: %s: %w", job.Name, err)
-			}
-		}
+	counters, err := rw.InsertCounters(job.Funcs, points)
+	if err != nil {
+		return nil, fmt.Errorf("pipeline: %s: %w", job.Name, err)
 	}
 
 	out, err := rw.Rewrite()

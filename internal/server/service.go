@@ -299,19 +299,9 @@ func (s *Service) buildELF(kind string, input []byte, spec Spec, inputHash, spec
 	rw := patch.NewRewriter(bin.Symtab, bin.CFG, mode)
 	rw.Jobs = inner
 	rw.SetLivenessCache(lvArt.(*livenessArtifact).lc)
-	counters := map[string]uint64{}
-	for _, name := range spec.Funcs {
-		fn, ok := bin.CFG.FuncByName(name)
-		if !ok {
-			return nil, &RequestError{fmt.Errorf("no function %q in submitted binary", name)}
-		}
-		v := rw.NewVar("ctr_"+name, 8)
-		counters[name] = v.Addr
-		for _, pt := range points(fn) {
-			if err := rw.InsertSnippet(pt, snippet.Increment(v)); err != nil {
-				return nil, &RequestError{err}
-			}
-		}
+	counters, err := rw.InsertCounters(spec.Funcs, points)
+	if err != nil {
+		return nil, &RequestError{err}
 	}
 
 	// Plan: the base-independent relocation plans for this input+spec. A

@@ -216,7 +216,7 @@ func FuncExits(fn *parse.Function) []Point {
 // BlockEntries returns one point per basic block (the paper's second
 // benchmark instruments "the start of each basic block in the function").
 func BlockEntries(fn *parse.Function) []Point {
-	var out []Point
+	out := make([]Point, 0, len(fn.Blocks))
 	for _, b := range fn.Blocks {
 		out = append(out, Point{Kind: PointBlockEntry, Addr: b.Start, Func: fn, Block: b})
 	}
