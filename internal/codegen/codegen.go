@@ -78,21 +78,23 @@ type Result struct {
 
 // Generate lowers a snippet for insertion at a point.
 func Generate(sn snippet.Snippet, opts Options) (*Result, error) {
-	// Most snippets, counter increments among them, lower to at most 8
-	// instructions; starting there skips the 1→2→4→8 regrowth of the
-	// instruction slice.
-	b := Buffer{Insts: make([]riscv.Inst, 0, 8)}
-	if err := b.Append(sn, opts); err != nil {
+	// The result and the buffer that lowers it share one allocation, and
+	// the result's register lists are the buffer's own. Most snippets,
+	// counter increments among them, lower to at most 8 instructions;
+	// starting there skips the 1→2→4→8 regrowth of the instruction slice.
+	r := &struct {
+		res Result
+		buf Buffer
+	}{buf: Buffer{Insts: make([]riscv.Inst, 0, 8)}}
+	if err := r.buf.Append(sn, opts); err != nil {
 		return nil, err
 	}
-	// One array holds the pool with the spilled registers after it.
-	g := &b.g
-	regs := append(append(make([]riscv.Reg, 0, len(g.pool)+len(g.spilled)), g.pool...), g.spilled...)
-	res := &Result{Insts: slices.Clip(b.Insts), Scratch: regs[:len(g.pool):len(g.pool)]}
+	g := &r.buf.g
+	r.res = Result{Insts: slices.Clip(r.buf.Insts), Scratch: slices.Clip(g.pool)}
 	if len(g.spilled) > 0 {
-		res.Spilled = regs[len(g.pool):]
+		r.res.Spilled = slices.Clip(g.spilled)
 	}
-	return res, nil
+	return &r.res, nil
 }
 
 // Buffer lowers snippets back to back into one instruction slice, reusing
@@ -121,7 +123,7 @@ func (b *Buffer) Append(sn snippet.Snippet, opts Options) error {
 		g.insts = g.insts[:g.start]
 	}
 	b.Insts = g.insts
-	g.insts = nil
+	g.insts, g.opts = nil, Options{} // keep no caller slices
 	return err
 }
 
@@ -164,8 +166,9 @@ type pendingBranch struct {
 type gen struct {
 	opts Options
 
-	pool    []riscv.Reg // scratch registers, in allocation order
-	spilled []riscv.Reg // subset of pool that must be saved/restored
+	pool    []riscv.Reg              // scratch registers, in allocation order
+	spilled []riscv.Reg              // subset of pool that must be saved/restored
+	regs    [2][maxScratch]riscv.Reg // pool's and spilled's storage
 
 	insts    []riscv.Inst // the snippet's code starts at insts[start]
 	start    int
@@ -178,12 +181,15 @@ type gen struct {
 // keeping its slices' and map's storage.
 func (g *gen) reset(opts Options, insts []riscv.Inst) {
 	g.opts = opts
-	g.pool, g.spilled = g.pool[:0], g.spilled[:0]
+	g.pool, g.spilled = g.regs[0][:0], g.regs[1][:0]
 	g.insts, g.start = insts, len(insts)
 	clear(g.labelPos)
 	g.branches = g.branches[:0]
 	g.nextLbl = 0
 }
+
+// maxScratch is the most scratch registers a snippet may use.
+const maxScratch = 8
 
 // plan sizes the scratch pool for the snippet and decides what spills.
 func (g *gen) plan(sn snippet.Snippet) error {
@@ -194,8 +200,8 @@ func (g *gen) plan(sn snippet.Snippet) error {
 	if need < 2 {
 		need = 2
 	}
-	if need > 8 {
-		return fmt.Errorf("codegen: snippet needs %d scratch registers (max 8)", need)
+	if need > maxScratch {
+		return fmt.Errorf("codegen: snippet needs %d scratch registers (max %d)", need, maxScratch)
 	}
 	avoid := riscv.NewRegSet(riscv.RegSP, riscv.RegRA)
 	// ParamReg reads argument registers: they must not be recycled as

@@ -1,6 +1,7 @@
 package codegen
 
 import (
+	"slices"
 	"testing"
 
 	"rvdyn/internal/elfrv"
@@ -370,5 +371,66 @@ func TestWideConstantMaterialization(t *testing.T) {
 		if got, _ := c.Mem.Read64(0x20000); got != uint64(val) {
 			t.Errorf("materialized %#x, want %#x", got, uint64(val))
 		}
+	}
+}
+
+// TestBufferMatchesGenerate lowers a mix of snippets back to back into one
+// Buffer, in both modes and with and without dead registers, and checks
+// each snippet's code equals what Generate returns for it alone.
+func TestBufferMatchesGenerate(t *testing.T) {
+	v := v64("v", 0x20010)
+	snippets := []snippet.Snippet{
+		snippet.Increment(v),
+		snippet.If{Cond: snippet.BinOp{Op: snippet.OpLt, L: v, R: snippet.ConstInt{Val: 3}},
+			Then: snippet.Increment(v), Else: snippet.AddTo(v, snippet.ConstInt{Val: 5})},
+		snippet.Empty(),
+		snippet.AddTo(v, snippet.BinOp{Op: snippet.OpMul, L: snippet.ParamReg{Index: 1}, R: snippet.ConstInt{Val: 1 << 40}}),
+		snippet.CallFunc{Entry: 0x10000, Args: []snippet.Snippet{v}},
+	}
+	for _, opts := range []Options{
+		{},
+		{DeadRegs: []riscv.Reg{riscv.RegT0, riscv.RegT1, riscv.RegT2}},
+		{Mode: ModeSpillAlways},
+		{Arch: riscv.ExtI | riscv.ExtC},
+	} {
+		var b Buffer
+		var ends []int
+		for _, sn := range snippets {
+			if err := b.Append(sn, opts); err != nil {
+				t.Fatal(err)
+			}
+			ends = append(ends, len(b.Insts))
+		}
+		start := 0
+		for i, sn := range snippets {
+			res, err := Generate(sn, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := b.Insts[start:ends[i]]; !slices.Equal(got, res.Insts) {
+				t.Errorf("%v, snippet %d: buffer holds %v, Generate %v", opts, i, got, res.Insts)
+			}
+			start = ends[i]
+		}
+		n := len(b.Insts)
+		if err := b.Append(snippet.Increment(&snippet.Var{Name: "unallocated", Width: 8}), opts); err == nil || len(b.Insts) != n {
+			t.Errorf("%v: a failed Append returned %v and left %d instructions, want an error and %d", opts, err, len(b.Insts), n)
+		}
+	}
+}
+
+// TestGenerateAllocs bounds what lowering a counter increment with dead
+// registers allocates: the result with the buffer that lowers it, and the
+// instruction slice. Before the two shared one allocation and the register
+// lists lived in the buffer, it took five.
+func TestGenerateAllocs(t *testing.T) {
+	sn := snippet.Increment(v64("c", 0x212000))
+	opts := Options{Mode: ModeDeadRegister, DeadRegs: []riscv.Reg{riscv.RegT0, riscv.RegT1}}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Generate(sn, opts); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 2 {
+		t.Errorf("Generate of an increment allocated %v times, want at most 2", n)
 	}
 }

@@ -2,6 +2,7 @@ package dataflow
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"rvdyn/internal/asm"
@@ -556,6 +557,50 @@ func TestLiveBeforeBlockStart(t *testing.T) {
 					t.Errorf("%s: %s %v: LiveBefore(start) %v, LiveIn %v, walk %v",
 						name, fn.Name, b, got, lv.LiveIn[b.Index], walk)
 				}
+			}
+		}
+	}
+}
+
+// TestDeadScratchXBlockStartAllocFree checks that DeadScratchX at a block
+// start returns, without allocating, the registers DeadBefore reports in
+// preference order, as a window whose capacity is its length: an append by
+// the caller must copy rather than overwrite the next block's registers.
+func TestDeadScratchXBlockStartAllocFree(t *testing.T) {
+	f, err := asm.Assemble(workload.RandomProgram(1, 20), asm.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := symtab.FromFile(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := parse.Parse(st, parse.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, fn := range cfg.Funcs {
+		lv := Liveness(fn)
+		want := make([][]riscv.Reg, len(fn.Blocks))
+		for i, b := range fn.Blocks {
+			dead := lv.DeadBefore(b.Start)
+			for _, r := range riscv.ScratchCandidates {
+				if dead.Contains(r) {
+					want[i] = append(want[i], r)
+				}
+			}
+			got := lv.DeadScratchX(b.Start)
+			if !slices.Equal(got, want[i]) || cap(got) != len(got) {
+				t.Fatalf("%s %v: DeadScratchX = %v (cap %d), want %v", fn.Name, b, got, cap(got), want[i])
+			}
+			if n := testing.AllocsPerRun(10, func() { lv.DeadScratchX(b.Start) }); n != 0 {
+				t.Fatalf("%s %v: DeadScratchX allocated %v times", fn.Name, b, n)
+			}
+			_ = append(got, riscv.RegRA)
+		}
+		for i, b := range fn.Blocks {
+			if got := lv.DeadScratchX(b.Start); !slices.Equal(got, want[i]) {
+				t.Fatalf("%s %v: appends changed DeadScratchX to %v, want %v", fn.Name, b, got, want[i])
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package patch
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"rvdyn/internal/codegen"
 	"rvdyn/internal/dataflow"
@@ -45,6 +46,18 @@ type planScratch struct {
 	ins   []Insertion
 	edges []EdgeInsertion
 	items []rItem
+}
+
+// scratchPool keeps planning workers' storage from one Plan to the next, so
+// a whole-binary rewrite grows it once rather than on every call.
+var scratchPool = sync.Pool{New: func() any { return new(planScratch) }}
+
+// release drops the scratch's references into the plan it last worked on
+// (blocks, code windows), so a pooled scratch pins no analysis.
+func (sc *planScratch) release() {
+	clear(sc.ins[:cap(sc.ins)])
+	clear(sc.edges[:cap(sc.edges)])
+	clear(sc.items[:cap(sc.items)])
 }
 
 // planFunc generates fn's snippet code with dead registers from lv when

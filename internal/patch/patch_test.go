@@ -499,3 +499,70 @@ func TestUninstrumentedFunctionsUntouched(t *testing.T) {
 		}
 	}
 }
+
+// TestInsertCounters checks that InsertCounters rewrites a binary byte for
+// byte like a counter per named function incremented at each of its points
+// one InsertSnippet at a time, in name order, that interleaved requests on
+// one function keep their order, and that an unknown name fails.
+func TestInsertCounters(t *testing.T) {
+	st, cfg := analyze(t, workload.MatmulSource(8, 2), asm.Options{})
+	names := []string{"multiply", "init_matrices"}
+	for _, mode := range []string{"entry", "blocks", "exits"} {
+		points, err := snippet.PointsNamed(mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rw := NewRewriter(st, cfg, codegen.ModeDeadRegister)
+		counters, err := rw.InsertCounters(names, points)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := rw.Rewrite()
+		if err != nil {
+			t.Fatal(err)
+		}
+		gotELF, err := got.Write()
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		// The same requests, with the two functions' points interleaved.
+		ref := NewRewriter(st, cfg, codegen.ModeDeadRegister)
+		var pts [][]snippet.Point
+		var vars []*snippet.Var
+		for _, name := range names {
+			fn, _ := cfg.FuncByName(name)
+			pts = append(pts, points(fn))
+			vars = append(vars, ref.NewVar("ctr_"+name, 8))
+			if counters[name] != vars[len(vars)-1].Addr {
+				t.Errorf("%s: counter of %s at %#x, want %#x", mode, name, counters[name], vars[len(vars)-1].Addr)
+			}
+		}
+		for i := 0; i < max(len(pts[0]), len(pts[1])); i++ {
+			for f := range pts {
+				if i < len(pts[f]) {
+					if err := ref.InsertSnippet(pts[f][i], snippet.Increment(vars[f])); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		want, err := ref.Rewrite()
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantELF, err := want.Write()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(gotELF) != string(wantELF) {
+			t.Errorf("%s: InsertCounters output differs from one InsertSnippet per point", mode)
+		}
+	}
+
+	rw := NewRewriter(st, cfg, codegen.ModeDeadRegister)
+	if _, err := rw.InsertCounters([]string{"multiply", "nope"}, snippet.BlockEntries); err == nil ||
+		err.Error() != `patch: no function "nope"` {
+		t.Errorf("unknown function: err = %v", err)
+	}
+}

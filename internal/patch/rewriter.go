@@ -210,6 +210,9 @@ func (rw *Rewriter) InsertEdgeSnippet(pt snippet.EdgePoint, sn snippet.Snippet) 
 // requestsFor returns the run of requests the next request on the function
 // at entry joins.
 func (rw *Rewriter) requestsFor(entry uint64) *funcRequests {
+	if rw.reqs == nil {
+		rw.reqs = make([]funcRequests, 0, len(rw.cfg.Funcs))
+	}
 	if n := len(rw.reqs); n == 0 || rw.reqs[n-1].entry != entry {
 		rw.reqs = append(rw.reqs, funcRequests{entry: entry})
 	}
@@ -240,10 +243,7 @@ func (rw *Rewriter) InsertCounters(names []string, points func(*parse.Function) 
 		v := rw.NewVar("ctr_"+name, 8)
 		counters[name] = v.Addr
 		inc := snippet.Increment(v)
-		pts := points(fn)
-		fr := rw.requestsFor(fn.Entry)
-		fr.points = slices.Grow(fr.points, len(pts))
-		for _, pt := range pts {
+		for _, pt := range points(fn) {
 			if err := rw.InsertSnippet(pt, inc); err != nil {
 				return nil, err
 			}
@@ -353,12 +353,19 @@ func (rw *Rewriter) Plan() (*PlanSet, error) {
 	// are shared, and each worker has its own scratch storage.
 	t := obs.StartTimer(rw.Trace, rw.TraceTID, "patch.plan", "patch")
 	workers := min(rw.workers(), len(reqs))
-	scratch := make([]planScratch, workers)
+	scratch := make([]*planScratch, workers)
+	for w := range scratch {
+		scratch[w] = scratchPool.Get().(*planScratch)
+	}
 	plans := make([]*funcPlan, len(reqs))
 	errs := make([]error, len(reqs))
 	par.ForEach(workers, len(reqs), func(w, i int) {
-		plans[i], errs[i] = rw.planFunc(&reqs[i], &scratch[w])
+		plans[i], errs[i] = rw.planFunc(&reqs[i], scratch[w])
 	})
+	for _, sc := range scratch {
+		sc.release()
+		scratchPool.Put(sc)
+	}
 	if err := firstError(errs); err != nil {
 		return nil, err
 	}
