@@ -116,13 +116,13 @@ func (b *Buffer) Append(sn snippet.Snippet, opts Options) error {
 	if opts.Arch == 0 {
 		opts.Arch = riscv.RV64GC
 	}
-	g := &b.g
+	g, start := &b.g, len(b.Insts)
 	g.reset(opts, b.Insts)
 	err := g.lower(sn)
-	if err != nil {
-		g.insts = g.insts[:g.start]
-	}
 	b.Insts = g.insts
+	if err != nil {
+		b.Insts = b.Insts[:start]
+	}
 	g.insts, g.opts = nil, Options{} // keep no caller slices
 	return err
 }
@@ -170,8 +170,7 @@ type gen struct {
 	spilled []riscv.Reg              // subset of pool that must be saved/restored
 	regs    [2][maxScratch]riscv.Reg // pool's and spilled's storage
 
-	insts    []riscv.Inst // the snippet's code starts at insts[start]
-	start    int
+	insts    []riscv.Inst
 	labelPos map[int]int // label id -> instruction index
 	branches []pendingBranch
 	nextLbl  int
@@ -182,7 +181,7 @@ type gen struct {
 func (g *gen) reset(opts Options, insts []riscv.Inst) {
 	g.opts = opts
 	g.pool, g.spilled = g.regs[0][:0], g.regs[1][:0]
-	g.insts, g.start = insts, len(insts)
+	g.insts = insts
 	clear(g.labelPos)
 	g.branches = g.branches[:0]
 	g.nextLbl = 0

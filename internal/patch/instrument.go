@@ -129,12 +129,12 @@ func generate(buf *codegen.Buffer, st *symtab.Symtab, mode codegen.Mode, lv *dat
 	return buf.Append(sn, codegen.Options{Arch: st.Extensions, Mode: mode, DeadRegs: dead})
 }
 
-// splice redirects the function's entry to its encoded copy with the
+// splice redirects the function's entry to its encoded copy rel with the
 // cheapest jump that fits in its extent (the trap rung only when t can
 // field it), then repoints its jump-table slots at the relocated blocks.
 // It returns the patch kind and the relocated entry.
-func (fp *funcPlan) splice(st *symtab.Symtab, t Target) (PatchKind, uint64, error) {
-	fn, rel := fp.fn, &fp.rel
+func (fp *funcPlan) splice(st *symtab.Symtab, rel *Relocation, t Target) (PatchKind, uint64, error) {
+	fn := fp.fn
 	newEntry, _ := rel.Addr(fn.Entry)
 	tt, canTrap := t.(TrapTarget)
 	kind, bytes, err := JumpPatch(fn.Entry, newEntry, fp.room, st.Extensions, fp.scratch, canTrap)
@@ -212,15 +212,16 @@ func (l *Live) Instrument(t Target, fn *parse.Function, points []snippet.Point,
 	if err != nil {
 		return nil, 0, err
 	}
-	if fp.rel, err = fp.plan.encode(make([]byte, fp.plan.Size), l.next); err != nil {
+	rel, err := fp.plan.encode(make([]byte, fp.plan.Size), l.next)
+	if err != nil {
 		return nil, 0, err
 	}
-	size := (uint64(len(fp.rel.Code)) + 0xfff) &^ 0xfff
+	size := (uint64(len(rel.Code)) + 0xfff) &^ 0xfff
 	l.mem.MapRegion(l.next, size)
-	if err := l.mem.WriteMem(l.next, fp.rel.Code); err != nil {
+	if err := l.mem.WriteMem(l.next, rel.Code); err != nil {
 		return nil, 0, err
 	}
 	l.next += size
-	kind, _, err := fp.splice(l.st, t)
-	return &fp.rel, kind, err
+	kind, _, err := fp.splice(l.st, &rel, t)
+	return &rel, kind, err
 }

@@ -89,3 +89,53 @@ func TestParallelRewriteMatchesSerial(t *testing.T) {
 		}
 	}
 }
+
+// TestConcurrentRewritesShareScratch runs whole-binary rewrites of one
+// analyzed binary from several goroutines at once, sharing a liveness cache
+// the way the server does, so planning workers of different rewrites take
+// and return pooled scratch storage concurrently and read the same dead
+// register arrays. Every output must equal a serial rewrite's.
+func TestConcurrentRewritesShareScratch(t *testing.T) {
+	st, cfg := analyze(t, workload.RandomProgram(13, 24), asm.Options{})
+	lc := NewLivenessCache()
+	build := func() ([]byte, error) {
+		rw := NewRewriter(st, cfg, codegen.ModeDeadRegister)
+		rw.Jobs = 2
+		rw.SetLivenessCache(lc)
+		names := make([]string, len(cfg.Funcs))
+		for i, fn := range cfg.Funcs {
+			names[i] = fn.Name
+		}
+		if _, err := rw.InsertCounters(names, snippet.BlockEntries); err != nil {
+			return nil, err
+		}
+		out, err := rw.Rewrite()
+		if err != nil {
+			return nil, err
+		}
+		return out.Write()
+	}
+	want, err := build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const goroutines = 8
+	got := make([][]byte, goroutines)
+	errs := make([]error, goroutines)
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g], errs[g] = build()
+		}()
+	}
+	wg.Wait()
+	for g := range goroutines {
+		if errs[g] != nil {
+			t.Errorf("goroutine %d: %v", g, errs[g])
+		} else if !bytes.Equal(got[g], want) {
+			t.Errorf("goroutine %d: output differs from the serial rewrite", g)
+		}
+	}
+}

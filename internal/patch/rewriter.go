@@ -252,16 +252,13 @@ func (rw *Rewriter) InsertCounters(names []string, points func(*parse.Function) 
 	return counters, nil
 }
 
-// funcPlan carries one function's instrumentation through the pipeline
-// phases: plan (parallel) fills plan/room/scratch, layout (serial) fills
-// base, encode (parallel) fills rel.
+// funcPlan is one function's product of the plan phase. Layout and encode
+// place it at a base, producing a Relocation, without changing it.
 type funcPlan struct {
 	fn      *parse.Function
 	plan    *RelocPlan
 	room    uint64    // bytes available at the entry for the jump patch
 	scratch riscv.Reg // dead register for the auipc+jalr rung, or RegNone
-	base    uint64
-	rel     Relocation
 }
 
 // planFunc runs the per-function half of the pipeline for the requests
@@ -409,12 +406,10 @@ func (rw *Rewriter) RewriteWithPlans(ps *PlanSet) (*elfrv.File, error) {
 	trampBase := rw.patchArea
 	trampCode := make([]byte, ps.Size())
 
-	// Work on copies: layout and encode fill base and rel, and a cached
-	// PlanSet must stay immutable for concurrent replays.
-	plans := make([]funcPlan, len(ps.plans))
-	for i, p := range ps.plans {
-		plans[i] = funcPlan{fn: p.fn, plan: p.plan, room: p.room, scratch: p.scratch}
-	}
+	// Layout and encode fill one relocation per plan; a cached PlanSet
+	// stays immutable for concurrent replays.
+	plans := ps.plans
+	rels := make([]Relocation, len(plans))
 	errs := make([]error, len(plans))
 
 	// Phase 2 — layout (serial). Bases come from a prefix sum over plan
@@ -422,9 +417,9 @@ func (rw *Rewriter) RewriteWithPlans(ps *PlanSet) (*elfrv.File, error) {
 	// on the request set, never on worker scheduling.
 	t := obs.StartTimer(rw.Trace, rw.TraceTID, "patch.layout", "patch")
 	next := trampBase
-	for i := range plans {
-		plans[i].base = next
-		next += plans[i].plan.Size
+	for i, p := range plans {
+		rels[i].NewBase = next
+		next += p.plan.Size
 	}
 	rw.Phases.Layout = t.Stop()
 
@@ -432,9 +427,9 @@ func (rw *Rewriter) RewriteWithPlans(ps *PlanSet) (*elfrv.File, error) {
 	// encodes straight into its own window of the patch-area section.
 	t = obs.StartTimer(rw.Trace, rw.TraceTID, "patch.encode", "patch")
 	par.ForEach(rw.workers(), len(plans), func(_, i int) {
-		p := &plans[i]
-		off := p.base - trampBase
-		p.rel, errs[i] = p.plan.encode(trampCode[off:off+p.plan.Size:off+p.plan.Size], p.base)
+		p, base := plans[i].plan, rels[i].NewBase
+		off := base - trampBase
+		rels[i], errs[i] = p.encode(trampCode[off:off+p.Size:off+p.Size], base)
 	})
 	if err := firstError(errs); err != nil {
 		return nil, err
@@ -447,10 +442,9 @@ func (rw *Rewriter) RewriteWithPlans(ps *PlanSet) (*elfrv.File, error) {
 	defer func() { rw.Phases.Splice = t.Stop() }()
 	img := &sections{rw.st, out}
 	rw.Patches = slices.Grow(rw.Patches, len(plans))
-	for i := range plans {
-		p := &plans[i]
-		fn, rel := p.fn, &p.rel
-		kind, newEntry, err := p.splice(rw.st, img)
+	for i, p := range plans {
+		fn, rel := p.fn, &rels[i]
+		kind, newEntry, err := p.splice(rw.st, rel, img)
 		if err != nil {
 			return nil, err
 		}
