@@ -375,14 +375,17 @@ func benchPipelineBatch(b *testing.B, workers int) {
 	var emitted int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, stats, err := pipeline.Batch(jobs, opts)
+		results, err := pipeline.Batch(jobs, opts)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if len(results) != len(jobs) {
 			b.Fatalf("got %d results, want %d", len(results), len(jobs))
 		}
-		emitted = stats.BytesEmitted.Load()
+		emitted = 0
+		for _, res := range results {
+			emitted += int64(len(res.ELF))
+		}
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(len(jobs))*float64(b.N)/b.Elapsed().Seconds(), "binaries/s")

@@ -19,7 +19,8 @@
 //	                                         differential-execution oracle
 //	rvdyn batch [-points p] [-mode m] [-synthetic N] [-o dir]
 //	                                         instrument every workload program
-//	                                         concurrently, print phase stats
+//	                                         concurrently (phase counters
+//	                                         under -metrics)
 //	rvdyn profile [-func f1,f2] [-mode m] {prog.elf|workload-name}
 //	                                         instrument, run, and print a
 //	                                         per-function cycle profile
@@ -27,7 +28,8 @@
 //	                                         run under the dynamic binary
 //	                                         instrumentation engine (code-cache
 //	                                         translation, no rewrite) and print
-//	                                         call counts plus engine counters
+//	                                         call counts (engine counters
+//	                                         under -metrics)
 //	rvdyn serve [-addr host:port] [-cache-mb N] [-max-upload-mb N]
 //	                                         long-running instrumentation
 //	                                         server with a content-addressed
@@ -41,9 +43,11 @@
 // the parallel analyze/instrument phases; output is byte-identical for every
 // value. Default is GOMAXPROCS.
 //
-// Observability (global flags, before the subcommand): -metrics dumps the
-// counter registry to stderr on exit; -trace-out=FILE writes per-phase spans
-// as Chrome trace_event JSON, loadable in Perfetto (ui.perfetto.dev) or
+// Observability (global flags, before the subcommand): -metrics writes the
+// counter registry to stderr on exit in the Prometheus text exposition
+// format (dotted names render with '.' as '_': emu.dbi.translations is
+// emu_dbi_translations); -trace-out=FILE writes per-phase spans as Chrome
+// trace_event JSON, loadable in Perfetto (ui.perfetto.dev) or
 // chrome://tracing.
 package main
 
@@ -85,7 +89,7 @@ import (
 
 var (
 	jobsFlag     = flag.Int("jobs", 0, "workers for parallel analyze/instrument phases (default GOMAXPROCS)")
-	metricsFlag  = flag.Bool("metrics", false, "dump the metrics registry to stderr on exit")
+	metricsFlag  = flag.Bool("metrics", false, "write the metrics registry to stderr on exit (Prometheus text exposition)")
 	traceOutFlag = flag.String("trace-out", "", "write span trace as Chrome trace_event JSON to `FILE`")
 	notraceFlag  = flag.Bool("notrace", false, "disable trace compilation of hot superblock chains in every guest run (A/B overhead comparisons)")
 )
@@ -116,8 +120,8 @@ func obsSetup() {
 }
 
 func obsFinish() {
-	if obsReg != nil {
-		fmt.Fprint(os.Stderr, obsReg.String())
+	if err := obsReg.WritePrometheus(os.Stderr); err != nil {
+		log.Fatal(err)
 	}
 	if obsTr != nil {
 		f, err := os.Create(*traceOutFlag)
@@ -601,7 +605,7 @@ func cmdBatch(args []string) {
 	}
 
 	start := time.Now()
-	results, errs, stats := pipeline.BatchAll(batch, opts)
+	results, errs := pipeline.BatchAll(batch, opts)
 	wall := time.Since(start)
 
 	// Verification failures join the instrumentation failures so the final
@@ -634,7 +638,6 @@ func cmdBatch(args []string) {
 		fmt.Println()
 	}
 	fmt.Println()
-	fmt.Print(stats)
 	fmt.Printf("wall time: %.3f ms with %d workers\n", float64(wall)/1e6, opts.Workers())
 	if summary := pipeline.ErrorSummary(batch, errs); summary != "" {
 		fmt.Fprintf(os.Stderr, "rvdyn: batch: %s", summary)
@@ -683,7 +686,7 @@ func cmdServe(args []string) {
 		log.Fatal("serve takes no positional arguments")
 	}
 	// The metrics endpoint always has a live registry; the global -metrics
-	// flag additionally dumps it to stderr on exit.
+	// flag additionally writes it to stderr on exit.
 	reg := obsReg
 	if reg == nil {
 		reg = obs.NewRegistry()
@@ -822,8 +825,9 @@ func runSampled(file *elfrv.File, opts sample.Options, pprofPath, foldedPath str
 
 // cmdDBIRun runs a binary under the dynamic binary instrumentation engine:
 // no rewrite on disk, blocks translate into a code cache at first execution
-// with call-count probes woven in, and the engine's counters quantify the
-// dynamic-mode machinery (translations, chain patches, invalidations).
+// with call-count probes woven in. Under -metrics the engine's counters
+// (emu.dbi.*: translations, chain patches, invalidations) quantify the
+// dynamic-mode machinery.
 func cmdDBIRun(args []string) {
 	fs := flag.NewFlagSet("dbirun", flag.ExitOnError)
 	funcs := fs.String("func", "", "comma-separated functions to probe (default: workload metadata, or every named function)")
@@ -847,12 +851,8 @@ func cmdDBIRun(args []string) {
 		return
 	}
 
-	reg := obsReg
-	if reg == nil {
-		reg = obs.NewRegistry()
-	}
 	rep, err := profile.RunDBI(file, profile.Options{
-		Funcs: flist, Mode: parseMode(*mode), MaxInst: *maxInst, Obs: reg,
+		Funcs: flist, Mode: parseMode(*mode), MaxInst: *maxInst, Obs: obsReg,
 		NoCounterVirt: *noVirt, Dispatch: guestDispatch(),
 	})
 	if err != nil {
@@ -860,14 +860,6 @@ func cmdDBIRun(args []string) {
 	}
 	fmt.Print(rep)
 	fmt.Printf("exit code %d; %d instructions retired\n", rep.ExitCode, rep.TotalInsts)
-	for _, name := range []string{
-		"emu.dbi.translations", "emu.dbi.chain.patches", "emu.dbi.chain.hits",
-		"emu.dbi.invalidations", "emu.dbi.indirect_exits",
-		"emu.dbi.ibl.hits", "emu.dbi.ibl.misses", "emu.dbi.probe_removals",
-		"emu.dbi.flushes", "emu.dbi.probes", "emu.dbi.deopts",
-	} {
-		fmt.Printf("%-24s %d\n", name, reg.Counter(name).Load())
-	}
 }
 
 func cmdComponents() {

@@ -7,12 +7,14 @@
 //
 //	rvemu [-model p550|x86] [-max N] [-trace] [-histo] [-slow] [-stats] prog.elf
 //
-// -stats prints the emulator's observability counters on exit: instructions
-// retired, superblock-cache hits/builds/invalidations, chain hits/severs,
-// trace counters, macro-op fusion counts per fusion row, per-tier retired
-// instructions and cycles, per-number syscall counts, and the wall-clock
-// emulation rate in MIPS. See README.md ("Observability & profiling") for
-// how to read them.
+// -stats writes the emulator's observability counters to stderr on exit in
+// the Prometheus text exposition format (emu.tier.trace.instret renders as
+// emu_tier_trace_instret): instructions retired, superblock-cache
+// hits/builds/invalidations, chain hits/severs, trace counters, macro-op
+// fusion counts per fusion row, per-tier retired instructions and cycles and
+// per-number syscall counts. A plain "wall:" line after the exposition gives
+// the wall-clock emulation rate in MIPS. See README.md ("Observability &
+// profiling") for how to read them.
 package main
 
 import (
@@ -39,7 +41,7 @@ func main() {
 	histo := flag.Bool("histo", false, "print a per-mnemonic execution histogram (top 20)")
 	slow := flag.Bool("slow", false, "force per-instruction dispatch (disable the fused block engine)")
 	notrace := flag.Bool("notrace", false, "disable trace compilation of hot superblock chains (for A/B overhead runs)")
-	stats := flag.Bool("stats", false, "print emulator counters and wall-clock MIPS on exit")
+	stats := flag.Bool("stats", false, "write emulator counters (Prometheus text exposition) and wall-clock MIPS to stderr on exit")
 	pprofOut := flag.String("pprof", "", "sample the run on the virtual clock and write a gzipped pprof profile to `FILE`")
 	period := flag.Uint64("period", 4096, "sampling period in virtual cycles (with -pprof)")
 	flag.Parse()
@@ -112,12 +114,14 @@ func main() {
 	reason := cpu.Run(*maxInst)
 	wall := time.Since(wallStart)
 	if *stats {
-		fmt.Fprint(os.Stderr, reg.String())
+		if err := reg.WritePrometheus(os.Stderr); err != nil {
+			log.Fatal(err)
+		}
 		mips := 0.0
 		if wall > 0 {
 			mips = float64(cpu.Instret) / wall.Seconds() / 1e6
 		}
-		fmt.Fprintf(os.Stderr, "%-44s %.1f (%.3f ms wall)\n", "emu.wallclock_mips", mips, float64(wall)/1e6)
+		fmt.Fprintf(os.Stderr, "wall:    %.1f MIPS (%.3f ms)\n", mips, float64(wall)/1e6)
 	}
 	if *histo {
 		type row struct {
@@ -176,8 +180,8 @@ func runSampled(f *elfrv.File, model *emu.CostModel, out string, period uint64, 
 	if err := of.Close(); err != nil {
 		log.Fatal(err)
 	}
-	if stats {
-		fmt.Fprint(os.Stderr, reg.String())
+	if err := reg.WritePrometheus(os.Stderr); err != nil {
+		log.Fatal(err)
 	}
 	fmt.Fprintf(os.Stderr, "wrote %s: %d samples at period %d\n", out, len(prof.Samples), period)
 	fmt.Fprintf(os.Stderr, "stop: exit (code %d)\ninstret: %d\ncycles:  %d (%s @ %d MHz)\nvirtual: %.6fs\n",

@@ -42,8 +42,7 @@ var (
 	cFlag       = flag.Int("c", 4, "concurrent client workers")
 	workFlag    = flag.String("workloads", "", "comma-separated workload names (default: all)")
 	minHitFlag  = flag.Float64("min-hit-rate", -1, "fail if the cache hit(+coalesced) rate is below this fraction")
-	metricsOut  = flag.String("metrics-out", "", "scrape /metrics into `FILE` after the burst")
-	promOut     = flag.String("prom-out", "", "scrape /metrics in Prometheus exposition format into `FILE` after the burst, validating that it parses")
+	promOut     = flag.String("prom-out", "", "scrape /metrics (Prometheus text exposition) into `FILE` after the burst, validating that it parses")
 	timeoutFlag = flag.Duration("timeout", 30*time.Second, "per-request timeout")
 )
 
@@ -210,31 +209,10 @@ func main() {
 		fmt.Printf("byte-consistency: all responses identical per payload\n")
 	}
 
-	if *metricsOut != "" {
-		resp, err := client.Get(base + "/metrics")
-		if err != nil {
-			log.Fatal(err)
-		}
-		data, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*metricsOut, data, 0o644); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("wrote server metrics to %s\n", *metricsOut)
-	}
-
 	if *promOut != "" {
-		// Scrape the way Prometheus would: negotiate the exposition format
-		// via the Accept header, then require the body to parse cleanly.
-		req, err := http.NewRequest("GET", base+"/metrics", nil)
-		if err != nil {
-			log.Fatal(err)
-		}
-		req.Header.Set("Accept", "text/plain;version=0.0.4")
-		resp, err := client.Do(req)
+		// Scrape the way Prometheus would and require the body to parse
+		// cleanly.
+		resp, err := client.Get(base + "/metrics")
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -195,14 +194,6 @@ type HistSummary struct {
 	P50      float64
 	P90      float64
 	P99      float64
-}
-
-func (s HistSummary) String() string {
-	if s.Count == 0 {
-		return "count 0"
-	}
-	return fmt.Sprintf("count %d  sum %d  min %d  max %d  p50 %.1f  p90 %.1f  p99 %.1f",
-		s.Count, s.Sum, s.Min, s.Max, s.P50, s.P90, s.P99)
 }
 
 // Summary digests the histogram.

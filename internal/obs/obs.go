@@ -16,10 +16,6 @@
 package obs
 
 import (
-	"fmt"
-	"io"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -78,9 +74,11 @@ func (g *Gauge) Load() int64 {
 	return g.v.Load()
 }
 
-// Registry is a named collection of metrics. The zero value is not usable;
-// call NewRegistry. A nil *Registry is the disabled sink: it hands out nil
-// metric handles and renders as an empty dump.
+// Registry is a named collection of metrics, the program's one counter
+// store. The zero value is not usable; call NewRegistry. A nil *Registry is
+// the disabled sink: it hands out nil metric handles and renders nothing.
+// WritePrometheus is its one text rendering; names are dotted namespaces
+// (emu.dbi.translations) and render with every '.' as '_'.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter
@@ -145,38 +143,14 @@ func (r *Registry) Histogram(name string, bounds []uint64) *Histogram {
 	return h
 }
 
-// WriteTo renders every metric, sorted by name, one per line — the format
-// rvdyn -metrics and rvemu -stats print. Histograms render their summary.
-func (r *Registry) WriteTo(w io.Writer) (int64, error) {
-	var b strings.Builder
-	if r != nil {
-		r.mu.Lock()
-		type row struct {
-			name, val string
-		}
-		rows := make([]row, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-		for name, c := range r.counters {
-			rows = append(rows, row{name, fmt.Sprintf("%d", c.Load())})
-		}
-		for name, g := range r.gauges {
-			rows = append(rows, row{name, fmt.Sprintf("%d", g.Load())})
-		}
-		for name, h := range r.hists {
-			rows = append(rows, row{name, h.Summary().String()})
-		}
-		r.mu.Unlock()
-		sort.Slice(rows, func(i, j int) bool { return rows[i].name < rows[j].name })
-		for _, row := range rows {
-			fmt.Fprintf(&b, "%-44s %s\n", row.name, row.val)
-		}
+// Len returns the number of registered metrics of every kind. Names that
+// render to one exposition family would make WritePrometheus's family count
+// fall short of it.
+func (r *Registry) Len() int {
+	if r == nil {
+		return 0
 	}
-	n, err := io.WriteString(w, b.String())
-	return int64(n), err
-}
-
-// String renders the registry dump (see WriteTo).
-func (r *Registry) String() string {
-	var b strings.Builder
-	r.WriteTo(&b)
-	return b.String()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return len(r.counters) + len(r.gauges) + len(r.hists)
 }

@@ -128,8 +128,9 @@ func TestNilSink(t *testing.T) {
 	if c.Load() != 0 || g.Load() != 0 || h.Count() != 0 || h.Quantile(0.5) != 0 {
 		t.Fatal("nil handles must discard updates")
 	}
-	if s := r.String(); s != "" {
-		t.Fatalf("nil registry dump = %q, want empty", s)
+	var dump strings.Builder
+	if err := r.WritePrometheus(&dump); err != nil || dump.Len() != 0 {
+		t.Fatalf("nil registry exposition = %q (err %v), want empty", dump.String(), err)
 	}
 	var tr *Tracer
 	sp := tr.Begin(1, "a", "b")
@@ -145,16 +146,26 @@ func TestNilSink(t *testing.T) {
 	}
 }
 
-// TestRegistryDumpSorted pins the deterministic dump order.
+// TestRegistryDumpSorted pins the deterministic exposition order: families
+// sorted by rendered name whatever the kind or registration order.
 func TestRegistryDumpSorted(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("z.last").Add(1)
+	r.Histogram("h.mid", []uint64{1}).Observe(1)
 	r.Counter("a.first").Add(2)
 	r.Gauge("m.middle").Set(3)
-	s := r.String()
-	ia, im, iz := strings.Index(s, "a.first"), strings.Index(s, "m.middle"), strings.Index(s, "z.last")
-	if ia < 0 || im < 0 || iz < 0 || !(ia < im && im < iz) {
-		t.Fatalf("dump not sorted:\n%s", s)
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	s := b.String()
+	prev := -1
+	for _, name := range []string{"a_first", "h_mid", "m_middle", "z_last"} {
+		i := strings.Index(s, "# TYPE "+name+" ")
+		if i <= prev {
+			t.Fatalf("exposition not sorted at %s:\n%s", name, s)
+		}
+		prev = i
 	}
 }
 

@@ -136,7 +136,7 @@ func (t *Tracer) WriteJSON(w io.Writer) error {
 
 // Timer measures one region on the wall clock and, when a tracer is
 // attached, records it as a span. It replaces ad-hoc time.Now()/Since
-// plumbing: callers get the duration for their own stats table and the
+// plumbing: callers get the duration for their own counters and the
 // span lands in the trace for free. The zero Timer is invalid; a Timer
 // from StartTimer with a nil tracer still measures.
 type Timer struct {

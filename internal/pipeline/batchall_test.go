@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"rvdyn/internal/obs"
 	"rvdyn/internal/workload"
 )
 
@@ -19,7 +20,8 @@ func TestBatchAllPartialFailure(t *testing.T) {
 		{Name: "ok-2", Source: good.Source, Funcs: good.Funcs},
 		{Name: "broken-func", Source: good.Source, Funcs: []string{"no_such_function"}},
 	}
-	results, errs, stats := BatchAll(jobs, Options{Jobs: 2})
+	reg := obs.NewRegistry()
+	results, errs := BatchAll(jobs, Options{Jobs: 2, Metrics: reg})
 	if len(results) != len(jobs) || len(errs) != len(jobs) {
 		t.Fatalf("got %d results / %d errs for %d jobs", len(results), len(errs), len(jobs))
 	}
@@ -39,8 +41,8 @@ func TestBatchAllPartialFailure(t *testing.T) {
 			t.Errorf("job %s failed but has a result", jobs[i].Name)
 		}
 	}
-	if stats == nil || stats.Binaries.Load() != 2 {
-		t.Error("stats should count only the two completed binaries")
+	if got := reg.Counter("pipeline.binaries").Load(); got != 2 {
+		t.Errorf("pipeline.binaries = %d, want only the two completed binaries", got)
 	}
 
 	summary := ErrorSummary(jobs, errs)
@@ -57,7 +59,7 @@ func TestBatchAllPartialFailure(t *testing.T) {
 	}
 
 	// The legacy Batch wrapper must surface the first failure as an error.
-	if _, _, err := Batch(jobs, Options{Jobs: 2}); err == nil {
+	if _, err := Batch(jobs, Options{Jobs: 2}); err == nil {
 		t.Error("Batch returned nil error for a failing job set")
 	}
 }
@@ -67,7 +69,7 @@ func TestBatchAllPartialFailure(t *testing.T) {
 func TestErrorSummaryEmptyOnSuccess(t *testing.T) {
 	good := workload.Programs()[0]
 	jobs := []Job{{Name: "ok", Source: good.Source, Funcs: good.Funcs}}
-	_, errs, _ := BatchAll(jobs, Options{Jobs: 1})
+	_, errs := BatchAll(jobs, Options{Jobs: 1})
 	if errs[0] != nil {
 		t.Fatalf("job failed: %v", errs[0])
 	}

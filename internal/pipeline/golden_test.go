@@ -24,7 +24,7 @@ func TestGoldenDeterminism(t *testing.T) {
 		t.Run(job.Name, func(t *testing.T) {
 			golden := filepath.Join("testdata", "golden", job.Name+".elf")
 
-			serial, err := Instrument(job, Options{Jobs: 1}, nil)
+			serial, err := Instrument(job, Options{Jobs: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -44,7 +44,7 @@ func TestGoldenDeterminism(t *testing.T) {
 				t.Fatalf("jobs=1 output differs from golden %s: %s", golden, firstDiff(serial.ELF, want))
 			}
 			for _, n := range []int{2, 8} {
-				res, err := Instrument(job, Options{Jobs: n}, nil)
+				res, err := Instrument(job, Options{Jobs: n})
 				if err != nil {
 					t.Fatalf("jobs=%d: %v", n, err)
 				}

@@ -20,7 +20,7 @@ func TestBatchTraceSpans(t *testing.T) {
 		Jobs: 4, Mode: codegen.ModeDeadRegister,
 		Metrics: reg, Trace: tr, TraceTID: 1,
 	}
-	results, _, err := Batch(jobs, opts)
+	results, err := Batch(jobs, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +76,11 @@ func TestBatchTraceSpans(t *testing.T) {
 // product.
 func TestBatchObsOutputIdentical(t *testing.T) {
 	jobs := WorkloadJobs()
-	plain, _, err := Batch(jobs, Options{Jobs: 2, Mode: codegen.ModeDeadRegister})
+	plain, err := Batch(jobs, Options{Jobs: 2, Mode: codegen.ModeDeadRegister})
 	if err != nil {
 		t.Fatal(err)
 	}
-	metered, _, err := Batch(jobs, Options{
+	metered, err := Batch(jobs, Options{
 		Jobs: 2, Mode: codegen.ModeDeadRegister,
 		Metrics: obs.NewRegistry(), Trace: obs.NewTracer(), TraceTID: 1,
 	})

@@ -10,8 +10,8 @@
 //
 // Shared structures obey a simple discipline: decoder tables, symbol tables,
 // and section bytes are immutable once built; the only mutable cross-worker
-// state is the rewriter's mutex-guarded liveness cache and this package's
-// atomic counters. `go test -race ./internal/pipeline/...` is clean by
+// state is the rewriter's mutex-guarded liveness cache and the atomic
+// counters of Options.Metrics. `go test -race ./internal/pipeline/...` is clean by
 // construction, not by luck.
 package pipeline
 
@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"runtime"
 	"strings"
-	"sync/atomic"
 
 	"rvdyn/internal/asm"
 	"rvdyn/internal/codegen"
@@ -44,7 +43,13 @@ type Options struct {
 	// (default), "exits", or "blocks".
 	Points string
 	// Metrics, when non-nil, receives the rewriter's patch counters
-	// (jump-ladder kinds, relocation growth). Nil disables collection.
+	// (jump-ladder kinds, relocation growth) and the pipeline's own:
+	// pipeline.binaries, .functions_parsed, .blocks_discovered,
+	// .insts_decoded, .patches_planned, .bytes_emitted and
+	// .phase_ns.{assemble,parse,plan,encode,splice,write}. A phase time sums
+	// each binary's wall-clock time in that phase, so under a parallel batch
+	// the phases can add up to more than the batch's elapsed time; read a
+	// clean decomposition from a Jobs: 1 run. Nil disables collection.
 	Metrics *obs.Registry
 	// Trace, when non-nil, records a span per job plus per-phase child spans.
 	// TraceTID is the renderer row; Batch gives each worker its own row
@@ -93,66 +98,16 @@ type Result struct {
 	CheckExit bool
 }
 
-// Stats aggregates per-phase counters and timings across a pipeline run.
-// All fields are updated atomically; concurrent workers share one Stats.
-// Timing fields accumulate each binary's wall-clock time per phase, so under
-// a parallel batch their sum can exceed the batch's elapsed time (and on an
-// oversubscribed machine a phase's figure includes time spent descheduled);
-// for a clean phase decomposition read them from a -jobs 1 run.
-type Stats struct {
-	Binaries         atomic.Int64
-	FunctionsParsed  atomic.Int64
-	BlocksDiscovered atomic.Int64
-	InstsDecoded     atomic.Int64
-	PatchesPlanned   atomic.Int64
-	BytesEmitted     atomic.Int64
-
-	AssembleNanos atomic.Int64
-	ParseNanos    atomic.Int64
-	PlanNanos     atomic.Int64
-	EncodeNanos   atomic.Int64
-	SpliceNanos   atomic.Int64
-	WriteNanos    atomic.Int64
-}
-
-// String renders the counters and per-phase timings as the table rvdyn's
-// batch subcommand prints.
-func (s *Stats) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "binaries instrumented:  %d\n", s.Binaries.Load())
-	fmt.Fprintf(&b, "functions parsed:       %d\n", s.FunctionsParsed.Load())
-	fmt.Fprintf(&b, "blocks discovered:      %d\n", s.BlocksDiscovered.Load())
-	fmt.Fprintf(&b, "instructions decoded:   %d\n", s.InstsDecoded.Load())
-	fmt.Fprintf(&b, "patches planned:        %d\n", s.PatchesPlanned.Load())
-	fmt.Fprintf(&b, "bytes emitted:          %d\n", s.BytesEmitted.Load())
-	fmt.Fprintf(&b, "phase times (cumulative worker time):\n")
-	for _, row := range []struct {
-		name string
-		ns   int64
-	}{
-		{"assemble", s.AssembleNanos.Load()},
-		{"parse", s.ParseNanos.Load()},
-		{"plan", s.PlanNanos.Load()},
-		{"encode", s.EncodeNanos.Load()},
-		{"splice", s.SpliceNanos.Load()},
-		{"write", s.WriteNanos.Load()},
-	} {
-		fmt.Fprintf(&b, "  %-9s %10.3f ms\n", row.name, float64(row.ns)/1e6)
-	}
-	return b.String()
-}
-
 // Instrument pushes one job through the pipeline: assemble (if needed),
-// parse, plan/encode patches, and serialize. stats may be nil.
-func Instrument(job Job, opts Options, stats *Stats) (*Result, error) {
-	if stats == nil {
-		stats = &Stats{}
-	}
+// parse, plan/encode patches, and serialize. Its counters and per-phase
+// times go to opts.Metrics under pipeline.*.
+func Instrument(job Job, opts Options) (*Result, error) {
 	points, err := snippet.PointsNamed(opts.Points)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %w", err)
 	}
 	jobs := opts.Workers()
+	reg := opts.Metrics
 
 	span := opts.Trace.Begin(opts.TraceTID, "job:"+job.Name, "pipeline")
 	defer span.End()
@@ -164,7 +119,7 @@ func Instrument(job Job, opts Options, stats *Stats) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("pipeline: %s: assemble: %w", job.Name, err)
 		}
-		stats.AssembleNanos.Add(int64(t.Stop()))
+		reg.Counter("pipeline.phase_ns.assemble").Add(uint64(t.Stop()))
 		file = f
 	}
 
@@ -178,10 +133,10 @@ func Instrument(job Job, opts Options, stats *Stats) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %s: parse: %w", job.Name, err)
 	}
-	stats.ParseNanos.Add(int64(t.Stop()))
-	stats.FunctionsParsed.Add(int64(cfg.Stats.Functions))
-	stats.BlocksDiscovered.Add(int64(cfg.Stats.Blocks))
-	stats.InstsDecoded.Add(int64(cfg.Stats.Instructions))
+	reg.Counter("pipeline.phase_ns.parse").Add(uint64(t.Stop()))
+	reg.Counter("pipeline.functions_parsed").Add(uint64(cfg.Stats.Functions))
+	reg.Counter("pipeline.blocks_discovered").Add(uint64(cfg.Stats.Blocks))
+	reg.Counter("pipeline.insts_decoded").Add(uint64(cfg.Stats.Instructions))
 
 	rw := patch.NewRewriter(st, cfg, opts.Mode)
 	rw.Jobs = jobs
@@ -197,19 +152,19 @@ func Instrument(job Job, opts Options, stats *Stats) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %s: rewrite: %w", job.Name, err)
 	}
-	stats.PlanNanos.Add(int64(rw.Phases.Plan + rw.Phases.Layout))
-	stats.EncodeNanos.Add(int64(rw.Phases.Encode))
-	stats.SpliceNanos.Add(int64(rw.Phases.Splice))
-	stats.PatchesPlanned.Add(int64(len(rw.Patches)))
+	reg.Counter("pipeline.phase_ns.plan").Add(uint64(rw.Phases.Plan + rw.Phases.Layout))
+	reg.Counter("pipeline.phase_ns.encode").Add(uint64(rw.Phases.Encode))
+	reg.Counter("pipeline.phase_ns.splice").Add(uint64(rw.Phases.Splice))
+	reg.Counter("pipeline.patches_planned").Add(uint64(len(rw.Patches)))
 
 	t = obs.StartTimer(opts.Trace, opts.TraceTID, "write", "pipeline")
 	raw, err := out.Write()
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: %s: write: %w", job.Name, err)
 	}
-	stats.WriteNanos.Add(int64(t.Stop()))
-	stats.BytesEmitted.Add(int64(len(raw)))
-	stats.Binaries.Add(1)
+	reg.Counter("pipeline.phase_ns.write").Add(uint64(t.Stop()))
+	reg.Counter("pipeline.bytes_emitted").Add(uint64(len(raw)))
+	reg.Counter("pipeline.binaries").Inc()
 
 	return &Result{
 		Name: job.Name, ELF: raw, File: out, Patches: rw.Patches,
@@ -222,21 +177,20 @@ func Instrument(job Job, opts Options, stats *Stats) (*Result, error) {
 // report but the slice still carries every result completed before it.
 // Callers that need to distinguish which jobs failed — rvdyn batch's exit
 // status, the server's per-request error mapping — use BatchAll instead.
-func Batch(jobs []Job, opts Options) ([]*Result, *Stats, error) {
-	results, errs, stats := BatchAll(jobs, opts)
+func Batch(jobs []Job, opts Options) ([]*Result, error) {
+	results, errs := BatchAll(jobs, opts)
 	for i, err := range errs {
 		if err != nil {
-			return results, stats, fmt.Errorf("pipeline: job %d (%s): %w", i, jobs[i].Name, err)
+			return results, fmt.Errorf("pipeline: job %d (%s): %w", i, jobs[i].Name, err)
 		}
 	}
-	return results, stats, nil
+	return results, nil
 }
 
 // BatchAll is Batch without the first-error collapse: every job runs to
 // completion or failure independently, and the returned error slice is
 // parallel to the results — errs[i] != nil exactly when results[i] is nil.
-func BatchAll(jobs []Job, opts Options) ([]*Result, []error, *Stats) {
-	stats := &Stats{}
+func BatchAll(jobs []Job, opts Options) ([]*Result, []error) {
 	results := make([]*Result, len(jobs))
 	errs := make([]error, len(jobs))
 
@@ -259,9 +213,9 @@ func BatchAll(jobs []Job, opts Options) ([]*Result, []error, *Stats) {
 		// parallel rows rather than one interleaved mess.
 		workerOpts := innerOpts
 		workerOpts.TraceTID = opts.TraceTID + k
-		results[i], errs[i] = Instrument(jobs[i], workerOpts, stats)
+		results[i], errs[i] = Instrument(jobs[i], workerOpts)
 	})
-	return results, errs, stats
+	return results, errs
 }
 
 // ErrorSummary renders the per-job failure table for a BatchAll run: one

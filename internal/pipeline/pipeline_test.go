@@ -7,18 +7,20 @@ import (
 
 	"rvdyn/internal/codegen"
 	"rvdyn/internal/emu"
+	"rvdyn/internal/obs"
 )
 
 // TestBatchWorkloadsRunCorrectly pushes the whole workload suite through the
 // parallel pipeline and verifies the instrumented binaries still behave:
 // original exit codes, and every instrumented function's counter is hot.
 func TestBatchWorkloadsRunCorrectly(t *testing.T) {
-	results, stats, err := Batch(WorkloadJobs(), Options{Jobs: 4})
+	reg := obs.NewRegistry()
+	results, err := Batch(WorkloadJobs(), Options{Jobs: 4, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := stats.Binaries.Load(); got != int64(len(results)) {
-		t.Fatalf("stats.Binaries = %d, want %d", got, len(results))
+	if got := reg.Counter("pipeline.binaries").Load(); got != uint64(len(results)) {
+		t.Fatalf("pipeline.binaries = %d, want %d", got, len(results))
 	}
 	for _, res := range results {
 		cpu, err := emu.New(res.File, emu.P550())
@@ -50,7 +52,7 @@ func TestBatchDeterministicAcrossJobs(t *testing.T) {
 	jobs := WorkloadJobs()
 	var baseline []*Result
 	for _, n := range []int{1, 2, 8} {
-		results, _, err := Batch(jobs, Options{Jobs: n})
+		results, err := Batch(jobs, Options{Jobs: n})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", n, err)
 		}
@@ -74,7 +76,7 @@ func TestPointsModesDeterministic(t *testing.T) {
 		jobs := WorkloadJobs()
 		var baseline []*Result
 		for _, n := range []int{1, 8} {
-			results, _, err := Batch(jobs, Options{Jobs: n, Points: points, Mode: codegen.ModeSpillAlways})
+			results, err := Batch(jobs, Options{Jobs: n, Points: points, Mode: codegen.ModeSpillAlways})
 			if err != nil {
 				t.Fatalf("points=%s jobs=%d: %v", points, n, err)
 			}
@@ -91,33 +93,48 @@ func TestPointsModesDeterministic(t *testing.T) {
 	}
 }
 
-// TestStatsAccounting checks the counters the batch subcommand prints.
+// TestStatsAccounting checks the pipeline.* counters a batch leaves in
+// Options.Metrics: byte and patch totals equal the results', the parse
+// counters and every phase time are filled, and assemble is the only phase
+// a File job skips.
 func TestStatsAccounting(t *testing.T) {
 	jobs := WorkloadJobs()
-	results, stats, err := Batch(jobs, Options{Jobs: 2})
+	reg := obs.NewRegistry()
+	results, err := Batch(jobs, Options{Jobs: 2, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var wantBytes, wantPatches int64
+	var wantBytes, wantPatches uint64
 	for _, res := range results {
-		wantBytes += int64(len(res.ELF))
-		wantPatches += int64(len(res.Patches))
+		wantBytes += uint64(len(res.ELF))
+		wantPatches += uint64(len(res.Patches))
 	}
-	if got := stats.BytesEmitted.Load(); got != wantBytes {
-		t.Errorf("BytesEmitted = %d, want %d", got, wantBytes)
+	if got := reg.Counter("pipeline.bytes_emitted").Load(); got != wantBytes {
+		t.Errorf("pipeline.bytes_emitted = %d, want %d", got, wantBytes)
 	}
-	if got := stats.PatchesPlanned.Load(); got != wantPatches {
-		t.Errorf("PatchesPlanned = %d, want %d", got, wantPatches)
+	if got := reg.Counter("pipeline.patches_planned").Load(); got != wantPatches {
+		t.Errorf("pipeline.patches_planned = %d, want %d", got, wantPatches)
 	}
-	if stats.FunctionsParsed.Load() == 0 || stats.BlocksDiscovered.Load() == 0 ||
-		stats.InstsDecoded.Load() == 0 {
-		t.Errorf("parse counters empty: %+v", stats)
-	}
-	out := stats.String()
-	for _, want := range []string{"binaries instrumented", "parse", "encode", "ms"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("stats table missing %q:\n%s", want, out)
+	for _, name := range []string{
+		"pipeline.functions_parsed", "pipeline.blocks_discovered", "pipeline.insts_decoded",
+		"pipeline.phase_ns.assemble", "pipeline.phase_ns.parse", "pipeline.phase_ns.plan",
+		"pipeline.phase_ns.encode", "pipeline.phase_ns.splice", "pipeline.phase_ns.write",
+	} {
+		if reg.Counter(name).Load() == 0 {
+			t.Errorf("%s = 0 after a %d-job batch", name, len(jobs))
 		}
+	}
+
+	// A job that arrives as a File is not assembled.
+	fileReg := obs.NewRegistry()
+	if _, err := Instrument(Job{Name: results[0].Name, File: results[0].File}, Options{Jobs: 1, Metrics: fileReg}); err != nil {
+		t.Fatal(err)
+	}
+	if got := fileReg.Counter("pipeline.phase_ns.assemble").Load(); got != 0 {
+		t.Errorf("File job: pipeline.phase_ns.assemble = %d, want 0", got)
+	}
+	if got := fileReg.Counter("pipeline.binaries").Load(); got != 1 {
+		t.Errorf("File job: pipeline.binaries = %d, want 1", got)
 	}
 }
 
@@ -126,7 +143,7 @@ func TestStatsAccounting(t *testing.T) {
 func TestBatchErrorNamesJob(t *testing.T) {
 	jobs := WorkloadJobs()
 	jobs[2].Funcs = append(jobs[2].Funcs, "no_such_function")
-	_, _, err := Batch(jobs, Options{Jobs: 4})
+	_, err := Batch(jobs, Options{Jobs: 4})
 	if err == nil {
 		t.Fatal("expected an error for the bad function name")
 	}
@@ -142,11 +159,11 @@ func TestSyntheticJobsDeterministic(t *testing.T) {
 		t.Skip("synthetic corpus instrumentation: skipped in -short mode")
 	}
 	jobs := SyntheticJobs(4, 40, 4)
-	a, _, err := Batch(jobs, Options{Jobs: 1})
+	a, err := Batch(jobs, Options{Jobs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _, err := Batch(jobs, Options{Jobs: 8})
+	b, err := Batch(jobs, Options{Jobs: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

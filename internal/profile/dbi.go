@@ -49,24 +49,7 @@ func RunDBI(f *elfrv.File, opts Options) (*Report, error) {
 		return nil, err
 	}
 
-	rootName := "_start"
-	rootFn, haveRoot := bin.CFG.FuncContaining(f.Entry)
-	if haveRoot {
-		rootName = rootFn.Name
-	}
-	funcs := opts.Funcs
-	if len(funcs) == 0 {
-		for _, fn := range bin.Functions() {
-			if fn.Name == "" || (haveRoot && fn.Entry == rootFn.Entry) {
-				continue
-			}
-			funcs = append(funcs, fn.Name)
-		}
-		sort.Strings(funcs)
-	}
-
-	rows := make([]Row, 0, len(funcs)+1)
-	rows = append(rows, Row{Name: rootName, Calls: 1})
+	rows, funcs := startRows(bin, f.Entry, opts.Funcs)
 
 	callVars := make([]*snippet.Var, 0, len(funcs))
 	for _, name := range funcs {

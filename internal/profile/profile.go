@@ -99,6 +99,32 @@ type frame struct {
 	start uint64 // cycle count at entry (for the trace span)
 }
 
+// startRows returns a report's root row and the functions to profile:
+// want, or by default every named function but the root, sorted. The root
+// row absorbs time outside every profiled function; it is the function
+// holding the ELF entry point (conventionally _start). rows has room for
+// one row per function after it.
+func startRows(bin *core.Binary, entry uint64, want []string) (rows []Row, funcs []string) {
+	rootName := "_start"
+	rootFn, haveRoot := bin.CFG.FuncContaining(entry)
+	if haveRoot {
+		rootName = rootFn.Name
+	}
+	funcs = want
+	if len(funcs) == 0 {
+		for _, fn := range bin.Functions() {
+			if fn.Name == "" || (haveRoot && fn.Entry == rootFn.Entry) {
+				continue
+			}
+			funcs = append(funcs, fn.Name)
+		}
+		sort.Strings(funcs)
+	}
+	rows = make([]Row, 0, len(funcs)+1)
+	rows = append(rows, Row{Name: rootName, Calls: 1})
+	return rows, funcs
+}
+
 // Run profiles one binary to completion.
 func Run(f *elfrv.File, opts Options) (*Report, error) {
 	model := opts.Model
@@ -118,27 +144,7 @@ func Run(f *elfrv.File, opts Options) (*Report, error) {
 		p.CPU().Obs = emu.NewMetrics(opts.Obs)
 	}
 
-	// The root row absorbs time outside every profiled function; it is the
-	// function holding the ELF entry point (conventionally _start).
-	rootName := "_start"
-	rootFn, haveRoot := bin.CFG.FuncContaining(f.Entry)
-	if haveRoot {
-		rootName = rootFn.Name
-	}
-
-	funcs := opts.Funcs
-	if len(funcs) == 0 {
-		for _, fn := range bin.Functions() {
-			if fn.Name == "" || (haveRoot && fn.Entry == rootFn.Entry) {
-				continue
-			}
-			funcs = append(funcs, fn.Name)
-		}
-		sort.Strings(funcs)
-	}
-
-	rows := make([]Row, 0, len(funcs)+1)
-	rows = append(rows, Row{Name: rootName, Calls: 1})
+	rows, funcs := startRows(bin, f.Entry, opts.Funcs)
 	const rootIdx = 0
 
 	probeHits := opts.Obs.Counter("profile.probe_hits")

@@ -78,7 +78,7 @@ func coldReference(t testing.TB, tc equivCase) []byte {
 		}
 		job.Source, job.File = "", file
 	}
-	res, err := pipeline.Instrument(job, pipeline.Options{Jobs: 1}, nil)
+	res, err := pipeline.Instrument(job, pipeline.Options{Jobs: 1})
 	if err != nil {
 		t.Fatalf("cold reference %s: %v", tc.name, err)
 	}
@@ -144,7 +144,7 @@ func TestServeCacheEquivalenceBinary(t *testing.T) {
 		}
 		res, err := pipeline.Instrument(
 			pipeline.Job{Name: p.Name, File: file, Funcs: p.Funcs},
-			pipeline.Options{Jobs: 1}, nil)
+			pipeline.Options{Jobs: 1})
 		if err != nil {
 			t.Fatalf("%s: reference: %v", p.Name, err)
 		}

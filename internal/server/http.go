@@ -42,10 +42,9 @@ type HandlerOptions struct {
 //	                      metadata (patches, counters, base64 ELF) with
 //	                      ?meta=1.
 //	GET  /healthz         liveness probe: uptime and inflight count
-//	GET  /metrics         the obs registry dump (text, one metric per
-//	                      line), or Prometheus text exposition (version
-//	                      0.0.4) with ?format=prometheus or an Accept
-//	                      header naming the Prometheus text format
+//	GET  /metrics         the obs registry in Prometheus text exposition
+//	                      (version 0.0.4, obs.PromContentType) whatever
+//	                      the query or Accept header
 //
 // Malformed input of any kind — bad multipart framing, invalid spec JSON,
 // corrupt ELFs, unknown functions — yields a 4xx and leaves the cache
@@ -66,31 +65,10 @@ func NewHandler(s *Service, opts HandlerOptions) http.Handler {
 		fmt.Fprintf(w, "ok uptime=%s inflight=%d\n", s.Uptime().Round(1e6), s.inflight.Load())
 	})
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
-		if wantsPrometheus(r) {
-			w.Header().Set("Content-Type", obs.PromContentType)
-			s.reg.WritePrometheus(w)
-			return
-		}
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		s.reg.WriteTo(w)
+		w.Header().Set("Content-Type", obs.PromContentType)
+		s.reg.WritePrometheus(w)
 	})
 	return statusMetrics(s.reg, mux)
-}
-
-// wantsPrometheus decides the /metrics representation: ?format=prometheus
-// forces the exposition format, as does an Accept header naming the
-// Prometheus text format (a Prometheus scraper sends
-// "text/plain;version=0.0.4" or an OpenMetrics type).
-func wantsPrometheus(r *http.Request) bool {
-	switch r.URL.Query().Get("format") {
-	case "prometheus":
-		return true
-	case "text", "plain":
-		return false
-	}
-	accept := strings.ToLower(r.Header.Get("Accept"))
-	return strings.Contains(accept, "version=0.0.4") ||
-		strings.Contains(accept, "openmetrics")
 }
 
 // statusMetrics counts responses by status class and bytes moved.

@@ -166,17 +166,17 @@ func TestHTTPHealthzAndMetrics(t *testing.T) {
 	}
 	body, _ = io.ReadAll(resp.Body)
 	resp.Body.Close()
-	for _, want := range []string{"server.requests", "cache.misses", "server.latency_ns.cold"} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("metrics dump missing %s", want)
+	for _, want := range []string{"server_requests", "cache_misses", "server_latency_ns_cold"} {
+		if !strings.Contains(string(body), "# TYPE "+want+" ") {
+			t.Errorf("metrics exposition missing %s", want)
 		}
 	}
 }
 
-// TestHTTPMetricsPrometheus pins the /metrics content negotiation: the
-// query parameter or a scraper's Accept header selects the Prometheus text
-// exposition, which must parse and carry the server's counters; the default
-// representation stays the plain registry dump.
+// TestHTTPMetricsPrometheus pins that /metrics has one representation: bare,
+// with a scraper's Accept header or with a stale ?format= query it returns
+// the Prometheus text exposition, which must parse and carry the server's
+// counters.
 func TestHTTPMetricsPrometheus(t *testing.T) {
 	_, ts, _ := newTestServer(t, HandlerOptions{})
 	p := workload.Programs()[0]
@@ -203,12 +203,10 @@ func TestHTTPMetricsPrometheus(t *testing.T) {
 		return resp, string(body)
 	}
 
-	// ?format=prometheus and a scraper Accept header both negotiate the
-	// exposition format.
 	for _, tc := range []struct{ url, accept string }{
-		{ts.URL + "/metrics?format=prometheus", ""},
+		{ts.URL + "/metrics", ""},
 		{ts.URL + "/metrics", "text/plain;version=0.0.4"},
-		{ts.URL + "/metrics", "application/openmetrics-text"},
+		{ts.URL + "/metrics?format=text", ""},
 	} {
 		resp, body := get(tc.url, tc.accept)
 		if got := resp.Header.Get("Content-Type"); got != obs.PromContentType {
@@ -228,15 +226,6 @@ func TestHTTPMetricsPrometheus(t *testing.T) {
 		if byName["server_latency_ns_cold"] != "histogram" {
 			t.Errorf("server_latency_ns_cold family = %q, want histogram", byName["server_latency_ns_cold"])
 		}
-	}
-
-	// The default stays the human-readable dump with dotted names.
-	resp, body := get(ts.URL+"/metrics", "")
-	if got := resp.Header.Get("Content-Type"); got != "text/plain; charset=utf-8" {
-		t.Errorf("default Content-Type = %q", got)
-	}
-	if !strings.Contains(body, "server.requests") {
-		t.Errorf("default dump missing dotted server.requests:\n%s", body)
 	}
 }
 
