@@ -484,14 +484,25 @@ func (p *Process) Continue() (Event, error) {
 }
 
 // ContinueBudget is Continue with an instruction budget (0 = unlimited).
+// The budget spans the whole resume: instructions retired while stepping
+// over breakpoint sites and between auto-resumed hits all count against it.
 func (p *Process) ContinueBudget(maxInst uint64) (Event, error) {
 	return p.run(maxInst)
 }
 
 func (p *Process) run(budget uint64) (Event, error) {
+	start := p.cpu.Instret
 	for {
 		if p.cpu.Exited {
 			return Event{Kind: EventExit, ExitCode: p.cpu.ExitCode}, nil
+		}
+		rem := uint64(0)
+		if budget != 0 {
+			used := p.cpu.Instret - start
+			if used >= budget {
+				return Event{Kind: EventBudget}, nil
+			}
+			rem = budget - used
 		}
 		// If stopped on a breakpoint, step over it first.
 		if bp, ok := p.bps[p.cpu.PC]; ok && bp.enabled {
@@ -511,7 +522,7 @@ func (p *Process) run(budget uint64) (Event, error) {
 			}
 			continue
 		}
-		reason := p.cpu.Run(budget)
+		reason := p.cpu.Run(rem)
 		switch reason {
 		case emu.StopExit:
 			return Event{Kind: EventExit, ExitCode: p.cpu.ExitCode}, nil

@@ -355,6 +355,46 @@ func TestContinueBudget(t *testing.T) {
 	}
 }
 
+// TestContinueBudgetAcrossBreakpoints: the budget covers the whole resume,
+// not each stretch between breakpoint hits. A callback breakpoint on fib
+// auto-resumes after every call (each resume steps over the site first),
+// and the run must still stop with exactly the budget retired.
+func TestContinueBudgetAcrossBreakpoints(t *testing.T) {
+	f := build(t, workload.FibSource)
+	p, err := Launch(f, emu.P550())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fib, _ := f.Symbol("fib")
+	bp, err := p.InsertBreakpoint(fib.Value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bp.Callback = func(*Process, *Breakpoint) bool { return true }
+	start := p.CPU().Instret
+	ev, err := p.ContinueBudget(100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ev.Kind != EventBudget {
+		t.Fatalf("event = %+v after %d instructions and %d hits, want budget",
+			ev, p.CPU().Instret-start, bp.HitCount)
+	}
+	if got := p.CPU().Instret - start; got != 100 {
+		t.Errorf("retired %d instructions under a budget of 100", got)
+	}
+	if bp.HitCount == 0 {
+		t.Error("no breakpoint hit inside the budget; the test pins nothing")
+	}
+	// The rest of the run completes from where the budget stopped it.
+	if ev, err = p.Continue(); err != nil || ev.Kind != EventExit || ev.ExitCode != workload.FibExpected {
+		t.Fatalf("resumed run: %+v, %v", ev, err)
+	}
+	if bp.HitCount != 465 {
+		t.Errorf("HitCount = %d after the resumed run, want 465", bp.HitCount)
+	}
+}
+
 // TestSuccessorsViaStep: single-stepping each control-flow shape lands on
 // exactly the architecturally-correct successor.
 func TestSuccessorsViaStep(t *testing.T) {
