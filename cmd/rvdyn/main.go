@@ -21,15 +21,16 @@
 //	                                         instrument every workload program
 //	                                         concurrently (phase counters
 //	                                         under -metrics)
-//	rvdyn profile [-func f1,f2] [-mode m] {prog.elf|workload-name}
+//	rvdyn profile [-func f1,f2] [-mode m] [-engine fast|slow|dbi] [-novirt]
+//	      [-sample [-period N] [-pprof f] [-folded f]] {prog.elf|workload-name}
 //	                                         instrument, run, and print a
-//	                                         per-function cycle profile
-//	rvdyn dbirun [-func f1,f2] [-mode m] [-novirt] {prog.elf|workload-name}
-//	                                         run under the dynamic binary
-//	                                         instrumentation engine (code-cache
-//	                                         translation, no rewrite) and print
-//	                                         call counts (engine counters
-//	                                         under -metrics)
+//	                                         per-function cycle profile, or
+//	                                         sample the run on the virtual
+//	                                         clock; -engine dbi runs under the
+//	                                         dynamic binary instrumentation
+//	                                         engine (code-cache translation, no
+//	                                         rewrite; engine counters under
+//	                                         -metrics)
 //	rvdyn serve [-addr host:port] [-cache-mb N] [-max-upload-mb N]
 //	                                         long-running instrumentation
 //	                                         server with a content-addressed
@@ -101,13 +102,16 @@ var (
 	obsTr  *obs.Tracer
 )
 
-// guestDispatch maps -notrace onto the emulator's dispatch value for every
-// guest run.
-func guestDispatch() emu.Dispatch {
+// guestCPU applies the global -notrace and -metrics flags to a CPU that
+// rvdyn runs outside the profilers and sends the guest's output to stdout.
+func guestCPU(cpu *emu.CPU) {
 	if *notraceFlag {
-		return emu.DispatchBlock
+		cpu.Dispatch = emu.DispatchBlock
 	}
-	return emu.DispatchTrace
+	cpu.Stdout = os.Stdout
+	if obsReg != nil {
+		cpu.Obs = emu.NewMetrics(obsReg)
+	}
 }
 
 func obsSetup() {
@@ -171,8 +175,6 @@ func main() {
 		cmdBatch(args)
 	case "profile":
 		cmdProfile(args)
-	case "dbirun":
-		cmdDBIRun(args)
 	case "serve":
 		cmdServe(args)
 	case "components":
@@ -183,7 +185,7 @@ func main() {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, "usage: rvdyn [-jobs N] [-metrics] [-trace-out FILE] {symbols|disasm|cfg|liveness|slice|rewrite|run|oracle|batch|profile|dbirun|serve|components} [flags] prog.elf")
+	fmt.Fprintln(os.Stderr, "usage: rvdyn [-jobs N] [-metrics] [-trace-out FILE] {symbols|disasm|cfg|liveness|slice|rewrite|run|oracle|batch|profile|serve|components} [flags] prog.elf")
 	os.Exit(2)
 }
 
@@ -473,11 +475,7 @@ func cmdRun(args []string) {
 		if err != nil {
 			log.Fatal(err)
 		}
-		cpu.Dispatch = guestDispatch()
-		cpu.Stdout = os.Stdout
-		if obsReg != nil {
-			cpu.Obs = emu.NewMetrics(obsReg)
-		}
+		guestCPU(cpu)
 		if r := cpu.Run(0); r != emu.StopExit {
 			log.Fatalf("stopped: %v (%v)", r, cpu.LastTrap())
 		}
@@ -499,10 +497,8 @@ func cmdRun(args []string) {
 			cpu.Run(500)
 			p = b.Attach(cpu)
 		}
-		p.CPU().Dispatch = guestDispatch()
-		p.CPU().Stdout = os.Stdout
+		guestCPU(p.CPU())
 		if obsReg != nil {
-			p.CPU().Obs = emu.NewMetrics(obsReg)
 			p.Process.Obs = proc.NewMetrics(obsReg)
 		}
 		counter := p.NewVar("count", 8)
@@ -723,19 +719,23 @@ func cmdServe(args []string) {
 }
 
 // cmdProfile instruments every requested function with call counters and
-// entry/exit probes, runs the binary in the emulator, and prints a
-// per-function profile whose cycle column sums exactly to the run's retired
-// cycles. The argument is an ELF path or a workload program name (e.g.
-// "matmul"), in which case the workload's instrumentable functions are
-// profiled by default.
+// entry/exit probes, runs the binary, and prints a per-function profile
+// whose cycle column sums exactly to the run's retired cycles; with -sample
+// it samples the run on the virtual clock instead. -engine picks how the
+// guest runs in either case: the emulator's fast tiers, per-instruction
+// dispatch, or the DBI engine (probes woven into a code cache, every cycle
+// charged to the root row). The argument is an ELF path or a workload
+// program name (e.g. "matmul"), in which case the workload's
+// instrumentable functions are profiled by default.
 func cmdProfile(args []string) {
 	fs := flag.NewFlagSet("profile", flag.ExitOnError)
 	funcs := fs.String("func", "", "comma-separated functions to profile (default: workload metadata, or every named function)")
 	mode := fs.String("mode", "dead", "register allocation: dead or spill")
 	maxInst := fs.Uint64("max", 0, "instruction budget, 0 = unlimited")
+	engine := fs.String("engine", "fast", "execution engine: fast, slow (per-instruction dispatch), or dbi (dynamic binary instrumentation)")
+	noVirt := fs.Bool("novirt", false, "report the DBI engine's raw translation-inflated counters instead of virtualized ones (with -engine dbi)")
 	doSample := fs.Bool("sample", false, "sample on the virtual clock instead of instrumenting (deterministic sampling profiler)")
 	period := fs.Uint64("period", 4096, "sampling period in virtual cycles (with -sample)")
-	engine := fs.String("engine", "fast", "sampling engine: fast, slow, or dbi (with -sample)")
 	pprofOut := fs.String("pprof", "", "write a gzipped pprof profile.proto to `FILE` (with -sample)")
 	foldedOut := fs.String("folded", "", "write folded stacks for flamegraph.pl/speedscope to `FILE` (with -sample)")
 	topN := fs.Int("top", 10, "rows in the top-functions table (with -sample; 0 = all)")
@@ -745,28 +745,27 @@ func cmdProfile(args []string) {
 		flist = strings.Split(*funcs, ",")
 	}
 
+	g := profile.Guest{MaxInst: *maxInst, NoCounterVirt: *noVirt, Obs: obsReg}
+	if *notraceFlag {
+		g.Dispatch = emu.DispatchBlock
+	}
+	switch *engine {
+	case "fast":
+	case "slow":
+		g.Dispatch = emu.DispatchSlow
+	case "dbi":
+		g.Engine = profile.EngineDBI
+	default:
+		log.Fatalf("unknown engine %q (want fast, slow, or dbi)", *engine)
+	}
+
 	if *doSample {
-		opts := sample.Options{
-			Period: *period, MaxInst: *maxInst,
-			Obs: obsReg, Name: fs.Arg(0), Dispatch: guestDispatch(),
-		}
-		switch *engine {
-		case "fast":
-		case "slow":
-			opts.Dispatch = emu.DispatchSlow
-		case "dbi":
-			opts.Engine = sample.EngineDBI
-		default:
-			log.Fatalf("unknown sampling engine %q (want fast, slow, or dbi)", *engine)
-		}
-		runSampled(file, opts, *pprofOut, *foldedOut, *topN)
+		runSampled(file, sample.Options{Guest: g, Period: *period, Name: fs.Arg(0)},
+			*engine, *pprofOut, *foldedOut, *topN)
 		return
 	}
 
-	rep, err := profile.Run(file, profile.Options{
-		Funcs: flist, Mode: parseMode(*mode), MaxInst: *maxInst,
-		Obs: obsReg, Trace: obsTr, TraceTID: 1, Dispatch: guestDispatch(),
-	})
+	rep, err := profile.Run(file, profile.Options{Guest: g, Funcs: flist, Mode: parseMode(*mode), Trace: obsTr})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -774,17 +773,18 @@ func cmdProfile(args []string) {
 	fmt.Printf("exit code %d; %d instructions retired\n", rep.ExitCode, rep.TotalInsts)
 }
 
-// runSampled executes one sampled run and emits every requested export:
-// the top-N table on stdout, optionally a gzipped pprof profile (which is
-// immediately re-read through the in-tree decoder so a malformed encoding
-// fails loudly rather than downstream in pprof) and a folded-stack file.
-func runSampled(file *elfrv.File, opts sample.Options, pprofPath, foldedPath string, topN int) {
+// runSampled executes one sampled run on the named engine and emits every
+// requested export: the top-N table on stdout, optionally a gzipped pprof
+// profile (which is immediately re-read through the in-tree decoder so a
+// malformed encoding fails loudly rather than downstream in pprof) and a
+// folded-stack file.
+func runSampled(file *elfrv.File, opts sample.Options, engine, pprofPath, foldedPath string, topN int) {
 	prof, err := sample.Run(file, opts)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("sampled %d stacks over %d cycles (engine %v, period %d)\n",
-		len(prof.Samples), prof.TotalCycles, opts.Engine, prof.Period)
+		len(prof.Samples), prof.TotalCycles, engine, prof.Period)
 	if err := prof.WriteTop(os.Stdout, topN); err != nil {
 		log.Fatal(err)
 	}
@@ -821,45 +821,6 @@ func runSampled(file *elfrv.File, opts sample.Options, pprofPath, foldedPath str
 		}
 		fmt.Printf("wrote %s: %d folded stacks (one line per sample)\n", foldedPath, len(prof.Samples))
 	}
-}
-
-// cmdDBIRun runs a binary under the dynamic binary instrumentation engine:
-// no rewrite on disk, blocks translate into a code cache at first execution
-// with call-count probes woven in. Under -metrics the engine's counters
-// (emu.dbi.*: translations, chain patches, invalidations) quantify the
-// dynamic-mode machinery.
-func cmdDBIRun(args []string) {
-	fs := flag.NewFlagSet("dbirun", flag.ExitOnError)
-	funcs := fs.String("func", "", "comma-separated functions to probe (default: workload metadata, or every named function)")
-	mode := fs.String("mode", "dead", "register allocation: dead or spill")
-	maxInst := fs.Uint64("max", 0, "instruction budget, 0 = unlimited")
-	noVirt := fs.Bool("novirt", false, "disable counter virtualization (report raw translation-inflated counters)")
-	samplePeriod := fs.Uint64("sample-period", 0, "sample the run on the (compensated) virtual clock every N cycles instead of probing")
-	pprofOut := fs.String("pprof", "", "write a gzipped pprof profile.proto to `FILE` (with -sample-period)")
-	foldedOut := fs.String("folded", "", "write folded stacks to `FILE` (with -sample-period)")
-	fs.Parse(args)
-	file, flist := loadArg(fs)
-	if *funcs != "" {
-		flist = strings.Split(*funcs, ",")
-	}
-
-	if *samplePeriod != 0 {
-		runSampled(file, sample.Options{
-			Period: *samplePeriod, Engine: sample.EngineDBI, MaxInst: *maxInst,
-			Obs: obsReg, NoCounterVirt: *noVirt, Name: fs.Arg(0), Dispatch: guestDispatch(),
-		}, *pprofOut, *foldedOut, 10)
-		return
-	}
-
-	rep, err := profile.RunDBI(file, profile.Options{
-		Funcs: flist, Mode: parseMode(*mode), MaxInst: *maxInst, Obs: obsReg,
-		NoCounterVirt: *noVirt, Dispatch: guestDispatch(),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Print(rep)
-	fmt.Printf("exit code %d; %d instructions retired\n", rep.ExitCode, rep.TotalInsts)
 }
 
 func cmdComponents() {

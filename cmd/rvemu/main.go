@@ -1,11 +1,12 @@
 // Command rvemu executes a RISC-V ELF binary on the RV64GC emulator — the
 // hardware substrate this reproduction uses in place of the paper's SiFive
 // P550 board (see DESIGN.md). It reports retired instructions, model
-// cycles, and virtual time.
+// cycles, and virtual time. Profiles of a run, instrumented or sampled,
+// come from `rvdyn profile`.
 //
 // Usage:
 //
-//	rvemu [-model p550|x86] [-max N] [-trace] [-histo] [-slow] [-stats] prog.elf
+//	rvemu [-model p550|x86] [-max N] [-trace] [-histo] [-slow|-notrace] [-stats] prog.elf
 //
 // -stats writes the emulator's observability counters to stderr on exit in
 // the Prometheus text exposition format (emu.tier.trace.instret renders as
@@ -28,7 +29,6 @@ import (
 	"rvdyn/internal/elfrv"
 	"rvdyn/internal/emu"
 	"rvdyn/internal/obs"
-	"rvdyn/internal/profile/sample"
 	"rvdyn/internal/riscv"
 )
 
@@ -42,8 +42,6 @@ func main() {
 	slow := flag.Bool("slow", false, "force per-instruction dispatch (disable the fused block engine)")
 	notrace := flag.Bool("notrace", false, "disable trace compilation of hot superblock chains (for A/B overhead runs)")
 	stats := flag.Bool("stats", false, "write emulator counters (Prometheus text exposition) and wall-clock MIPS to stderr on exit")
-	pprofOut := flag.String("pprof", "", "sample the run on the virtual clock and write a gzipped pprof profile to `FILE`")
-	period := flag.Uint64("period", 4096, "sampling period in virtual cycles (with -pprof)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		log.Fatal("need exactly one ELF file")
@@ -71,16 +69,6 @@ func main() {
 		model = emu.X86Comparator()
 	default:
 		log.Fatalf("unknown model %q", *modelName)
-	}
-	if *pprofOut != "" {
-		// The sampled path drives the run through the profiler harness
-		// (stack walking needs the process layer), so the per-instruction
-		// hooks don't compose with it.
-		if *trace || *histo {
-			log.Fatal("-pprof is incompatible with -trace and -histo")
-		}
-		runSampled(f, model, *pprofOut, *period, dispatch, *stats, *maxInst)
-		return
 	}
 	cpu, err := emu.New(f, model)
 	if err != nil {
@@ -154,37 +142,4 @@ func main() {
 		os.Exit(cpu.ExitCode & 0x7f)
 	}
 	os.Exit(0)
-}
-
-// runSampled runs the binary under the virtual-clock sampling profiler on
-// the chosen dispatch engine and writes the gzipped pprof profile.
-func runSampled(f *elfrv.File, model *emu.CostModel, out string, period uint64, dispatch emu.Dispatch, stats bool, maxInst uint64) {
-	var reg *obs.Registry
-	if stats {
-		reg = obs.NewRegistry()
-	}
-	prof, err := sample.Run(f, sample.Options{
-		Model: model, Period: period, MaxInst: maxInst, Obs: reg,
-		Name: flag.Arg(0), Dispatch: dispatch,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	of, err := os.Create(out)
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := prof.WritePprof(of); err != nil {
-		log.Fatal(err)
-	}
-	if err := of.Close(); err != nil {
-		log.Fatal(err)
-	}
-	if err := reg.WritePrometheus(os.Stderr); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "wrote %s: %d samples at period %d\n", out, len(prof.Samples), period)
-	fmt.Fprintf(os.Stderr, "stop: exit (code %d)\ninstret: %d\ncycles:  %d (%s @ %d MHz)\nvirtual: %.6fs\n",
-		prof.ExitCode, prof.TotalInsts, prof.TotalCycles, model.Name, model.MHz, float64(prof.DurationNanos)/1e9)
-	os.Exit(prof.ExitCode & 0x7f)
 }

@@ -38,17 +38,16 @@ func TestPinnedSampledPprof(t *testing.T) {
 		"matmul": "16352fcd80ca1b49c06c75d65b8d3ddc6cab165f497f53b09992e4485b1ccf6a",
 		"fib":    "4f320a470ab24c54aba6a1295e56c743d095ea7a962a85ad3539e8544cf6e76e",
 	}
-	engines := map[string]sample.Options{
+	engines := map[string]profile.Guest{
 		"fast":    {},
 		"notrace": {Dispatch: emu.DispatchBlock},
 		"slow":    {Dispatch: emu.DispatchSlow},
-		"dbi":     {Engine: sample.EngineDBI},
+		"dbi":     {Engine: profile.EngineDBI},
 	}
 	for name, sum := range want {
 		f, _ := workloadFile(t, name)
-		for eng, opts := range engines {
-			opts.Period, opts.Name = 500, name
-			p, err := sample.Run(f, opts)
+		for eng, g := range engines {
+			p, err := sample.Run(f, sample.Options{Guest: g, Period: 500, Name: name})
 			if err != nil {
 				t.Fatalf("%s %s: %v", name, eng, err)
 			}
@@ -103,7 +102,8 @@ func TestPinnedDBIReports(t *testing.T) {
 			"total                                    33989 100.00%\n", 19671},
 	} {
 		f, prog := workloadFile(t, tc.name)
-		rep, err := profile.RunDBI(f, profile.Options{Funcs: prog.Funcs, Mode: tc.mode, NoCounterVirt: tc.raw})
+		g := profile.Guest{Engine: profile.EngineDBI, NoCounterVirt: tc.raw}
+		rep, err := profile.Run(f, profile.Options{Guest: g, Funcs: prog.Funcs, Mode: tc.mode})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -21,9 +21,9 @@ func TestProfileMatmul(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	rep, err := Run(f, Options{
+		Guest: Guest{Obs: reg},
 		Funcs: []string{"multiply", "init_matrices"},
 		Mode:  codegen.ModeDeadRegister,
-		Obs:   reg,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,64 +23,29 @@ package sample
 import (
 	"fmt"
 
-	"rvdyn/internal/core"
-	"rvdyn/internal/dbi"
+	"rvdyn/internal/codegen"
 	"rvdyn/internal/elfrv"
 	"rvdyn/internal/emu"
-	"rvdyn/internal/obs"
 	"rvdyn/internal/parse"
-	"rvdyn/internal/proc"
+	"rvdyn/internal/profile"
 	"rvdyn/internal/stackwalk"
 )
 
-// Engine selects the execution engine under the sampler. Both engines, at
-// every emu.Dispatch value, fire samples at bit-identical virtual times for
-// the same binary and period.
-type Engine int
-
-const (
-	// EngineFast runs the program directly on the emulator.
-	EngineFast Engine = iota
-	// EngineDBI runs under the dynamic binary instrumentation engine
-	// (code-cache translation) with counter virtualization, sampling on
-	// the compensated clock and mapping cache PCs back to original
-	// addresses.
-	EngineDBI
-)
-
-func (e Engine) String() string {
-	switch e {
-	case EngineFast:
-		return "fast"
-	case EngineDBI:
-		return "dbi"
-	}
-	return "?"
-}
-
 // Options configures one sampled run.
 type Options struct {
-	// Model is the cost model; nil means emu.P550().
-	Model *emu.CostModel
+	// Guest configures the run. Every engine, at every emu.Dispatch value,
+	// fires samples at bit-identical virtual times for the same binary and
+	// period, so output is byte-identical across them (the fast tier defers
+	// to slower dispatch whenever a block or trace pass could cross a
+	// sample mark). Under profile.EngineDBI samples land on the compensated
+	// clock and cache PCs map back to original addresses; with
+	// NoCounterVirt they land on the raw translation-inflated clock, which
+	// advances through cache-only instructions, so profiles stay
+	// deterministic run-to-run but no longer match the native engine's.
+	// The sampler records profile.samples and profile.sample_defers in Obs.
+	profile.Guest
 	// Period is the virtual-cycle distance between samples (required).
 	Period uint64
-	// Engine selects the execution engine (default EngineFast).
-	Engine Engine
-	// Dispatch selects the emulator's dispatch tiers under either engine
-	// (default emu.DispatchTrace). Output is byte-identical at every value
-	// (the fast tier defers to slower dispatch whenever a block or trace
-	// pass could cross a sample mark); the choice exists for A/B runs.
-	Dispatch emu.Dispatch
-	// MaxInst bounds the run (0 = unlimited).
-	MaxInst uint64
-	// Obs, when non-nil, attaches emulator metrics and records sampler
-	// counters (profile.samples, profile.sample_defers).
-	Obs *obs.Registry
-	// NoCounterVirt (EngineDBI only) samples on the raw translation-
-	// inflated clock instead of the compensated one. Profiles are still
-	// deterministic run-to-run but no longer byte-identical to the native
-	// engines' — the raw clock advances through cache-only instructions.
-	NoCounterVirt bool
 	// Name labels the profile's mapping entry (the binary name pprof
 	// shows). Empty means "prog".
 	Name string
@@ -97,7 +62,7 @@ type Profile struct {
 	// Period is the configured sampling period in virtual cycles.
 	Period uint64
 	// TotalCycles/TotalInsts are the retired totals at exit (compensated
-	// under EngineDBI unless NoCounterVirt).
+	// under profile.EngineDBI unless NoCounterVirt).
 	TotalCycles uint64
 	TotalInsts  uint64
 	// DurationNanos is TotalCycles through the cost model.
@@ -118,41 +83,11 @@ func Run(f *elfrv.File, opts Options) (*Profile, error) {
 	if opts.Period == 0 {
 		return nil, fmt.Errorf("sample: period must be nonzero")
 	}
-	model := opts.Model
-	if model == nil {
-		model = emu.P550()
-	}
-	bin, err := core.FromFile(f)
-	if err != nil {
-		return nil, err
-	}
-	p, err := proc.Launch(f, model)
-	if err != nil {
-		return nil, err
-	}
-	cpu := p.CPU()
-	if opts.Obs != nil {
-		cpu.Obs = emu.NewMetrics(opts.Obs)
-	}
-	cpu.Dispatch = opts.Dispatch
-
-	var eng *dbi.Engine
-	if opts.Engine == EngineDBI {
-		var m dbi.Metrics
-		if opts.Obs != nil {
-			m = dbi.NewMetrics(opts.Obs)
-		}
-		eng, err = dbi.Attach(p, f, dbi.Options{Obs: m, NoCounterVirt: opts.NoCounterVirt})
-		if err != nil {
-			return nil, err
-		}
-	}
-
 	name := opts.Name
 	if name == "" {
 		name = "prog"
 	}
-	prof := &Profile{Period: opts.Period, name: name, cfg: bin.CFG}
+	prof := &Profile{Period: opts.Period, name: name}
 	for _, s := range f.Sections {
 		if s.Flags&elfrv.SHFAlloc == 0 || s.Flags&elfrv.SHFExecinstr == 0 {
 			continue
@@ -165,89 +100,80 @@ func Run(f *elfrv.File, opts Options) (*Profile, error) {
 		}
 	}
 
-	w := stackwalk.New(bin.CFG, p)
-	if eng != nil {
-		w.Translate = func(pc uint64) uint64 {
-			if orig, ok := eng.OrigPC(pc); ok {
-				return orig
-			}
-			return pc
-		}
-	}
-
 	sampleCount := opts.Obs.Counter("profile.samples")
 	deferCount := opts.Obs.Counter("profile.sample_defers")
 
-	capture := func() {
-		frames, _ := w.Walk()
-		stack := make([]uint64, 0, len(frames))
-		for _, fr := range frames {
-			if eng != nil {
-				// Never let a cache-resident PC into the profile: a frame
-				// that failed to map (possible only in the exit-drain
-				// corner where the state is past the last group bound) is
-				// dropped rather than misattributed.
-				if lo, hi := eng.CacheRange(); fr.PC >= lo && fr.PC < hi {
-					continue
-				}
-			}
-			stack = append(stack, fr.PC)
-		}
-		if len(stack) == 0 {
-			// Nothing walkable (e.g. PC outside every known function):
-			// attribute to the entry so the sample is not lost.
-			stack = append(stack, f.Entry)
-		}
-		prof.Samples = append(prof.Samples, Sample{Stack: stack})
-		sampleCount.Inc()
-	}
-
-	cpu.SetSampler(opts.Period, func(c *emu.CPU) bool {
+	var capture func()
+	l, err := opts.Exec(f, codegen.ModeDeadRegister, func(l *profile.Launched) error {
+		prof.cfg = l.Bin.CFG
+		eng := l.DBI
+		w := stackwalk.New(l.Bin.CFG, l.Proc.Process)
 		if eng != nil {
-			if lo, hi := eng.CacheRange(); c.PC >= lo && c.PC < hi {
-				if _, ok := eng.OrigPC(c.PC); !ok {
-					// Between translation-group bounds: the compensated
-					// clock is not exact here. Defer to the next bound,
-					// where state matches the native run bit-for-bit.
-					deferCount.Inc()
-					return false
+			w.Translate = func(pc uint64) uint64 {
+				if orig, ok := eng.OrigPC(pc); ok {
+					return orig
 				}
+				return pc
 			}
 		}
-		capture()
-		return true
+		capture = func() {
+			frames, _ := w.Walk()
+			stack := make([]uint64, 0, len(frames))
+			for _, fr := range frames {
+				if eng != nil {
+					// Never let a cache-resident PC into the profile: a
+					// frame that failed to map (possible only in the
+					// exit-drain corner where the state is past the last
+					// group bound) is dropped rather than misattributed.
+					if lo, hi := eng.CacheRange(); fr.PC >= lo && fr.PC < hi {
+						continue
+					}
+				}
+				stack = append(stack, fr.PC)
+			}
+			if len(stack) == 0 {
+				// Nothing walkable (e.g. PC outside every known
+				// function): attribute to the entry so the sample is not
+				// lost.
+				stack = append(stack, f.Entry)
+			}
+			prof.Samples = append(prof.Samples, Sample{Stack: stack})
+			sampleCount.Inc()
+		}
+		l.Proc.CPU().SetSampler(opts.Period, func(c *emu.CPU) bool {
+			if eng != nil {
+				if lo, hi := eng.CacheRange(); c.PC >= lo && c.PC < hi {
+					if _, ok := eng.OrigPC(c.PC); !ok {
+						// Between translation-group bounds: the
+						// compensated clock is not exact here. Defer to the
+						// next bound, where state matches the native run
+						// bit-for-bit.
+						deferCount.Inc()
+						return false
+					}
+				}
+			}
+			capture()
+			return true
+		})
+		return nil
 	})
-	defer cpu.SetSampler(0, nil)
-
-	var ev proc.Event
-	if eng != nil {
-		ev, err = eng.ContinueBudget(opts.MaxInst)
-	} else {
-		ev, err = p.ContinueBudget(opts.MaxInst)
-	}
 	if err != nil {
 		return nil, err
-	}
-	if ev.Kind != proc.EventExit {
-		return nil, fmt.Errorf("sample: run stopped with %v, not exit", ev.Kind)
 	}
 
 	// The exit syscall retires without another loop-top poll; marks the
 	// final instructions passed drain here, attributed to the exit state —
 	// deterministically, so conservation and byte-identity both hold.
+	cpu := l.Proc.CPU()
 	for i, n := 0, cpu.SampleDrain(); i < n; i++ {
 		capture()
 	}
+	cpu.SetSampler(0, nil)
 
-	prof.TotalCycles = cpu.Cycles
-	prof.TotalInsts = cpu.Instret
-	prof.ExitCode = p.ExitCode()
-	if eng != nil && !opts.NoCounterVirt {
-		comp := eng.Comp()
-		prof.TotalCycles = uint64(int64(prof.TotalCycles) - comp.ExtraCycles)
-		prof.TotalInsts = uint64(int64(prof.TotalInsts) - comp.ExtraInstret)
-	}
-	prof.DurationNanos = model.Nanos(prof.TotalCycles)
+	prof.TotalCycles, prof.TotalInsts = l.Cycles, l.Insts
+	prof.ExitCode = l.Proc.ExitCode()
+	prof.DurationNanos = l.Model.Nanos(prof.TotalCycles)
 	return prof, nil
 }
 

@@ -90,14 +90,13 @@ func TestSampleByteIdenticalRuns(t *testing.T) {
 	}
 }
 
-// engines names the three ways to run under the sampler: the default fast
-// tiers, per-instruction dispatch, and the DBI engine.
-func engines(period uint64) map[string]sample.Options {
-	return map[string]sample.Options{
-		"fast": {Period: period},
-		"slow": {Period: period, Dispatch: emu.DispatchSlow},
-		"dbi":  {Period: period, Engine: sample.EngineDBI},
-	}
+// engines names the three guest configurations the sampler must agree
+// across: the default fast tiers, per-instruction dispatch, and the DBI
+// engine.
+var engines = map[string]profile.Guest{
+	"fast": {},
+	"slow": {Dispatch: emu.DispatchSlow},
+	"dbi":  {Engine: profile.EngineDBI},
 }
 
 // TestSampleEngineIdentity pins the tentpole's strongest property: the
@@ -110,9 +109,8 @@ func TestSampleEngineIdentity(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			f, _ := buildProg(t, name)
 			profiles := map[string]*sample.Profile{}
-			for eng, opts := range engines(500) {
-				opts.Name = name
-				p, err := sample.Run(f, opts)
+			for eng, g := range engines {
+				p, err := sample.Run(f, sample.Options{Guest: g, Period: 500, Name: name})
 				if err != nil {
 					t.Fatalf("engine %v: %v", eng, err)
 				}
@@ -149,7 +147,7 @@ func TestSampleMidTraceIdentity(t *testing.T) {
 	f, _ := buildProg(t, "matmul")
 	for _, period := range []uint64{499, 31} {
 		reg := obs.NewRegistry()
-		traced, err := sample.Run(f, sample.Options{Period: period, Obs: reg, Name: "matmul"})
+		traced, err := sample.Run(f, sample.Options{Guest: profile.Guest{Obs: reg}, Period: period, Name: "matmul"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,21 +159,18 @@ func TestSampleMidTraceIdentity(t *testing.T) {
 			}
 		}
 		refBytes := pprofBytes(t, traced)
-		for _, alt := range []sample.Options{
-			{Period: period, Dispatch: emu.DispatchBlock, Name: "matmul"},
-			{Period: period, Dispatch: emu.DispatchSlow, Name: "matmul"},
-		} {
-			p, err := sample.Run(f, alt)
+		for _, d := range []emu.Dispatch{emu.DispatchBlock, emu.DispatchSlow} {
+			p, err := sample.Run(f, sample.Options{Guest: profile.Guest{Dispatch: d}, Period: period, Name: "matmul"})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if p.TotalCycles != traced.TotalCycles {
-				t.Errorf("period %d engine %v dispatch %d: total cycles %d, traced %d",
-					period, alt.Engine, alt.Dispatch, p.TotalCycles, traced.TotalCycles)
+				t.Errorf("period %d dispatch %d: total cycles %d, traced %d",
+					period, d, p.TotalCycles, traced.TotalCycles)
 			}
 			if !bytes.Equal(pprofBytes(t, p), refBytes) {
-				t.Errorf("period %d engine %v dispatch %d: pprof bytes differ from traced fast engine",
-					period, alt.Engine, alt.Dispatch)
+				t.Errorf("period %d dispatch %d: pprof bytes differ from traced fast engine",
+					period, d)
 			}
 		}
 	}
@@ -186,8 +181,8 @@ func TestSampleMidTraceIdentity(t *testing.T) {
 func TestSampleConservation(t *testing.T) {
 	f, _ := buildProg(t, "matmul")
 	const period = 700
-	for eng, opts := range engines(period) {
-		p, err := sample.Run(f, opts)
+	for eng, g := range engines {
+		p, err := sample.Run(f, sample.Options{Guest: g, Period: period})
 		if err != nil {
 			t.Fatalf("engine %v: %v", eng, err)
 		}
@@ -215,7 +210,7 @@ func TestSampleDBIOriginalAddresses(t *testing.T) {
 			hi = s.Addr + s.Size()
 		}
 	}
-	p, err := sample.Run(f, sample.Options{Period: 500, Engine: sample.EngineDBI})
+	p, err := sample.Run(f, sample.Options{Guest: profile.Guest{Engine: profile.EngineDBI}, Period: 500})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +230,7 @@ func TestSamplePprofRoundTrip(t *testing.T) {
 	f, _ := buildProg(t, "matmul")
 	const period = 500
 	reg := obs.NewRegistry()
-	p, err := sample.Run(f, sample.Options{Period: period, Obs: reg, Name: "matmul"})
+	p, err := sample.Run(f, sample.Options{Guest: profile.Guest{Obs: reg}, Period: period, Name: "matmul"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,13 +33,13 @@ func TestCLIRegistryExposition(t *testing.T) {
 	reg := obs.NewRegistry()
 	fib := workloadFile(t, "fib")
 
-	// rvdyn dbirun fib: emu.* and emu.dbi.*.
-	if _, err := profile.RunDBI(fib, profile.Options{Funcs: []string{"fib"}, Obs: reg}); err != nil {
-		t.Fatal(err)
-	}
-	// rvdyn profile fib: profile.probe_hits.
-	if _, err := profile.Run(fib, profile.Options{Funcs: []string{"fib"}, Obs: reg}); err != nil {
-		t.Fatal(err)
+	// rvdyn profile -engine dbi fib: emu.* and emu.dbi.*; rvdyn profile
+	// fib: profile.probe_hits.
+	for _, eng := range []profile.Engine{profile.EngineDBI, profile.EngineEmu} {
+		g := profile.Guest{Engine: eng, Obs: reg}
+		if _, err := profile.Run(fib, profile.Options{Guest: g, Funcs: []string{"fib"}}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	// rvdyn run -mode spawn: proc.*.
 	bin, err := core.FromFile(fib)
@@ -65,7 +65,7 @@ func TestCLIRegistryExposition(t *testing.T) {
 		t.Fatalf("spawned run: %+v, %v", ev, err)
 	}
 	// rvdyn profile -sample: profile.samples.
-	if _, err := sample.Run(fib, sample.Options{Period: 300, Obs: reg, Name: "fib"}); err != nil {
+	if _, err := sample.Run(fib, sample.Options{Guest: profile.Guest{Obs: reg}, Period: 300, Name: "fib"}); err != nil {
 		t.Fatal(err)
 	}
 	// rvdyn batch: patch.* and pipeline.*.
