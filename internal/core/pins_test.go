@@ -14,15 +14,15 @@ import (
 )
 
 // TestDynamicPins pins every byte live-process instrumentation leaves in
-// the mutatee: an FNV-64a hash over the whole address space (each mapped
-// page's address and contents) after InstrumentFunctionFull, after
-// Uninstrument, and after instrumenting again, together with the patch
-// kind, the variable addresses, RelocatedAddr of every original
-// instruction, TranslatePC of every halfword of the mapped patch area, and
-// the instrumented run's exit code and count. The values were read on the
-// code before live-process instrumentation was moved onto the rewriter's
-// per-function step; any change to the patch area, entry bytes, jump-table
-// slots, breakpoints or address layout shows here.
+// the mutatee with two FNV-64a hashes. The mem hash covers the whole
+// address space (each mapped page's address and contents) after
+// InstrumentFunctionFull, after Uninstrument, and after instrumenting
+// again, together with the patch kind, the variable addresses,
+// RelocatedAddr of every original instruction, and the instrumented run's
+// exit code and count; any change to the patch area, entry bytes,
+// jump-table slots, breakpoints or address layout shows there. The xlat
+// hash covers the original address TranslatePC gives every halfword of the
+// mapped patch area after each instrumentation.
 func TestDynamicPins(t *testing.T) {
 	entry := func(fn *parse.Function) []snippet.Point { return []snippet.Point{snippet.FuncEntry(fn)} }
 	cases := []struct {
@@ -31,19 +31,19 @@ func TestDynamicPins(t *testing.T) {
 		edges         func(*parse.Function) []snippet.EdgePoint
 		mode          codegen.Mode
 		attach        bool
-		want          uint64
+		mem, xlat     uint64
 	}{
-		{"entry-dead", workload.MatmulSource(8, 2), "multiply", entry, nil, codegen.ModeDeadRegister, false, 0x5d9bc7b8bfc864c8},
-		{"exits-dead", workload.MatmulSource(8, 2), "multiply", snippet.FuncExits, nil, codegen.ModeDeadRegister, false, 0x6589865c7129aec0},
-		{"blocks-dead", workload.MatmulSource(8, 2), "multiply", snippet.BlockEntries, nil, codegen.ModeDeadRegister, false, 0x5132ddc7cd8994f8},
-		{"entry-spill", workload.MatmulSource(8, 2), "multiply", entry, nil, codegen.ModeSpillAlways, false, 0xaf2b5d74b847afc},
-		{"exits-spill", workload.MatmulSource(8, 2), "multiply", snippet.FuncExits, nil, codegen.ModeSpillAlways, false, 0x4f26ec80c11aee44},
-		{"blocks-spill", workload.MatmulSource(8, 2), "multiply", snippet.BlockEntries, nil, codegen.ModeSpillAlways, false, 0xe2661f7dc4810cc0},
-		{"edges", workload.MatmulSource(6, 1), "multiply", nil, snippet.LoopBackEdges, codegen.ModeDeadRegister, false, 0x13faa70cc24b7807},
-		{"jumptable", workload.JumpTableSource, "dispatch", snippet.BlockEntries, nil, codegen.ModeDeadRegister, false, 0x2b9a2263ec4848a4},
-		{"trap", workload.TinyFuncSource, "tiny", entry, nil, codegen.ModeDeadRegister, false, 0x9a51e34c76b7d437},
-		{"attach", workload.MatmulSource(8, 4), "multiply", entry, nil, codegen.ModeDeadRegister, true, 0xe4490c2cb40230f2},
-		{"attach-fib", workload.FibSource, "fib", snippet.BlockEntries, nil, codegen.ModeSpillAlways, true, 0x4e6408366f4b5147},
+		{"entry-dead", workload.MatmulSource(8, 2), "multiply", entry, nil, codegen.ModeDeadRegister, false, 0x64dff8a8c450abfc, 0x149d7086a9df5425},
+		{"exits-dead", workload.MatmulSource(8, 2), "multiply", snippet.FuncExits, nil, codegen.ModeDeadRegister, false, 0xf746ce33ecc37fdc, 0xec31e38307789b25},
+		{"blocks-dead", workload.MatmulSource(8, 2), "multiply", snippet.BlockEntries, nil, codegen.ModeDeadRegister, false, 0x1c390fe951f64354, 0x1fb9805c05cb3325},
+		{"entry-spill", workload.MatmulSource(8, 2), "multiply", entry, nil, codegen.ModeSpillAlways, false, 0xb13b3a0242e67734, 0x9b3d71639e38c625},
+		{"exits-spill", workload.MatmulSource(8, 2), "multiply", snippet.FuncExits, nil, codegen.ModeSpillAlways, false, 0xd8142c91bca67c24, 0xec31e38307789b25},
+		{"blocks-spill", workload.MatmulSource(8, 2), "multiply", snippet.BlockEntries, nil, codegen.ModeSpillAlways, false, 0x9344624cf1d1692c, 0xb19e52ef2c624725},
+		{"edges", workload.MatmulSource(6, 1), "multiply", nil, snippet.LoopBackEdges, codegen.ModeDeadRegister, false, 0xc03d7841b84282c3, 0xec31e38307789b25},
+		{"jumptable", workload.JumpTableSource, "dispatch", snippet.BlockEntries, nil, codegen.ModeDeadRegister, false, 0x88df5dc665f8e390, 0xe43f38d2966b6365},
+		{"trap", workload.TinyFuncSource, "tiny", entry, nil, codegen.ModeDeadRegister, false, 0x97b4a5a5648d437, 0x37c4ccdb7db52325},
+		{"attach", workload.MatmulSource(8, 4), "multiply", entry, nil, codegen.ModeDeadRegister, true, 0x9a8e4459a852787e, 0x149d7086a9df5425},
+		{"attach-fib", workload.FibSource, "fib", snippet.BlockEntries, nil, codegen.ModeSpillAlways, true, 0x71f01274751a0b6f, 0xce575e762aaf9ec5},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -63,7 +63,7 @@ func TestDynamicPins(t *testing.T) {
 			} else if p, err = b.Launch(emu.P550()); err != nil {
 				t.Fatal(err)
 			}
-			h := fnv.New64a()
+			h, hx := fnv.New64a(), fnv.New64a()
 			put := func(vs ...uint64) {
 				for _, v := range vs {
 					h.Write(binary.LittleEndian.AppendUint64(nil, v))
@@ -103,7 +103,7 @@ func TestDynamicPins(t *testing.T) {
 				lo, _ := p.RelocatedAddr(fn.Entry)
 				lo &^= 0xfff
 				for pc := lo; mem.Mapped(pc); pc += 2 {
-					put(p.TranslatePC(pc))
+					hx.Write(binary.LittleEndian.AppendUint64(nil, p.TranslatePC(pc)))
 				}
 			}
 			instrument()
@@ -122,8 +122,11 @@ func TestDynamicPins(t *testing.T) {
 			}
 			put(uint64(ev.ExitCode), got)
 			t.Logf("exit %d, count %d", ev.ExitCode, got)
-			if sum := h.Sum64(); sum != c.want {
-				t.Errorf("pin %#x, want %#x", sum, c.want)
+			if sum := h.Sum64(); sum != c.mem {
+				t.Errorf("mem pin %#x, want %#x", sum, c.mem)
+			}
+			if sum := hx.Sum64(); sum != c.xlat {
+				t.Errorf("xlat pin %#x, want %#x", sum, c.xlat)
 			}
 		})
 	}
