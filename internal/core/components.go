@@ -34,7 +34,7 @@ func Components() []Component {
 		{Name: "codegen", Role: "CodeGenAPI", Uses: []string{"riscv", "snippet"}},
 		{Name: "patch", Role: "PatchAPI / binary rewriter", Uses: []string{"codegen", "dataflow", "elfrv", "obs", "par", "parse", "riscv", "snippet", "symtab"}},
 		{Name: "proc", Role: "ProcControlAPI", Uses: []string{"elfrv", "emu", "obs", "riscv"}},
-		{Name: "stackwalk", Role: "StackwalkerAPI", Uses: []string{"dataflow", "parse", "riscv"}},
+		{Name: "stackwalk", Role: "StackwalkerAPI", Uses: []string{"dataflow", "parse", "patch", "riscv"}},
 		{Name: "core", Role: "mutator facade (BPatch layer)", Uses: []string{
 			"codegen", "dataflow", "elfrv", "emu", "parse", "patch", "proc",
 			"snippet", "stackwalk", "symtab"}},

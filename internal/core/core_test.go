@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -466,52 +465,6 @@ func TestUninstrument(t *testing.T) {
 	}
 }
 
-// TestWalkThroughInstrumentedFrames: break inside the *relocated* copy of
-// fib (its entry redirects there) and walk: patch-area PCs must translate
-// back to original addresses so every frame attributes to fib.
-func TestWalkThroughInstrumentedFrames(t *testing.T) {
-	b := open(t, workload.FibSource)
-	fn, _ := b.FindFunction("fib")
-	p, err := b.Launch(emu.P550())
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := p.NewVar("c", 8)
-	if _, err := p.InstrumentFunction(fn, []snippet.Point{snippet.FuncEntry(fn)},
-		snippet.Increment(v), codegen.ModeDeadRegister); err != nil {
-		t.Fatal(err)
-	}
-	// Run until deep in the instrumented recursion.
-	if ev, err := p.ContinueBudget(3000); err != nil || ev.Kind != proc.EventBudget {
-		t.Fatalf("ev=%+v err=%v", ev, err)
-	}
-	// The PC should currently sit in the patch area (relocated fib).
-	pc := p.PC()
-	if _, inOrig := b.CFG.FuncContaining(pc); inOrig {
-		t.Logf("pc %#x still in original image; translation path untested this run", pc)
-	}
-	frames, err := p.Walk()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(frames) < 3 {
-		t.Fatalf("only %d frames", len(frames))
-	}
-	for i := 0; i < len(frames)-1; i++ {
-		if frames[i].FuncName != "fib" {
-			t.Errorf("frame %d = %q, want fib", i, frames[i].FuncName)
-		}
-	}
-	if frames[len(frames)-1].FuncName != "_start" {
-		t.Errorf("outermost = %q", frames[len(frames)-1].FuncName)
-	}
-	// Finish correctly.
-	ev, err := p.Continue()
-	if err != nil || ev.Kind != proc.EventExit || ev.ExitCode != workload.FibExpected {
-		t.Fatalf("ev=%+v err=%v", ev, err)
-	}
-}
-
 // TestMutatorPointHelpers drives the remaining point-family helpers: call
 // sites, loop begins, and loop back edges in one static rewrite.
 func TestMutatorPointHelpers(t *testing.T) {
@@ -559,34 +512,5 @@ func TestMutatorPointHelpers(t *testing.T) {
 	}
 	if bv != wantBacks {
 		t.Errorf("back-edge count = %d, want %d", bv, wantBacks)
-	}
-}
-
-// TestMergePairs checks the merge of a function's sorted translation pairs
-// into the sorted pairs before them, in place.
-func TestMergePairs(t *testing.T) {
-	pairs := func(addrs ...uint64) []xlatPair {
-		var out []xlatPair
-		for _, a := range addrs {
-			out = append(out, xlatPair{newAddr: a, origAddr: a + 1})
-		}
-		return out
-	}
-	cases := []struct {
-		s    []xlatPair
-		mid  int
-		want []xlatPair
-	}{
-		{pairs(1, 2, 3), 0, pairs(1, 2, 3)},
-		{pairs(1, 2, 3), 3, pairs(1, 2, 3)},
-		{pairs(1, 2, 5, 6), 2, pairs(1, 2, 5, 6)},
-		{pairs(5, 6, 1, 2), 2, pairs(1, 2, 5, 6)},
-		{pairs(1, 4, 9, 2, 5, 6), 3, pairs(1, 2, 4, 5, 6, 9)},
-	}
-	for _, c := range cases {
-		mergePairs(c.s, c.mid)
-		if !slices.Equal(c.s, c.want) {
-			t.Errorf("mergePairs at %d = %v, want %v", c.mid, c.s, c.want)
-		}
 	}
 }

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
-	"sort"
 
 	"rvdyn/internal/codegen"
 	"rvdyn/internal/emu"
@@ -24,26 +21,14 @@ type Process struct {
 
 	live         *patch.Live
 	instrumented map[uint64]*undo
-
-	// xlatPairs maps relocated instruction addresses back to their original
-	// addresses (sorted by relocated address) so the stack walker can
-	// attribute frames executing inside patch areas.
-	xlatPairs []xlatPair
-
-	// relocated is the forward map: original instruction address to its
-	// relocated copy. Tools that must observe execution of instrumented code
-	// (the profiler's entry/exit probes) plant their breakpoints at the
-	// relocated addresses, since the originals never execute again.
-	relocated map[uint64]uint64
 }
-
-type xlatPair struct{ newAddr, origAddr uint64 }
 
 // undo is the splice Target of one instrumented function: it writes process
 // memory and records what restoring the function's original behaviour
 // takes.
 type undo struct {
 	p     *Process
+	rel   *patch.Relocation
 	saved []saved          // overwritten bytes, in write order
 	bp    *proc.Breakpoint // the redirect breakpoint (trap rung only)
 }
@@ -158,38 +143,9 @@ func (p *Process) InstrumentFunctionFull(fn *parse.Function, points []snippet.Po
 		_ = u.restore()
 		return 0, err
 	}
+	u.rel = rel
 	p.instrumented[fn.Entry] = u
-	if p.relocated == nil {
-		p.relocated = map[uint64]uint64{}
-	}
-	old := len(p.xlatPairs)
-	rel.EachAddr(func(orig, na uint64) {
-		p.xlatPairs = append(p.xlatPairs, xlatPair{newAddr: na, origAddr: orig})
-		p.relocated[orig] = na
-	})
-	// Only the new function's pairs need sorting; they then merge into the
-	// sorted pairs before them, usually by staying where they are, because
-	// each function is relocated above the last.
-	slices.SortFunc(p.xlatPairs[old:], func(a, b xlatPair) int { return cmp.Compare(a.newAddr, b.newAddr) })
-	mergePairs(p.xlatPairs, old)
 	return kind, nil
-}
-
-// mergePairs merges the sorted run s[mid:] into the sorted run s[:mid].
-func mergePairs(s []xlatPair, mid int) {
-	if mid == 0 || mid == len(s) || s[mid-1].newAddr < s[mid].newAddr {
-		return
-	}
-	merged := make([]xlatPair, 0, len(s))
-	a, b := s[:mid], s[mid:]
-	for len(a) > 0 && len(b) > 0 {
-		if b[0].newAddr < a[0].newAddr {
-			merged, b = append(merged, b[0]), b[1:]
-		} else {
-			merged, a = append(merged, a[0]), a[1:]
-		}
-	}
-	copy(s, append(append(merged, a...), b...))
 }
 
 // Uninstrument restores the function's original entry (and any repointed
@@ -225,43 +181,22 @@ func (p *Process) Probe(addr uint64, fn func(*Process)) error {
 }
 
 // RelocatedAddr maps an original instruction address to the address of its
-// relocated copy in the patch area, when the containing function has been
-// instrumented. Probes meant to fire during instrumented execution must
-// target the relocated address — the original bytes are bypassed by the
-// entry patch.
+// relocated copy in the patch area, when the containing function is
+// instrumented. Tools that must observe execution of instrumented code (the
+// profiler's entry and exit probes) target the relocated address — the
+// original bytes are bypassed by the entry patch.
 func (p *Process) RelocatedAddr(orig uint64) (uint64, bool) {
-	na, ok := p.relocated[orig]
-	return na, ok
+	if fn, ok := p.Binary.CFG.FuncContaining(orig); ok && p.instrumented[fn.Entry] != nil {
+		return p.instrumented[fn.Entry].rel.Addr(orig)
+	}
+	return 0, false
 }
 
-// TranslatePC maps a program counter inside a patch area back to the
-// original address its instruction was relocated from; other addresses pass
-// through unchanged.
-func (p *Process) TranslatePC(pc uint64) uint64 {
-	n := len(p.xlatPairs)
-	if n == 0 || pc < p.xlatPairs[0].newAddr {
-		return pc
-	}
-	// Only translate inside the patch area (above the original image).
-	if _, inOrig := p.Binary.CFG.FuncContaining(pc); inOrig {
-		return pc
-	}
-	i := sort.Search(n, func(i int) bool { return p.xlatPairs[i].newAddr > pc }) - 1
-	if i < 0 {
-		return pc
-	}
-	// Within a short reach of the mapped instruction (snippet code between
-	// mapped originals attributes to the preceding one).
-	if pc-p.xlatPairs[i].newAddr > 4096 {
-		return pc
-	}
-	return p.xlatPairs[i].origAddr
-}
+// Provenance returns the table mapping patch-area code to the original.
+func (p *Process) Provenance() *patch.Provenance { return &p.live.Prov }
 
 // Walk collects the current call stack with the default frame steppers,
-// translating patch-area PCs back to original addresses.
+// attributing patch-area PCs to the original instructions they run for.
 func (p *Process) Walk() ([]stackwalk.Frame, error) {
-	w := stackwalk.New(p.Binary.CFG, p.Process)
-	w.Translate = p.TranslatePC
-	return w.Walk()
+	return stackwalk.New(p.Binary.CFG, p.Process, p.Provenance()).Walk()
 }

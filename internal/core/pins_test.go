@@ -21,8 +21,9 @@ import (
 // RelocatedAddr of every original instruction, and the instrumented run's
 // exit code and count; any change to the patch area, entry bytes,
 // jump-table slots, breakpoints or address layout shows there. The xlat
-// hash covers the original address TranslatePC gives every halfword of the
-// mapped patch area after each instrumentation.
+// hash covers the original address the provenance table gives every
+// halfword of the mapped patch area after each instrumentation (the PC
+// itself outside generated code).
 func TestDynamicPins(t *testing.T) {
 	entry := func(fn *parse.Function) []snippet.Point { return []snippet.Point{snippet.FuncEntry(fn)} }
 	cases := []struct {
@@ -33,17 +34,17 @@ func TestDynamicPins(t *testing.T) {
 		attach        bool
 		mem, xlat     uint64
 	}{
-		{"entry-dead", workload.MatmulSource(8, 2), "multiply", entry, nil, codegen.ModeDeadRegister, false, 0x64dff8a8c450abfc, 0x149d7086a9df5425},
-		{"exits-dead", workload.MatmulSource(8, 2), "multiply", snippet.FuncExits, nil, codegen.ModeDeadRegister, false, 0xf746ce33ecc37fdc, 0xec31e38307789b25},
-		{"blocks-dead", workload.MatmulSource(8, 2), "multiply", snippet.BlockEntries, nil, codegen.ModeDeadRegister, false, 0x1c390fe951f64354, 0x1fb9805c05cb3325},
-		{"entry-spill", workload.MatmulSource(8, 2), "multiply", entry, nil, codegen.ModeSpillAlways, false, 0xb13b3a0242e67734, 0x9b3d71639e38c625},
-		{"exits-spill", workload.MatmulSource(8, 2), "multiply", snippet.FuncExits, nil, codegen.ModeSpillAlways, false, 0xd8142c91bca67c24, 0xec31e38307789b25},
-		{"blocks-spill", workload.MatmulSource(8, 2), "multiply", snippet.BlockEntries, nil, codegen.ModeSpillAlways, false, 0x9344624cf1d1692c, 0xb19e52ef2c624725},
-		{"edges", workload.MatmulSource(6, 1), "multiply", nil, snippet.LoopBackEdges, codegen.ModeDeadRegister, false, 0xc03d7841b84282c3, 0xec31e38307789b25},
-		{"jumptable", workload.JumpTableSource, "dispatch", snippet.BlockEntries, nil, codegen.ModeDeadRegister, false, 0x88df5dc665f8e390, 0xe43f38d2966b6365},
-		{"trap", workload.TinyFuncSource, "tiny", entry, nil, codegen.ModeDeadRegister, false, 0x97b4a5a5648d437, 0x37c4ccdb7db52325},
-		{"attach", workload.MatmulSource(8, 4), "multiply", entry, nil, codegen.ModeDeadRegister, true, 0x9a8e4459a852787e, 0x149d7086a9df5425},
-		{"attach-fib", workload.FibSource, "fib", snippet.BlockEntries, nil, codegen.ModeSpillAlways, true, 0x71f01274751a0b6f, 0xce575e762aaf9ec5},
+		{"entry-dead", workload.MatmulSource(8, 2), "multiply", entry, nil, codegen.ModeDeadRegister, false, 0x64dff8a8c450abfc, 0x879e2410318faea5},
+		{"exits-dead", workload.MatmulSource(8, 2), "multiply", snippet.FuncExits, nil, codegen.ModeDeadRegister, false, 0xf746ce33ecc37fdc, 0xacd7ccb838fc67a5},
+		{"blocks-dead", workload.MatmulSource(8, 2), "multiply", snippet.BlockEntries, nil, codegen.ModeDeadRegister, false, 0x1c390fe951f64354, 0xbcaf8854f0f8b975},
+		{"entry-spill", workload.MatmulSource(8, 2), "multiply", entry, nil, codegen.ModeSpillAlways, false, 0xb13b3a0242e67734, 0x2b30dd895d1e22a5},
+		{"exits-spill", workload.MatmulSource(8, 2), "multiply", snippet.FuncExits, nil, codegen.ModeSpillAlways, false, 0xd8142c91bca67c24, 0xcf9d7b5d3ee115a5},
+		{"blocks-spill", workload.MatmulSource(8, 2), "multiply", snippet.BlockEntries, nil, codegen.ModeSpillAlways, false, 0x9344624cf1d1692c, 0xb315ec137234af45},
+		{"edges", workload.MatmulSource(6, 1), "multiply", nil, snippet.LoopBackEdges, codegen.ModeDeadRegister, false, 0xc03d7841b84282c3, 0xcee81b4a9c281625},
+		{"jumptable", workload.JumpTableSource, "dispatch", snippet.BlockEntries, nil, codegen.ModeDeadRegister, false, 0x88df5dc665f8e390, 0x44662c9c7126eda5},
+		{"trap", workload.TinyFuncSource, "tiny", entry, nil, codegen.ModeDeadRegister, false, 0x97b4a5a5648d437, 0xfa86bce086fe05f5},
+		{"attach", workload.MatmulSource(8, 4), "multiply", entry, nil, codegen.ModeDeadRegister, true, 0x9a8e4459a852787e, 0x879e2410318faea5},
+		{"attach-fib", workload.FibSource, "fib", snippet.BlockEntries, nil, codegen.ModeSpillAlways, true, 0x71f01274751a0b6f, 0x4d5535c59cb06da5},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -103,7 +104,11 @@ func TestDynamicPins(t *testing.T) {
 				lo, _ := p.RelocatedAddr(fn.Entry)
 				lo &^= 0xfff
 				for pc := lo; mem.Mapped(pc); pc += 2 {
-					hx.Write(binary.LittleEndian.AppendUint64(nil, p.TranslatePC(pc)))
+					orig := pc
+					if s, ok := p.Provenance().Lookup(pc); ok {
+						orig = s.Orig
+					}
+					hx.Write(binary.LittleEndian.AppendUint64(nil, orig))
 				}
 			}
 			instrument()

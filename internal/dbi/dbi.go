@@ -79,6 +79,9 @@ type Engine struct {
 
 	trans map[uint64]*translation // original block start → live translation
 	exits map[uint64]*exitStub    // cache stub addr → descriptor
+	// prov maps the cache back to the original program, dead translations
+	// too (a draining fragment still runs) until code is written over them.
+	prov patch.Provenance
 
 	probes map[uint64]*probeCode // original addr → lowered probe
 
@@ -181,26 +184,16 @@ func (e *Engine) Process() *proc.Process { return e.p }
 // accumulated divergence and the inline-lookup hit count from it).
 func (e *Engine) Comp() *emu.DBIComp { return e.comp }
 
-// CacheRange returns the code-cache span [lo, hi). PCs inside it execute
-// translated copies; everything outside is original program code.
-func (e *Engine) CacheRange() (lo, hi uint64) { return e.cacheBase, e.cacheEnd }
+// Provenance returns the table mapping the code cache to the original.
+func (e *Engine) Provenance() *patch.Provenance { return &e.prov }
 
-// OrigPC maps a cache-resident PC sitting exactly on a translation-group
-// bound back to the original-program address the group was translated
-// from. It reports false for PCs between bounds (mid-group expansions,
-// probe splices, exit and lookup stubs) — states where the compensated
-// counters are not yet exact and no unique original address exists. The
-// sampling profiler keys on exactly this property: a sample deferred at a
-// non-bound state fires at the next bound, whose architectural state and
-// compensated clock match the native run's bit-for-bit.
+// OrigPC maps a cache PC sitting exactly on a translation-group bound back
+// to the original address the group was translated from. It reports false
+// between bounds, where the compensated counters are not yet exact; the
+// sampling profiler defers samples there to the next bound.
 func (e *Engine) OrigPC(pc uint64) (uint64, bool) {
-	for _, t := range e.trans {
-		if pc >= t.cache && pc < t.cacheEnd {
-			return t.mapBack(pc)
-		}
-	}
-	if d := e.drain; d != nil && pc >= d.cache && pc < d.cacheEnd {
-		return d.mapBack(pc)
+	if s, ok := e.prov.Lookup(pc); ok && s.Bound && s.Lo == pc {
+		return s.Orig, true
 	}
 	return 0, false
 }
@@ -276,12 +269,9 @@ func (e *Engine) RemoveProbeAt(addr uint64) error {
 		return fmt.Errorf("dbi: no probe at %#x", addr)
 	}
 	pc := e.p.PC()
-	for _, t := range e.trans {
-		for _, sp := range t.splices {
-			if sp.orig == addr && pc > sp.cacheStart && pc <= sp.cacheEnd {
-				return fmt.Errorf("dbi: probe at %#x is executing (pc %#x inside its splice)", addr, pc)
-			}
-		}
+	if s, ok := e.prov.Lookup(pc); ok && s.Orig == addr && (s.Kind == patch.KindProbe || s.Kind == patch.KindSpill) &&
+		!(s.Bound && s.Lo == pc) && !e.draining(pc) {
+		return fmt.Errorf("dbi: probe at %#x is executing (pc %#x inside its splice)", addr, pc)
 	}
 	delete(e.probes, addr)
 	nop := riscv.MustEncode(riscv.Inst{Mn: riscv.MnADDI, Rd: riscv.X0, Rs1: riscv.X0})
@@ -298,10 +288,8 @@ func (e *Engine) RemoveProbeAt(addr uint64) error {
 					return err
 				}
 			}
-			e.comp.Deltas[sp.deltaIdx] = emu.CompDelta{
-				Insts:  sp.nInsts + 1,
-				Cycles: sp.nInsts*nopCost + accCost,
-			}
+			n := int64(sp.cacheEnd-sp.cacheStart) / 4
+			e.comp.Deltas[sp.deltaIdx] = emu.CompDelta{Insts: n + 1, Cycles: n*nopCost + accCost}
 		}
 	}
 	e.obs.ProbeRemovals.Inc()
@@ -343,7 +331,7 @@ func (e *Engine) run(budget uint64) (proc.Event, error) {
 		// Redirect the PC into the cache when it sits on an original
 		// address; untranslatable targets run native and trap identically.
 		pc := e.p.PC()
-		if e.drain != nil && (pc < e.drain.cache || pc >= e.drain.cacheEnd) {
+		if e.drain != nil && !e.draining(pc) {
 			// The stale fragment finished draining; its span no longer
 			// needs watching.
 			e.drain = nil
@@ -403,6 +391,11 @@ func (e *Engine) run(budget uint64) (proc.Event, error) {
 	}
 }
 
+// draining reports whether pc is inside the stale fragment left to drain.
+func (e *Engine) draining(pc uint64) bool {
+	return e.drain != nil && pc >= e.drain.cache && pc < e.drain.cacheEnd
+}
+
 // publishHits forwards the CPU-side lookup hit count (incremented by
 // dbi.jt retirements) to the obs counter.
 func (e *Engine) publishHits() {
@@ -426,17 +419,16 @@ func (e *Engine) lookup(orig uint64) (*translation, error) {
 
 // handleExit services one cache exit stub.
 func (e *Engine) handleExit(st *exitStub) (done bool, ev proc.Event, err error) {
+	// Settle the stub and park the PC on original code first: a target
+	// that cannot be translated then runs natively, and its fetch traps
+	// with the identical PC and fault the native run would report.
+	e.realignStub(st)
 	switch st.kind {
 	case stubBreak:
 		// The program's own ebreak: report it at its original address.
-		e.p.SetPC(st.target)
 		return true, proc.Event{Kind: proc.EventBreakpoint, Addr: st.target}, nil
 
 	case stubDirect:
-		// The stub's accumulator pre-accounted the chained jal that did
-		// not retire this time (the engine services the exit instead).
-		e.comp.ExtraInstret--
-		e.comp.ExtraCycles -= e.cost(riscv.MnJAL)
 		t := e.trans[st.target]
 		if t != nil {
 			e.obs.ChainHits.Inc()
@@ -444,10 +436,7 @@ func (e *Engine) handleExit(st *exitStub) (done bool, ev proc.Event, err error) 
 			return false, proc.Event{}, err
 		}
 		if t == nil {
-			// Untranslatable target: run it natively; the fetch traps with
-			// the identical PC and fault the native run would report.
 			e.obs.Deopts.Inc()
-			e.p.SetPC(st.target)
 			return false, proc.Event{}, nil
 		}
 		if err := e.chain(st, t); err != nil {
@@ -457,22 +446,17 @@ func (e *Engine) handleExit(st *exitStub) (done bool, ev proc.Event, err error) 
 		return false, proc.Event{}, nil
 
 	case stubIndirect:
-		// Inline-lookup miss: the stub already computed the original
-		// target into scratch CSR 0x7C3 and committed the link register;
-		// account the stub path, resolve, and refill the table so the
-		// next jump to this target hits in-cache.
+		// Inline-lookup miss: resolve the target the stub computed, and
+		// refill the table so the next jump to it hits in-cache.
 		e.obs.IndirectExits.Inc()
 		e.obs.IBLMisses.Inc()
-		e.comp.ExtraInstret += st.missFix.Insts
-		e.comp.ExtraCycles += st.missFix.Cycles
-		tgt := e.comp.Scratch[3]
+		tgt := e.p.PC()
 		t, err := e.lookup(tgt)
 		if err != nil {
 			return false, proc.Event{}, err
 		}
 		if t == nil {
 			e.obs.Deopts.Inc()
-			e.p.SetPC(tgt)
 			return false, proc.Event{}, nil
 		}
 		if err := e.iblInsert(tgt, t); err != nil {
@@ -486,14 +470,15 @@ func (e *Engine) handleExit(st *exitStub) (done bool, ev proc.Event, err error) 
 
 // realignStub maps the PC parked on an exit stub back to original code,
 // settling the stub's compensation: a direct stub's accumulator assumed a
-// chained jal that will not retire; an indirect (lookup-miss) stub owes its
-// path fixup and holds the original target in scratch CSR 0x7C3.
+// chained jal that will not retire (the engine services the exit instead);
+// an indirect (lookup-miss) stub owes its path fixup and holds the original
+// target in scratch CSR 0x7C3, with the link register already committed.
 func (e *Engine) realignStub(st *exitStub) {
 	switch st.kind {
 	case stubDirect:
 		e.comp.ExtraInstret--
 		e.comp.ExtraCycles -= e.cost(riscv.MnJAL)
-		e.p.SetPC(st.resume)
+		e.p.SetPC(st.target)
 	case stubBreak:
 		e.p.SetPC(st.target)
 	case stubIndirect:
@@ -523,8 +508,7 @@ func (e *Engine) invalidateRange(addr, n uint64, codeWrite bool) error {
 	// A draining stale fragment whose source was just overwritten must be
 	// abandoned too — its copy no longer matches the bytes.
 	pc := e.p.PC()
-	if codeWrite && e.drain != nil && e.drain.orig < addr+n && e.drain.origEnd > addr &&
-		pc >= e.drain.cache && pc < e.drain.cacheEnd {
+	if codeWrite && e.draining(pc) && e.drain.orig < addr+n && e.drain.origEnd > addr {
 		dropped = append(dropped, e.drain)
 		e.drain = nil
 	}
@@ -546,11 +530,16 @@ func (e *Engine) invalidateRange(addr, n uint64, codeWrite bool) error {
 		if pc < t.cache || pc >= t.cacheEnd {
 			continue
 		}
-		if orig, ok := t.mapBack(pc); ok {
+		if codeWrite {
+			// A code write stops with the PC at the store's group end: the
+			// next group bound, a bare direct stub's accumulator, or its
+			// slot — never mid-group.
+			if !e.realign(pc, true) {
+				return fmt.Errorf("dbi: pc %#x mid-group in invalidated translation of %#x", pc, t.orig)
+			}
+		} else if orig, ok := e.OrigPC(pc); ok {
 			e.p.SetPC(orig)
-			break
-		}
-		if !codeWrite {
+		} else {
 			// Probe-sourced drop with the PC mid-fragment (inside a group,
 			// a lookup stub, or parked on an exit stub): the source bytes
 			// are unchanged and the fragment's exits stay registered, so
@@ -558,22 +547,8 @@ func (e *Engine) invalidateRange(addr, n uint64, codeWrite bool) error {
 			// compensation — accumulators and stub handlers settle their
 			// own deltas as they retire or get serviced.
 			e.drain = t
-			break
 		}
-		// A code write stops with the PC at the store's group end: the next
-		// group bound (handled above), a direct stub's accumulator, or its
-		// slot — never mid-group.
-		if st := e.exits[pc]; st != nil && st.from == t {
-			e.realignStub(st)
-			break
-		}
-		if st := e.exits[pc+4]; st != nil && st.from == t && st.accAddr == pc {
-			// Parked on a bare-edge stub's accumulator (not yet retired):
-			// nothing of the stub is accounted — resume at the target.
-			e.p.SetPC(st.resume)
-			break
-		}
-		return fmt.Errorf("dbi: pc %#x mid-group in invalidated translation of %#x", pc, t.orig)
+		break
 	}
 	e.rearmWatch()
 	return nil
@@ -664,33 +639,24 @@ func (e *Engine) Detach() error {
 		}
 		if e.p.Exited() {
 			// The exit retired in the cache (possibly on one of the steps
-			// below): realign the PC it left behind like any other.
-			return e.realignExit(pc)
-		}
-		for _, t := range e.trans {
-			if pc < t.cache || pc >= t.cacheEnd {
-				continue
+			// below). Translation copies ecall verbatim and never ends a
+			// group on it, so the PC sits one past the copy: on the next
+			// group's bound, or on the accumulator of the block-cap stub
+			// that continues at the next original address.
+			if !e.realign(pc, true) {
+				return fmt.Errorf("dbi: exit left pc %#x off a translation-group bound", pc)
 			}
-			if orig, ok := t.mapBack(pc); ok {
-				e.p.SetPC(orig)
-				return nil
-			}
+			return nil
 		}
-		if d := e.drain; d != nil && pc >= d.cache && pc < d.cacheEnd {
-			// A probe-invalidated fragment's source bytes are unchanged, so
-			// its bounds still map back exactly.
-			if orig, ok := d.mapBack(pc); ok {
-				e.p.SetPC(orig)
-				return nil
-			}
-		}
-		if st := e.exits[pc]; st != nil {
-			e.realignStub(st)
+		// A probe-invalidated fragment's source bytes are unchanged, so a
+		// draining fragment's bounds map back exactly too.
+		if e.realign(pc, false) {
 			return nil
 		}
 		// Mid-group (or inside a lookup stub): retire one more instruction
 		// and retry — accumulators settle their deltas as they retire, so
-		// compensation stays exact at whichever boundary we land on.
+		// compensation stays exact at whichever boundary we land on (a stop
+		// on an exit stub realigns on the next pass).
 		ev, err := e.p.ContinueBudget(1)
 		if err != nil {
 			return err
@@ -700,30 +666,26 @@ func (e *Engine) Detach() error {
 			if err := e.invalidateRange(ev.Addr, ev.Len, true); err != nil {
 				return err
 			}
-		case proc.EventBreakpoint:
-			if st := e.exits[ev.Addr]; st != nil {
-				e.realignStub(st)
-				return nil
-			}
-			return nil
 		}
 	}
 	return fmt.Errorf("dbi: detach could not realign pc %#x to an instruction boundary", e.p.PC())
 }
 
-// realignExit maps the cache PC an exit syscall left behind to the original
-// address a native exit leaves. Translation copies ecall verbatim and never
-// ends a group on it, so the PC sits one past the copy: on the next group's
-// bound, or on the accumulator of the block-cap stub that continues at the
-// next original address.
-func (e *Engine) realignExit(pc uint64) error {
+// realign moves a cache PC to its original address where that is exact: a
+// group bound, an exit stub (settled as if serviced) or, with acc, a bare
+// direct stub's unretired accumulator (execution resumes at its target).
+func (e *Engine) realign(pc uint64, acc bool) bool {
 	if orig, ok := e.OrigPC(pc); ok {
 		e.p.SetPC(orig)
-		return nil
+		return true
 	}
-	if st := e.exits[pc+4]; st != nil && st.kind == stubDirect && st.accAddr == pc {
-		e.p.SetPC(st.resume)
-		return nil
+	if st := e.exits[pc]; st != nil {
+		e.realignStub(st)
+		return true
 	}
-	return fmt.Errorf("dbi: exit left pc %#x off a translation-group bound", pc)
+	if st := e.exits[pc+4]; acc && st != nil && st.kind == stubDirect {
+		e.p.SetPC(st.target)
+		return true
+	}
+	return false
 }

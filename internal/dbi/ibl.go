@@ -85,7 +85,7 @@ func (e *Engine) iblScratch(in riscv.Inst) (s [3]riscv.Reg, spill bool) {
 // probe, which masks. Each exit's accumulator carries its own hit path
 // (branch-taken penalty included) against the one native ret; the chain's
 // not-taken path folds into the probe's hit and miss deltas.
-func (e *Engine) emitIndirect(in riscv.Inst, emit func(riscv.Inst) error, stub func(exitStub) *exitStub,
+func (e *Engine) emitIndirect(in riscv.Inst, emit func(...riscv.Inst) error, stub func(exitStub),
 	dstub func(uint64, emu.CompDelta) error) error {
 	t, sites := e.returnChain(in)
 	var (
@@ -125,12 +125,8 @@ func (e *Engine) emitIndirect(in riscv.Inst, emit func(riscv.Inst) error, stub f
 		// k-th [dbi.acc][slot] exit.
 		chain[i].Imm = int64(len(chain)-i+len(ibl)+1+2*k) * 4
 	}
-	for _, part := range [][]riscv.Inst{chain, ibl} {
-		for _, m := range part {
-			if err := emit(m); err != nil {
-				return err
-			}
-		}
+	if err := emit(append(chain, ibl...)...); err != nil {
+		return err
 	}
 	stub(exitStub{kind: stubIndirect, missFix: missFix})
 	for k, site := range sites {

@@ -18,7 +18,10 @@ type stubKind int
 
 const (
 	// stubDirect exits to a known original address (fall-through, branch
-	// edge, jal target, or block-cap continuation). Chainable.
+	// edge, jal target, or block-cap continuation). Chainable. Its slot
+	// follows a dbi.acc whose delta pre-accounts the chained jal; when the
+	// engine services the slot instead (the jal did not retire), it
+	// subtracts the jal back out host-side.
 	stubDirect stubKind = iota
 	// stubIndirect is the miss exit of an inline-lookup stub: the jalr's
 	// target was not in the lookup table, so the engine resolves it, refills
@@ -35,33 +38,19 @@ type exitStub struct {
 	addr uint64 // cache address of the stub's ebreak (or chained jal) slot
 	kind stubKind
 
-	target uint64 // stubDirect: original target; stubBreak: original ebreak
-
-	// accAddr is the dbi.acc accumulator preceding a direct stub's slot
-	// (0: none). Its delta pre-accounts the chained jal; when the engine
-	// services the slot instead (the jal did not retire), it subtracts the
-	// jal back out host-side.
-	accAddr uint64
+	// target is a direct stub's original target, where native execution
+	// restarts if the fragment is abandoned with the PC on the stub, or a
+	// break stub's original ebreak.
+	target uint64
 
 	// missFix is the compensation a stubIndirect owes when serviced: the
 	// lookup stub's common path plus the restore tail retired (with the
 	// miss branch taken) in place of the one native jalr.
 	missFix emu.CompDelta
 
-	// resume is the original address at which native execution correctly
-	// (re)starts if the engine must abandon this fragment with the PC parked
-	// on the stub. Direct stubs resume at their target; for stubIndirect the
-	// target lives in DBI scratch CSR 0x7C3 (the lookup stub computed and
-	// committed it, along with the link register, before the miss exit).
-	resume uint64
-
 	from    *translation
 	chained bool
 }
-
-// bound maps the cache address of one original instruction's translation
-// group (probe code included) back to the original address.
-type bound struct{ cache, orig uint64 }
 
 // probeSplice records one probe body woven into a translation, so the
 // probe can later be patched out of the live copy in place: the body
@@ -71,7 +60,6 @@ type probeSplice struct {
 	orig       uint64 // probed original address
 	cacheStart uint64 // first probe instruction in the cache
 	cacheEnd   uint64 // end of the probe body == its dbi.acc address
-	nInsts     int64  // probe body instruction count (all 4-byte)
 	deltaIdx   int    // unique (non-interned) delta slot for this splice
 }
 
@@ -79,8 +67,6 @@ type probeSplice struct {
 type translation struct {
 	orig, origEnd   uint64 // source span in the original image
 	cache, cacheEnd uint64 // translated span in the cache
-	bounds          []bound
-	stubs           []*exitStub
 	splices         []*probeSplice
 	// incoming lists stub addresses patched to jump into this translation;
 	// invalidation rewrites them back into ebreaks.
@@ -90,17 +76,6 @@ type translation struct {
 	// addresses are unreachable.
 	iblSlots []uint64
 	dead     bool
-}
-
-// mapBack maps a cache PC sitting on a translation-group boundary back to
-// the original address.
-func (t *translation) mapBack(pc uint64) (uint64, bool) {
-	for _, b := range t.bounds {
-		if b.cache == pc {
-			return b.orig, true
-		}
-	}
-	return 0, false
 }
 
 func ebreakBytes() []byte {
@@ -165,7 +140,8 @@ func accInst(idx int) riscv.Inst {
 // weaving in attached probe code, rewriting PC-relative instructions and
 // terminators, and planting dbi.acc compensation accumulators wherever the
 // copy retires a different instruction stream than the original (so the
-// virtualized cycle/instret counters stay native-identical). It returns
+// virtualized cycle/instret counters stay native-identical), recording
+// each group's spans in the provenance table as it goes. It returns
 // (nil, nil) when the first instruction cannot be fetched or decoded — the
 // caller deopts to native execution, which traps at the same PC with the
 // same fault.
@@ -177,27 +153,26 @@ func (e *Engine) translate(orig uint64) (*translation, error) {
 
 	var (
 		buf     []byte
-		bounds  []bound
 		stubs   []*exitStub
 		splices []*probeSplice
 	)
 	base := func() uint64 { return e.cacheNext + uint64(len(buf)) }
 	// Everything the translator emits is a 4-byte parcel (stub offsets
 	// count in 4s), so it encodes in place.
-	emit := func(in riscv.Inst) error {
-		w, err := riscv.Encode(in)
-		if err != nil {
-			return fmt.Errorf("dbi: encode %v: %w", in, err)
+	emit := func(ins ...riscv.Inst) error {
+		for _, in := range ins {
+			w, err := riscv.Encode(in)
+			if err != nil {
+				return fmt.Errorf("dbi: encode %v: %w", in, err)
+			}
+			buf = binary.LittleEndian.AppendUint32(buf, w)
 		}
-		buf = binary.LittleEndian.AppendUint32(buf, w)
 		return nil
 	}
-	stub := func(s exitStub) *exitStub {
+	stub := func(s exitStub) {
 		s.addr = base()
 		buf = append(buf, ebreakBytes()...)
-		sp := s
-		stubs = append(stubs, &sp)
-		return &sp
+		stubs = append(stubs, &s)
 	}
 	// dstub lays out a direct exit: [dbi.acc][slot], the slot an ebreak
 	// until chained into a jal. d is the full straight-line delta of the
@@ -207,12 +182,10 @@ func (e *Engine) translate(orig uint64) (*translation, error) {
 		if err != nil {
 			return err
 		}
-		accAddr := base()
 		if err := emit(accInst(idx)); err != nil {
 			return err
 		}
-		st := stub(exitStub{kind: stubDirect, target: target, resume: target})
-		st.accAddr = accAddr
+		stub(exitStub{kind: stubDirect, target: target})
 		return nil
 	}
 
@@ -224,9 +197,13 @@ func (e *Engine) translate(orig uint64) (*translation, error) {
 
 	work := func() error {
 		for _, in := range insts {
-			bounds = append(bounds, bound{cache: base(), orig: in.Addr})
+			bound := true
 			if pr, ok := e.probes[in.Addr]; ok && len(pr.insts) > 0 {
 				spliceStart := base()
+				for i, pin := range pr.insts {
+					e.prov.Gen(patch.Span{Lo: spliceStart + 4*uint64(i), Orig: in.Addr,
+						Kind: patch.KindProbe, Bound: i == 0}, pin)
+				}
 				buf = append(buf, pr.code...)
 				n := int64(len(pr.insts))
 				idx, err := e.allocDeltaMut(emu.CompDelta{
@@ -235,23 +212,23 @@ func (e *Engine) translate(orig uint64) (*translation, error) {
 					return err
 				}
 				accAddr := base()
+				e.prov.Add(patch.Span{Lo: accAddr, Orig: in.Addr, Kind: patch.KindProbe})
 				if err := emit(accInst(idx)); err != nil {
 					return err
 				}
 				splices = append(splices, &probeSplice{
-					orig: in.Addr, cacheStart: spliceStart, cacheEnd: accAddr,
-					nInsts: n, deltaIdx: idx,
-				})
+					orig: in.Addr, cacheStart: spliceStart, cacheEnd: accAddr, deltaIdx: idx})
+				bound = false
 			}
+			copyStart := base()
+			e.prov.Add(patch.Span{Lo: copyStart, Orig: in.Addr, Kind: patch.KindOrig, Bound: bound})
 			switch {
 			case in.Mn == riscv.MnAUIPC:
 				// auipc computes a PC-relative value; materialize the original
 				// result absolutely so rd holds exactly the native bits.
 				lis := patch.MaterializeAbs(in.Rd, int64(in.Addr)+in.Imm<<12)
-				for _, m := range lis {
-					if err := emit(m); err != nil {
-						return err
-					}
+				if err := emit(lis...); err != nil {
+					return err
 				}
 				idx, err := e.allocDelta(emu.CompDelta{
 					Insts:  int64(len(lis)),
@@ -286,10 +263,8 @@ func (e *Engine) translate(orig uint64) (*translation, error) {
 				if in.Rd != riscv.X0 {
 					// The link value is the ORIGINAL return address.
 					lis = patch.MaterializeAbs(in.Rd, int64(in.Next()))
-					for _, m := range lis {
-						if err := emit(m); err != nil {
-							return err
-						}
+					if err := emit(lis...); err != nil {
+						return err
 					}
 				}
 				// The group retires lis + acc + chained jal against the one
@@ -305,7 +280,7 @@ func (e *Engine) translate(orig uint64) (*translation, error) {
 					return err
 				}
 			case in.Mn == riscv.MnEBREAK:
-				stub(exitStub{kind: stubBreak, target: in.Addr, resume: in.Addr})
+				stub(exitStub{kind: stubBreak, target: in.Addr})
 			default:
 				// Position-independent: copy the original encoding verbatim.
 				raw, err := e.p.ReadMem(in.Addr, int(in.Size()))
@@ -314,45 +289,42 @@ func (e *Engine) translate(orig uint64) (*translation, error) {
 				}
 				buf = append(buf, raw...)
 			}
+			if tail := copyStart + 4; base() > tail {
+				e.prov.Add(patch.Span{Lo: tail, Orig: in.Addr, Kind: patch.KindStub})
+			}
 		}
 		if last := insts[len(insts)-1]; !isTerminator(last) {
 			// Block cap or decode stop: continue at the next original address.
+			e.prov.Add(patch.Span{Lo: base(), Orig: origEnd, Kind: patch.KindStub})
 			if err := dstub(origEnd, edgeDelta); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := work(); err != nil {
-		if err == errDeltasFull {
-			// The compensation table is exhausted: flush (truncating the
-			// table — no surviving translation references it) and retry.
-			if ferr := e.flushAll(); ferr != nil {
-				return nil, ferr
-			}
-			return e.translate(orig)
-		}
-		return nil, err
-	}
-
-	if e.cacheNext+uint64(len(buf)) > e.cacheEnd {
-		if err := e.flushAll(); err != nil {
-			return nil, err
-		}
-		if e.cacheNext+uint64(len(buf)) > e.cacheEnd {
+	err := work()
+	full := err == nil && e.cacheNext+uint64(len(buf)) > e.cacheEnd
+	if err == errDeltasFull || full {
+		// The compensation table or the cache is exhausted: flush (which
+		// truncates the delta table — no surviving translation references
+		// it) and re-emit against the reset cursor with fresh indices.
+		if full && e.cacheNext == e.cacheBase {
 			return nil, fmt.Errorf("dbi: translation of %#x (%d bytes) exceeds cache size %d",
 				orig, len(buf), e.cacheEnd-e.cacheBase)
 		}
-		// The emitted addresses assumed the pre-flush cacheNext; re-emit
-		// against the reset cursor. (The flush also truncated the delta
-		// table, so the indices must be re-allocated too.)
+		if err := e.flushAll(); err != nil {
+			return nil, err
+		}
 		return e.translate(orig)
+	}
+	if err != nil {
+		return nil, err
 	}
 
 	t := &translation{
 		orig: orig, origEnd: origEnd,
 		cache: e.cacheNext, cacheEnd: e.cacheNext + uint64(len(buf)),
-		bounds: bounds, stubs: stubs, splices: splices,
+		splices: splices,
 	}
 	for _, s := range stubs {
 		s.from = t
@@ -361,6 +333,7 @@ func (e *Engine) translate(orig uint64) (*translation, error) {
 	if err := e.p.WriteMem(t.cache, buf); err != nil {
 		return nil, err
 	}
+	e.prov.Add(patch.Span{Lo: t.cacheEnd})
 	e.cacheNext = (t.cacheEnd + 3) &^ 3
 	e.trans[orig] = t
 	e.obs.Translations.Inc()

@@ -186,6 +186,8 @@ type Live struct {
 	scratch  planScratch
 	// Vars allocates the process's instrumentation variables.
 	Vars Vars
+	// Prov maps the patch area's code back to the original program.
+	Prov Provenance
 }
 
 // NewLive prepares to instrument a process, whose memory is mem, running
@@ -221,7 +223,36 @@ func (l *Live) Instrument(t Target, fn *parse.Function, points []snippet.Point,
 	if err := l.mem.WriteMem(l.next, rel.Code); err != nil {
 		return nil, 0, err
 	}
+	l.scratch.provenance(&l.Prov, l.next, uint64(len(rel.Code)))
 	l.next += size
 	kind, _, err := fp.splice(l.st, &rel, t)
 	return &rel, kind, err
+}
+
+// provenance appends to p the spans of the relocation last planned in sc,
+// placed at base; an expansion's continuation items extend its span.
+func (sc *planScratch) provenance(p *Provenance, base, size uint64) {
+	for i, it := range sc.items {
+		if it.kind != itemSnippet {
+			if it.kind == itemOrig {
+				p.Add(Span{Lo: base + it.off, Orig: it.origAddr, Kind: KindOrig})
+			}
+			continue
+		}
+		// Snippet code runs before the next original instruction, an edge
+		// stub (ended by the only snippet item with a target) before that.
+		kind, next := KindSnippet, uint64(0)
+		for _, n := range sc.items[i:] {
+			if n.kind != itemSnippet {
+				next = n.origAddr
+				break
+			}
+			if n.hasIntra {
+				kind, next = KindEdgeStub, n.target
+				break
+			}
+		}
+		p.Gen(Span{Lo: base + it.off, Orig: next, Kind: kind}, *it.inst)
+	}
+	p.Add(Span{Lo: base + size})
 }

@@ -62,14 +62,6 @@ func (r *Relocation) Addr(orig uint64) (uint64, bool) {
 	return r.NewBase + r.addrs[i].off, true
 }
 
-// EachAddr calls f with every original instruction address and its
-// relocated address, in ascending original order.
-func (r *Relocation) EachAddr(f func(orig, reloc uint64)) {
-	for _, a := range r.addrs {
-		f(a.orig, r.NewBase+a.off)
-	}
-}
-
 type itemKind uint8
 
 const (

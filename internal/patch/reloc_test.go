@@ -79,15 +79,14 @@ func TestRelocPlanEncodeBaseShift(t *testing.T) {
 				t.Errorf("%s: byte +%#x differs between bases outside any fixup", fn.Name, i)
 			}
 		}
-		r1.EachAddr(func(orig, a uint64) {
-			if a2, _ := r2.Addr(orig); a2 != a+delta {
-				t.Errorf("%s: %#x maps to %#x and %#x, want a shift of %#x", fn.Name, orig, a, a2, delta)
-			}
-		})
 		for _, b := range fn.Blocks {
 			for _, inst := range b.Insts {
-				if _, ok := r1.Addr(inst.Addr); !ok {
+				a, ok := r1.Addr(inst.Addr)
+				if !ok {
 					t.Errorf("%s: instruction %#x missing from the address map", fn.Name, inst.Addr)
+				}
+				if a2, _ := r2.Addr(inst.Addr); a2 != a+delta {
+					t.Errorf("%s: %#x maps to %#x and %#x, want a shift of %#x", fn.Name, inst.Addr, a, a2, delta)
 				}
 			}
 		}

@@ -106,29 +106,17 @@ func Run(f *elfrv.File, opts Options) (*Profile, error) {
 	var capture func()
 	l, err := opts.Exec(f, codegen.ModeDeadRegister, func(l *profile.Launched) error {
 		prof.cfg = l.Bin.CFG
-		eng := l.DBI
-		w := stackwalk.New(l.Bin.CFG, l.Proc.Process)
+		eng, prov := l.DBI, l.Proc.Provenance()
 		if eng != nil {
-			w.Translate = func(pc uint64) uint64 {
-				if orig, ok := eng.OrigPC(pc); ok {
-					return orig
-				}
-				return pc
-			}
+			prov = eng.Provenance()
 		}
+		// The walk ends before any frame it cannot attribute, so no cache
+		// PC reaches the profile.
+		w := stackwalk.New(l.Bin.CFG, l.Proc.Process, prov)
 		capture = func() {
 			frames, _ := w.Walk()
 			stack := make([]uint64, 0, len(frames))
 			for _, fr := range frames {
-				if eng != nil {
-					// Never let a cache-resident PC into the profile: a
-					// frame that failed to map (possible only in the
-					// exit-drain corner where the state is past the last
-					// group bound) is dropped rather than misattributed.
-					if lo, hi := eng.CacheRange(); fr.PC >= lo && fr.PC < hi {
-						continue
-					}
-				}
 				stack = append(stack, fr.PC)
 			}
 			if len(stack) == 0 {
@@ -141,17 +129,12 @@ func Run(f *elfrv.File, opts Options) (*Profile, error) {
 			sampleCount.Inc()
 		}
 		l.Proc.CPU().SetSampler(opts.Period, func(c *emu.CPU) bool {
-			if eng != nil {
-				if lo, hi := eng.CacheRange(); c.PC >= lo && c.PC < hi {
-					if _, ok := eng.OrigPC(c.PC); !ok {
-						// Between translation-group bounds: the
-						// compensated clock is not exact here. Defer to the
-						// next bound, where state matches the native run
-						// bit-for-bit.
-						deferCount.Inc()
-						return false
-					}
-				}
+			if s, ok := prov.Lookup(c.PC); ok && eng != nil && !(s.Bound && s.Lo == c.PC) {
+				// Between translation-group bounds: the compensated clock
+				// is not exact here. Defer to the next bound, where state
+				// matches the native run bit-for-bit.
+				deferCount.Inc()
+				return false
 			}
 			capture()
 			return true

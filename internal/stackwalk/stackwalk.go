@@ -9,7 +9,8 @@
 // pointer. The FramePointerStepper handles the former; the
 // StackHeightStepper uses the dataflow package's stack-height and
 // return-address-location analysis to handle the latter (and leaf frames
-// where the return address is still in ra).
+// where the return address is still in ra). Frames in generated code are
+// attributed through the instrumenting engine's patch.Provenance table.
 package stackwalk
 
 import (
@@ -17,6 +18,7 @@ import (
 
 	"rvdyn/internal/dataflow"
 	"rvdyn/internal/parse"
+	"rvdyn/internal/patch"
 	"rvdyn/internal/riscv"
 )
 
@@ -29,6 +31,8 @@ type Frame struct {
 	FuncName string
 	Func     *parse.Function
 	Stepper  string // which stepper produced the *next* (caller) frame
+
+	gen patch.Span // the generated code PC was translated from, if any
 }
 
 func (f Frame) String() string {
@@ -54,28 +58,32 @@ type Stepper interface {
 	Step(w *Walker, f Frame, innermost bool) (Frame, bool)
 }
 
+// Provenance maps generated-code PCs to the original state they run in
+// (satisfied by *patch.Provenance).
+type Provenance interface {
+	Lookup(pc uint64) (patch.Span, bool)
+}
+
 // Walker drives the steppers over a target.
 type Walker struct {
 	CFG      *parse.CFG
 	Target   Target
 	Steppers []Stepper
-
-	// Translate, when set, maps program counters in instrumentation patch
-	// areas back to the original addresses their code was relocated from,
-	// so walks through instrumented frames attribute correctly (Dyninst's
-	// stack walker is instrumentation-aware in the same fashion). Returning
-	// the input means "not relocated code".
-	Translate func(pc uint64) uint64
+	// Prov attributes frames in generated code (Dyninst's stack walker is
+	// instrumentation-aware in the same fashion); nil when there is none.
+	Prov Provenance
 
 	stackCache map[uint64]*dataflow.StackResult
 }
 
 // New builds a walker with the default stepper stack: the precise
-// stack-height stepper first, the frame-pointer convention second.
-func New(cfg *parse.CFG, tgt Target) *Walker {
+// stack-height stepper first, the frame-pointer convention second. prov
+// is the provenance table of the target's generated code, or nil.
+func New(cfg *parse.CFG, tgt Target, prov Provenance) *Walker {
 	return &Walker{
 		CFG:    cfg,
 		Target: tgt,
+		Prov:   prov,
 		Steppers: []Stepper{
 			&StackHeightStepper{},
 			&FramePointerStepper{},
@@ -110,9 +118,12 @@ const maxFrames = 256
 // Walk collects the call stack, innermost frame first.
 func (w *Walker) Walk() ([]Frame, error) {
 	cur := Frame{
-		PC: w.xlat(w.Target.GetReg(riscv.RegPC)),
+		PC: w.Target.GetReg(riscv.RegPC),
 		SP: w.Target.GetReg(riscv.RegSP),
 		FP: w.Target.GetReg(riscv.RegFP),
+	}
+	if !w.translate(&cur) {
+		return nil, nil
 	}
 	var out []Frame
 	innermost := true
@@ -145,7 +156,9 @@ func (w *Walker) Walk() ([]Frame, error) {
 		if next.PC == 0 || next.PC == cur.PC && next.SP == cur.SP {
 			break
 		}
-		next.PC = w.xlat(next.PC)
+		if !w.translate(&next) {
+			break
+		}
 		if _, known := w.CFG.FuncContaining(next.PC); !known {
 			break
 		}
@@ -155,11 +168,20 @@ func (w *Walker) Walk() ([]Frame, error) {
 	return out, nil
 }
 
-func (w *Walker) xlat(pc uint64) uint64 {
-	if w.Translate == nil {
-		return pc
+// translate moves a frame in generated code to the original instruction it
+// runs before; false for code matching no original state (a DBI stub), where
+// the walk ends.
+func (w *Walker) translate(f *Frame) bool {
+	if w.Prov == nil {
+		return true
 	}
-	return w.Translate(pc)
+	if s, ok := w.Prov.Lookup(f.PC); ok {
+		if s.Kind == patch.KindStub {
+			return false
+		}
+		f.PC, f.gen = s.Orig, s
+	}
+	return true
 }
 
 // ---------------------------------------------------------------------------
@@ -167,7 +189,8 @@ func (w *Walker) xlat(pc uint64) uint64 {
 
 // StackHeightStepper recovers the caller frame from the dataflow package's
 // stack-height and RA-location analyses: it needs no frame pointer, which
-// is the common case on RISC-V.
+// is the common case on RISC-V. In generated code it undoes the code's sp
+// adjustment, and reads ra from where the code saved it.
 type StackHeightStepper struct{}
 
 func (*StackHeightStepper) Name() string { return "stack-height" }
@@ -181,14 +204,15 @@ func (s *StackHeightStepper) Step(w *Walker, f Frame, innermost bool) (Frame, bo
 	if !ok {
 		return Frame{}, false
 	}
-	entrySP := f.SP - uint64(h) // h <= 0 inside a frame
+	origSP := f.SP - uint64(f.gen.SP) // generated code runs below the original sp
+	entrySP := origSP - uint64(h)     // h <= 0 inside a frame
 
 	raLoc, ok := sr.RALocAt(f.PC)
 	if !ok {
 		return Frame{}, false
 	}
 	var ra uint64
-	if raLoc.InReg {
+	if raLoc.InReg && f.gen.RA == 0 {
 		// Only trustworthy for the innermost frame: outer frames' ra was
 		// clobbered by deeper calls.
 		if !innermost {
@@ -196,7 +220,11 @@ func (s *StackHeightStepper) Step(w *Walker, f Frame, innermost bool) (Frame, bo
 		}
 		ra = w.Target.GetReg(riscv.RegRA)
 	} else {
-		v, ok := w.read64(entrySP + uint64(raLoc.Slot))
+		slot := entrySP + uint64(raLoc.Slot)
+		if raLoc.InReg {
+			slot = origSP + uint64(f.gen.RA) // saved by generated code
+		}
+		v, ok := w.read64(slot)
 		if !ok {
 			return Frame{}, false
 		}

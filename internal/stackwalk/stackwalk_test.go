@@ -60,7 +60,7 @@ func names(frames []Frame) []string {
 func TestWalkNestedCalls(t *testing.T) {
 	// Stop in spin: the stack is spin <- level3 <- level2 <- level1 <- _start.
 	cfg, p := stopAt(t, workload.FramePointerSource, "spin")
-	w := New(cfg, p)
+	w := New(cfg, p, nil)
 	frames, err := w.Walk()
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +91,7 @@ func TestWalkRecursive(t *testing.T) {
 			t.Fatalf("unexpected %+v", ev)
 		}
 	}
-	frames, err := New(cfg, p).Walk()
+	frames, err := New(cfg, p, nil).Walk()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestInnermostLeafFrame(t *testing.T) {
 	// Stopped at the entry of spin (a leaf that has not yet saved ra), the
 	// walker must use the in-register return address.
 	cfg, p := stopAt(t, workload.FramePointerSource, "spin")
-	frames, err := New(cfg, p).Walk()
+	frames, err := New(cfg, p, nil).Walk()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestFramePointerStepperAlone(t *testing.T) {
 	_ = cfg
 	_ = p
 	cfg2, p2 := stopAt(t, workload.FramePointerSource, "spin")
-	w := New(cfg2, p2)
+	w := New(cfg2, p2, nil)
 	w.Steppers = []Stepper{&FramePointerStepper{}}
 	frames, err := w.Walk()
 	if err != nil {
@@ -178,7 +178,7 @@ func TestWalkFromRawEmulator(t *testing.T) {
 		t.Skip("program too short")
 	}
 	p := proc.Attach(cpu, f)
-	frames, err := New(cfg, p).Walk()
+	frames, err := New(cfg, p, nil).Walk()
 	if err != nil {
 		t.Fatal(err)
 	}
