@@ -450,7 +450,7 @@ func (e *Engine) handleExit(st *exitStub) (done bool, ev proc.Event, err error) 
 		// refill the table so the next jump to it hits in-cache.
 		e.obs.IndirectExits.Inc()
 		e.obs.IBLMisses.Inc()
-		tgt := e.p.PC()
+		tgt := e.comp.Scratch[3]
 		t, err := e.lookup(tgt)
 		if err != nil {
 			return false, proc.Event{}, err
