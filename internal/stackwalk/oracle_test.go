@@ -98,12 +98,12 @@ func walkAgrees(frames []stackwalk.Frame, err error, depth int) bool {
 	return true
 }
 
-func frameNames(frames []stackwalk.Frame) string {
-	var names []string
+func frameList(frames []stackwalk.Frame) string {
+	var s []string
 	for _, f := range frames {
-		names = append(names, fmt.Sprintf("%s@%#x", f.FuncName, f.PC))
+		s = append(s, f.String())
 	}
-	return "[" + strings.Join(names, " ") + "]"
+	return "[" + strings.Join(s, ", ") + "]"
 }
 
 // TestWalkOracle instruments every function of each program in a live
@@ -183,13 +183,6 @@ func TestWalkOracleDBI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	show := func(frames []stackwalk.Frame) string {
-		var s []string
-		for _, fr := range frames {
-			s = append(s, fmt.Sprintf("%s@%#x/%#x", fr.FuncName, fr.PC, fr.SP))
-		}
-		return strings.Join(s, " ")
-	}
 	np, err := proc.Launch(f, emu.P550())
 	if err != nil {
 		t.Fatal(err)
@@ -198,7 +191,7 @@ func TestWalkOracleDBI(t *testing.T) {
 	var native []string // by instret
 	for !np.Exited() {
 		frames, _ := w.Walk()
-		native = append(native, show(frames))
+		native = append(native, frameList(frames))
 		if _, err := np.ContinueBudget(1); err != nil {
 			t.Fatal(err)
 		}
@@ -224,7 +217,7 @@ func TestWalkOracleDBI(t *testing.T) {
 					bounds++
 					n := p.CPU().Instret - uint64(e.Comp().ExtraInstret)
 					frames, _ := w.Walk()
-					if got := show(frames); n >= uint64(len(native)) || got != native[n] {
+					if got := frameList(frames); n >= uint64(len(native)) || got != native[n] {
 						if bad == 0 {
 							t.Errorf("instret %d, pc %#x: walk %s, native %s", n, p.PC(), got, native[min(n, uint64(len(native)-1))])
 						}
@@ -259,7 +252,7 @@ func walkCell(t *testing.T, f *elfrv.File, instrument func(*core.Binary, *core.P
 		frames, err := p.Walk()
 		if !walkAgrees(frames, err, depth) {
 			if bad == 0 {
-				first = fmt.Sprintf("pc %#x depth %d: %s err=%v", p.PC(), depth, frameNames(frames), err)
+				first = fmt.Sprintf("pc %#x depth %d: %s err=%v", p.PC(), depth, frameList(frames), err)
 			}
 			bad++
 		}
