@@ -16,6 +16,7 @@ import (
 	"rvdyn/internal/patch"
 	"rvdyn/internal/proc"
 	"rvdyn/internal/snippet"
+	"rvdyn/internal/stackwalk"
 	"rvdyn/internal/workload"
 )
 
@@ -303,6 +304,67 @@ func TestWalkFromCore(t *testing.T) {
 		}
 		t.Errorf("frames = %v, want 5 deep", ns)
 	}
+}
+
+// TestWalkReusesWalker: Process.Walk keeps one walker, so a repeated walk
+// reuses the stack-height analyses of the functions on the stack instead of
+// rerunning them per frame, and that walker stays right across
+// instrumenting and uninstrumenting: every walk equals a fresh walker's.
+func TestWalkReusesWalker(t *testing.T) {
+	b := open(t, workload.FibSource)
+	fn, _ := b.FindFunction("fib")
+	p, err := b.Launch(emu.P550())
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := p.NewVar("calls", 8)
+	instrument := func() {
+		t.Helper()
+		if _, err := p.InstrumentFunction(fn, []snippet.Point{snippet.FuncEntry(fn)},
+			snippet.Increment(v), codegen.ModeSpillAlways); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fresh := func() ([]stackwalk.Frame, error) {
+		return stackwalk.New(b.CFG, p.Process, p.Provenance()).Walk()
+	}
+	check := func(when string) {
+		t.Helper()
+		if ev, err := p.ContinueBudget(1500); err != nil || ev.Kind != proc.EventBudget {
+			t.Fatalf("%s: ev=%+v err=%v", when, ev, err)
+		}
+		got, err := p.Walk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := fresh()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) < 3 || len(got) != len(want) {
+			t.Fatalf("%s: walked %d frames, a fresh walker %d; want the same, at least 3", when, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].String() != want[i].String() || got[i].Stepper != want[i].Stepper {
+				t.Errorf("%s: frame %d = %v via %s, fresh walker %v via %s",
+					when, i, got[i], got[i].Stepper, want[i], want[i].Stepper)
+			}
+		}
+	}
+	instrument()
+	check("instrumented")
+	reused := testing.AllocsPerRun(20, func() { p.Walk() })
+	rebuilt := testing.AllocsPerRun(20, func() { fresh() })
+	t.Logf("allocations per walk: %.0f reused, %.0f with a fresh walker", reused, rebuilt)
+	if reused >= rebuilt {
+		t.Errorf("Process.Walk allocates %.0f times per walk, a fresh walker %.0f; the walker is not reused", reused, rebuilt)
+	}
+	if err := p.Uninstrument(fn); err != nil {
+		t.Fatal(err)
+	}
+	check("uninstrumented")
+	instrument()
+	check("re-instrumented")
 }
 
 // TestFigure2ComponentGraph asserts the Components() table (the

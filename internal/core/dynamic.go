@@ -21,6 +21,10 @@ type Process struct {
 
 	live         *patch.Live
 	instrumented map[uint64]*undo
+	// walker serves every Walk. Its stack-height cache is keyed by original
+	// function entry and it reads provenance through live's table, so
+	// instrumenting and uninstrumenting leave it valid.
+	walker *stackwalk.Walker
 }
 
 // undo is the splice Target of one instrumented function: it writes process
@@ -198,5 +202,8 @@ func (p *Process) Provenance() *patch.Provenance { return &p.live.Prov }
 // Walk collects the current call stack with the default frame steppers,
 // attributing patch-area PCs to the original instructions they run for.
 func (p *Process) Walk() ([]stackwalk.Frame, error) {
-	return stackwalk.New(p.Binary.CFG, p.Process, p.Provenance()).Walk()
+	if p.walker == nil {
+		p.walker = stackwalk.New(p.Binary.CFG, p.Process, p.Provenance())
+	}
+	return p.walker.Walk()
 }

@@ -31,12 +31,14 @@ import "rvdyn/internal/riscv"
 //     dispatch onward without re-probing the block map. A chained pointer is honoured only while its target's
 //     generation is current, so the existing invalidation machinery
 //     severs chains for free.
-//   - Macro-op fusion: the fusions table below lists the six fusable
-//     pairs that occur in the measured workloads' dynamic instruction
+//   - Macro-op fusion: the fusions table below has ten rows, the fusable
+//     idioms that occur in the measured workloads' dynamic instruction
 //     streams — lui+addi, slli+add and the superops mul+add, slli+add+fld,
-//     addi+jal and addi+branch. The cost model is charged per constituent,
-//     so Cycles, Instret, and the virtual clock stay bit-identical to
-//     per-instruction dispatch.
+//     addi+jal and addi+branch, plus four chained rows that build the
+//     instrumentation's counter increment (lui[+addi]; ld; addi; sd) into
+//     one op that stores inline when nothing watches its address. The cost
+//     model is charged per constituent, so Cycles, Instret, and the
+//     virtual clock stay bit-identical to per-instruction dispatch.
 //
 // Coherence with self-modifying code and dynamic patching reuses the
 // icache invalidation machinery: every block records the icache generation
@@ -244,6 +246,12 @@ const (
 	otSlliAdd    // rd = rs1 << imm, rs3 = rd + rs2
 	otMulAdd     // rd = rs1 * rs2, rs3 = rd + rs4
 	otSlliAddFld // otSlliAdd (shift in aux), then f[rs4] = fld imm(rs3)
+	// The counter family: rd = aux (the lui[+addi] head), then a load from
+	// aux + offset into rs3, plus the addi's constant, then the store back
+	// (imm packs the offset and the constant, see counterImm).
+	otLuiLd     // rd = aux, rs3 = ld off(rd)
+	otLuiLdAddi // otLuiLd, then rs3 += c
+	otCounter   // otLuiLdAddi, then sd rs3, off(rd)
 
 	// Kinds that end a block.
 	otBr      // conditional branch: aux taken target, aux2 fallthrough
@@ -360,10 +368,14 @@ type fusion struct {
 // fusions is the one fusion table. Every fused op commits its constituents
 // in program order, reading each operand only after the earlier
 // constituents commit, so a fused op is bit-identical to sequential
-// execution. Only the last constituent can fault (slli+add+fld's load).
-// Every row occurs in a measured workload's dynamic instruction stream: an
-// idiom that never fires costs a table probe at every block build and
-// buys nothing.
+// execution. Only a memory access can fault, and one that does leaves the
+// constituents before it retired and the PC on it (opFault takes any
+// constituent index): slli+add+fld's load is its last constituent, the
+// counter increment's load sits between its head and its addi and store.
+// Every row but lui_addi_ld occurs in a measured workload's dynamic
+// instruction stream (lui_addi_ld is the counter's head when la builds its
+// address): an idiom that never fires costs a table probe at every block
+// build and buys nothing.
 var fusions = [...]fusion{
 	{"lui_addi", otLui, otAddi, otConstPair, func(p, q traceOp) (traceOp, bool) {
 		// Both the constant and the addi result fold at build time.
@@ -389,6 +401,26 @@ var fusions = [...]fusion{
 		p.aux, p.imm, p.rs4 = uint64(p.imm), q.imm, q.rd
 		return p, ok
 	}},
+	// The counter increment codegen.assign emits for v = v + c, chained one
+	// constituent at a time: lui rA (or lui rA; addi rA, rA, lo), then
+	// ld rB, off(rA); addi rB, rB, c; sd rB, off(rA), with rA != rB. The
+	// head's value moves to aux, leaving aux2 free for the page tag.
+	{"lui_ld", otLui, otLd, otLuiLd, func(p, q traceOp) (traceOp, bool) {
+		p.rs3, p.imm = q.rd, counterImm(q.imm, 0)
+		return p, q.rs1 == p.rd && q.rd != p.rd
+	}},
+	{"lui_addi_ld", otConstPair, otLd, otLuiLd, func(p, q traceOp) (traceOp, bool) {
+		ok := p.rs3 == p.rd && q.rs1 == p.rd && q.rd != p.rd
+		p.aux, p.aux2, p.rs3, p.imm = p.aux2, 0, q.rd, counterImm(q.imm, 0)
+		return p, ok
+	}},
+	{"lui_ld_addi", otLuiLd, otAddi, otLuiLdAddi, func(p, q traceOp) (traceOp, bool) {
+		p.imm = counterImm(int64(int32(p.imm)), q.imm)
+		return p, q.rd == p.rs3 && q.rs1 == p.rs3
+	}},
+	{"lui_ld_addi_sd", otLuiLdAddi, otSd, otCounter, func(p, q traceOp) (traceOp, bool) {
+		return p, q.rs1 == p.rd && q.rs2 == p.rs3 && q.imm == int64(int32(p.imm))
+	}},
 	{"addi_jal", otAddi, otJal, otAddiJal, func(p, q traceOp) (traceOp, bool) {
 		p.rs3, p.aux, p.aux2 = q.rd, q.aux, q.aux2
 		return p, true
@@ -402,6 +434,10 @@ var fusions = [...]fusion{
 
 // numFuseKinds indexes CPU.fuseCount and Metrics.Fused by fusions row.
 const numFuseKinds = len(fusions)
+
+// counterImm packs a counter op's immediates: the load and store offset in
+// the low 32 bits, the addi's constant in the high 32 (both 12-bit signed).
+func counterImm(off, add int64) int64 { return int64(uint32(off)) | add<<32 }
 
 // addOther reports whether p's result feeds the add q, and q's other
 // operand.

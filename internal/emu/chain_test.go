@@ -90,11 +90,13 @@ scratch:
 }
 
 // fusePairProgram exercises every row of the fusion table in one binary:
-// lui+addi, auipc+addi (via la), auipc+ld, slli+add, ld-pair, sd-pair, the
-// compare+branch / auipc+jalr fused terminators, and the superops — mul+add
-// whose other add operand is the product register, slli+add+ld/fld, addi+jal,
-// and addi+branch taken and not taken. Superops form at block build, so they
-// run here outside any hot loop.
+// lui+addi, slli+add, and the superops — mul+add whose other add operand is
+// the product register, slli+add+fld, addi+jal, addi+branch taken and not
+// taken, and the counter increment with either head (lui, and lui+addi via
+// la) plus its two unfinished prefixes, lui+ld and lui+ld+addi. Superops
+// form at block build, so they run here outside any hot loop. The rest
+// (auipc, the ld and sd pairs, compare+branch, auipc+jalr) has no row of
+// its own.
 const fusePairProgram = `
 	.text
 _start:
@@ -120,6 +122,29 @@ _start:
 	slli t6, s4, 2        # slli+add+fld superop: loads vals+8
 	add t6, t6, t2
 	fld fa0, 0(t6)
+	lui s1, %hi(ctr)      # counter increment, lui head
+	ld s2, %lo(ctr)(s1)
+	addi s2, s2, 7
+	sd s2, %lo(ctr)(s1)
+	la s1, ctr            # counter increment, lui+addi head
+	ld s3, 0(s1)
+	addi s3, s3, -3
+	sd s3, 0(s1)
+	lui s1, %hi(ctr)      # lui+ld+addi: the store goes elsewhere
+	ld s2, %lo(ctr)(s1)
+	addi s2, s2, 1
+	sd s2, 8(t2)
+	la s1, ctr            # lui+addi+ld: no addi follows
+	ld s3, 0(s1)
+	li s0, 2
+	j bump                # both passes run the one block at bump
+bump:
+	lui s1, %hi(ctr)      # the counter again, its page cache hitting on the
+	ld s2, %lo(ctr)(s1)   # second pass: the inline store
+	addi s2, s2, 1
+	sd s2, %lo(ctr)(s1)
+	addi s0, s0, -1
+	bnez s0, bump
 	li s11, 3
 	j count               # addi+jal superop
 count:
@@ -147,6 +172,8 @@ vals:
 	.dword 22
 	.dword 0
 	.dword 0
+ctr:
+	.dword 40
 `
 
 // TestFusedPairsEquivalence: the fusion program ends bit-identical on both
@@ -179,11 +206,28 @@ func TestFusedPairsEquivalence(t *testing.T) {
 			t.Errorf("fuse kind %q never matched; program is meant to exercise all kinds", fusions[k].name)
 		}
 	}
+	for _, k := range []uint8{otLuiLd, otLuiLdAddi, otCounter} {
+		requireKind(t, fast, k)
+	}
+}
+
+// requireKind fails unless some block c built has an op of the given kind,
+// so a test meant for a fused op cannot pass on unfused ones.
+func requireKind(t *testing.T, c *CPU, kind uint8) {
+	t.Helper()
+	for _, b := range cachedBlocks(c) {
+		for _, op := range b.ops {
+			if op.kind == kind {
+				return
+			}
+		}
+	}
+	t.Errorf("no cached block has an op of kind %d", kind)
 }
 
 // TestFuseIndexedFieldPair pins the fusion choice on an indexed two-field
 // load, slli; add; ld x, 0(t); ld y, 8(t): the slli+add fuse, and both
-// loads stay unfused ld ops (no row fuses an integer load).
+// loads stay unfused ld ops (only a lui head fuses with an integer load).
 func TestFuseIndexedFieldPair(t *testing.T) {
 	const src = `
 	.text
@@ -241,8 +285,9 @@ vals:
 }
 
 // runBothTrap runs a program expected to trap on both paths and pins the trap
-// PC and message to be identical, along with all architectural state.
-func runBothTrap(t *testing.T, src string) {
+// PC and message to be identical, along with all architectural state. It
+// returns the fast CPU.
+func runBothTrap(t *testing.T, src string) *CPU {
 	t.Helper()
 	f, err := asm.Assemble(src, asm.Options{NoCompress: true})
 	if err != nil {
@@ -272,13 +317,62 @@ func runBothTrap(t *testing.T, src string) {
 	if !strings.Contains(ft.Error(), "unmapped") {
 		t.Errorf("trap %q does not look like a memory fault", ft.Error())
 	}
+	return fast
 }
 
-// TestFusedPairPartialFault: when the *second* constituent of a fused pair
-// faults, the first must have fully retired — cycles, instret, and registers
-// reflect exactly one committed instruction, identical to sequential
-// stepping. StackTop+pageSize is the end of the mapped stack region, so a
-// load pair based just below it faults only on its second slot.
+// runBothStops runs a program on both paths, resuming after every
+// StopCodeWrite, with watch (when non-zero) armed over the symbol of that
+// name on both. Every stop must agree in reason, reported span and all
+// architectural state. It returns the fast CPU and the code-write stops.
+func runBothStops(t *testing.T, src, watch string) (*CPU, int) {
+	t.Helper()
+	f, err := asm.Assemble(src, asm.Options{NoCompress: true})
+	if err != nil {
+		t.Fatalf("assemble: %v", err)
+	}
+	fast, err := New(f, P550())
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow, err := New(f, P550())
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow.Dispatch = DispatchSlow
+	if watch != "" {
+		sym, ok := f.Symbol(watch)
+		if !ok {
+			t.Fatalf("no symbol %q", watch)
+		}
+		fast.SetCodeWatch(sym.Value, sym.Value+8)
+		slow.SetCodeWatch(sym.Value, sym.Value+8)
+	}
+	for writes := 0; ; writes++ {
+		rf, rs := fast.Run(0), slow.Run(0)
+		if rf != rs {
+			t.Fatalf("stop %d: fast %v, slow %v (fast trap %v)", writes, rf, rs, fast.LastTrap())
+		}
+		requireSameState(t, fast, slow)
+		if rf != StopCodeWrite {
+			if rf != StopExit {
+				t.Fatalf("stopped with %v: %v", rf, fast.LastTrap())
+			}
+			return fast, writes
+		}
+		fa, fn := fast.CodeWrite()
+		sa, sn := slow.CodeWrite()
+		if fa != sa || fn != sn {
+			t.Fatalf("code write %d: fast [%#x,+%d), slow [%#x,+%d)", writes, fa, fn, sa, sn)
+		}
+	}
+}
+
+// TestFusedPairPartialFault: when a constituent of a fused op faults, the
+// ones before it must have fully retired — cycles, instret, and registers
+// reflect exactly the committed prefix, identical to sequential stepping.
+// StackTop+pageSize is the end of the mapped stack region, so a load pair
+// based just below it faults only on its second slot. The counter cases
+// also pin the op's other exits: a watch hit and a store into cached code.
 func TestFusedPairPartialFault(t *testing.T) {
 	edge := StackTop + pageSize // first unmapped byte above the stack
 
@@ -341,6 +435,111 @@ _start:
 	li a7, 93
 	ecall
 `, edge-8))
+	})
+	// The counter increment (lui[+addi]; ld; addi; sd) is one op: a load
+	// that faults leaves only the head retired, with the PC on the ld.
+	t.Run("counter_load_faults", func(t *testing.T) {
+		requireKind(t, runBothTrap(t, `
+	.text
+_start:
+	lui t0, 0x7fefe       # the unmapped page below the stack
+	ld t1, 8(t0)
+	addi t1, t1, 1
+	sd t1, 8(t0)
+	li a7, 93
+	ecall
+`), otCounter)
+	})
+	t.Run("counter_straddle_faults", func(t *testing.T) {
+		requireKind(t, runBothTrap(t, `
+	.text
+_start:
+	lui t0, 0x7feff       # lui+addi head: 4 bytes below the stack, so the
+	addi t0, t0, -4       # load straddles into it from an unmapped page
+	ld t1, 0(t0)
+	addi t1, t1, 1
+	sd t1, 0(t0)
+	li a7, 93
+	ecall
+`), otCounter)
+	})
+	// The fused op stores where it loaded, so its store cannot fault once
+	// its load succeeded. A store to another offset ends the fusion at
+	// lui+ld+addi, and then the sd faults alone.
+	t.Run("counter_store_faults", func(t *testing.T) {
+		requireKind(t, runBothTrap(t, `
+	.text
+_start:
+	lui t0, 0x7feff       # the lowest stack page: mapped
+	ld t1, 0(t0)
+	addi t1, t1, 1
+	sd t1, -8(t0)         # unmapped: faults with the three before retired
+	li a7, 93
+	ecall
+`), otLuiLdAddi)
+	})
+	// A counter under the code watch stops after every store, including
+	// the ones whose page cache already hits.
+	t.Run("counter_watch_hits", func(t *testing.T) {
+		fast, writes := runBothStops(t, `
+	.text
+_start:
+	li s0, 3
+loop:
+	lui t0, %hi(ctr)
+	ld t1, %lo(ctr)(t0)
+	addi t1, t1, 5
+	sd t1, %lo(ctr)(t0)
+	addi s0, s0, -1
+	bnez s0, loop
+	mv a0, t1
+	li a7, 93
+	ecall
+	.data
+	.balign 8
+ctr:
+	.dword 1
+`, "ctr")
+		if writes != 3 || fast.ExitCode != 16 {
+			t.Errorf("%d code-write stops, exit %d; want 3 and 16", writes, fast.ExitCode)
+		}
+		requireKind(t, fast, otCounter)
+	})
+	// A counter whose slot is cached code rewrites it: each pass moves the
+	// destination of the addi at slot up one register. The first store
+	// lands before slot was ever decoded; the second, from an op whose page
+	// cache already hits, must invalidate the decode; the third comes from
+	// the op rebuilt after that invalidation.
+	t.Run("counter_smc", func(t *testing.T) {
+		fast, _ := runBothStops(t, `
+	.text
+_start:
+	li a1, 0
+	li a2, 0
+	li a3, 0
+	li s0, 3
+	j loop                # every pass runs the one block at loop
+loop:
+	lui t0, %hi(slot)
+	ld t1, %lo(slot)(t0)
+	addi t1, t1, 128      # rd of the first instruction at slot, plus one
+	sd t1, %lo(slot)(t0)
+	jal ra, slot
+	addi s0, s0, -1
+	bnez s0, loop
+	add a0, a1, a2
+	add a0, a0, a3
+	li a7, 93
+	ecall
+	.balign 8
+slot:
+	addi a0, zero, 5      # a0, then a1, a2, a3 as the counter rewrites it
+	ret
+`, "")
+		if fast.ExitCode != 15 {
+			t.Errorf("exit %d, want 15 (each rewritten addi ran once)", fast.ExitCode)
+		}
+		requireKind(t, fast, otCounter)
 	})
 	t.Run("auipc_ld_faults", func(t *testing.T) {
 		runBothTrap(t, `

@@ -46,8 +46,8 @@ import (
 // Bit-identity contract: Cycles, Instret, and the virtual clock derived
 // from them must match per-instruction dispatch exactly, in every exit
 // case. Cost is charged per constituent via those prefix sums: a side
-// exit, fault, or watch hit charges exactly the committed prefix (exitAt;
-// a fused op's constituents before its last are preC), and the sampling
+// exit, fault, or watch hit charges exactly the committed prefix (exitAt,
+// down to any constituent of a fused op), and the sampling
 // gate uses the stream's worst-case single pass (maxCost), so a stream is
 // only dispatched (and a pass only started) when even its worst case
 // cannot cross the pending sample mark. SMC coherence
@@ -81,8 +81,8 @@ const (
 // traceOp is one specialized instruction, fused op, or terminator (kinds in
 // block.go): 48 bytes, only what the executor reads on the predicted path.
 // An op's constituents are insts[at : at+n] of the block it was built in
-// (instOf), and that block's cycle prefix sums give its cost and the cost
-// before it, so an exit works out its charge from at alone (exitOf). A
+// (instOf), and that block's cycle prefix sums give the cost of any prefix
+// of them, so an exit works out its charge from at alone (exitAt). A
 // trace op also names the segment it was copied into (seg). A memory op
 // caches one page: pg, tagged with page index + 1 in aux2 (0 = empty).
 type traceOp struct {
@@ -145,14 +145,6 @@ type traceSeg struct {
 	side            [1]blockLink
 }
 
-// opExit is one op's exit bookkeeping: its cycles and those of its
-// constituents before the last, the predicted-path cycles and constituents
-// before it within a pass, and its last constituent.
-type opExit struct {
-	cost, preC, cumC, cumN uint64
-	tail                   *riscv.Inst
-}
-
 // instOf returns op's first constituent. runStream needs it only on ops
 // that call out anyway (execStraight, csrOp, exec, faults), so it stays
 // out of line rather than adding to the executor's body at each of them.
@@ -160,24 +152,6 @@ type opExit struct {
 //go:noinline
 func (s *stream) instOf(op *traceOp) *riscv.Inst {
 	return &s.segs[op.seg].src.insts[op.at]
-}
-
-// exitOf works out op's exit bookkeeping from the block it was built in. A
-// trace branch's cost here is the block's, without the taken penalty a
-// predicted-taken copy adds to the pass.
-func (s *stream) exitOf(op *traceOp) opExit {
-	sg := &s.segs[op.seg]
-	src, j, n := sg.src, int(op.at), int(op.n)
-	c0 := uint64(src.cyc[j])
-	return opExit{
-		cost: uint64(src.cyc[j+n]) - c0,
-		preC: uint64(src.cyc[j+n-1]) - c0,
-		// The segment's cycles before the block's last op, less the
-		// block's own, are the trace's cycles before the block.
-		cumC: sg.lastC - (src.passC - sg.lastCost) + c0,
-		cumN: sg.cumN + uint64(j),
-		tail: &src.insts[j+n-1],
-	}
 }
 
 // endExit is what leaving the stream through op, an op that ends its block
@@ -358,8 +332,9 @@ func (c *CPU) predictBranch(b *block, br *traceOp) (taken, ok bool) {
 // returns the constituents retired and a stop reason (stopNone to continue
 // dispatching). Every exit path leaves Cycles/Instret/PC exactly as
 // per-instruction dispatch would. Load hit paths are inlined against the
-// per-op page cache; misses, stores, faults, and every exit go through the
-// outlined helpers.
+// per-op page cache, and so is the counter op's store when neither cached
+// code nor the code watch covers it; misses, other stores, faults, and
+// every exit go through the outlined helpers.
 func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64, stop StopReason) {
 	ops := s.ops
 	for {
@@ -463,6 +438,27 @@ func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64,
 					}
 					c.F[op.rs4&31] = val
 				}
+			case otLuiLd, otLuiLdAddi:
+				c.X[op.rd&31] = op.aux
+				v, err := c.traceRead64(op, op.aux+uint64(int64(int32(op.imm))))
+				if err != nil {
+					return c.opFault(s, op, retired, counterLoad(op), err)
+				}
+				c.X[op.rs3&31] = v + uint64(op.imm>>32)
+			case otCounter:
+				c.X[op.rd&31] = op.aux
+				a := op.aux + uint64(int64(int32(op.imm)))
+				if a>>pageBits+1 == op.aux2 && a&pageMask <= pageSize-8 &&
+					(a >= c.icHi || a+8 <= c.icLo) && (a >= c.watchHi || a+8 <= c.watchLo) {
+					// A page-cache hit on a store storeCheck would pass
+					// over: neither cached code nor the watch is there.
+					p, o := op.pg, a&pageMask
+					v := binary.LittleEndian.Uint64(p[o:]) + uint64(op.imm>>32)
+					c.X[op.rs3&31] = v
+					binary.LittleEndian.PutUint64(p[o:], v)
+				} else if r, stop, exit := c.counterMem(s, op, a, retired); exit {
+					return r, stop
+				}
 			case otBr:
 				if taken := branchTaken(op.mn, c.X[op.rs1&31], c.X[op.rs2&31]); taken != op.predTaken || op.end {
 					return c.branchExit(s, op, retired, taken)
@@ -533,33 +529,66 @@ func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64,
 }
 
 // exitAt leaves the stream inside op with its first k constituents retired
-// (k is 0, n-1, or n) on top of the committed prefix, the PC on the next
-// constituent, and returns the updated retired count.
+// (0 ≤ k ≤ n) on top of the committed prefix, the PC on the next
+// constituent, and returns the updated retired count. The charge comes from
+// op's block: its cycle prefix sums up to the constituent, on top of the
+// trace's cycles before the block (the segment's cycles before the block's
+// closing op, less the block's own).
 func (c *CPU) exitAt(s *stream, op *traceOp, retired uint64, k uint8) uint64 {
-	x := s.exitOf(op)
-	var cyc uint64
-	switch k {
-	case 0:
-		c.PC = s.instOf(op).Addr
-	case op.n:
-		c.PC, cyc = x.tail.Next(), x.cost
-	default:
-		c.PC, cyc = x.tail.Addr, x.preC
+	sg := &s.segs[op.seg]
+	src, j := sg.src, int(op.at)+int(k)
+	if k == 0 {
+		c.PC = src.insts[j].Addr
+	} else {
+		c.PC = src.insts[j-1].Next()
 	}
-	c.Cycles += x.cumC + cyc
-	c.Instret += x.cumN + uint64(k)
-	return retired + x.cumN + uint64(k)
+	n := sg.cumN + uint64(j)
+	c.Cycles += sg.lastC + sg.lastCost - src.passC + uint64(src.cyc[j])
+	c.Instret += n
+	return retired + n
 }
 
 // opFault applies the partial-fault protocol: constituent k of op faulted,
 // so it and everything after it have not retired and the PC points at it.
 func (c *CPU) opFault(s *stream, op *traceOp, retired uint64, k uint8, err error) (uint64, StopReason) {
 	retired = c.exitAt(s, op, retired, k)
-	in := s.instOf(op)
-	if k > 0 {
-		in = s.exitOf(op).tail
+	return retired, c.trap(&s.segs[op.seg].src.insts[int(op.at)+int(k)], err)
+}
+
+// counterLoad is the constituent index of a counter-family op's load: after
+// the lui[+addi] head, before the addi and store of the kinds that have
+// them.
+func counterLoad(op *traceOp) uint8 {
+	switch op.kind {
+	case otLuiLd:
+		return op.n - 1
+	case otLuiLdAddi:
+		return op.n - 2
 	}
-	return retired, c.trap(in, err)
+	return op.n - 3
+}
+
+// counterMem runs an otCounter op's load, addi and store at a, with its head
+// committed, through the outlined helpers: on a page-cache miss, an access
+// straddling a page, or a store that cached code or the watch must see. It
+// reports whether the stream must be left, with what to return.
+func (c *CPU) counterMem(s *stream, op *traceOp, a, retired uint64) (uint64, StopReason, bool) {
+	v, err := c.traceRead64(op, a)
+	if err != nil {
+		r, stop := c.opFault(s, op, retired, counterLoad(op), err)
+		return r, stop, true
+	}
+	v += uint64(op.imm >> 32)
+	c.X[op.rs3&31] = v
+	if err := c.traceWrite64(op, a, v); err != nil {
+		r, stop := c.opFault(s, op, retired, op.n-1, err)
+		return r, stop, true
+	}
+	if c.watchHit || s.gen != c.icGen {
+		r, stop := c.storeExit(s, op, retired)
+		return r, stop, true
+	}
+	return retired, stopNone, false
 }
 
 // storeExit leaves the stream after op committed, its store (always its

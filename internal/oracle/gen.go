@@ -58,7 +58,11 @@ var fpRegs = []string{
 var cRegFPs = []string{"fs0", "fs1", "fa0", "fa1", "fa2", "fa3", "fa4", "fa5"}
 
 type progGen struct {
-	rng      *rand.Rand
+	rng *rand.Rand
+	// inc draws the counter increments (increment): a stream of its own,
+	// so the main stream, and every program that gets no increment, does
+	// not depend on it.
+	inc      *rand.Rand
 	body     []string
 	pending  []pendingLabel // open forward-branch targets
 	nextLbl  int
@@ -286,6 +290,9 @@ func (g *progGen) step() {
 		// adjacent, the shape the emulator's fusion pass looks for.
 		g.grouping = true
 		defer func() { g.grouping = false; g.flushDue() }()
+		if g.inc.Intn(2) == 0 {
+			g.increment(intDests)
+		}
 		switch g.rng.Intn(4) {
 		case 0: // lui rd, hi ; addi rd2, rd, lo
 			d := intDests[g.rng.Intn(len(intDests))]
@@ -411,9 +418,33 @@ func (g *progGen) step() {
 				g.emit("sd %s, %d(gp)", d, g.off(8))
 			}
 		}
+		if g.inc.Intn(2) == 0 {
+			// From the second pass on, the increment's page cache hits.
+			g.increment(loopSafe)
+		}
 		g.emit("addi t6, t6, -1")
 		g.emit("bne t6, zero, %s", lbl)
 	}
+}
+
+// increment emits the counter increment instrumentation puts at a block
+// entry, v = v + c on a sandbox dword, drawn from the inc stream with one
+// of its two heads: lui rA, %hi(v) with %lo(v) as the offset, or lui+addi
+// building v's whole address. The emulator fuses it into one op. rA and rB
+// are distinct registers of regs.
+func (g *progGen) increment(regs []string) {
+	v := fmt.Sprintf("sandbox+%d", g.inc.Intn(sandboxWords)*8)
+	i := g.inc.Intn(len(regs))
+	a, b := regs[i], regs[(i+1+g.inc.Intn(len(regs)-1))%len(regs)]
+	off := fmt.Sprintf("%%lo(%s)", v)
+	g.emit("lui %s, %%hi(%s)", a, v)
+	if g.inc.Intn(2) == 0 {
+		g.emit("addi %s, %s, %s", a, a, off)
+		off = "0"
+	}
+	g.emit("ld %s, %s(%s)", b, off, a)
+	g.emit("addi %s, %s, %d", b, b, g.inc.Intn(4096)-2048)
+	g.emit("sd %s, %s(%s)", b, off, a)
 }
 
 // freshPage maps one page with mmap, reads it while it is still untouched
@@ -442,7 +473,8 @@ var loopSafe = []string{"t0", "t1", "t2", "a0", "a1", "a2", "a3", "a4", "a5", "s
 // GenerateProgram returns the assembly source of a random-but-valid program
 // of roughly n body instructions, deterministic in seed.
 func GenerateProgram(seed int64, n int) string {
-	g := &progGen{rng: rand.New(rand.NewSource(seed))}
+	g := &progGen{rng: rand.New(rand.NewSource(seed)),
+		inc: rand.New(rand.NewSource(seed ^ 0x696e6372))}
 	var b strings.Builder
 	b.WriteString("\t.text\n\t.globl _start\n_start:\n")
 	b.WriteString("\tla gp, sandbox\n")
