@@ -31,11 +31,11 @@ import "rvdyn/internal/riscv"
 //     dispatch onward without re-probing the block map. A chained pointer is honoured only while its target's
 //     generation is current, so the existing invalidation machinery
 //     severs chains for free.
-//   - Macro-op fusion: the fusions table below has ten rows, the fusable
+//   - Macro-op fusion: the fusions table below has nine rows, the fusable
 //     idioms that occur in the measured workloads' dynamic instruction
 //     streams — lui+addi, slli+add and the superops mul+add, slli+add+fld,
-//     addi+jal and addi+branch, plus four chained rows that build the
-//     instrumentation's counter increment (lui[+addi]; ld; addi; sd) into
+//     addi+jal and addi+branch, plus three chained rows that build the
+//     instrumentation's counter increment (lui; ld; addi; sd) into
 //     one op that stores inline when nothing watches its address. The cost
 //     model is charged per constituent, so Cycles, Instret, and the
 //     virtual clock stay bit-identical to per-instruction dispatch.
@@ -246,7 +246,7 @@ const (
 	otSlliAdd    // rd = rs1 << imm, rs3 = rd + rs2
 	otMulAdd     // rd = rs1 * rs2, rs3 = rd + rs4
 	otSlliAddFld // otSlliAdd (shift in aux), then f[rs4] = fld imm(rs3)
-	// The counter family: rd = aux (the lui[+addi] head), then a load from
+	// The counter family: rd = aux (the lui head), then a load from
 	// aux + offset into rs3, plus the addi's constant, then the store back
 	// (imm packs the offset and the constant, see counterImm).
 	otLuiLd     // rd = aux, rs3 = ld off(rd)
@@ -372,10 +372,9 @@ type fusion struct {
 // constituents before it retired and the PC on it (opFault takes any
 // constituent index): slli+add+fld's load is its last constituent, the
 // counter increment's load sits between its head and its addi and store.
-// Every row but lui_addi_ld occurs in a measured workload's dynamic
-// instruction stream (lui_addi_ld is the counter's head when la builds its
-// address): an idiom that never fires costs a table probe at every block
-// build and buys nothing.
+// Every row occurs in a measured workload's dynamic instruction stream: an
+// idiom that never fires costs a table probe at every block build and
+// buys nothing.
 var fusions = [...]fusion{
 	{"lui_addi", otLui, otAddi, otConstPair, func(p, q traceOp) (traceOp, bool) {
 		// Both the constant and the addi result fold at build time.
@@ -402,17 +401,12 @@ var fusions = [...]fusion{
 		return p, ok
 	}},
 	// The counter increment codegen.assign emits for v = v + c, chained one
-	// constituent at a time: lui rA (or lui rA; addi rA, rA, lo), then
-	// ld rB, off(rA); addi rB, rB, c; sd rB, off(rA), with rA != rB. The
-	// head's value moves to aux, leaving aux2 free for the page tag.
+	// constituent at a time: lui rA, then ld rB, off(rA); addi rB, rB, c;
+	// sd rB, off(rA), with rA != rB. The head's value stays in aux (otLui
+	// folds it there), leaving aux2 free for the page tag.
 	{"lui_ld", otLui, otLd, otLuiLd, func(p, q traceOp) (traceOp, bool) {
 		p.rs3, p.imm = q.rd, counterImm(q.imm, 0)
 		return p, q.rs1 == p.rd && q.rd != p.rd
-	}},
-	{"lui_addi_ld", otConstPair, otLd, otLuiLd, func(p, q traceOp) (traceOp, bool) {
-		ok := p.rs3 == p.rd && q.rs1 == p.rd && q.rd != p.rd
-		p.aux, p.aux2, p.rs3, p.imm = p.aux2, 0, q.rd, counterImm(q.imm, 0)
-		return p, ok
 	}},
 	{"lui_ld_addi", otLuiLd, otAddi, otLuiLdAddi, func(p, q traceOp) (traceOp, bool) {
 		p.imm = counterImm(int64(int32(p.imm)), q.imm)

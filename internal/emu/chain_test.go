@@ -92,8 +92,8 @@ scratch:
 // fusePairProgram exercises every row of the fusion table in one binary:
 // lui+addi, slli+add, and the superops — mul+add whose other add operand is
 // the product register, slli+add+fld, addi+jal, addi+branch taken and not
-// taken, and the counter increment with either head (lui, and lui+addi via
-// la) plus its two unfinished prefixes, lui+ld and lui+ld+addi. Superops
+// taken, and the counter increment plus its two unfinished prefixes, lui+ld
+// and lui+ld+addi. Superops
 // form at block build, so they run here outside any hot loop. The rest
 // (auipc, the ld and sd pairs, compare+branch, auipc+jalr) has no row of
 // its own.
@@ -122,20 +122,16 @@ _start:
 	slli t6, s4, 2        # slli+add+fld superop: loads vals+8
 	add t6, t6, t2
 	fld fa0, 0(t6)
-	lui s1, %hi(ctr)      # counter increment, lui head
+	lui s1, %hi(ctr)      # counter increment
 	ld s2, %lo(ctr)(s1)
 	addi s2, s2, 7
 	sd s2, %lo(ctr)(s1)
-	la s1, ctr            # counter increment, lui+addi head
-	ld s3, 0(s1)
-	addi s3, s3, -3
-	sd s3, 0(s1)
 	lui s1, %hi(ctr)      # lui+ld+addi: the store goes elsewhere
 	ld s2, %lo(ctr)(s1)
 	addi s2, s2, 1
 	sd s2, 8(t2)
-	la s1, ctr            # lui+addi+ld: no addi follows
-	ld s3, 0(s1)
+	lui s1, %hi(ctr)      # lui+ld: no addi of the loaded register follows
+	ld s3, %lo(ctr)(s1)
 	li s0, 2
 	j bump                # both passes run the one block at bump
 bump:
@@ -436,7 +432,7 @@ _start:
 	ecall
 `, edge-8))
 	})
-	// The counter increment (lui[+addi]; ld; addi; sd) is one op: a load
+	// The counter increment (lui; ld; addi; sd) is one op: a load
 	// that faults leaves only the head retired, with the PC on the ld.
 	t.Run("counter_load_faults", func(t *testing.T) {
 		requireKind(t, runBothTrap(t, `
@@ -454,11 +450,10 @@ _start:
 		requireKind(t, runBothTrap(t, `
 	.text
 _start:
-	lui t0, 0x7feff       # lui+addi head: 4 bytes below the stack, so the
-	addi t0, t0, -4       # load straddles into it from an unmapped page
-	ld t1, 0(t0)
+	lui t0, 0x7feff       # the lowest stack page; the load starts 4 bytes
+	ld t1, -4(t0)         # below it, straddling in from an unmapped page
 	addi t1, t1, 1
-	sd t1, 0(t0)
+	sd t1, -4(t0)
 	li a7, 93
 	ecall
 `), otCounter)

@@ -1088,16 +1088,29 @@ func (c *CPU) execStraight(inst *riscv.Inst) error {
 	return nil
 }
 
+// storeSeen reports whether a store to [addr, addr+width) has work in
+// storeCheck: it overlaps cached code or the code watch. A store it clears
+// may skip storeCheck (runStream's inline counter store does).
+func (c *CPU) storeSeen(addr, width uint64) bool {
+	return c.inCode(addr, width) || c.inWatch(addr, width)
+}
+
+// inCode reports whether [addr, addr+width) overlaps cached code.
+func (c *CPU) inCode(addr, width uint64) bool { return addr < c.icHi && addr+width > c.icLo }
+
+// inWatch reports whether [addr, addr+width) overlaps the code watch.
+func (c *CPU) inWatch(addr, width uint64) bool { return addr < c.watchHi && addr+width > c.watchLo }
+
 // storeCheck funnels store errors and keeps the icache coherent for stores
 // into cached code (self-modifying code still works, at a small cost).
 func (c *CPU) storeCheck(addr uint64, width uint64, err error) error {
-	if err != nil {
+	if err != nil || !c.storeSeen(addr, width) {
 		return err
 	}
-	if addr < c.icHi && addr+width > c.icLo {
+	if c.inCode(addr, width) {
 		c.invalidate(addr, width, false)
 	}
-	if addr < c.watchHi && addr+width > c.watchLo {
+	if c.inWatch(addr, width) {
 		if c.watchHit {
 			// One instruction can trip twice before dispatch notices (a
 			// syscall writing both words of a timespec); widen the recorded

@@ -442,14 +442,13 @@ func (c *CPU) runStream(s *stream, budget uint64, limited bool) (retired uint64,
 				c.X[op.rd&31] = op.aux
 				v, err := c.traceRead64(op, op.aux+uint64(int64(int32(op.imm))))
 				if err != nil {
-					return c.opFault(s, op, retired, counterLoad(op), err)
+					return c.opFault(s, op, retired, counterLoad, err)
 				}
 				c.X[op.rs3&31] = v + uint64(op.imm>>32)
 			case otCounter:
 				c.X[op.rd&31] = op.aux
 				a := op.aux + uint64(int64(int32(op.imm)))
-				if a>>pageBits+1 == op.aux2 && a&pageMask <= pageSize-8 &&
-					(a >= c.icHi || a+8 <= c.icLo) && (a >= c.watchHi || a+8 <= c.watchLo) {
+				if a>>pageBits+1 == op.aux2 && a&pageMask <= pageSize-8 && !c.storeSeen(a, 8) {
 					// A page-cache hit on a store storeCheck would pass
 					// over: neither cached code nor the watch is there.
 					p, o := op.pg, a&pageMask
@@ -556,17 +555,8 @@ func (c *CPU) opFault(s *stream, op *traceOp, retired uint64, k uint8, err error
 }
 
 // counterLoad is the constituent index of a counter-family op's load: after
-// the lui[+addi] head, before the addi and store of the kinds that have
-// them.
-func counterLoad(op *traceOp) uint8 {
-	switch op.kind {
-	case otLuiLd:
-		return op.n - 1
-	case otLuiLdAddi:
-		return op.n - 2
-	}
-	return op.n - 3
-}
+// the lui head, before the addi and store of the kinds that have them.
+const counterLoad = 1
 
 // counterMem runs an otCounter op's load, addi and store at a, with its head
 // committed, through the outlined helpers: on a page-cache miss, an access
@@ -575,7 +565,7 @@ func counterLoad(op *traceOp) uint8 {
 func (c *CPU) counterMem(s *stream, op *traceOp, a, retired uint64) (uint64, StopReason, bool) {
 	v, err := c.traceRead64(op, a)
 	if err != nil {
-		r, stop := c.opFault(s, op, retired, counterLoad(op), err)
+		r, stop := c.opFault(s, op, retired, counterLoad, err)
 		return r, stop, true
 	}
 	v += uint64(op.imm >> 32)

@@ -419,7 +419,9 @@ func (g *progGen) step() {
 			}
 		}
 		if g.inc.Intn(2) == 0 {
-			// From the second pass on, the increment's page cache hits.
+			// From the third pass on, the increment's page cache hits:
+			// the first runs in the block that falls into the label, the
+			// second fills the cache of the block built at the label.
 			g.increment(loopSafe)
 		}
 		g.emit("addi t6, t6, -1")
@@ -428,23 +430,17 @@ func (g *progGen) step() {
 }
 
 // increment emits the counter increment instrumentation puts at a block
-// entry, v = v + c on a sandbox dword, drawn from the inc stream with one
-// of its two heads: lui rA, %hi(v) with %lo(v) as the offset, or lui+addi
-// building v's whole address. The emulator fuses it into one op. rA and rB
-// are distinct registers of regs.
+// entry, v = v + c on a sandbox dword, drawn from the inc stream:
+// lui rA, %hi(v), with %lo(v) as the offset. The emulator fuses it into one
+// op. rA and rB are distinct registers of regs.
 func (g *progGen) increment(regs []string) {
 	v := fmt.Sprintf("sandbox+%d", g.inc.Intn(sandboxWords)*8)
 	i := g.inc.Intn(len(regs))
 	a, b := regs[i], regs[(i+1+g.inc.Intn(len(regs)-1))%len(regs)]
-	off := fmt.Sprintf("%%lo(%s)", v)
 	g.emit("lui %s, %%hi(%s)", a, v)
-	if g.inc.Intn(2) == 0 {
-		g.emit("addi %s, %s, %s", a, a, off)
-		off = "0"
-	}
-	g.emit("ld %s, %s(%s)", b, off, a)
+	g.emit("ld %s, %%lo(%s)(%s)", b, v, a)
 	g.emit("addi %s, %s, %d", b, b, g.inc.Intn(4096)-2048)
-	g.emit("sd %s, %s(%s)", b, off, a)
+	g.emit("sd %s, %%lo(%s)(%s)", b, v, a)
 }
 
 // freshPage maps one page with mmap, reads it while it is still untouched
